@@ -39,6 +39,7 @@ __all__ = [
     "build_basis",
     "project_velocity",
     "project_pressure",
+    "coefficients_of",
     "eval_field",
     "norms",
     "velocity_mass_diagonal",
@@ -290,6 +291,22 @@ def project_velocity(spec: BasisSpec, fld: SampledField) -> VelocityCoeffs:
 def project_pressure(spec: BasisSpec, fld: SampledField) -> PressureCoeffs:
     """L^2-orthogonal projection of a scalar field onto the pressure span."""
     return PressureCoeffs(spec, pressure_load_vector(spec, fld) * fld.at_time(0.0))
+
+
+def coefficients_of(spec: BasisSpec, data, pressure: bool = False) -> np.ndarray:
+    """Coefficient vector of velocity (or pressure) data.
+
+    None gives zeros, coefficient objects are copied, sampled fields are projected.
+    """
+    if pressure:
+        coeffs_type, project, size = PressureCoeffs, project_pressure, spec.m_p
+    else:
+        coeffs_type, project, size = VelocityCoeffs, project_velocity, spec.m_u
+    if data is None:
+        return np.zeros(size)
+    if isinstance(data, coeffs_type):
+        return data.values.copy()
+    return project(spec, data).values
 
 
 def eval_field(spec: BasisSpec, coeffs, points) -> np.ndarray:

@@ -12,9 +12,11 @@ homogeneous problem is recovered by sigma = 0, s = rho0 f.
 
 Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
-order, and exactly dissipative on the unforced system.  The step matrix is
-factored once; only the right side is reassembled for time-dependent
-sources.
+order, and exactly dissipative on the unforced system.  One stepper,
+:func:`crank_nicolson`, serves this system and the reduced Stokes system of
+:mod:`complim.incompressible`: it factors the step matrix once, marches
+with one LAPACK ``getrs`` solve per step, and checks the step residuals
+afterwards as matrix products over chunks of steps.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from .basis import (
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
+    coefficients_of,
     pressure_load_vector,
-    project_pressure,
-    project_velocity,
     velocity_load_vector,
 )
 from .inequalities import MixedConstants, ScalarTrajectory, mixed_constants, verify_mixed
@@ -46,6 +47,7 @@ __all__ = [
     "InvalidParams",
     "StepFailure",
     "default_dt",
+    "crank_nicolson",
     "simulate_compressible",
     "energy_ledger",
     "mass_series",
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 STEP_RESIDUAL_RTOL = 1e-9
+# steps per block of the residual gate and of the time-dependent loads
+STEP_CHUNK = 256
 
 
 class InvalidParams(ValueError):
@@ -60,12 +64,61 @@ class InvalidParams(ValueError):
 
 
 class StepFailure(RuntimeError):
-    """A time-step linear solve exceeded the residual tolerance."""
+    """A time-step linear solve exceeded the residual tolerance or produced non-finite values."""
 
 
 def default_dt(alpha: float, n_u: int, T: float) -> float:
     """Step size resolving the fastest retained acoustic mode: min(T/200, sqrt(alpha)/(4 pi n_u))."""
     return min(T / 200.0, np.sqrt(alpha) / (4.0 * np.pi * n_u))
+
+
+def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
+    """The uniform grid over [0, T] whose step is nearest to dt_req: (dt, times)."""
+    n_steps = max(1, round(T / dt_req))
+    dt = T / n_steps
+    return dt, dt * np.arange(n_steps + 1)
+
+
+def crank_nicolson(
+    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load
+) -> np.ndarray:
+    """March lhs y_{n+1} = rhs_mat y_n + dt/2 (g_n + g_{n+1}) over a uniform grid.
+
+    ``load`` is the constant vector g or maps k times to the (k, m) loads at
+    them.  Returns the (N+1, m) states.  After each chunk of STEP_CHUNK steps
+    the residuals are checked as one matrix product: StepFailure names the
+    first step whose |lhs y_{n+1} - rhs_n| is not at most STEP_RESIDUAL_RTOL
+    |rhs_n|, which includes non-finite states.
+    """
+    lu, piv = scipy.linalg.lu_factor(lhs)
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    n_steps, m = len(times) - 1, len(y0)
+    dt = float(times[1] - times[0])
+    states = np.empty((n_steps + 1, m))
+    states[0] = y0
+    rhs = np.empty((min(STEP_CHUNK, n_steps), m))
+    for start in range(0, n_steps, STEP_CHUNK):
+        stop = min(start + STEP_CHUNK, n_steps)
+        nodes = times[start : stop + 1]
+        g = load(nodes) if callable(load) else np.broadcast_to(load, (nodes.size, m))
+        w = 0.5 * dt * (g[:-1] + g[1:])
+        for k, n in enumerate(range(start, stop)):
+            np.matmul(rhs_mat, states[n], out=rhs[k])
+            rhs[k] += w[k]
+            states[n + 1], info = getrs(lu, piv, rhs[k])
+            if info:
+                raise StepFailure(f"step {n + 1}: getrs returned info = {info}")
+        block = rhs[: stop - start]
+        residual = np.linalg.norm(states[start + 1 : stop + 1] @ lhs.T - block, axis=1)
+        scale = np.maximum(np.linalg.norm(block, axis=1), 1e-300)
+        bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
+        if bad.size:
+            k = bad[0]
+            raise StepFailure(
+                f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
+                f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
+            )
+    return states
 
 
 @dataclass(frozen=True)
@@ -105,23 +158,6 @@ class CompressibleParams:
         return dt
 
 
-def _initial_coefficients(spec: BasisSpec, params: CompressibleParams):
-    u0, p0 = params.u0, params.p0
-    if u0 is None:
-        c0 = np.zeros(spec.m_u)
-    elif isinstance(u0, VelocityCoeffs):
-        c0 = u0.values.copy()
-    else:
-        c0 = project_velocity(spec, u0).values
-    if p0 is None:
-        q0 = np.zeros(spec.m_p)
-    elif isinstance(p0, PressureCoeffs):
-        q0 = p0.values.copy()
-    else:
-        q0 = project_pressure(spec, p0).values
-    return c0, q0
-
-
 @dataclass
 class Trajectory:
     """Coefficient time series of one compressible run with per-node diagnostics.
@@ -141,6 +177,7 @@ class Trajectory:
     h01: np.ndarray  # (N+1,)
     div: np.ndarray  # (N+1,)
     mass: np.ndarray  # (N+1,)
+    coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p), if computed
 
     @property
     def n_steps(self) -> int:
@@ -183,9 +220,7 @@ def simulate_compressible(
     exactly.  Raises StepFailure when the relative residual of a step solve
     exceeds 1e-9.
     """
-    dt_req = params.validate(spec.n_u, static_f=True)
-    n_steps = max(1, round(params.T / dt_req))
-    dt = params.T / n_steps
+    dt, times = time_grid(params.validate(spec.n_u, static_f=True), params.T)
     m_u, m_p = spec.m_u, spec.m_p
     m = m_u + m_p
 
@@ -204,40 +239,19 @@ def simulate_compressible(
     )
     lhs = np.diag(a_diag) - 0.5 * dt * K
     rhs_mat = np.diag(a_diag) + 0.5 * dt * K
-    lu = scipy.linalg.lu_factor(lhs)
 
     f_vec, f_fac, s_vec, s_fac = _forcing_terms(spec, params)
 
-    def load(t: float) -> np.ndarray:
-        g = np.empty(m)
-        g[:m_u] = f_vec if f_fac is None else f_vec * f_fac(t)
-        g[m_u:] = s_vec if s_fac is None else s_vec * s_fac(t)
+    def load(t: np.ndarray) -> np.ndarray:
+        g = np.empty((t.size, m))
+        g[:, :m_u] = f_vec if f_fac is None else np.outer([f_fac(x) for x in t], f_vec)
+        g[:, m_u:] = s_vec if s_fac is None else np.outer([s_fac(x) for x in t], s_vec)
         return g
 
-    c0, q0 = _initial_coefficients(spec, params)
-    y = np.concatenate([c0, q0])
-    states = np.empty((n_steps + 1, m))
-    states[0] = y
-    times = dt * np.arange(n_steps + 1)
-    constant_load = f_fac is None and s_fac is None
-    g_const = load(0.0)
-    g_prev = g_const
-    for n in range(n_steps):
-        if constant_load:
-            g_next = g_const
-        else:
-            g_next = load(times[n + 1])
-        rhs = rhs_mat @ y + 0.5 * dt * (g_prev + g_next)
-        y = scipy.linalg.lu_solve(lu, rhs)
-        residual = np.linalg.norm(lhs @ y - rhs)
-        scale = np.linalg.norm(rhs)
-        if residual > STEP_RESIDUAL_RTOL * max(scale, 1e-300):
-            raise StepFailure(
-                f"step {n + 1} at t = {times[n + 1]:.6g}: relative residual "
-                f"{residual / max(scale, 1e-300):.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
-            )
-        states[n + 1] = y
-        g_prev = g_next
+    y0 = np.concatenate(
+        [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]
+    )
+    states = crank_nicolson(lhs, rhs_mat, y0, times, load)
 
     c = states[:, :m_u]
     q = states[:, m_u:]
@@ -254,7 +268,17 @@ def simulate_compressible(
         h01=np.linalg.norm(c, axis=1),
         div=np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", c, operator_set.div_gram, c, optimize=True), 0.0)),
         mass=params.rho0 + params.alpha * q[:, 0],
+        coupling=G,
     )
+
+
+def _coupling(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> np.ndarray:
+    """G of params.f, reused from the trajectory when it was computed for the same force."""
+    if traj.coupling is not None and params.f is traj.params.f:
+        return traj.coupling
+    if params.f is None:
+        return np.zeros((traj.spec.m_u, traj.spec.m_p))
+    return coupling_matrix(traj.spec, operator_set, params.f)
 
 
 @dataclass
@@ -297,7 +321,7 @@ def energy_ledger(
 
     work = np.zeros(len(t_mid))
     if params.f is not None:
-        G = coupling_matrix(spec, operator_set, params.f)
+        G = _coupling(operator_set, params, traj)
         work += params.alpha * np.einsum("nk,nk->n", c_mid @ G, q_mid)
     f_vec, f_fac, s_vec, s_fac = _forcing_terms(spec, params)
     if f_vec.any():
@@ -355,7 +379,6 @@ class EstimateReport:
 def _sup_norm_on_grid(spec: BasisSpec, fld: Optional[SampledField]) -> float:
     if fld is None:
         return 0.0
-    x, _ = spec.quad_rule()
     grid = np.linspace(0.0, 1.0, 4 * spec.quad_order + 1)
     vals = fld.spatial(grid[:, None], grid[None, :])
     if fld.vector:
@@ -427,11 +450,7 @@ def apriori_check(
 
     # (est2): |u|_{L2 H10} + |du/dt|_{L2 H-1} <= (1/sqrt(alpha)) C~ E,
     # with M dc/dt read off the momentum equation at the nodes.
-    G = (
-        coupling_matrix(spec, operator_set, params.f)
-        if params.f is not None
-        else np.zeros((spec.m_u, spec.m_p))
-    )
+    G = _coupling(operator_set, params, traj)
     momentum = (
         traj.q @ operator_set.div_coupling
         - mu * traj.c

@@ -6,8 +6,8 @@ span {c : B c = 0} and are M-orthonormal, so the evolution is simply
     rho0 dy/dt + mu (Z'Z) y = Z' F(t),      F_i = rho0 <f, velocity mode i>.
 
 Solenoidality therefore holds exactly at every step.  The pressure is
-recovered node by node from the momentum residual through the inverse of
-the pressure gradient: with dc/dt read off the reduced equation (not from
+recovered in chunks of nodes from the momentum residual through the inverse
+of the pressure gradient: with dc/dt read off the reduced equation (not from
 finite differences, which would lose an order),
 
     q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c),
@@ -21,18 +21,23 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (
     BasisSpec,
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
-    project_velocity,
+    coefficients_of,
     velocity_load_vector,
 )
-from .compressible import STEP_RESIDUAL_RTOL, CompressibleParams, StepFailure
-from .operators import OperatorSet, grad_inverse, leray_project
+from .compressible import STEP_CHUNK, CompressibleParams, crank_nicolson, time_grid
+from .operators import (
+    ANNIHILATION_TOL,
+    AnnihilationError,
+    OperatorSet,
+    grad_inverse,
+    leray_project,
+)
 
 __all__ = [
     "SolenoidalBasis",
@@ -119,19 +124,12 @@ def simulate_incompressible(
     keeping the grid aligned with a compressible companion run.
     """
     Z = _z_matrix(solenoidal)
-    dt_req = params.validate(spec.n_u)
-    n_steps = max(1, round(params.T / dt_req))
-    dt = params.T / n_steps
+    dt, times = time_grid(params.validate(spec.n_u), params.T)
     m_v = Z.shape[1]
 
-    if params.u0 is None:
-        c0 = np.zeros(spec.m_u)
-    elif isinstance(params.u0, VelocityCoeffs):
-        c0 = params.u0.values.copy()
-    else:
-        c0 = project_velocity(spec, params.u0).values
+    c0 = coefficients_of(spec, params.u0)
     c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
-    y = Z.T @ (operator_set.mass_diag * c0)
+    y0 = Z.T @ (operator_set.mass_diag * c0)
 
     if params.f is not None:
         f_vec = params.rho0 * velocity_load_vector(spec, params.f)
@@ -139,54 +137,28 @@ def simulate_incompressible(
     else:
         f_vec, f_fac = np.zeros(spec.m_u), None
 
-    def load_full(t: float) -> np.ndarray:
-        return f_vec if f_fac is None else f_vec * f_fac(t)
+    def loads(t: np.ndarray) -> np.ndarray:  # F at k times, (k, m_u)
+        return np.outer([f_fac(x) for x in t], f_vec)
 
     stiff = Z.T @ Z  # ((Zy, Zy')) in reduced coordinates
     lhs = params.rho0 * np.eye(m_v) + 0.5 * dt * params.mu * stiff
     rhs_mat = params.rho0 * np.eye(m_v) - 0.5 * dt * params.mu * stiff
-    lu = scipy.linalg.lu_factor(lhs)
-
-    times = dt * np.arange(n_steps + 1)
-    ys = np.empty((n_steps + 1, m_v))
-    ys[0] = y
-    g_prev = Z.T @ load_full(0.0)
-    for n in range(n_steps):
-        g_next = g_prev if f_fac is None else Z.T @ load_full(times[n + 1])
-        rhs = rhs_mat @ y + 0.5 * dt * (g_prev + g_next)
-        y = scipy.linalg.lu_solve(lu, rhs)
-        residual = np.linalg.norm(lhs @ y - rhs)
-        if residual > STEP_RESIDUAL_RTOL * max(np.linalg.norm(rhs), 1e-300):
-            raise StepFailure(
-                f"step {n + 1} at t = {times[n + 1]:.6g}: reduced solve residual too large"
-            )
-        ys[n + 1] = y
-        g_prev = g_next
-
+    ys = crank_nicolson(
+        lhs, rhs_mat, y0, times, Z.T @ f_vec if f_fac is None else lambda t: loads(t) @ Z
+    )
     c = ys @ Z.T
-    # node-wise pressure recovery from the momentum residual; the residual
-    # annihilates the kernel by Galerkin orthogonality, so its (roundoff)
-    # kernel component is removed before inverting the gradient
-    loads = np.array([load_full(t) for t in times]) if f_fac is not None else None
-    q = np.zeros((n_steps + 1, spec.m_p))
-    for n in range(n_steps + 1):
-        F_n = f_vec if loads is None else loads[n]
-        ydot = (Z.T @ F_n - params.mu * (stiff @ ys[n])) / params.rho0
-        terms = (F_n, params.rho0 * operator_set.mass_diag * (Z @ ydot), params.mu * c[n])
-        g = terms[0] - terms[1] - terms[2]
-        g -= operator_set.mass_diag * (Z @ (Z.T @ g))
-        if np.linalg.norm(g) > 1e-13 * max(np.linalg.norm(t) for t in terms):
-            q[n] = grad_inverse(operator_set, g).values
+    q = np.zeros((len(times), spec.m_p))
+    for start in range(0, len(times), STEP_CHUNK):
+        rows = slice(start, start + STEP_CHUNK)
+        F = f_vec if f_fac is None else loads(times[rows])
+        q[rows] = _recover_pressure(operator_set, Z, stiff, params, F, ys[rows], c[rows])
 
     # energy identity audit: rho0 d|u|^2/dt + 2 mu |u|^2_{H10} = 2 (rho0 f, u)
     y_mid = 0.5 * (ys[1:] + ys[:-1])
     t_mid = 0.5 * (times[1:] + times[:-1])
     diss = 2.0 * params.mu * dt * np.einsum("ni,ij,nj->n", y_mid, stiff, y_mid, optimize=True)
-    if f_fac is None:
-        work = 2.0 * dt * (y_mid @ (Z.T @ f_vec))
-    else:
-        factors = np.array([f_fac(t) for t in t_mid])
-        work = 2.0 * dt * (y_mid @ (Z.T @ f_vec)) * factors
+    factors = 1.0 if f_fac is None else np.array([f_fac(t) for t in t_mid])
+    work = 2.0 * dt * (y_mid @ (Z.T @ f_vec)) * factors
     l2_sq = np.einsum("ni,ni->n", ys, ys)
     residuals = params.rho0 * np.diff(l2_sq) + diss - work
 
@@ -205,6 +177,32 @@ def simulate_incompressible(
         ),
         energy_residual=residuals,
     )
+
+
+def _recover_pressure(operator_set, Z, stiff, params, F, y, c) -> np.ndarray:
+    """Pressure at the nodes of the rows of y and c, from the momentum residual.
+
+    The residual annihilates the kernel by Galerkin orthogonality, so its
+    roundoff kernel component is removed; rows whose residual is roundoff of
+    its terms stay zero, the others get grad_inverse's annihilation check.
+    """
+    rho0, mu, mass = params.rho0, params.mu, operator_set.mass_diag
+    ydot = (F @ Z - mu * (y @ stiff.T)) / rho0
+    terms = (np.broadcast_to(F, c.shape), rho0 * mass * (ydot @ Z.T), mu * c)
+    g = terms[0] - terms[1] - terms[2]
+    g -= mass * ((g @ Z) @ Z.T)
+    norm_g = np.linalg.norm(g, axis=1)
+    keep = norm_g > 1e-13 * np.max([np.linalg.norm(t, axis=1) for t in terms], axis=0)
+    defect = np.linalg.norm(g @ operator_set.kernel, axis=1)
+    bad = np.flatnonzero(keep & (defect > ANNIHILATION_TOL * norm_g))
+    if bad.size:
+        raise AnnihilationError(
+            f"functional has a solenoidal component ({defect[bad[0]]:.3e} > "
+            f"{ANNIHILATION_TOL:.0e} * |g|)"
+        )
+    q = np.zeros((len(c), operator_set.spec.m_p))
+    q[keep, 1:] = ((-g[keep] @ operator_set.b_vt.T) / operator_set.b_s) @ operator_set.b_u.T
+    return q
 
 
 def initial_pressure(

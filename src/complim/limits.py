@@ -18,8 +18,6 @@ strong.  Log-log slope fits of the error columns give the empirical rates.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,8 +29,7 @@ from .basis import (
     SampledField,
     VelocityCoeffs,
     build_basis,
-    project_pressure,
-    project_velocity,
+    coefficients_of,
 )
 from .compressible import (
     CompressibleParams,
@@ -75,6 +72,7 @@ DEFAULT_ALPHAS = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5))
 # data), and the weights with phi'(0) != 0 collapse onto the order
 # dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two rows.
 PROBE_TIME_FACTORS = ("t^2",)
+# not read by the package (sweep rows run serially); kept for code importing it
 THREADS_ENV = "COMPLIM_THREADS"
 
 
@@ -299,25 +297,17 @@ class SweepResult:
 
 
 def _resolve_u0(u0, spec: BasisSpec, operator_set: OperatorSet) -> np.ndarray:
-    if u0 is None:
-        return np.zeros(spec.m_u)
     if isinstance(u0, str):
         return presets.velocity_preset(u0, spec, operator_set).values
-    if isinstance(u0, VelocityCoeffs):
-        return u0.values.copy()
-    return project_velocity(spec, u0).values
+    return coefficients_of(spec, u0)
 
 
 def _resolve_p0(p0, spec: BasisSpec, operator_set: OperatorSet, config: SweepConfig) -> np.ndarray:
-    if p0 is None:
-        return np.zeros(spec.m_p)
     if isinstance(p0, str):
         return presets.pressure_preset(
             p0, spec, operator_set, f=config.f, rho0=config.rho0, mu=config.mu
         ).values
-    if isinstance(p0, PressureCoeffs):
-        return p0.values.copy()
-    return project_pressure(spec, p0).values
+    return coefficients_of(spec, p0, pressure=True)
 
 
 def _scaled_field(fld: SampledField, factor: float) -> SampledField:
@@ -332,10 +322,8 @@ def _scaled_field(fld: SampledField, factor: float) -> SampledField:
 def sweep_alpha(config: SweepConfig) -> SweepResult:
     """Run the sweep: one incompressible reference plus one compressible run per alpha.
 
-    Rows run concurrently (capped by the COMPLIM_THREADS environment
-    variable); a failed row is recorded with its message instead of
-    aborting the sweep.  Results are assembled in alpha order, so the
-    output does not depend on scheduling.
+    Rows run one after another in alpha order; a failed row is recorded
+    with its message instead of aborting the sweep.
     """
     config.validate()
     spec = build_basis(config.n_u, config.n_p)
@@ -412,13 +400,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
             row.error = f"{type(exc).__name__}: {exc}"
         return row
 
-    workers = int(os.environ.get(THREADS_ENV, len(alphas)) or 1)
-    workers = max(1, min(workers, len(alphas)))
-    if workers == 1:
-        rows = [run_row(a) for a in alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_row, alphas))
+    rows = [run_row(a) for a in alphas]
 
     fits: dict[str, RateFit] = {}
     ok = [r for r in rows if not r.failed]

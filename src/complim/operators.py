@@ -98,44 +98,27 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     half = n * n
     E[np.arange(half), np.arange(half)] = diag_1.ravel()
     E[np.arange(half, 2 * half), np.arange(half, 2 * half)] = diag_2.ravel()
-    s_tab = np.array([[sin_cos_integral(a, b) for b in range(n + 1)] for a in range(1, n + 1)])
-    # cross block: (div e_(1,i,j), div e_(2,i',j')) = n_ij n_i'j' pi^2 i j' S(i',i) S(j,j')
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            row = (i - 1) * n + (j - 1)
-            for ip in range(1, n + 1):
-                if (i + ip) % 2 == 0:
-                    continue
-                for jp in range(1, n + 1):
-                    if (j + jp) % 2 == 0:
-                        continue
-                    col = half + (ip - 1) * n + (jp - 1)
-                    val = (
-                        norms[i - 1, j - 1]
-                        * norms[ip - 1, jp - 1]
-                        * np.pi**2
-                        * i
-                        * jp
-                        * s_tab[ip - 1, i]
-                        * s_tab[j - 1, jp]
-                    )
-                    E[row, col] = val
-                    E[col, row] = val
+    # Broadcast products of the 1-D closed forms S(a, b) (a = 1..n), C(a, k) and
+    # c_kl, in the factor order of the per-entry formulas; "+ 0.0" stores the
+    # signed zeros of vanishing integrals as +0.0.
+    ks = range(spec.n_p + 1)
+    s_tab = np.array([[sin_cos_integral(a, b) for b in range(max(n, spec.n_p) + 1)] for a in idx])
+    c_tab = np.array([[cos_cos_integral(a, k) for k in ks] for a in idx])
+    c_kl = np.array([[pressure_normalization(k, l) for l in ks] for k in ks])
+    # cross block: (div e_(1,i,j), div e_(2,i',j')) = n_ij n_i'j' pi^2 i j' S(i',i) S(j,j'),
+    # on axes (i, j, i', j')
+    s_sq = s_tab[:, 1 : n + 1]
+    cross = norms[:, :, None, None] * norms * np.pi**2 * idx[:, None, None, None] * idx
+    cross = cross * s_sq.T[:, None, :, None] * s_sq[:, None, :] + 0.0
+    E[:half, half:] = cross.reshape(half, half)
+    E[half:, :half] = E[:half, half:].T
 
-    B = np.zeros((spec.m_p, spec.m_u))
-    for k in range(spec.n_p + 1):
-        for l in range(spec.n_p + 1):
-            K = spec.pressure_index(k, l)
-            c_kl = pressure_normalization(k, l)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    n_ij = norms[i - 1, j - 1]
-                    v1 = n_ij * c_kl * i * np.pi * cos_cos_integral(i, k) * sin_cos_integral(j, l)
-                    v2 = n_ij * c_kl * j * np.pi * sin_cos_integral(i, k) * cos_cos_integral(j, l)
-                    if v1 != 0.0:
-                        B[K, spec.velocity_index(0, i, j)] = v1
-                    if v2 != 0.0:
-                        B[K, spec.velocity_index(1, i, j)] = v2
+    # B on axes (k, l, i, j): component 1 pairs C(i, k) S(j, l), component 2 S(i, k) C(j, l)
+    c_p, s_p = c_tab.T, s_tab[:, : spec.n_p + 1].T  # at [k, i-1]
+    lead = norms * c_kl[:, :, None, None]
+    v1 = lead * idx[:, None] * np.pi * c_p[:, None, :, None] * s_p[:, None, :] + 0.0
+    v2 = lead * idx * np.pi * s_p[:, None, :, None] * c_p[:, None, :] + 0.0
+    B = np.concatenate([v1.reshape(spec.m_p, half), v2.reshape(spec.m_p, half)], axis=1)
 
     u, s, vt = np.linalg.svd(B[1:], full_matrices=True)
     rank = int(np.sum(s > RANK_RTOL * (s[0] if s.size else 1.0)))

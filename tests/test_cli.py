@@ -131,3 +131,12 @@ def test_usage_errors(tmp_path):
     assert run_cli(["verify"]) == 1  # neither --energy nor the series set
     assert run_cli(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert run_cli(["no-such-command"]) == 1
+
+
+def test_nonfinite_initial_data_exits_2(tmp_path, capsys):
+    overflow = SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", "u0 = 1e308*1e308*sin(pi*x) ; 0")
+    for command in ("simulate", "simulate-incompressible"):
+        cfg, _ = write_cfg(tmp_path, overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli([command, "--config", cfg]) == 2
+        assert "step 1 at t = " in capsys.readouterr().err

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import complim.compressible as compressible
+import complim.limits as limits
 from complim import (
     CompressibleParams,
     InvalidParams,
+    StepFailure,
+    SweepConfig,
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
@@ -15,7 +21,10 @@ from complim import (
     energy_ledger,
     mass_series,
     simulate_compressible,
+    sweep_alpha,
 )
+from complim.basis import pressure_load_vector, velocity_load_vector
+from complim.operators import coupling_matrix
 
 
 def random_state(spec, seed=0, scale=1.0):
@@ -237,3 +246,100 @@ def test_initial_node_is_projection_of_data(spec2, ops2):
 
     assert np.array_equal(traj.c[0], project_velocity(spec2, u0).values)
     assert np.array_equal(traj.q[0], project_pressure(spec2, p0).values)
+
+
+def lu_solve_march(spec, ops, params, dt):
+    """Step-by-step Crank-Nicolson loop through scipy.linalg.lu_solve (test oracle)."""
+    m_u, m_p = spec.m_u, spec.m_p
+    m = m_u + m_p
+    n_steps = round(params.T / dt)
+    G = coupling_matrix(spec, ops, params.f) if params.f is not None else np.zeros((m_u, m_p))
+    K = np.zeros((m, m))
+    K[:m_u, :m_u] = -params.eta * ops.div_gram
+    K[:m_u, :m_u] -= params.mu * np.eye(m_u)
+    K[:m_u, m_u:] = ops.div_coupling.T + params.alpha * G
+    K[m_u:, :m_u] = -params.rho0 * ops.div_coupling
+    a_diag = np.concatenate([params.rho0 * ops.mass_diag, np.full(m_p, params.alpha)])
+    lhs = np.diag(a_diag) - 0.5 * dt * K
+    rhs_mat = np.diag(a_diag) + 0.5 * dt * K
+    lu = scipy.linalg.lu_factor(lhs)
+    f_vec = velocity_load_vector(spec, params.s)
+    s_vec = pressure_load_vector(spec, params.sigma)
+
+    def load(t):
+        return np.concatenate([f_vec * params.s.at_time(t), s_vec * params.sigma.at_time(t)])
+
+    y = np.concatenate([params.u0.values, params.p0.values])
+    states = [y]
+    for n in range(n_steps):
+        rhs = rhs_mat @ y + 0.5 * dt * (load(n * dt) + load((n + 1) * dt))
+        y = scipy.linalg.lu_solve(lu, rhs)
+        states.append(y)
+    return np.array(states)
+
+
+def stepper_params(spec, time_dependent):
+    u0, p0 = random_state(spec, seed=11)
+    s = SampledField.of_vector(
+        lambda x, y: 0.6 * np.sin(np.pi * x) * np.sin(np.pi * y),
+        lambda x, y: 0.2 * np.cos(np.pi * x),
+        time_factor=(lambda t: 1.0 + 0.5 * t * t) if time_dependent else None,
+    )
+    sigma = SampledField.scalar(
+        lambda x, y: 0.4 * np.cos(np.pi * y), time_factor=np.cos if time_dependent else None
+    )
+    f = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
+    # 549 steps: more than two residual-gate chunks and not a multiple of the chunk size
+    dt = 1.0 / 549
+    assert 549 > 2 * compressible.STEP_CHUNK and 549 % compressible.STEP_CHUNK
+    params = CompressibleParams(
+        alpha=0.03, eta=0.3, T=1.0, dt=dt, u0=u0, p0=p0, f=f, s=s, sigma=sigma
+    )
+    return params, dt
+
+
+def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(spec2, ops2):
+    params, dt = stepper_params(spec2, time_dependent=False)
+    traj = simulate_compressible(spec2, ops2, params)
+    expected = lu_solve_march(spec2, ops2, params, dt)
+    assert traj.n_steps == 549
+    assert np.array_equal(np.hstack([traj.c, traj.q]), expected)
+
+
+def test_stepper_matches_lu_solve_loop_for_time_dependent_loads(spec2, ops2):
+    params, dt = stepper_params(spec2, time_dependent=True)
+    traj = simulate_compressible(spec2, ops2, params)
+    expected = lu_solve_march(spec2, ops2, params, dt)
+    assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_step_residual_gate_reports_first_step(spec2, ops2, monkeypatch):
+    params, _ = stepper_params(spec2, time_dependent=False)
+    monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(StepFailure, match="step 1 at t = "):
+        simulate_compressible(spec2, ops2, params)
+
+
+def test_nonfinite_state_raises_step_failure(spec2, ops2):
+    u0, p0 = random_state(spec2, seed=12)
+    u0.values[3] = np.nan
+    with pytest.raises(StepFailure, match="step 1 at t = "):
+        simulate_compressible(spec2, ops2, CompressibleParams(alpha=0.05, T=0.1, u0=u0, p0=p0))
+
+
+def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
+    original = limits.simulate_compressible
+
+    def nan_in_u0(spec, ops, params):
+        if params.alpha == 1e-2:
+            u0 = params.u0.values.copy()
+            u0[0] = np.nan
+            params = dataclasses.replace(params, u0=VelocityCoeffs(spec, u0))
+        return original(spec, ops, params)
+
+    monkeypatch.setattr(limits, "simulate_compressible", nan_in_u0)
+    res = sweep_alpha(
+        SweepConfig(n_u=3, n_p=3, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="solenoidal_u0")
+    )
+    assert [r.failed for r in res.rows] == [False, True, False]
+    assert res.rows[1].error.startswith("StepFailure: step 1 at t = ")

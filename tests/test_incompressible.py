@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import complim.compressible as compressible
 from complim import (
     CompressibleParams,
     EmptyKernel,
+    StepFailure,
     SampledField,
     VelocityCoeffs,
     assemble,
     build_basis,
+    grad_inverse,
     initial_pressure,
     leray_project,
     nullspace_basis,
@@ -208,3 +213,72 @@ def test_shift_pressure_mean(spec4, ops4, kernel4):
     assert np.abs(
         ops4.div_coupling.T @ shifted.q.T - ops4.div_coupling.T @ traj.q.T
     ).max() == 0.0
+
+
+def reduced_march(basis, ops, params, dt):
+    z = basis.z
+    stiff = z.T @ z
+    lhs = params.rho0 * np.eye(basis.m_v) + 0.5 * dt * params.mu * stiff
+    rhs_mat = params.rho0 * np.eye(basis.m_v) - 0.5 * dt * params.mu * stiff
+    lu = scipy.linalg.lu_factor(lhs)
+    f_vec = params.rho0 * velocity_load_vector(basis.spec, params.f)
+    c0 = leray_project(ops, VelocityCoeffs(basis.spec, params.u0.values)).solenoidal.values
+    y = z.T @ (ops.mass_diag * c0)
+    ys = [y]
+    for n in range(round(params.T / dt)):
+        g_prev = z.T @ (f_vec * params.f.at_time(n * dt))
+        g_next = z.T @ (f_vec * params.f.at_time((n + 1) * dt))
+        rhs = rhs_mat @ y + 0.5 * dt * (g_prev + g_next)
+        y = scipy.linalg.lu_solve(lu, rhs)
+        ys.append(y)
+    return np.array(ys)
+
+
+def long_forced_params(spec, time_factor=None):
+    # 549 steps: more than two residual-gate chunks and not a multiple of the chunk size
+    assert 549 > 2 * compressible.STEP_CHUNK and 549 % compressible.STEP_CHUNK
+    params = forced_params(1.0 / 549, time_factor)
+    rng = np.random.default_rng(21)
+    return dataclasses.replace(params, u0=VelocityCoeffs(spec, rng.standard_normal(spec.m_u)))
+
+
+def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_force(spec4, ops4, kernel4):
+    params = long_forced_params(spec4)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    assert traj.n_steps == 549
+    assert np.array_equal(traj.y, reduced_march(kernel4, ops4, params, 1.0 / 549))
+
+
+def test_stepper_matches_lu_solve_loop_for_time_dependent_force(spec4, ops4, kernel4):
+    params = long_forced_params(spec4, time_factor=lambda t: np.cos(3.0 * t))
+    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    expected = reduced_march(kernel4, ops4, params, 1.0 / 549)
+    assert np.abs(traj.y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_step_residual_gate_reports_first_step(spec4, ops4, kernel4, monkeypatch):
+    monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(StepFailure, match="step 1 at t = "):
+        simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01))
+
+
+def test_nonfinite_state_raises_step_failure(spec4, ops4, kernel4):
+    u0 = VelocityCoeffs(spec4, kernel4.z[:, 0].copy())
+    u0.values[2] = np.nan
+    with pytest.raises(StepFailure, match="step 1 at t = "):
+        simulate_incompressible(spec4, ops4, kernel4, CompressibleParams(T=0.1, dt=0.01, u0=u0))
+
+
+def test_batched_pressure_recovery_matches_nodewise_grad_inverse(spec4, ops4, kernel4):
+    params = long_forced_params(spec4, time_factor=lambda t: 1.0 + t)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    z = kernel4.z
+    stiff = z.T @ z
+    load = params.rho0 * velocity_load_vector(spec4, params.f)
+    for n in range(0, traj.n_steps + 1, 7):
+        F = load * params.f.at_time(traj.times[n])
+        ydot = (z.T @ F - params.mu * (stiff @ traj.y[n])) / params.rho0
+        g = F - params.rho0 * ops4.mass_diag * (z @ ydot) - params.mu * traj.c[n]
+        g -= ops4.mass_diag * (z @ (z.T @ g))
+        expected = grad_inverse(ops4, g).values
+        assert np.abs(traj.q[n] - expected).max() <= 1e-12 * np.abs(expected).max()

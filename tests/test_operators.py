@@ -220,3 +220,41 @@ def test_operator_norms_recorded_over_sizes():
         values.append(est["bogovskii_norm"])
         assert np.isfinite(est["bogovskii_norm"])
     print("bogovskii norm over n=2,4,6:", values)
+
+
+@pytest.mark.parametrize("n_u,n_p", [(3, 3), (2, 3)])
+def test_assembled_blocks_match_entrywise_closed_forms(n_u, n_p):
+    from complim.basis import cos_cos_integral, pressure_normalization, sin_cos_integral
+
+    spec = build_basis(n_u, n_p)
+    ops = assemble(spec)
+    norms = spec.vel_norms
+    half = n_u * n_u
+    cross = np.zeros((half, half))
+    for i in range(1, n_u + 1):
+        for j in range(1, n_u + 1):
+            for ip in range(1, n_u + 1):
+                for jp in range(1, n_u + 1):
+                    cross[(i - 1) * n_u + j - 1, (ip - 1) * n_u + jp - 1] = (
+                        norms[i - 1, j - 1] * norms[ip - 1, jp - 1] * np.pi**2 * i * jp
+                        * sin_cos_integral(ip, i) * sin_cos_integral(j, jp)
+                    )
+    B = np.zeros((spec.m_p, spec.m_u))
+    for k in range(n_p + 1):
+        for l in range(n_p + 1):
+            c_kl = pressure_normalization(k, l)
+            for i in range(1, n_u + 1):
+                for j in range(1, n_u + 1):
+                    n_ij = norms[i - 1, j - 1]
+                    B[spec.pressure_index(k, l), spec.velocity_index(0, i, j)] = (
+                        n_ij * c_kl * i * np.pi * cos_cos_integral(i, k) * sin_cos_integral(j, l)
+                    )
+                    B[spec.pressure_index(k, l), spec.velocity_index(1, i, j)] = (
+                        n_ij * c_kl * j * np.pi * sin_cos_integral(i, k) * cos_cos_integral(j, l)
+                    )
+    assert np.array_equal(ops.div_gram[:half, half:], cross)
+    assert np.array_equal(ops.div_gram[half:, :half], cross.T)
+    assert np.array_equal(ops.div_coupling, B)
+    # vanishing integrals are stored as +0.0
+    assert not np.signbit(ops.div_gram[ops.div_gram == 0.0]).any()
+    assert not np.signbit(ops.div_coupling[ops.div_coupling == 0.0]).any()
