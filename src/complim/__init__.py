@@ -28,7 +28,6 @@ from .compressible import (
     apriori_check,
     default_dt,
     energy_ledger,
-    mass_series,
     simulate_compressible,
 )
 from .incompressible import (

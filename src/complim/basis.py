@@ -199,6 +199,15 @@ class SampledField:
         out = np.broadcast_to(out, want).astype(float)
         return out * self.at_time(t)
 
+    def scaled(self, factor: float) -> "SampledField":
+        """The field times a constant, with the same time factor (e.g. s = rho0 f)."""
+        return SampledField(
+            spatial=lambda x, y: factor * np.asarray(self.spatial(x, y)),
+            vector=self.vector,
+            time_factor=self.time_factor,
+            label=f"{factor:g}*({self.label})" if self.label else "",
+        )
+
     @staticmethod
     def scalar(fn, time_factor=None, label: str = "") -> "SampledField":
         return SampledField(spatial=fn, vector=False, time_factor=time_factor, label=label)

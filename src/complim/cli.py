@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import csvio, presets
-from .basis import VelocityCoeffs, build_basis, norms
+from .basis import PressureCoeffs, VelocityCoeffs, build_basis, norms
 from .compressible import (
     CompressibleParams,
     InvalidParams,
@@ -54,30 +54,22 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _resolve_velocity(value: str, spec, operator_set):
-    if value in presets.VELOCITY_PRESETS:
-        return presets.velocity_preset(value, spec, operator_set)
-    return realize_vector_field(value)
-
-
-def _resolve_pressure(value: str, spec, operator_set, cfg: RunConfig):
-    if value in presets.PRESSURE_PRESETS:
-        f = realize_vector_field(cfg.f) if cfg.f not in presets.VELOCITY_PRESETS else None
-        return presets.pressure_preset(
-            value, spec, operator_set, f=f, rho0=cfg.rho0, mu=cfg.mu
-        )
-    return realize_scalar_field(value)
+def _initial_data(text: str, pressure: bool = False):
+    """A u0 (or p0) entry as a preset name, a sampled field, or None for zero."""
+    if text in (presets.PRESSURE_PRESETS if pressure else presets.VELOCITY_PRESETS):
+        return text
+    return realize_scalar_field(text) if pressure else realize_vector_field(text)
 
 
 def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
     f = realize_vector_field(cfg.f)
     s = realize_vector_field(cfg.s, cfg.s_time)
     if s is None and f is not None:
-        # homogeneous problem: the momentum source is rho0 * f
-        s = realize_vector_field(cfg.f)
-        s = dataclasses.replace(
-            s, spatial=lambda x, y, _inner=s.spatial: cfg.rho0 * np.asarray(_inner(x, y))
-        )
+        s = f.scaled(cfg.rho0)  # homogeneous problem: the momentum source is rho0 * f
+    p0 = presets.resolve(
+        _initial_data(cfg.p0, pressure=True), spec, operator_set,
+        pressure=True, f=f, rho0=cfg.rho0, mu=cfg.mu,
+    )
     return CompressibleParams(
         rho0=cfg.rho0,
         mu=cfg.mu,
@@ -88,8 +80,8 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
         f=f,
         sigma=realize_scalar_field(cfg.sigma, cfg.sigma_time),
         s=s,
-        u0=_resolve_velocity(cfg.u0, spec, operator_set),
-        p0=_resolve_pressure(cfg.p0, spec, operator_set, cfg),
+        u0=VelocityCoeffs(spec, presets.resolve(_initial_data(cfg.u0), spec, operator_set)),
+        p0=PressureCoeffs(spec, p0),
     )
 
 
@@ -138,13 +130,7 @@ def _cmd_decompose(args) -> int:
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     source = args.field if args.field is not None else cfg.u0
-    coeffs = _resolve_velocity(source, spec, operator_set)
-    if coeffs is None:
-        coeffs = VelocityCoeffs(spec, np.zeros(spec.m_u))
-    elif not isinstance(coeffs, VelocityCoeffs):
-        from .basis import project_velocity
-
-        coeffs = project_velocity(spec, coeffs)
+    coeffs = VelocityCoeffs(spec, presets.resolve(_initial_data(source), spec, operator_set))
     parts = leray_project(operator_set, coeffs)
     out = cfg.directory
     rows = []
@@ -192,8 +178,8 @@ def _sweep_config(cfg: RunConfig) -> SweepConfig:
         T=cfg.T,
         dt=cfg.dt,
         f=realize_vector_field(cfg.f),
-        u0=cfg.u0 if cfg.u0 in presets.VELOCITY_PRESETS else realize_vector_field(cfg.u0),
-        p0=cfg.p0 if cfg.p0 in presets.PRESSURE_PRESETS else realize_scalar_field(cfg.p0),
+        u0=_initial_data(cfg.u0),
+        p0=_initial_data(cfg.p0, pressure=True),
         alphas=cfg.alphas,
         kind=cfg.kind,
         probes=cfg.probes,
@@ -255,24 +241,27 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    names = ("i", "j", "a", "b", "c")
+    if args.energy is None and any(getattr(args, name) is None for name in names):
+        _err("verify needs either --energy or all of --i --j --a --b --c")
+        return EXIT_CONFIG
+    try:
+        if args.energy is not None:
+            (residual,) = csvio.read_numeric_columns(args.energy, ("energy_residual",))
+        else:
+            series = [
+                ScalarTrajectory(*csvio.read_series_csv(getattr(args, name)), label=name.upper())
+                for name in names
+            ]
+            report = verify_mixed(*series)
+    except ValueError as exc:  # a malformed input file, or series on different time grids
+        _err(str(exc))
+        return EXIT_CONFIG
     if args.energy is not None:
-        cols = csvio.read_csv_columns(args.energy)
-        if "energy_residual" not in cols:
-            _err(f"{args.energy}: no energy_residual column")
-            return EXIT_CONFIG
-        total = float(np.sum(cols["energy_residual"]))
-        worst = float(np.abs(cols["energy_residual"]).max())
+        total = float(np.sum(residual))
+        worst = float(np.abs(residual).max())
         print(f"cumulative residual {total:.3e}, worst step {worst:.3e}, tol {args.tol:.1e}")
         return EXIT_OK if abs(total) <= args.tol else EXIT_CERTIFICATE
-    series = {}
-    for name in ("i", "j", "a", "b", "c"):
-        path = getattr(args, name)
-        if path is None:
-            _err("verify needs either --energy or all of --i --j --a --b --c")
-            return EXIT_CONFIG
-        t, v = csvio.read_series_csv(path)
-        series[name] = ScalarTrajectory(t, v, label=name.upper())
-    report = verify_mixed(series["i"], series["j"], series["a"], series["b"], series["c"])
     print(
         f"hypothesis: {'ok' if report.hypothesis_ok else 'VIOLATED'} "
         f"(margin {report.hypothesis_margin:.3e}, tol {report.hypothesis_tol:.3e})"
@@ -322,7 +311,7 @@ def run_cli(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, ExpressionError, FileNotFoundError, EmptyKernel) as exc:
+    except (ConfigError, ExpressionError, OSError, EmptyKernel) as exc:
         if isinstance(exc, ConfigError):
             for issue in exc.issues:
                 _err(issue)

@@ -36,7 +36,7 @@ from .basis import (
     pressure_load_vector,
     velocity_load_vector,
 )
-from .inequalities import MixedConstants, ScalarTrajectory, mixed_constants, verify_mixed
+from .inequalities import MixedConstants, ScalarTrajectory, mixed_bounds, verify_mixed
 from .operators import OperatorSet, coupling_matrix
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "crank_nicolson",
     "simulate_compressible",
     "energy_ledger",
-    "mass_series",
     "apriori_check",
 ]
 
@@ -342,11 +341,6 @@ def energy_ledger(
     )
 
 
-def mass_series(traj: Trajectory) -> np.ndarray:
-    """Total mass M(t) = rho0 |D| + alpha * mean(p) at every node."""
-    return traj.mass.copy()
-
-
 @dataclass
 class EstimateReport:
     """Evaluation of the a-priori bounds along one trajectory.
@@ -426,12 +420,8 @@ def apriori_check(
     s_l2h = np.sqrt(np.trapezoid(s_dual**2, times))
     e_data = u0_l2 + np.sqrt(alpha) * p0_l2 + sigma_l2l2 / np.sqrt(alpha) + s_l2h
 
-    constants = mixed_constants(a_const * T)
-    i0 = traj.energy[0]
-    c_l1 = np.trapezoid(c_series.values, times)
-    b_l2 = np.sqrt(np.trapezoid(b_series.values**2, times))
-    j_l2_bound = constants.c_a * (np.sqrt(i0) + np.sqrt(c_l1) + b_l2)
-    i_inf_bound = constants.c_a_tilde * (i0 + c_l1 + b_l2**2)
+    bounds = mixed_bounds(float(traj.energy[0]), a_series, b_series, c_series)
+    constants = bounds.constants
 
     # (est1): |u|_{L2 H10} + |u|_{Linf L2} + sqrt(alpha) |p|_{Linf L2} <= C E
     u_l2h1 = np.sqrt(np.trapezoid(traj.h01**2, times))
@@ -478,8 +468,8 @@ def apriori_check(
         a_const=float(a_const),
         constants=constants,
         certificate=certificate,
-        j_l2_bound=float(j_l2_bound),
-        i_inf_bound=float(i_inf_bound),
+        j_l2_bound=bounds.j_l2_bound,
+        i_inf_bound=bounds.i_inf_bound,
         est1_lhs=float(est1_lhs),
         est1_constant=float(est1_constant),
         est1_rhs=float(est1_rhs),

@@ -73,7 +73,7 @@ class ConfigError(ValueError):
 
 
 class ExpressionError(ValueError):
-    """Syntax error in a field expression, with the offending position."""
+    """Syntax error in a field expression (with its position) or a constant division by zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +223,9 @@ class ExpressionField:
     ast: tuple
 
     def __call__(self, x, y, t=0.0):
-        return np.broadcast_arrays(
-            _eval_node(self.ast, np.asarray(x, dtype=float), np.asarray(y, dtype=float), t),
-            np.asarray(x, dtype=float),
-        )[0]
+        x = np.asarray(x, dtype=float)
+        value = _eval_node(self.ast, x, np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+        return np.broadcast_arrays(value, x)[0]
 
     @property
     def uses_t(self) -> bool:
@@ -239,7 +238,15 @@ class ExpressionField:
 
 def parse_expression(text: str) -> ExpressionField:
     """Parse one expression; raises ExpressionError with the failing position."""
-    return ExpressionField(source=text.strip(), ast=_Parser(text).parse())
+    field = ExpressionField(source=text.strip(), ast=_Parser(text).parse())
+    # x, y and t evaluate as numpy values, which give inf or nan instead of
+    # raising, so one trial evaluation finds every constant division by zero
+    try:
+        with np.errstate(all="ignore"):
+            field(0.0, 0.0, 0.0)
+    except ZeroDivisionError:
+        raise ExpressionError("division by zero") from None
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +456,7 @@ def parse_config(text: str) -> RunConfig:
             kwargs[key] = value
             continue
         try:
-            if key in _VECTOR_DATA:
-                realize_vector_field(value)
-            else:
-                realize_scalar_field(value)
+            (realize_vector_field if key in _VECTOR_DATA else realize_scalar_field)(value)
         except ExpressionError as exc:
             issues.append(f"line {lineno}: key {key!r}: {exc}")
             continue

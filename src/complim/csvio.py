@@ -15,6 +15,7 @@ __all__ = [
     "atomic_write_text",
     "write_csv",
     "read_csv_columns",
+    "read_numeric_columns",
     "write_series_csv",
     "read_series_csv",
     "write_trajectory_csv",
@@ -62,9 +63,13 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def read_csv_columns(path: str) -> dict:
+    """Columns by header name: float arrays, or string arrays where a cell is not a number."""
     with open(path) as handle:
         header = handle.readline().strip().split(",")
         data = [line.strip().split(",") for line in handle if line.strip()]
+    for k, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {k} has {len(row)} cells, the header {len(header)}")
     columns = {}
     for i, name in enumerate(header):
         cells = [row[i] for row in data]
@@ -79,11 +84,19 @@ def write_series_csv(path: str, times, values) -> None:
     write_csv(path, ["t", "value"], zip(times, values))
 
 
-def read_series_csv(path: str):
+def read_numeric_columns(path: str, names) -> list:
+    """The named columns as float arrays; ValueError if one is missing, not numeric or empty."""
     cols = read_csv_columns(path)
-    if "t" not in cols or "value" not in cols:
-        raise ValueError(f"{path}: expected columns t,value")
-    return cols["t"], cols["value"]
+    for name in names:
+        if name not in cols:
+            raise ValueError(f"{path}: no {name} column")
+        if cols[name].dtype.kind != "f" or cols[name].size == 0:
+            raise ValueError(f"{path}: column {name} has no rows or a cell that is not a number")
+    return [cols[name] for name in names]
+
+
+def read_series_csv(path: str):
+    return tuple(read_numeric_columns(path, ("t", "value")))
 
 
 def _node_residuals(per_step: np.ndarray, n_nodes: int) -> np.ndarray:

@@ -23,14 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    PressureCoeffs,
-    SampledField,
-    VelocityCoeffs,
-    build_basis,
-    coefficients_of,
-)
+from .basis import PressureCoeffs, SampledField, VelocityCoeffs, build_basis
 from .compressible import (
     CompressibleParams,
     InvalidParams,
@@ -72,8 +65,6 @@ DEFAULT_ALPHAS = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5))
 # data), and the weights with phi'(0) != 0 collapse onto the order
 # dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two rows.
 PROBE_TIME_FACTORS = ("t^2",)
-# not read by the package (sweep rows run serially); kept for code importing it
-THREADS_ENV = "COMPLIM_THREADS"
 
 
 def _require_shared_grid(traj_c: Trajectory, traj_i: IncompressibleTrajectory) -> None:
@@ -296,29 +287,6 @@ class SweepResult:
         return self.column("alpha")
 
 
-def _resolve_u0(u0, spec: BasisSpec, operator_set: OperatorSet) -> np.ndarray:
-    if isinstance(u0, str):
-        return presets.velocity_preset(u0, spec, operator_set).values
-    return coefficients_of(spec, u0)
-
-
-def _resolve_p0(p0, spec: BasisSpec, operator_set: OperatorSet, config: SweepConfig) -> np.ndarray:
-    if isinstance(p0, str):
-        return presets.pressure_preset(
-            p0, spec, operator_set, f=config.f, rho0=config.rho0, mu=config.mu
-        ).values
-    return coefficients_of(spec, p0, pressure=True)
-
-
-def _scaled_field(fld: SampledField, factor: float) -> SampledField:
-    return SampledField(
-        spatial=lambda x, y: factor * np.asarray(fld.spatial(x, y)),
-        vector=fld.vector,
-        time_factor=fld.time_factor,
-        label=f"{factor:g}*({fld.label})" if fld.label else "",
-    )
-
-
 def sweep_alpha(config: SweepConfig) -> SweepResult:
     """Run the sweep: one incompressible reference plus one compressible run per alpha.
 
@@ -330,7 +298,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     operator_set = assemble(spec)
     solenoidal = nullspace_basis(operator_set)
 
-    c0 = _resolve_u0(config.u0, spec, operator_set)
+    c0 = presets.resolve(config.u0, spec, operator_set)
     if config.kind in ("pressure_weak", "pressure_strong"):
         defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
         if defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
@@ -348,7 +316,9 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
             mu=config.mu,
         ).values
     else:
-        q0 = _resolve_p0(config.p0, spec, operator_set, config)
+        q0 = presets.resolve(
+            config.p0, spec, operator_set, pressure=True, f=config.f, rho0=config.rho0, mu=config.mu
+        )
 
     alphas = [float(a) for a in config.alphas]
     dt = config.dt if config.dt is not None else default_dt(min(alphas), config.n_u, config.T)
@@ -369,7 +339,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
     x_limit = config.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
 
-    s_field = _scaled_field(config.f, config.rho0) if config.f is not None else None
+    s_field = config.f.scaled(config.rho0) if config.f is not None else None
 
     def run_row(alpha: float) -> SweepRow:
         row = SweepRow(alpha=alpha)

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BasisSpec, PressureCoeffs, SampledField, VelocityCoeffs
+from .basis import BasisSpec, PressureCoeffs, SampledField, VelocityCoeffs, coefficients_of
 from .incompressible import initial_pressure, nullspace_basis
 from .operators import OperatorSet
 
-__all__ = ["VELOCITY_PRESETS", "PRESSURE_PRESETS", "velocity_preset", "pressure_preset"]
+__all__ = ["VELOCITY_PRESETS", "PRESSURE_PRESETS", "velocity_preset", "pressure_preset", "resolve"]
 
 VELOCITY_PRESETS = ("gradient_u0", "solenoidal_u0", "mixed_u0", "zero")
 PRESSURE_PRESETS = ("compatible_p0", "zero")
@@ -80,3 +80,26 @@ def pressure_preset(
         u0 = velocity_preset("solenoidal_u0", spec, operator_set)
         return initial_pressure(spec, operator_set, basis, u0, f, rho0=rho0, mu=mu)
     raise KeyError(f"unknown pressure preset {name!r}; known: {PRESSURE_PRESETS}")
+
+
+def resolve(
+    data,
+    spec: BasisSpec,
+    operator_set: OperatorSet,
+    *,
+    pressure: bool = False,
+    f: Optional[SampledField] = None,
+    rho0: float = 1.0,
+    mu: float = 1.0,
+) -> np.ndarray:
+    """Coefficient vector of velocity (or pressure) initial data.
+
+    ``data`` is a preset name, a sampled field, a coefficient object or
+    None; everything but a name goes through basis.coefficients_of.  The
+    body force and the constants only matter for compatible_p0.
+    """
+    if not isinstance(data, str):
+        return coefficients_of(spec, data, pressure=pressure)
+    if pressure:
+        return pressure_preset(data, spec, operator_set, f=f, rho0=rho0, mu=mu).values
+    return velocity_preset(data, spec, operator_set).values

