@@ -21,6 +21,7 @@ from .compressible import (
     CompressibleParams,
     InvalidParams,
     StepFailure,
+    default_dt,
     energy_ledger,
     simulate_compressible,
 )
@@ -52,6 +53,30 @@ def _err(message: str) -> None:
 def _load_config(path: str) -> RunConfig:
     with open(path) as handle:
         return parse_config(handle.read())
+
+
+def _check_memory(cfg: RunConfig, alpha: float) -> None:
+    """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
+
+    Counts the dense m x m matrices of the step (K, lhs, rhs_mat and the LU
+    factor, m = m_u + m_p), E, B and B's SVD factors, and (N+1) m stored
+    states: the trajectory of a single run, or the reference of a sweep,
+    whose rows stream their states.
+    """
+    try:
+        m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
+        m = m_u + m_p
+        dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
+        nodes = max(1.0, cfg.T / dt) + 1.0
+        need = 8.0 * (4.0 * m * m + 2.0 * m_u * m_u + m_p * m_p + m_p * m_u + nodes * m)
+    except OverflowError:  # a basis size beyond the float range
+        need = float("inf")
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InvalidParams(
+            f"n_u = {cfg.n_u}, n_p = {cfg.n_p} needs about {need / 2**30:.3g} GiB for its dense "
+            f"matrices and stored states, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _initial_data(text: str, pressure: bool = False):
@@ -87,6 +112,7 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
+    _check_memory(cfg, cfg.alpha)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     params = _build_params(cfg, spec, operator_set)
@@ -113,6 +139,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_simulate_incompressible(args) -> int:
     cfg = _load_config(args.config)
+    _check_memory(cfg, cfg.alpha)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     params = _build_params(cfg, spec, operator_set)
@@ -188,6 +215,7 @@ def _sweep_config(cfg: RunConfig) -> SweepConfig:
 
 
 def _run_sweep(cfg: RunConfig):
+    _check_memory(cfg, min(cfg.alphas))
     result = sweep_alpha(_sweep_config(cfg))
     meta = {
         "config": {

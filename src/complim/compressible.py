@@ -15,14 +15,15 @@ with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  One stepper,
 :func:`crank_nicolson`, serves this system and the reduced Stokes system of
 :mod:`complim.incompressible`: it factors the step matrix once, marches
-with one LAPACK ``getrs`` solve per step, and checks the step residuals
-afterwards as matrix products over chunks of steps.
+with one LAPACK ``getrs`` solve per step, checks the step residuals as one
+matrix product per chunk of steps and hands each chunk of states to its
+caller, which stores them or, like a sweep row, reduces them on the fly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -79,36 +80,44 @@ def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
 
 
 def crank_nicolson(
-    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load
-) -> np.ndarray:
+    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load, out=None
+) -> Iterator[tuple[int, np.ndarray]]:
     """March lhs y_{n+1} = rhs_mat y_n + dt/2 (g_n + g_{n+1}) over a uniform grid.
 
     ``load`` is the constant vector g or maps k times to the (k, m) loads at
-    them.  Returns the (N+1, m) states.  After each chunk of STEP_CHUNK steps
-    the residuals are checked as one matrix product: StepFailure names the
-    first step whose |lhs y_{n+1} - rhs_n| is not at most STEP_RESIDUAL_RTOL
-    |rhs_n|, which includes non-finite states.
+    them.  A generator: it marches STEP_CHUNK steps at a time and yields
+    ``(start, states)`` per chunk, states[k] being y at node start + k.  The
+    first chunk begins with y0 at node 0 and each later one at the node after
+    the previous chunk's last, so the chunks tile nodes 0..N.  With ``out``,
+    an (N+1, m) array, the states are marched in place there; without it
+    ``states`` is a view of one chunk buffer that the next chunk overwrites.
+    Before a chunk is yielded its residuals are checked as one matrix
+    product: StepFailure names the first step whose |lhs y_{n+1} - rhs_n| is
+    not at most STEP_RESIDUAL_RTOL |rhs_n|, which includes non-finite states.
     """
     lu, piv = scipy.linalg.lu_factor(lhs)
     (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
     n_steps, m = len(times) - 1, len(y0)
     dt = float(times[1] - times[0])
-    states = np.empty((n_steps + 1, m))
-    states[0] = y0
+    buf = out if out is not None else np.empty((min(STEP_CHUNK, n_steps) + 1, m))
+    buf[0] = y0
     rhs = np.empty((min(STEP_CHUNK, n_steps), m))
     for start in range(0, n_steps, STEP_CHUNK):
         stop = min(start + STEP_CHUNK, n_steps)
+        count = stop - start
+        # states[0] is the node the chunk starts from
+        states = buf[start : stop + 1] if out is not None else buf[: count + 1]
         nodes = times[start : stop + 1]
         g = load(nodes) if callable(load) else np.broadcast_to(load, (nodes.size, m))
         w = 0.5 * dt * (g[:-1] + g[1:])
         for k, n in enumerate(range(start, stop)):
-            np.matmul(rhs_mat, states[n], out=rhs[k])
+            np.matmul(rhs_mat, states[k], out=rhs[k])
             rhs[k] += w[k]
-            states[n + 1], info = getrs(lu, piv, rhs[k])
+            states[k + 1], info = getrs(lu, piv, rhs[k])
             if info:
                 raise StepFailure(f"step {n + 1}: getrs returned info = {info}")
-        block = rhs[: stop - start]
-        residual = np.linalg.norm(states[start + 1 : stop + 1] @ lhs.T - block, axis=1)
+        block = rhs[:count]
+        residual = np.linalg.norm(states[1:] @ lhs.T - block, axis=1)
         scale = np.maximum(np.linalg.norm(block, axis=1), 1e-300)
         bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
         if bad.size:
@@ -117,6 +126,18 @@ def crank_nicolson(
                 f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
                 f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
             )
+        yield (0, states) if start == 0 else (start + 1, states[1:])
+        if out is None:
+            buf[0] = states[count]
+
+
+def march(
+    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load
+) -> np.ndarray:
+    """The (N+1, m) states of a whole crank_nicolson march, stored as they are computed."""
+    states = np.empty((len(times), len(y0)))
+    for _ in crank_nicolson(lhs, rhs_mat, y0, times, load, out=states):
+        pass
     return states
 
 
@@ -163,19 +184,21 @@ class Trajectory:
 
     ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, ``mass`` holds
     M(t) = rho0 + alpha q_0 (the domain has unit area), and the density
-    field rho = rho0 + alpha p is available through :meth:`density`.
+    field rho = rho0 + alpha p is available through :meth:`density`.  A run
+    whose states went to a consumer instead (see :func:`simulate_compressible`)
+    carries None in place of every per-node series.
     """
 
     spec: BasisSpec
     params: CompressibleParams
     dt: float
     times: np.ndarray  # (N+1,)
-    c: np.ndarray  # (N+1, m_u)
-    q: np.ndarray  # (N+1, m_p)
-    energy: np.ndarray  # (N+1,)
-    h01: np.ndarray  # (N+1,)
-    div: np.ndarray  # (N+1,)
-    mass: np.ndarray  # (N+1,)
+    c: Optional[np.ndarray] = None  # (N+1, m_u)
+    q: Optional[np.ndarray] = None  # (N+1, m_p)
+    energy: Optional[np.ndarray] = None  # (N+1,)
+    h01: Optional[np.ndarray] = None  # (N+1,)
+    div: Optional[np.ndarray] = None  # (N+1,)
+    mass: Optional[np.ndarray] = None  # (N+1,)
     coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p), if computed
 
     @property
@@ -211,13 +234,20 @@ def _forcing_terms(spec: BasisSpec, params: CompressibleParams):
 
 
 def simulate_compressible(
-    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
+    spec: BasisSpec,
+    operator_set: OperatorSet,
+    params: CompressibleParams,
+    *,
+    consume: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
 ) -> Trajectory:
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
     The requested dt is rounded to the nearest uniform grid hitting T
     exactly.  Raises StepFailure when the relative residual of a step solve
-    exceeds 1e-9.
+    exceeds 1e-9.  With ``consume``, no state is stored: it is called once per
+    chunk of steps as consume(start, c, q), with the velocity and pressure
+    coefficients at nodes start, start + 1, ... (views that the next chunk
+    overwrites), and the returned trajectory carries no per-node series.
     """
     dt, times = time_grid(params.validate(spec.n_u, static_f=True), params.T)
     m_u, m_p = spec.m_u, spec.m_p
@@ -250,7 +280,11 @@ def simulate_compressible(
     y0 = np.concatenate(
         [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]
     )
-    states = crank_nicolson(lhs, rhs_mat, y0, times, load)
+    if consume is not None:
+        for start, block in crank_nicolson(lhs, rhs_mat, y0, times, load):
+            consume(start, block[:, :m_u], block[:, m_u:])
+        return Trajectory(spec=spec, params=params, dt=dt, times=times, coupling=G)
+    states = march(lhs, rhs_mat, y0, times, load)
 
     c = states[:, :m_u]
     q = states[:, m_u:]
@@ -451,7 +485,7 @@ def apriori_check(
     ut_dual = np.linalg.norm(momentum, axis=1)
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(ut_dual**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
-    e_norm = float(np.linalg.norm(operator_set.div_gram, 2))
+    e_norm = float(np.linalg.eigvalsh(operator_set.div_gram)[-1])  # E is symmetric PSD
     g_norm = float(np.linalg.norm(G, 2)) if G.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E
     bi = constants.c_a_tilde * k2  # bound on |I|_{Linf} / E^2

@@ -30,7 +30,7 @@ from .basis import (
     coefficients_of,
     velocity_load_vector,
 )
-from .compressible import STEP_CHUNK, CompressibleParams, crank_nicolson, time_grid
+from .compressible import STEP_CHUNK, CompressibleParams, march, time_grid
 from .operators import (
     ANNIHILATION_TOL,
     AnnihilationError,
@@ -143,9 +143,7 @@ def simulate_incompressible(
     stiff = Z.T @ Z  # ((Zy, Zy')) in reduced coordinates
     lhs = params.rho0 * np.eye(m_v) + 0.5 * dt * params.mu * stiff
     rhs_mat = params.rho0 * np.eye(m_v) - 0.5 * dt * params.mu * stiff
-    ys = crank_nicolson(
-        lhs, rhs_mat, y0, times, Z.T @ f_vec if f_fac is None else lambda t: loads(t) @ Z
-    )
+    ys = march(lhs, rhs_mat, y0, times, Z.T @ f_vec if f_fac is None else lambda t: loads(t) @ Z)
     c = ys @ Z.T
     q = np.zeros((len(times), spec.m_p))
     for start in range(0, len(times), STEP_CHUNK):

@@ -14,6 +14,11 @@ compressible solutions on a shared time grid, then measures
 
 whose limit rho0 (|u0|^2 - |P_J u0|^2) decides whether the convergence is
 strong.  Log-log slope fits of the error columns give the empirical rates.
+
+Only the reference is stored.  Each row streams its states chunk by chunk
+from the Crank-Nicolson stepper into per-node scalar series of its deviation
+from the reference, so a row holds O(N (probes + 4)) numbers plus one chunk
+of states instead of its (N+1) x m trajectory.
 """
 
 from __future__ import annotations
@@ -74,6 +79,57 @@ def _require_shared_grid(traj_c: Trajectory, traj_i: IncompressibleTrajectory) -
         raise ValueError("compressible and incompressible trajectories use different grids")
 
 
+class _RowSeries:
+    """Per-node scalar series of a run's deviation from the reference, filled chunk by chunk.
+
+    With d = c - c' and dq = q - q' it holds |d|^2 (the H10 norm: the
+    stiffness matrix is the identity), d'Md, |dq|, the pairing d.v with every
+    probe direction and, when eta > 0, d'Ed, plus the terminal d and q.  That
+    is all the error norms, x_alpha and the probes read, so a sweep row passes
+    this object to simulate_compressible as its consumer and stores no state.
+    """
+
+    def __init__(
+        self,
+        operator_set: OperatorSet,
+        reference: IncompressibleTrajectory,
+        dictionary: Sequence[ProbePair],
+        eta: float,
+    ):
+        n = len(reference.times)
+        self.operator_set, self.reference, self.dictionary = operator_set, reference, dictionary
+        self.h01_sq, self.l2_sq, self.pres = np.empty(n), np.empty(n), np.empty(n)
+        self.signals = np.empty((len(dictionary), n))
+        self.div_sq = np.empty(n) if eta > 0.0 else None
+        self.d_end = self.q_end = None
+
+    def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
+        nodes = slice(start, start + len(c))
+        d = c - self.reference.c[nodes]
+        self.h01_sq[nodes] = np.einsum("ni,ni->n", d, d)
+        self.l2_sq[nodes] = np.einsum("ni,i,ni->n", d, self.operator_set.mass_diag, d)
+        self.pres[nodes] = np.linalg.norm(q - self.reference.q[nodes], axis=1)
+        for signal, pair in zip(self.signals, self.dictionary):
+            signal[nodes] = d @ pair.v
+        if self.div_sq is not None:
+            self.div_sq[nodes] = np.einsum(
+                "ni,ij,nj->n", d, self.operator_set.div_gram, d, optimize=True
+            )
+        self.d_end, self.q_end = d[-1].copy(), q[-1].copy()
+
+    def x_alpha(self, params: CompressibleParams) -> float:
+        t = self.reference.times
+        d_end = self.d_end
+        value = (
+            params.rho0 * (d_end @ (self.operator_set.mass_diag * d_end))
+            + params.alpha / params.rho0 * float(self.q_end @ self.q_end)
+            + 2.0 * params.mu * np.trapezoid(self.h01_sq, t)
+        )
+        if params.eta > 0.0:
+            value += 2.0 * params.eta * np.trapezoid(self.div_sq, t)
+        return float(value)
+
+
 def x_alpha(
     operator_set: OperatorSet,
     params: CompressibleParams,
@@ -82,22 +138,9 @@ def x_alpha(
 ) -> float:
     """Terminal-energy distance functional of one compressible run to the reference."""
     _require_shared_grid(traj_c, traj_i)
-    d = traj_c.c - traj_i.c
-    t = traj_c.times
-    l2_terminal = d[-1] @ (operator_set.mass_diag * d[-1])
-    p_terminal = float(traj_c.q[-1] @ traj_c.q[-1])
-    h01_int = np.trapezoid(np.einsum("ni,ni->n", d, d), t)
-    value = (
-        params.rho0 * l2_terminal
-        + params.alpha / params.rho0 * p_terminal
-        + 2.0 * params.mu * h01_int
-    )
-    if params.eta > 0.0:
-        div_int = np.trapezoid(
-            np.einsum("ni,ij,nj->n", d, operator_set.div_gram, d, optimize=True), t
-        )
-        value += 2.0 * params.eta * div_int
-    return float(value)
+    series = _RowSeries(operator_set, traj_i, (), params.eta)
+    series(0, traj_c.c, traj_c.q)
+    return series.x_alpha(params)
 
 
 @dataclass(frozen=True)
@@ -151,6 +194,24 @@ def _check_probe_solenoidal(operator_set: OperatorSet, dictionary: Sequence[Prob
             raise ValueError(f"probe {pair.label!r} is not solenoidal (|Bv| = {defect:.3e})")
 
 
+def _probe_deltas(t: np.ndarray, signals, dictionary: Sequence[ProbePair]) -> np.ndarray:
+    """|int signal phi dt| for each probe's signal, trapezoidal with the endpoint correction."""
+    dt = float(t[1] - t[0])
+    deltas = np.empty(len(dictionary))
+    for idx, (signal, pair) in enumerate(zip(signals, dictionary)):
+        value = np.trapezoid(signal * pair.phi(t), t)
+        if pair.phi_prime is not None:
+            # only the smooth signal * phi' part belongs in the correction; the
+            # oscillatory signal-derivative part is already summed exactly by
+            # the trapezoidal rule (geometric summation of the sampled modes)
+            value -= dt**2 / 12.0 * (
+                signal[-1] * float(pair.phi_prime(t[-1]))
+                - signal[0] * float(pair.phi_prime(t[0]))
+            )
+        deltas[idx] = abs(value)
+    return deltas
+
+
 def weak_probe(
     traj_c: Trajectory,
     traj_i: IncompressibleTrajectory,
@@ -169,22 +230,7 @@ def weak_probe(
     if operator_set is not None:
         _check_probe_solenoidal(operator_set, dictionary)
     d = traj_c.c - traj_i.c
-    t = traj_c.times
-    dt = float(t[1] - t[0])
-    deltas = np.empty(len(dictionary))
-    for idx, pair in enumerate(dictionary):
-        signal = d @ pair.v
-        value = np.trapezoid(signal * pair.phi(t), t)
-        if pair.phi_prime is not None:
-            # only the smooth signal * phi' part belongs in the correction; the
-            # oscillatory signal-derivative part is already summed exactly by
-            # the trapezoidal rule (geometric summation of the sampled modes)
-            value -= dt**2 / 12.0 * (
-                signal[-1] * float(pair.phi_prime(t[-1]))
-                - signal[0] * float(pair.phi_prime(t[0]))
-            )
-        deltas[idx] = abs(value)
-    return deltas
+    return _probe_deltas(traj_c.times, [d @ pair.v for pair in dictionary], dictionary)
 
 
 @dataclass(frozen=True)
@@ -353,19 +399,15 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
                 p0=PressureCoeffs(spec, q0.copy()),
                 **base,
             )
-            traj = simulate_compressible(spec, operator_set, params)
-            d = traj.c - reference.c
+            series = _RowSeries(operator_set, reference, dictionary, config.eta)
+            traj = simulate_compressible(spec, operator_set, params, consume=series)
+            _require_shared_grid(traj, reference)
             t = traj.times
-            row.err_vel_l2h1 = float(
-                np.sqrt(np.trapezoid(np.einsum("ni,ni->n", d, d), t))
-            )
-            row.err_vel_linf_l2 = float(
-                np.sqrt(np.max(np.einsum("ni,i,ni->n", d, operator_set.mass_diag, d)))
-            )
-            dq = traj.q - reference.q
-            row.err_pres_linf_l2 = float(np.max(np.linalg.norm(dq, axis=1)))
-            row.x_alpha = x_alpha(operator_set, params, traj, reference)
-            row.probe_deltas = weak_probe(traj, reference, dictionary)
+            row.err_vel_l2h1 = float(np.sqrt(np.trapezoid(series.h01_sq, t)))
+            row.err_vel_linf_l2 = float(np.sqrt(np.max(series.l2_sq)))
+            row.err_pres_linf_l2 = float(np.max(series.pres))
+            row.x_alpha = series.x_alpha(params)
+            row.probe_deltas = _probe_deltas(t, series.signals, dictionary)
         except Exception as exc:  # row failures are recorded, not fatal
             row.error = f"{type(exc).__name__}: {exc}"
         return row

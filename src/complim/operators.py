@@ -79,10 +79,6 @@ class OperatorSet:
     kernel: np.ndarray  # Z, (m_u, m_V) with Z' M Z = I
     full_row_rank: bool
 
-    @property
-    def m_kernel(self) -> int:
-        return self.kernel.shape[1]
-
 
 def assemble(spec: BasisSpec) -> OperatorSet:
     """Assemble M, E, B for the given basis and factor the mean-zero block of B."""

@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -227,3 +228,15 @@ def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     assert run_cli(args) == 1
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep"])
+def test_run_beyond_physical_memory_refused_before_building(tmp_path, capsys, command):
+    template = SWEEP_CFG.replace("n_u = 3", "n_u = 200000")
+    cfg, out = write_cfg(tmp_path, template)
+    start = time.perf_counter()
+    assert run_cli([command, "--config", cfg]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "physical memory" in err[0] and err[0].count("GiB") == 2
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from complim import (
     sweep_alpha,
 )
 from complim.basis import pressure_load_vector, velocity_load_vector
+from complim.cli import _build_params
+from complim.config import parse_config
 from complim.operators import coupling_matrix
 
 
@@ -182,6 +185,28 @@ def test_apriori_zero_data(spec2, ops2):
     assert report.ok
 
 
+def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
+    cfg = parse_config(path.read_text())
+    assert (cfg.n_u, cfg.n_p) == (8, 8) and cfg.eta > 0.0
+    spec = build_basis(cfg.n_u, cfg.n_p)
+    ops = assemble(spec)
+    params = _build_params(cfg, spec, ops)
+    traj = simulate_compressible(spec, ops, params)
+    report = apriori_check(ops, params, traj)
+    # |E| as the 2-norm through a full SVD, as it was taken before
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg,
+        "eigvalsh",
+        lambda a: np.array([np.linalg.norm(a, 2)]) if a is ops.div_gram else eigvalsh(a),
+    )
+    svd = apriori_check(ops, params, traj)
+    assert report.est2_constant == pytest.approx(svd.est2_constant, rel=1e-12, abs=0.0)
+    flags = lambda r: (r.est1_ok, r.est2_ok, r.certificate.ok, r.ok)  # noqa: E731
+    assert flags(report) == flags(svd)
+
+
 def test_apriori_homogeneity_degree_one(spec2, ops2):
     u0, p0 = random_state(spec2, seed=8, scale=0.5)
     sigma = SampledField.scalar(lambda x, y: 0.2 * np.cos(np.pi * x))
@@ -329,12 +354,12 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
 def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
     original = limits.simulate_compressible
 
-    def nan_in_u0(spec, ops, params):
+    def nan_in_u0(spec, ops, params, **kwargs):
         if params.alpha == 1e-2:
             u0 = params.u0.values.copy()
             u0[0] = np.nan
             params = dataclasses.replace(params, u0=VelocityCoeffs(spec, u0))
-        return original(spec, ops, params)
+        return original(spec, ops, params, **kwargs)
 
     monkeypatch.setattr(limits, "simulate_compressible", nan_in_u0)
     res = sweep_alpha(
