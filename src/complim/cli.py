@@ -93,7 +93,7 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
         s = f.scaled(cfg.rho0)  # homogeneous problem: the momentum source is rho0 * f
     p0 = presets.resolve(
         _initial_data(cfg.p0, pressure=True), spec, operator_set,
-        pressure=True, f=f, rho0=cfg.rho0, mu=cfg.mu,
+        pressure=True, s=s, rho0=cfg.rho0, mu=cfg.mu,
     )
     return CompressibleParams(
         rho0=cfg.rho0,
@@ -356,3 +356,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -146,8 +146,10 @@ class CompressibleParams:
     """Physical constants and data of one compressible run.
 
     ``u0``/``p0`` may be sampled fields (projected on entry) or coefficient
-    vectors (used as given).  ``sigma`` and ``s`` default to zero; ``f`` must
-    not carry a time factor because it enters the step matrix through G.
+    vectors (used as given).  ``sigma`` and ``s`` default to zero.  ``s`` is
+    the momentum source of both systems (rho0 f for the homogeneous problem);
+    ``f`` enters only the compressible step matrix, through G, so it must not
+    carry a time factor there.
     """
 
     rho0: float = 1.0
@@ -162,7 +164,7 @@ class CompressibleParams:
     u0: Union[SampledField, VelocityCoeffs, None] = None
     p0: Union[SampledField, PressureCoeffs, None] = None
 
-    def validate(self, n_u: int, static_f: bool = False) -> float:
+    def validate(self, n_u: int) -> float:
         if not (self.rho0 > 0 and self.mu > 0 and self.alpha > 0 and self.T > 0):
             raise InvalidParams("rho0, mu, alpha and T must be positive")
         if self.eta < 0:
@@ -170,11 +172,6 @@ class CompressibleParams:
         dt = self.dt if self.dt is not None else default_dt(self.alpha, n_u, self.T)
         if not 0 < dt <= self.T:
             raise InvalidParams(f"dt = {dt} must lie in (0, T]")
-        if static_f and self.f is not None and self.f.time_dependent:
-            raise InvalidParams(
-                "a time-dependent body force f would change the step matrix every "
-                "step; fold the time dependence into s instead"
-            )
         return dt
 
 
@@ -205,9 +202,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def velocity_at(self, node: int) -> VelocityCoeffs:
-        return VelocityCoeffs(self.spec, self.c[node].copy())
-
     def pressure_at(self, node: int) -> PressureCoeffs:
         return PressureCoeffs(self.spec, self.q[node].copy())
 
@@ -219,18 +213,24 @@ class Trajectory:
 
 
 def _forcing_terms(spec: BasisSpec, params: CompressibleParams):
-    """Static load vectors and time factors of s and sigma."""
+    """Static load vectors and time factors of s and sigma: (s_vec, s_fac, sigma_vec, sigma_fac)."""
     if params.s is not None:
-        f_vec = velocity_load_vector(spec, params.s)
-        f_fac = params.s.time_factor
+        s_vec = velocity_load_vector(spec, params.s)
+        s_fac = params.s.time_factor
     else:
-        f_vec, f_fac = np.zeros(spec.m_u), None
+        s_vec, s_fac = np.zeros(spec.m_u), None
     if params.sigma is not None:
-        s_vec = pressure_load_vector(spec, params.sigma)
-        s_fac = params.sigma.time_factor
+        sigma_vec = pressure_load_vector(spec, params.sigma)
+        sigma_fac = params.sigma.time_factor
     else:
-        s_vec, s_fac = np.zeros(spec.m_p), None
-    return f_vec, f_fac, s_vec, s_fac
+        sigma_vec, sigma_fac = np.zeros(spec.m_p), None
+    return s_vec, s_fac, sigma_vec, sigma_fac
+
+
+def _time_values(fac: Optional[Callable[[float], float]], t) -> np.ndarray:
+    """A load's time factor at each of the times t; ones for a load without one."""
+    t = np.asarray(t, dtype=float)
+    return np.ones_like(t) if fac is None else np.array([fac(x) for x in t], dtype=float)
 
 
 def simulate_compressible(
@@ -249,7 +249,12 @@ def simulate_compressible(
     coefficients at nodes start, start + 1, ... (views that the next chunk
     overwrites), and the returned trajectory carries no per-node series.
     """
-    dt, times = time_grid(params.validate(spec.n_u, static_f=True), params.T)
+    dt, times = time_grid(params.validate(spec.n_u), params.T)
+    if params.f is not None and params.f.time_dependent:
+        raise InvalidParams(
+            "a time-dependent body force f would change the step matrix every "
+            "step; fold the time dependence into s instead"
+        )
     m_u, m_p = spec.m_u, spec.m_p
     m = m_u + m_p
 
@@ -269,12 +274,12 @@ def simulate_compressible(
     lhs = np.diag(a_diag) - 0.5 * dt * K
     rhs_mat = np.diag(a_diag) + 0.5 * dt * K
 
-    f_vec, f_fac, s_vec, s_fac = _forcing_terms(spec, params)
+    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
 
     def load(t: np.ndarray) -> np.ndarray:
         g = np.empty((t.size, m))
-        g[:, :m_u] = f_vec if f_fac is None else np.outer([f_fac(x) for x in t], f_vec)
-        g[:, m_u:] = s_vec if s_fac is None else np.outer([s_fac(x) for x in t], s_vec)
+        np.multiply.outer(_time_values(s_fac, t), s_vec, out=g[:, :m_u])
+        np.multiply.outer(_time_values(sigma_fac, t), sigma_vec, out=g[:, m_u:])
         return g
 
     y0 = np.concatenate(
@@ -356,13 +361,11 @@ def energy_ledger(
     if params.f is not None:
         G = _coupling(operator_set, params, traj)
         work += params.alpha * np.einsum("nk,nk->n", c_mid @ G, q_mid)
-    f_vec, f_fac, s_vec, s_fac = _forcing_terms(spec, params)
-    if f_vec.any():
-        factors = np.ones_like(t_mid) if f_fac is None else np.array([f_fac(t) for t in t_mid])
-        work += (c_mid @ f_vec) * factors
+    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
     if s_vec.any():
-        factors = np.ones_like(t_mid) if s_fac is None else np.array([s_fac(t) for t in t_mid])
-        work += (q_mid @ s_vec) * factors / params.rho0
+        work += (c_mid @ s_vec) * _time_values(s_fac, t_mid)
+    if sigma_vec.any():
+        work += (q_mid @ sigma_vec) * _time_values(sigma_fac, t_mid) / params.rho0
     work *= dt
 
     per_step = delta_energy + dissipation - work
@@ -429,15 +432,10 @@ def apriori_check(
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 
-    f_vec, f_fac, s_vec, s_fac = _forcing_terms(spec, params)
-    f_factors = (
-        np.ones_like(times) if f_fac is None else np.array([f_fac(t) for t in times])
-    )
-    s_factors = (
-        np.ones_like(times) if s_fac is None else np.array([s_fac(t) for t in times])
-    )
-    s_dual = np.linalg.norm(f_vec) * np.abs(f_factors)  # |<s(t), .>| in the dual norm
-    sigma_l2 = np.linalg.norm(s_vec) * np.abs(s_factors)
+    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
+    s_factors = _time_values(s_fac, times)
+    s_dual = np.linalg.norm(s_vec) * np.abs(s_factors)  # |<s(t), .>| in the dual norm
+    sigma_l2 = np.linalg.norm(sigma_vec) * np.abs(_time_values(sigma_fac, times))
 
     f_sup = _sup_norm_on_grid(spec, params.f)
     a_const = 1.0 + np.sqrt(alpha) * f_sup
@@ -480,7 +478,7 @@ def apriori_check(
         - mu * traj.c
         - eta * (traj.c @ operator_set.div_gram)
         + alpha * (traj.q @ G.T)
-        + np.outer(f_factors, f_vec)
+        + np.outer(s_factors, s_vec)
     ) / rho0
     ut_dual = np.linalg.norm(momentum, axis=1)
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(ut_dual**2, times))

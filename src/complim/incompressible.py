@@ -3,41 +3,40 @@
 The state is reduced to coordinates y with c = Z y, where the columns of Z
 span {c : B c = 0} and are M-orthonormal, so the evolution is simply
 
-    rho0 dy/dt + mu (Z'Z) y = Z' F(t),      F_i = rho0 <f, velocity mode i>.
+    rho0 dy/dt + mu (Z'Z) y = Z' F(t),      F_i = <s, velocity mode i>,
 
-Solenoidality therefore holds exactly at every step.  The pressure is
-recovered in chunks of nodes from the momentum residual through the inverse
-of the pressure gradient: with dc/dt read off the reduced equation (not from
-finite differences, which would lose an order),
+with s the momentum source of the compressible runs (rho0 f for the
+homogeneous problem): the Stokes limit keeps s and drops the alpha p f
+coupling.  Solenoidality therefore holds exactly at every step.  The
+pressure is recovered in chunks of nodes from the momentum residual through
+the inverse of the pressure gradient: with dc/dt read off the reduced
+equation (not from finite differences, which would lose an order),
 
     q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c),
 
-mean zero by construction and shiftable afterwards to any target mean.
+mean zero by construction and shiftable afterwards to any target mean; the
+initial pressure is the same recovery at t = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    PressureCoeffs,
-    SampledField,
-    VelocityCoeffs,
-    coefficients_of,
-    velocity_load_vector,
+from .basis import BasisSpec, PressureCoeffs, SampledField, VelocityCoeffs, coefficients_of
+from .compressible import (
+    STEP_CHUNK,
+    CompressibleParams,
+    InvalidParams,
+    _forcing_terms,
+    _time_values,
+    march,
+    time_grid,
 )
-from .compressible import STEP_CHUNK, CompressibleParams, march, time_grid
-from .operators import (
-    ANNIHILATION_TOL,
-    AnnihilationError,
-    OperatorSet,
-    grad_inverse,
-    leray_project,
-)
+from .operators import ANNIHILATION_TOL, AnnihilationError, OperatorSet, leray_project
+from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
     "SolenoidalBasis",
@@ -99,64 +98,53 @@ class IncompressibleTrajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def velocity_at(self, node: int) -> VelocityCoeffs:
-        return VelocityCoeffs(self.spec, self.c[node].copy())
-
-    def pressure_at(self, node: int) -> PressureCoeffs:
-        return PressureCoeffs(self.spec, self.q[node].copy())
-
-
-def _z_matrix(basis: Union[SolenoidalBasis, np.ndarray]) -> np.ndarray:
-    return basis.z if isinstance(basis, SolenoidalBasis) else np.asarray(basis)
-
 
 def simulate_incompressible(
     spec: BasisSpec,
     operator_set: OperatorSet,
-    solenoidal: Union[SolenoidalBasis, np.ndarray],
+    solenoidal: SolenoidalBasis,
     params: CompressibleParams,
 ) -> IncompressibleTrajectory:
-    """Integrate the Stokes system on the same grid policy as the compressible runs.
+    """Integrate the Stokes system driven by ``params.s`` on the compressible grid policy.
 
     The initial velocity is projected onto the span and then Leray-projected,
     so an initial condition with a gradient part starts from its solenoidal
     component.  ``params.alpha`` only enters through the default dt policy,
-    keeping the grid aligned with a compressible companion run.
+    keeping the grid aligned with a compressible companion run, and
+    ``params.f`` not at all.  A mass source ``params.sigma`` has no place in
+    the solenoidal limit and raises InvalidParams.
     """
-    Z = _z_matrix(solenoidal)
+    Z = solenoidal.z
     dt, times = time_grid(params.validate(spec.n_u), params.T)
+    if params.sigma is not None:
+        raise InvalidParams("the incompressible limit has no mass source; leave sigma unset")
     m_v = Z.shape[1]
 
     c0 = coefficients_of(spec, params.u0)
     c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
     y0 = Z.T @ (operator_set.mass_diag * c0)
 
-    if params.f is not None:
-        f_vec = params.rho0 * velocity_load_vector(spec, params.f)
-        f_fac = params.f.time_factor
-    else:
-        f_vec, f_fac = np.zeros(spec.m_u), None
+    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
 
     def loads(t: np.ndarray) -> np.ndarray:  # F at k times, (k, m_u)
-        return np.outer([f_fac(x) for x in t], f_vec)
+        return np.outer(_time_values(s_fac, t), s_vec)
 
     stiff = Z.T @ Z  # ((Zy, Zy')) in reduced coordinates
     lhs = params.rho0 * np.eye(m_v) + 0.5 * dt * params.mu * stiff
     rhs_mat = params.rho0 * np.eye(m_v) - 0.5 * dt * params.mu * stiff
-    ys = march(lhs, rhs_mat, y0, times, Z.T @ f_vec if f_fac is None else lambda t: loads(t) @ Z)
+    ys = march(lhs, rhs_mat, y0, times, Z.T @ s_vec if s_fac is None else lambda t: loads(t) @ Z)
     c = ys @ Z.T
     q = np.zeros((len(times), spec.m_p))
     for start in range(0, len(times), STEP_CHUNK):
         rows = slice(start, start + STEP_CHUNK)
-        F = f_vec if f_fac is None else loads(times[rows])
+        F = s_vec if s_fac is None else loads(times[rows])
         q[rows] = _recover_pressure(operator_set, Z, stiff, params, F, ys[rows], c[rows])
 
-    # energy identity audit: rho0 d|u|^2/dt + 2 mu |u|^2_{H10} = 2 (rho0 f, u)
+    # energy identity audit: rho0 d|u|^2/dt + 2 mu |u|^2_{H10} = 2 (s, u)
     y_mid = 0.5 * (ys[1:] + ys[:-1])
     t_mid = 0.5 * (times[1:] + times[:-1])
     diss = 2.0 * params.mu * dt * np.einsum("ni,ij,nj->n", y_mid, stiff, y_mid, optimize=True)
-    factors = 1.0 if f_fac is None else np.array([f_fac(t) for t in t_mid])
-    work = 2.0 * dt * (y_mid @ (Z.T @ f_vec)) * factors
+    work = 2.0 * dt * (y_mid @ (Z.T @ s_vec)) * _time_values(s_fac, t_mid)
     l2_sq = np.einsum("ni,ni->n", ys, ys)
     residuals = params.rho0 * np.diff(l2_sq) + diss - work
 
@@ -206,38 +194,32 @@ def _recover_pressure(operator_set, Z, stiff, params, F, y, c) -> np.ndarray:
 def initial_pressure(
     spec: BasisSpec,
     operator_set: OperatorSet,
-    solenoidal: Union[SolenoidalBasis, np.ndarray],
+    solenoidal: SolenoidalBasis,
     u0_solenoidal: VelocityCoeffs,
-    f_at_0: Optional[SampledField] = None,
+    s: Optional[SampledField] = None,
     *,
     rho0: float = 1.0,
     mu: float = 1.0,
 ) -> PressureCoeffs:
-    """Well-defined initial pressure of the Stokes problem.
+    """Well-defined initial pressure of the Stokes problem driven by the momentum source s.
 
-    Forms the t = 0 momentum residual of the reduced evolution started from
-    ``u0_solenoidal`` and inverts the pressure gradient on it; the result is
-    mean zero and coincides with the node-0 recovery of a simulation run.
+    The node-0 pressure recovery of simulate_incompressible for the reduced
+    evolution started from ``u0_solenoidal``, which must be discretely
+    solenoidal; the result is mean zero.
     """
-    Z = _z_matrix(solenoidal)
     c0 = np.asarray(u0_solenoidal.values, dtype=float)
     kernel_defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
     if kernel_defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
         raise ValueError(
             f"u0 is not discretely solenoidal (|B u0| = {kernel_defect:.3e})"
         )
-    if f_at_0 is not None:
-        F0 = rho0 * velocity_load_vector(spec, f_at_0) * f_at_0.at_time(0.0)
-    else:
-        F0 = np.zeros(spec.m_u)
+    params = CompressibleParams(rho0=rho0, mu=mu, s=s)
+    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    Z = solenoidal.z
     y0 = Z.T @ (operator_set.mass_diag * c0)
-    ydot = (Z.T @ F0 - mu * (Z.T @ Z) @ y0) / rho0
-    terms = (F0, rho0 * operator_set.mass_diag * (Z @ ydot), mu * c0)
-    g = terms[0] - terms[1] - terms[2]
-    g -= operator_set.mass_diag * (Z @ (Z.T @ g))
-    if np.linalg.norm(g) <= 1e-13 * max(np.linalg.norm(t) for t in terms):
-        return PressureCoeffs(spec, np.zeros(spec.m_p))
-    return grad_inverse(operator_set, g)
+    F0 = np.outer(_time_values(s_fac, [0.0]), s_vec)
+    q0 = _recover_pressure(operator_set, Z, Z.T @ Z, params, F0, y0[None], c0[None])
+    return PressureCoeffs(spec, q0[0])
 
 
 def shift_pressure_mean(traj: IncompressibleTrajectory, A: float) -> IncompressibleTrajectory:

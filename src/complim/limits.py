@@ -63,13 +63,6 @@ __all__ = [
 
 SWEEP_KINDS = ("weak", "strong_velocity", "pressure_weak", "pressure_strong")
 DEFAULT_ALPHAS = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5))
-# time weight drawn for the probe dictionary.  Of the candidate weights
-# {1, t, t^2, T-t}, only t^2 yields pairings that stay measurable across the
-# sweep: the constant weight telescopes through the kernel-projected momentum
-# balance (mu Z' int c dt = rho0 Z'M(c0 - c(T)), which vanishes for gradient
-# data), and the weights with phi'(0) != 0 collapse onto the order
-# dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two rows.
-PROBE_TIME_FACTORS = ("t^2",)
 
 
 def _require_shared_grid(traj_c: Trajectory, traj_i: IncompressibleTrajectory) -> None:
@@ -161,7 +154,15 @@ class ProbePair:
 def probe_dictionary(
     operator_set: OperatorSet, k: int, T: float, seed: int
 ) -> list[ProbePair]:
-    """Seeded dictionary of k orthonormal kernel directions with cycling time weights."""
+    """Seeded dictionary of k orthonormal kernel directions, each with the time weight t^2.
+
+    Of the candidate weights {1, t, t^2, T-t}, only t^2 yields pairings that
+    stay measurable across the sweep: the constant weight telescopes through
+    the kernel-projected momentum balance (mu Z' int c dt = rho0 Z'M(c0 -
+    c(T)), which vanishes for gradient data), and the weights with
+    phi'(0) != 0 collapse onto the order dt^2 |((u0, v))| / 6 sampling floor
+    of the shared grid within two rows.  ``T`` is not used by t^2.
+    """
     z = operator_set.kernel
     if z.shape[1] == 0:
         raise ValueError("cannot build probes: the solenoidal space is trivial")
@@ -170,20 +171,11 @@ def probe_dictionary(
     rng = np.random.default_rng(seed)
     raw = z @ rng.standard_normal((z.shape[1], k))
     q, _ = np.linalg.qr(raw)
-    factories = {
-        "1": (lambda t: np.ones_like(t), lambda t: 0.0),
-        "t": (lambda t: t, lambda t: 1.0),
-        "t^2": (lambda t: t**2, lambda t: 2.0 * t),
-        "T-t": (lambda t: T - t, lambda t: -1.0),
-    }
-    pairs = []
-    for j in range(k):
-        name = PROBE_TIME_FACTORS[j % len(PROBE_TIME_FACTORS)]
-        phi, phi_prime = factories[name]
-        pairs.append(
-            ProbePair(v=q[:, j].copy(), phi=phi, label=f"v{j}*{name}", phi_prime=phi_prime)
-        )
-    return pairs
+    return [
+        ProbePair(v=q[:, j].copy(), phi=lambda t: t**2, label=f"v{j}*t^2",
+                  phi_prime=lambda t: 2.0 * t)
+        for j in range(k)
+    ]
 
 
 def _check_probe_solenoidal(operator_set: OperatorSet, dictionary: Sequence[ProbePair]) -> None:
@@ -344,6 +336,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     operator_set = assemble(spec)
     solenoidal = nullspace_basis(operator_set)
 
+    s_field = config.f.scaled(config.rho0) if config.f is not None else None
     c0 = presets.resolve(config.u0, spec, operator_set)
     if config.kind in ("pressure_weak", "pressure_strong"):
         defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
@@ -357,19 +350,19 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
             operator_set,
             solenoidal,
             VelocityCoeffs(spec, c0),
-            config.f,
+            s_field,
             rho0=config.rho0,
             mu=config.mu,
         ).values
     else:
         q0 = presets.resolve(
-            config.p0, spec, operator_set, pressure=True, f=config.f, rho0=config.rho0, mu=config.mu
+            config.p0, spec, operator_set, pressure=True, s=s_field, rho0=config.rho0, mu=config.mu
         )
 
     alphas = [float(a) for a in config.alphas]
     dt = config.dt if config.dt is not None else default_dt(min(alphas), config.n_u, config.T)
 
-    base = dict(rho0=config.rho0, mu=config.mu, T=config.T, dt=dt, f=config.f)
+    base = dict(rho0=config.rho0, mu=config.mu, T=config.T, dt=dt, f=config.f, s=s_field)
     reference = simulate_incompressible(
         spec,
         operator_set,
@@ -385,16 +378,12 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
     x_limit = config.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
 
-    s_field = config.f.scaled(config.rho0) if config.f is not None else None
-
     def run_row(alpha: float) -> SweepRow:
         row = SweepRow(alpha=alpha)
         try:
             params = CompressibleParams(
                 eta=config.eta,
                 alpha=alpha,
-                sigma=None,
-                s=s_field,
                 u0=VelocityCoeffs(spec, c0.copy()),
                 p0=PressureCoeffs(spec, q0.copy()),
                 **base,

@@ -64,21 +64,22 @@ def pressure_preset(
     spec: BasisSpec,
     operator_set: OperatorSet,
     *,
-    f: Optional[SampledField] = None,
+    s: Optional[SampledField] = None,
     rho0: float = 1.0,
     mu: float = 1.0,
 ) -> PressureCoeffs:
     """Resolve a named initial-pressure preset to coefficients.
 
     compatible_p0 is the well-defined Stokes initial pressure belonging to
-    the solenoidal_u0 preset and the given body force.
+    the solenoidal_u0 preset and the momentum source s (rho0 f for the
+    homogeneous problem).
     """
     if name == "zero":
         return PressureCoeffs(spec, np.zeros(spec.m_p))
     if name == "compatible_p0":
         basis = nullspace_basis(operator_set)
         u0 = velocity_preset("solenoidal_u0", spec, operator_set)
-        return initial_pressure(spec, operator_set, basis, u0, f, rho0=rho0, mu=mu)
+        return initial_pressure(spec, operator_set, basis, u0, s, rho0=rho0, mu=mu)
     raise KeyError(f"unknown pressure preset {name!r}; known: {PRESSURE_PRESETS}")
 
 
@@ -88,7 +89,7 @@ def resolve(
     operator_set: OperatorSet,
     *,
     pressure: bool = False,
-    f: Optional[SampledField] = None,
+    s: Optional[SampledField] = None,
     rho0: float = 1.0,
     mu: float = 1.0,
 ) -> np.ndarray:
@@ -96,10 +97,10 @@ def resolve(
 
     ``data`` is a preset name, a sampled field, a coefficient object or
     None; everything but a name goes through basis.coefficients_of.  The
-    body force and the constants only matter for compatible_p0.
+    momentum source and the constants only matter for compatible_p0.
     """
     if not isinstance(data, str):
         return coefficients_of(spec, data, pressure=pressure)
     if pressure:
-        return pressure_preset(data, spec, operator_set, f=f, rho0=rho0, mu=mu).values
+        return pressure_preset(data, spec, operator_set, s=s, rho0=rho0, mu=mu).values
     return velocity_preset(data, spec, operator_set).values

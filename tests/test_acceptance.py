@@ -178,7 +178,7 @@ def test_criterion_03_energy_identities_and_mass(desk):
     f_timed = cl.SampledField(spatial=f.spatial, vector=True, time_factor=lambda t: 1 + t * t)
     for dt in (d0, d0 / 2):
         params = cl.CompressibleParams(
-            rho0=1.0, mu=1.0, alpha=1e-2, T=1.0, dt=dt, f=f_timed, u0=u0
+            rho0=1.0, mu=1.0, alpha=1e-2, T=1.0, dt=dt, s=f_timed, u0=u0  # s = rho0 f
         )
         traj = cl.simulate_incompressible(spec, ops, kernel, params)
         inc_cums.append(np.abs(np.cumsum(traj.energy_residual)).max())

@@ -1,12 +1,15 @@
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from complim import CompressibleParams, assemble, build_basis, energy_ledger, simulate_compressible
-from complim.cli import run_cli
-from complim.config import realize_scalar_field, realize_vector_field
+from complim.cli import _build_params, run_cli
+from complim.config import parse_config, realize_scalar_field, realize_vector_field
+from complim.presets import pressure_preset
 from complim.csvio import read_csv_columns, write_series_csv, write_trajectory_csv
 
 SIM_CFG = """
@@ -240,3 +243,54 @@ def test_run_beyond_physical_memory_refused_before_building(tmp_path, capsys, co
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "physical memory" in err[0] and err[0].count("GiB") == 2
     assert not out.exists()
+
+
+def test_simulate_incompressible_reads_explicit_s(tmp_path):
+    # the Stokes source is s; at rho0 = 1 an explicit s equals the same field given as f
+    outputs = {}
+    for key in ("f", "s"):
+        text = SIM_CFG.replace("f = cos(pi*y)", f"{key} = cos(pi*y)")
+        (tmp_path / key).mkdir()
+        cfg, out = write_cfg(tmp_path / key, text)
+        assert run_cli(["simulate-incompressible", "--config", cfg]) == 0
+        outputs[key] = [(out / name).read_bytes() for name in ("trajectory.csv", "coefficients.csv")]
+    assert outputs["s"] == outputs["f"]
+    unforced, out = write_cfg(tmp_path, SIM_CFG.replace("f = cos(pi*y) ; 0.5*cos(pi*x)", ""))
+    assert run_cli(["simulate-incompressible", "--config", unforced]) == 0
+    assert (out / "trajectory.csv").read_bytes() != outputs["f"][0]
+
+
+def test_compatible_p0_follows_explicit_s(tmp_path):
+    # an explicit s that is not rho0 f: the initial pressure must come from s
+    text = SIM_CFG.format(out=tmp_path / "out")
+    text = text.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", "u0 = solenoidal_u0")
+    text = text.replace("p0 = 0.3*cos(pi*x)", "p0 = compatible_p0\ns = sin(pi*x) ; x*y")
+    cfg = parse_config(text)
+    spec = build_basis(cfg.n_u, cfg.n_p)
+    ops = assemble(spec)
+    params = _build_params(cfg, spec, ops)
+    from_s = pressure_preset("compatible_p0", spec, ops, s=params.s).values
+    from_f = pressure_preset("compatible_p0", spec, ops, s=params.f).values
+    assert np.array_equal(params.p0.values, from_s)
+    assert np.abs(from_s - from_f).max() > 1e-3 * np.abs(from_s).max()
+
+
+def test_simulate_incompressible_rejects_sigma(tmp_path, capsys):
+    text = SIM_CFG.replace("p0 = 0.3*cos(pi*x)", "p0 = 0.3*cos(pi*x)\nsigma = cos(pi*x)")
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli(["simulate-incompressible", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sigma" in err[0]
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "complim.cli", "simulate", "--config", str(tmp_path / "missing.cfg")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert len(done.stderr.strip().splitlines()) == 1 and "missing.cfg" in done.stderr

@@ -82,7 +82,7 @@ def test_matrix_exponential_oracle_forced():
     u0 = VelocityCoeffs(spec, basis.z @ rng.standard_normal(basis.m_v))
     errs = []
     for dt in (0.02, 0.01):
-        params = CompressibleParams(rho0=1.2, mu=0.8, alpha=0.05, T=1.0, dt=dt, f=f, u0=u0)
+        params = CompressibleParams(rho0=1.2, mu=0.8, alpha=0.05, T=1.0, dt=dt, s=f.scaled(1.2), u0=u0)
         traj = simulate_incompressible(spec, ops, basis, params)
         stiff = basis.z.T @ basis.z
         m_v = basis.m_v
@@ -99,7 +99,8 @@ def test_matrix_exponential_oracle_forced():
 
 
 def forced_params(dt, time_factor=None):
-    # rotational force (nonzero curl), so it actually works on solenoidal fields
+    # rotational force (nonzero curl), so it actually works on solenoidal fields;
+    # the Stokes system reads its momentum source s = rho0 f
     f = SampledField.of_vector(
         lambda x, y: np.cos(np.pi * y),
         lambda x, y: 0.4 * np.cos(np.pi * x),
@@ -108,7 +109,17 @@ def forced_params(dt, time_factor=None):
     u0 = SampledField.of_vector(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), lambda x, y: 0.0 * x
     )
-    return CompressibleParams(rho0=1.1, mu=0.7, alpha=0.05, T=1.0, dt=dt, f=f, u0=u0)
+    return CompressibleParams(rho0=1.1, mu=0.7, alpha=0.05, T=1.0, dt=dt, s=f.scaled(1.1), u0=u0)
+
+
+def test_stokes_source_is_s_not_f(spec4, ops4, kernel4):
+    # f only couples the pressure in the compressible step; the Stokes limit reads s
+    params = forced_params(0.01)
+    with_f = dataclasses.replace(params, f=params.s.scaled(1.0 / params.rho0))
+    assert np.array_equal(
+        simulate_incompressible(spec4, ops4, kernel4, with_f).q,
+        simulate_incompressible(spec4, ops4, kernel4, params).q,
+    )
 
 
 def test_energy_equality_exact_for_static_force(spec4, ops4, kernel4):
@@ -145,7 +156,7 @@ def test_pressure_recovery_galerkin_orthogonal(spec4, ops4, kernel4):
     params = forced_params(0.01)
     z = kernel4.z
     stiff = z.T @ z
-    load = params.rho0 * velocity_load_vector(spec4, params.f)
+    load = velocity_load_vector(spec4, params.s)
     for n in (0, 17, traj.n_steps):
         ydot = (z.T @ load - params.mu * stiff @ traj.y[n]) / params.rho0
         g = load - params.rho0 * ops4.mass_diag * (z @ ydot) - params.mu * traj.c[n]
@@ -221,13 +232,13 @@ def reduced_march(basis, ops, params, dt):
     lhs = params.rho0 * np.eye(basis.m_v) + 0.5 * dt * params.mu * stiff
     rhs_mat = params.rho0 * np.eye(basis.m_v) - 0.5 * dt * params.mu * stiff
     lu = scipy.linalg.lu_factor(lhs)
-    f_vec = params.rho0 * velocity_load_vector(basis.spec, params.f)
+    f_vec = velocity_load_vector(basis.spec, params.s)
     c0 = leray_project(ops, VelocityCoeffs(basis.spec, params.u0.values)).solenoidal.values
     y = z.T @ (ops.mass_diag * c0)
     ys = [y]
     for n in range(round(params.T / dt)):
-        g_prev = z.T @ (f_vec * params.f.at_time(n * dt))
-        g_next = z.T @ (f_vec * params.f.at_time((n + 1) * dt))
+        g_prev = z.T @ (f_vec * params.s.at_time(n * dt))
+        g_next = z.T @ (f_vec * params.s.at_time((n + 1) * dt))
         rhs = rhs_mat @ y + 0.5 * dt * (g_prev + g_next)
         y = scipy.linalg.lu_solve(lu, rhs)
         ys.append(y)
@@ -274,9 +285,9 @@ def test_batched_pressure_recovery_matches_nodewise_grad_inverse(spec4, ops4, ke
     traj = simulate_incompressible(spec4, ops4, kernel4, params)
     z = kernel4.z
     stiff = z.T @ z
-    load = params.rho0 * velocity_load_vector(spec4, params.f)
+    load = velocity_load_vector(spec4, params.s)
     for n in range(0, traj.n_steps + 1, 7):
-        F = load * params.f.at_time(traj.times[n])
+        F = load * params.s.at_time(traj.times[n])
         ydot = (z.T @ F - params.mu * (stiff @ traj.y[n])) / params.rho0
         g = F - params.rho0 * ops4.mass_diag * (z @ ydot) - params.mu * traj.c[n]
         g -= ops4.mass_diag * (z @ (z.T @ g))

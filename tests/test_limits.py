@@ -50,7 +50,7 @@ def test_presets_structure(spec8, ops8, kernel8):
     # gradient preset is M-orthogonal to the kernel; solenoidal preset lies in it
     assert np.abs(kernel8.z.T @ (md * g.values)).max() <= 1e-12
     assert np.abs(ops8.div_coupling[1:] @ s.values).max() <= 1e-12
-    p = pressure_preset("compatible_p0", spec8, ops8, f=None, rho0=1.0, mu=1.0)
+    p = pressure_preset("compatible_p0", spec8, ops8, s=None, rho0=1.0, mu=1.0)
     assert p.values[0] == 0.0
     with pytest.raises(KeyError):
         velocity_preset("nope", spec8, ops8)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from complim import PressureCoeffs, SampledField, VelocityCoeffs, project_pressure, project_velocity
+from complim import (
+    CompressibleParams,
+    PressureCoeffs,
+    SampledField,
+    VelocityCoeffs,
+    nullspace_basis,
+    project_pressure,
+    project_velocity,
+    simulate_incompressible,
+)
 from complim.presets import (
     PRESSURE_PRESETS,
     VELOCITY_PRESETS,
@@ -25,8 +34,9 @@ def test_resolve_velocity_preset(spec4, ops4, name):
 
 @pytest.mark.parametrize("name", PRESSURE_PRESETS)
 def test_resolve_pressure_preset_passes_force_and_constants(spec4, ops4, name):
-    expected = pressure_preset(name, spec4, ops4, f=FORCE, rho0=2.0, mu=0.5).values
-    got = resolve(name, spec4, ops4, pressure=True, f=FORCE, rho0=2.0, mu=0.5)
+    source = FORCE.scaled(2.0)  # the momentum source rho0 f
+    expected = pressure_preset(name, spec4, ops4, s=source, rho0=2.0, mu=0.5).values
+    got = resolve(name, spec4, ops4, pressure=True, s=source, rho0=2.0, mu=0.5)
     assert bitwise(got, expected)
 
 
@@ -60,3 +70,14 @@ def test_scaled_field_keeps_time_factor_and_kind():
     assert s.vector and s.time_factor is None
     timed = SampledField.scalar(lambda x, y: x + y, time_factor=np.cos, label="x+y").scaled(3.0)
     assert timed.time_factor is np.cos and timed.label == "3*(x+y)" and not timed.vector
+
+
+def test_compatible_p0_from_s_is_the_node0_stokes_pressure(spec4, ops4):
+    # a time-dependent source at rho0 != 1: compatible_p0 is the t = 0 recovery of the run it seeds
+    s = SampledField(spatial=FORCE.spatial, vector=True, time_factor=lambda t: 1.5 + t)
+    q0 = pressure_preset("compatible_p0", spec4, ops4, s=s, rho0=2.0, mu=0.5).values
+    u0 = velocity_preset("solenoidal_u0", spec4, ops4)
+    params = CompressibleParams(rho0=2.0, mu=0.5, T=0.1, dt=0.01, s=s, u0=u0)
+    traj = simulate_incompressible(spec4, ops4, nullspace_basis(ops4), params)
+    assert np.abs(q0).max() > 0.1
+    assert np.abs(traj.q[0] - q0).max() <= 1e-12 * np.abs(q0).max()
