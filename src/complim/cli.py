@@ -18,6 +18,7 @@ import numpy as np
 from . import csvio, presets
 from .basis import PressureCoeffs, VelocityCoeffs, build_basis, norms
 from .compressible import (
+    STEP_CHUNK,
     CompressibleParams,
     InvalidParams,
     StepFailure,
@@ -55,20 +56,31 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _check_memory(cfg: RunConfig, alpha: float) -> None:
+def _check_memory(cfg: RunConfig, sweep: bool = False) -> None:
     """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
 
-    Counts the dense m x m matrices of the step (K, lhs, rhs_mat and the LU
-    factor, m = m_u + m_p), E, B and B's SVD factors, and (N+1) m stored
-    states: the trajectory of a single run, or the reference of a sweep,
-    whose rows stream their states.
+    Counts E, B and B's SVD factors and, per Crank-Nicolson system (m = m_u +
+    m_p), its 2 dense m x m matrices (the right-hand matrix and the LU
+    factor of the step matrix) and its chunk buffers.  A single run also
+    stores its (N+1) m states.  A sweep marches its n_alpha rows and the
+    Stokes reference in lockstep and stores no states: it counts n_alpha
+    row systems, the chunk buffers of the rows and the reference, and each
+    row's (N+1)(probes + 4) series, on the grid of its smallest alpha.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
         m = m_u + m_p
+        alpha = min(cfg.alphas) if sweep else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
         nodes = max(1.0, cfg.T / dt) + 1.0
-        need = 8.0 * (4.0 * m * m + 2.0 * m_u * m_u + m_p * m_p + m_p * m_u + nodes * m)
+        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, right-hand sides, loads, residuals
+        need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
+        if sweep:
+            rows = len(cfg.alphas)
+            need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0)) + chunk
+        else:
+            need += 2.0 * m * m + chunk + nodes * m
+        need *= 8.0
     except OverflowError:  # a basis size beyond the float range
         need = float("inf")
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -112,7 +124,7 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    _check_memory(cfg, cfg.alpha)
+    _check_memory(cfg)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     params = _build_params(cfg, spec, operator_set)
@@ -139,7 +151,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_simulate_incompressible(args) -> int:
     cfg = _load_config(args.config)
-    _check_memory(cfg, cfg.alpha)
+    _check_memory(cfg)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     params = _build_params(cfg, spec, operator_set)
@@ -195,7 +207,17 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+# sweep rows and their reference are driven by rho0 f alone
+_NOT_SWEPT = ("s", "s_time", "sigma", "sigma_time")
+
+
 def _sweep_config(cfg: RunConfig) -> SweepConfig:
+    given = [key for key in _NOT_SWEPT if getattr(cfg, key) != getattr(RunConfig, key)]
+    if given:
+        raise InvalidParams(
+            f"sweep and probe do not take {', '.join(given)}: the momentum source of a "
+            "sweep is rho0 f and it has no mass source"
+        )
     return SweepConfig(
         n_u=cfg.n_u,
         n_p=cfg.n_p,
@@ -215,8 +237,9 @@ def _sweep_config(cfg: RunConfig) -> SweepConfig:
 
 
 def _run_sweep(cfg: RunConfig):
-    _check_memory(cfg, min(cfg.alphas))
-    result = sweep_alpha(_sweep_config(cfg))
+    config = _sweep_config(cfg)
+    _check_memory(cfg, sweep=True)
+    result = sweep_alpha(config)
     meta = {
         "config": {
             f.name: (list(getattr(cfg, f.name)) if f.name == "alphas" else getattr(cfg, f.name))

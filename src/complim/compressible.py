@@ -14,10 +14,13 @@ Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  One stepper,
 :func:`crank_nicolson`, serves this system and the reduced Stokes system of
-:mod:`complim.incompressible`: it factors the step matrix once, marches
-with one LAPACK ``getrs`` solve per step, checks the step residuals as one
-matrix product per chunk of steps and hands each chunk of states to its
-caller, which stores them or, like a sweep row, reduces them on the fly.
+:mod:`complim.incompressible`: it holds two dense matrices, the LU factor
+of the step matrix and the right-hand matrix, marches with one LAPACK
+``getrs`` solve per step, checks the step residuals as one matrix product
+per chunk of steps and hands each chunk of states to its caller.  The
+caller pulls the chunks: :func:`simulate_compressible` stores them, and a
+sweep row (:func:`compressible_chunks`) reduces them on the fly in
+lockstep with the Stokes reference.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "StepFailure",
     "default_dt",
     "crank_nicolson",
+    "compressible_chunks",
     "simulate_compressible",
     "energy_ledger",
     "apriori_check",
@@ -80,33 +84,47 @@ def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
 
 
 def crank_nicolson(
-    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load, out=None
+    a: np.ndarray, half_k: np.ndarray, y0: np.ndarray, times: np.ndarray, load
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """March lhs y_{n+1} = rhs_mat y_n + dt/2 (g_n + g_{n+1}) over a uniform grid.
+    """March diag(a) dy/dt = K y + g(t) with Crank-Nicolson steps over a uniform grid.
 
-    ``load`` is the constant vector g or maps k times to the (k, m) loads at
-    them.  A generator: it marches STEP_CHUNK steps at a time and yields
-    ``(start, states)`` per chunk, states[k] being y at node start + k.  The
-    first chunk begins with y0 at node 0 and each later one at the node after
-    the previous chunk's last, so the chunks tile nodes 0..N.  With ``out``,
-    an (N+1, m) array, the states are marched in place there; without it
-    ``states`` is a view of one chunk buffer that the next chunk overwrites.
-    Before a chunk is yielded its residuals are checked as one matrix
-    product: StepFailure names the first step whose |lhs y_{n+1} - rhs_n| is
-    not at most STEP_RESIDUAL_RTOL |rhs_n|, which includes non-finite states.
+    ``half_k`` is (dt/2) K, and the march takes it over: it becomes
+    rhs_mat = diag(a) + (dt/2) K, and lhs = diag(a) - (dt/2) K is built
+    once and LU-factored in place, so the march holds these two m x m
+    matrices and no others.  Each step solves
+    lhs y_{n+1} = rhs_mat y_n + dt/2 (g_n + g_{n+1}).  ``load`` is the
+    constant vector g or maps k times to the (k, m) loads at them.
+
+    A generator: it marches STEP_CHUNK steps at a time and yields
+    ``(start, states)`` per chunk, states[k] being y at node start + k, a
+    view of one chunk buffer that the next chunk overwrites.  The first
+    chunk begins with y0 at node 0 and each later one at the node after the
+    previous chunk's last, so the chunks tile nodes 0..N.  Before a chunk is
+    yielded its residuals are checked as one matrix product; as lhs =
+    2 diag(a) - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1}
+    - rhs_n.  StepFailure names the first step whose residual is not at most
+    STEP_RESIDUAL_RTOL |rhs_n|, which includes non-finite states.
     """
-    lu, piv = scipy.linalg.lu_factor(lhs)
+    m = len(y0)
+    half_diag = half_k.diagonal().copy()
+    # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
+    # diag(a) -/+ (dt/2) K do off the diagonal
+    lhs = np.subtract(0.0, half_k, order="F")  # Fortran order: getrf factors it in place
+    np.fill_diagonal(lhs, a - half_diag)
+    lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
+    rhs_mat = np.add(half_k, 0.0, out=half_k)
+    np.fill_diagonal(rhs_mat, a + half_diag)
+    two_a = 2.0 * a
     (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-    n_steps, m = len(times) - 1, len(y0)
+    n_steps = len(times) - 1
     dt = float(times[1] - times[0])
-    buf = out if out is not None else np.empty((min(STEP_CHUNK, n_steps) + 1, m))
+    buf = np.empty((min(STEP_CHUNK, n_steps) + 1, m))
     buf[0] = y0
     rhs = np.empty((min(STEP_CHUNK, n_steps), m))
     for start in range(0, n_steps, STEP_CHUNK):
         stop = min(start + STEP_CHUNK, n_steps)
         count = stop - start
-        # states[0] is the node the chunk starts from
-        states = buf[start : stop + 1] if out is not None else buf[: count + 1]
+        states = buf[: count + 1]  # states[0] is the node the chunk starts from
         nodes = times[start : stop + 1]
         g = load(nodes) if callable(load) else np.broadcast_to(load, (nodes.size, m))
         w = 0.5 * dt * (g[:-1] + g[1:])
@@ -116,29 +134,23 @@ def crank_nicolson(
             states[k + 1], info = getrs(lu, piv, rhs[k])
             if info:
                 raise StepFailure(f"step {n + 1}: getrs returned info = {info}")
-        block = rhs[:count]
-        residual = np.linalg.norm(states[1:] @ lhs.T - block, axis=1)
-        scale = np.maximum(np.linalg.norm(block, axis=1), 1e-300)
-        bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
-        if bad.size:
-            k = bad[0]
-            raise StepFailure(
-                f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
-                f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
-            )
+        _check_residuals(two_a * states[1:] - states[1:] @ rhs_mat.T, rhs[:count], times, start)
+        del g, w  # a suspended march holds its two matrices and two chunk buffers only
         yield (0, states) if start == 0 else (start + 1, states[1:])
-        if out is None:
-            buf[0] = states[count]
+        buf[0] = states[count]
 
 
-def march(
-    lhs: np.ndarray, rhs_mat: np.ndarray, y0: np.ndarray, times: np.ndarray, load
-) -> np.ndarray:
-    """The (N+1, m) states of a whole crank_nicolson march, stored as they are computed."""
-    states = np.empty((len(times), len(y0)))
-    for _ in crank_nicolson(lhs, rhs_mat, y0, times, load, out=states):
-        pass
-    return states
+def _check_residuals(lhs_y: np.ndarray, rhs: np.ndarray, times: np.ndarray, start: int) -> None:
+    """StepFailure for the first step of a chunk whose |lhs y - rhs| exceeds STEP_RESIDUAL_RTOL |rhs|."""
+    residual = np.linalg.norm(lhs_y - rhs, axis=1)
+    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+    bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
+    if bad.size:
+        k = bad[0]
+        raise StepFailure(
+            f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
+            f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -181,21 +193,19 @@ class Trajectory:
 
     ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, ``mass`` holds
     M(t) = rho0 + alpha q_0 (the domain has unit area), and the density
-    field rho = rho0 + alpha p is available through :meth:`density`.  A run
-    whose states went to a consumer instead (see :func:`simulate_compressible`)
-    carries None in place of every per-node series.
+    field rho = rho0 + alpha p is available through :meth:`density`.
     """
 
     spec: BasisSpec
     params: CompressibleParams
     dt: float
     times: np.ndarray  # (N+1,)
-    c: Optional[np.ndarray] = None  # (N+1, m_u)
-    q: Optional[np.ndarray] = None  # (N+1, m_p)
-    energy: Optional[np.ndarray] = None  # (N+1,)
-    h01: Optional[np.ndarray] = None  # (N+1,)
-    div: Optional[np.ndarray] = None  # (N+1,)
-    mass: Optional[np.ndarray] = None  # (N+1,)
+    c: np.ndarray  # (N+1, m_u)
+    q: np.ndarray  # (N+1, m_p)
+    energy: np.ndarray  # (N+1,)
+    h01: np.ndarray  # (N+1,)
+    div: np.ndarray  # (N+1,)
+    mass: np.ndarray  # (N+1,)
     coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p), if computed
 
     @property
@@ -233,21 +243,17 @@ def _time_values(fac: Optional[Callable[[float], float]], t) -> np.ndarray:
     return np.ones_like(t) if fac is None else np.array([fac(x) for x in t], dtype=float)
 
 
-def simulate_compressible(
-    spec: BasisSpec,
-    operator_set: OperatorSet,
-    params: CompressibleParams,
-    *,
-    consume: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
-) -> Trajectory:
-    """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
+def compressible_chunks(
+    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
+) -> tuple[float, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """Set up one compressible run on its grid: (dt, times, G, chunks).
 
     The requested dt is rounded to the nearest uniform grid hitting T
-    exactly.  Raises StepFailure when the relative residual of a step solve
-    exceeds 1e-9.  With ``consume``, no state is stored: it is called once per
-    chunk of steps as consume(start, c, q), with the velocity and pressure
-    coefficients at nodes start, start + 1, ... (views that the next chunk
-    overwrites), and the returned trajectory carries no per-node series.
+    exactly, and G is the body-force coupling of ``params.f``.  ``chunks``
+    is the run's crank_nicolson march: pulled chunk by chunk, it yields
+    ``(start, c, q)``, the velocity and pressure coefficients at nodes
+    start, start + 1, ... (views that the next chunk overwrites), and raises
+    StepFailure when the relative residual of a step solve exceeds 1e-9.
     """
     dt, times = time_grid(params.validate(spec.n_u), params.T)
     if params.f is not None and params.f.time_dependent:
@@ -264,15 +270,14 @@ def simulate_compressible(
         else np.zeros((m_u, m_p))
     )
     K = np.zeros((m, m))
-    K[:m_u, :m_u] = -params.eta * operator_set.div_gram
-    K[:m_u, :m_u] -= params.mu * np.eye(m_u)
+    np.multiply(-params.eta, operator_set.div_gram, out=K[:m_u, :m_u])
+    K[np.arange(m_u), np.arange(m_u)] -= params.mu
     K[:m_u, m_u:] = operator_set.div_coupling.T + params.alpha * G
     K[m_u:, :m_u] = -params.rho0 * operator_set.div_coupling
+    K *= 0.5 * dt
     a_diag = np.concatenate(
         [params.rho0 * operator_set.mass_diag, np.full(m_p, params.alpha)]
     )
-    lhs = np.diag(a_diag) - 0.5 * dt * K
-    rhs_mat = np.diag(a_diag) + 0.5 * dt * K
 
     s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
 
@@ -285,14 +290,25 @@ def simulate_compressible(
     y0 = np.concatenate(
         [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]
     )
-    if consume is not None:
-        for start, block in crank_nicolson(lhs, rhs_mat, y0, times, load):
-            consume(start, block[:, :m_u], block[:, m_u:])
-        return Trajectory(spec=spec, params=params, dt=dt, times=times, coupling=G)
-    states = march(lhs, rhs_mat, y0, times, load)
+    states = crank_nicolson(a_diag, K, y0, times, load)
+    return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
-    c = states[:, :m_u]
-    q = states[:, m_u:]
+
+def simulate_compressible(
+    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
+) -> Trajectory:
+    """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
+
+    The whole march of :func:`compressible_chunks`, stored, with its per-node
+    diagnostics.
+    """
+    dt, times, G, chunks = compressible_chunks(spec, operator_set, params)
+    states = np.empty((len(times), spec.m_u + spec.m_p))
+    c, q = states[:, : spec.m_u], states[:, spec.m_u :]
+    for start, c_k, q_k in chunks:
+        c[start : start + len(c_k)] = c_k
+        q[start : start + len(q_k)] = q_k
+
     kinetic = np.einsum("ni,i,ni->n", c, operator_set.mass_diag, c)
     acoustic = np.einsum("nk,nk->n", q, q)
     return Trajectory(

@@ -15,13 +15,16 @@ equation (not from finite differences, which would lose an order),
     q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c),
 
 mean zero by construction and shiftable afterwards to any target mean; the
-initial pressure is the same recovery at t = 0.
+initial pressure is the same recovery at t = 0.  The march is a chunk
+source, :func:`stokes_chunks`, which yields each chunk of steps with its
+velocity and recovered pressure: :func:`simulate_incompressible` stores the
+chunks, and an alpha sweep reduces each one against its rows and drops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .compressible import (
     InvalidParams,
     _forcing_terms,
     _time_values,
-    march,
+    crank_nicolson,
     time_grid,
 )
 from .operators import ANNIHILATION_TOL, AnnihilationError, OperatorSet, leray_project
@@ -43,6 +46,7 @@ __all__ = [
     "IncompressibleTrajectory",
     "EmptyKernel",
     "nullspace_basis",
+    "stokes_chunks",
     "simulate_incompressible",
     "initial_pressure",
     "shift_pressure_mean",
@@ -99,13 +103,19 @@ class IncompressibleTrajectory:
         return len(self.times) - 1
 
 
-def simulate_incompressible(
+def stokes_chunks(
     spec: BasisSpec,
     operator_set: OperatorSet,
     solenoidal: SolenoidalBasis,
     params: CompressibleParams,
-) -> IncompressibleTrajectory:
-    """Integrate the Stokes system driven by ``params.s`` on the compressible grid policy.
+) -> tuple[float, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
+
+    Returns (dt, times, chunks).  ``chunks`` is the crank_nicolson march of
+    the reduced system: pulled chunk by chunk, it yields ``(start, y, c, q)``
+    at nodes start, start + 1, ...: the reduced coordinates (a view that the
+    next chunk overwrites), the velocity c = Z y and the pressure recovered
+    from the momentum residual, mean zero.
 
     The initial velocity is projected onto the span and then Leray-projected,
     so an initial condition with a gradient part starts from its solenoidal
@@ -118,7 +128,6 @@ def simulate_incompressible(
     dt, times = time_grid(params.validate(spec.n_u), params.T)
     if params.sigma is not None:
         raise InvalidParams("the incompressible limit has no mass source; leave sigma unset")
-    m_v = Z.shape[1]
 
     c0 = coefficients_of(spec, params.u0)
     c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
@@ -130,37 +139,78 @@ def simulate_incompressible(
         return np.outer(_time_values(s_fac, t), s_vec)
 
     stiff = Z.T @ Z  # ((Zy, Zy')) in reduced coordinates
-    lhs = params.rho0 * np.eye(m_v) + 0.5 * dt * params.mu * stiff
-    rhs_mat = params.rho0 * np.eye(m_v) - 0.5 * dt * params.mu * stiff
-    ys = march(lhs, rhs_mat, y0, times, Z.T @ s_vec if s_fac is None else lambda t: loads(t) @ Z)
-    c = ys @ Z.T
-    q = np.zeros((len(times), spec.m_p))
-    for start in range(0, len(times), STEP_CHUNK):
-        rows = slice(start, start + STEP_CHUNK)
-        F = s_vec if s_fac is None else loads(times[rows])
-        q[rows] = _recover_pressure(operator_set, Z, stiff, params, F, ys[rows], c[rows])
+    states = crank_nicolson(
+        np.full(Z.shape[1], params.rho0),
+        (-0.5 * dt * params.mu) * stiff,
+        y0,
+        times,
+        Z.T @ s_vec if s_fac is None else lambda t: loads(t) @ Z,
+    )
+
+    def chunks():
+        for start, y in states:
+            c = y @ Z.T
+            F = s_vec if s_fac is None else loads(times[start : start + len(y)])
+            yield start, y, c, _recover_pressure(operator_set, Z, stiff, params, F, y, c)
+
+    return dt, times, chunks()
+
+
+def simulate_incompressible(
+    spec: BasisSpec,
+    operator_set: OperatorSet,
+    solenoidal: SolenoidalBasis,
+    params: CompressibleParams,
+) -> IncompressibleTrajectory:
+    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, stored.
+
+    The per-node diagnostics and the energy-identity audit are computed
+    block by block over the stored series, so they add no whole-trajectory
+    temporaries.
+    """
+    dt, times, chunks = stokes_chunks(spec, operator_set, solenoidal, params)
+    Z = solenoidal.z
+    n = len(times)
+    y, c, q = np.empty((n, Z.shape[1])), np.empty((n, spec.m_u)), np.empty((n, spec.m_p))
+    for start, y_k, c_k, q_k in chunks:
+        rows = slice(start, start + len(y_k))
+        y[rows], c[rows], q[rows] = y_k, c_k, q_k
 
     # energy identity audit: rho0 d|u|^2/dt + 2 mu |u|^2_{H10} = 2 (s, u)
-    y_mid = 0.5 * (ys[1:] + ys[:-1])
+    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    s_reduced, stiff = Z.T @ s_vec, Z.T @ Z
+    l2_sq = np.einsum("ni,ni->n", y, y)
     t_mid = 0.5 * (times[1:] + times[:-1])
-    diss = 2.0 * params.mu * dt * np.einsum("ni,ij,nj->n", y_mid, stiff, y_mid, optimize=True)
-    work = 2.0 * dt * (y_mid @ (Z.T @ s_vec)) * _time_values(s_fac, t_mid)
-    l2_sq = np.einsum("ni,ni->n", ys, ys)
-    residuals = params.rho0 * np.diff(l2_sq) + diss - work
+    h01, div, residuals = np.empty(n), np.empty(n), np.empty(n - 1)
+    # The blocks start at multiples of STEP_CHUNK, where a BLAS product tiles
+    # their rows as it tiles the whole series, so their values are those of
+    # whole-series products except where OpenBLAS splits a whole product
+    # between threads off the tile grid (the last bits of the final 6 of
+    # 1,006 nodes for configs/simulate.cfg on 2 threads).
+    for lo in range(0, n, STEP_CHUNK):
+        nodes = slice(lo, lo + STEP_CHUNK)
+        c_k = c[nodes]
+        h01[nodes] = np.linalg.norm(c_k, axis=1)
+        div[nodes] = np.sqrt(
+            np.maximum(np.einsum("ni,ij,nj->n", c_k, operator_set.div_gram, c_k, optimize=True), 0.0)
+        )
+        steps = slice(lo, min(lo + STEP_CHUNK, n - 1))
+        y_mid = 0.5 * (y[lo + 1 : steps.stop + 1] + y[steps])
+        diss = 2.0 * params.mu * dt * np.einsum("ni,ij,nj->n", y_mid, stiff, y_mid, optimize=True)
+        work = 2.0 * dt * (y_mid @ s_reduced) * _time_values(s_fac, t_mid[steps])
+        residuals[steps] = params.rho0 * np.diff(l2_sq[lo : steps.stop + 1]) + diss - work
 
     return IncompressibleTrajectory(
         spec=spec,
         params=params,
         dt=dt,
         times=times,
-        y=ys,
+        y=y,
         c=c,
         q=q,
         energy=0.5 * params.rho0 * l2_sq,
-        h01=np.linalg.norm(c, axis=1),
-        div=np.sqrt(
-            np.maximum(np.einsum("ni,ij,nj->n", c, operator_set.div_gram, c, optimize=True), 0.0)
-        ),
+        h01=h01,
+        div=div,
         energy_residual=residuals,
     )
 

@@ -15,14 +15,17 @@ compressible solutions on a shared time grid, then measures
 whose limit rho0 (|u0|^2 - |P_J u0|^2) decides whether the convergence is
 strong.  Log-log slope fits of the error columns give the empirical rates.
 
-Only the reference is stored.  Each row streams its states chunk by chunk
-from the Crank-Nicolson stepper into per-node scalar series of its deviation
-from the reference, so a row holds O(N (probes + 4)) numbers plus one chunk
-of states instead of its (N+1) x m trajectory.
+No trajectory is stored.  The reference and every row march in lockstep,
+one chunk of Crank-Nicolson steps at a time on the shared grid: each
+reference chunk is reduced into every live row's per-node scalar series of
+its deviation from the reference and then dropped.  A sweep therefore holds
+O(N (probes + 4)) numbers per row plus a chunk of states per system instead
+of (N+1) x m trajectories.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -33,16 +36,17 @@ from .compressible import (
     CompressibleParams,
     InvalidParams,
     Trajectory,
+    compressible_chunks,
     default_dt,
-    simulate_compressible,
 )
+from .compressible import simulate_compressible  # noqa: F401  unused; perfbench traces it under this module
 from .incompressible import (
     IncompressibleTrajectory,
     initial_pressure,
     nullspace_basis,
-    shift_pressure_mean,
-    simulate_incompressible,
+    stokes_chunks,
 )
+from .incompressible import simulate_incompressible  # noqa: F401  unused; perfbench traces it under this module
 from .operators import OperatorSet, assemble, leray_project
 from . import presets
 
@@ -65,10 +69,8 @@ SWEEP_KINDS = ("weak", "strong_velocity", "pressure_weak", "pressure_strong")
 DEFAULT_ALPHAS = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5))
 
 
-def _require_shared_grid(traj_c: Trajectory, traj_i: IncompressibleTrajectory) -> None:
-    if traj_c.times.shape != traj_i.times.shape or not np.allclose(
-        traj_c.times, traj_i.times, rtol=0.0, atol=1e-12
-    ):
+def _require_shared_grid(times_c: np.ndarray, times_i: np.ndarray) -> None:
+    if times_c.shape != times_i.shape or not np.allclose(times_c, times_i, rtol=0.0, atol=1e-12):
         raise ValueError("compressible and incompressible trajectories use different grids")
 
 
@@ -78,30 +80,34 @@ class _RowSeries:
     With d = c - c' and dq = q - q' it holds |d|^2 (the H10 norm: the
     stiffness matrix is the identity), d'Md, |dq|, the pairing d.v with every
     probe direction and, when eta > 0, d'Ed, plus the terminal d and q.  That
-    is all the error norms, x_alpha and the probes read, so a sweep row passes
-    this object to simulate_compressible as its consumer and stores no state.
+    is all the error norms, x_alpha and the probes read, so a sweep row
+    reduces each chunk of its march and of the reference into this object and
+    stores no state.
     """
 
     def __init__(
         self,
         operator_set: OperatorSet,
-        reference: IncompressibleTrajectory,
+        times: np.ndarray,
         dictionary: Sequence[ProbePair],
         eta: float,
     ):
-        n = len(reference.times)
-        self.operator_set, self.reference, self.dictionary = operator_set, reference, dictionary
+        n = len(times)
+        self.operator_set, self.times, self.dictionary = operator_set, times, dictionary
         self.h01_sq, self.l2_sq, self.pres = np.empty(n), np.empty(n), np.empty(n)
         self.signals = np.empty((len(dictionary), n))
         self.div_sq = np.empty(n) if eta > 0.0 else None
         self.d_end = self.q_end = None
 
-    def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
+    def __call__(
+        self, start: int, c: np.ndarray, q: np.ndarray, c_ref: np.ndarray, q_ref: np.ndarray
+    ) -> None:
+        """Reduce the run's (c, q) and the reference's (c_ref, q_ref) at nodes start, start + 1, ..."""
         nodes = slice(start, start + len(c))
-        d = c - self.reference.c[nodes]
+        d = c - c_ref
         self.h01_sq[nodes] = np.einsum("ni,ni->n", d, d)
         self.l2_sq[nodes] = np.einsum("ni,i,ni->n", d, self.operator_set.mass_diag, d)
-        self.pres[nodes] = np.linalg.norm(q - self.reference.q[nodes], axis=1)
+        self.pres[nodes] = np.linalg.norm(q - q_ref, axis=1)
         for signal, pair in zip(self.signals, self.dictionary):
             signal[nodes] = d @ pair.v
         if self.div_sq is not None:
@@ -111,7 +117,7 @@ class _RowSeries:
         self.d_end, self.q_end = d[-1].copy(), q[-1].copy()
 
     def x_alpha(self, params: CompressibleParams) -> float:
-        t = self.reference.times
+        t = self.times
         d_end = self.d_end
         value = (
             params.rho0 * (d_end @ (self.operator_set.mass_diag * d_end))
@@ -130,9 +136,9 @@ def x_alpha(
     traj_i: IncompressibleTrajectory,
 ) -> float:
     """Terminal-energy distance functional of one compressible run to the reference."""
-    _require_shared_grid(traj_c, traj_i)
-    series = _RowSeries(operator_set, traj_i, (), params.eta)
-    series(0, traj_c.c, traj_c.q)
+    _require_shared_grid(traj_c.times, traj_i.times)
+    series = _RowSeries(operator_set, traj_i.times, (), params.eta)
+    series(0, traj_c.c, traj_c.q, traj_i.c, traj_i.q)
     return series.x_alpha(params)
 
 
@@ -218,7 +224,7 @@ def weak_probe(
     the fastest-vanishing pairings.  Probes must stay inside the discrete
     solenoidal space; pass the operator set to have that rejected here.
     """
-    _require_shared_grid(traj_c, traj_i)
+    _require_shared_grid(traj_c.times, traj_i.times)
     if operator_set is not None:
         _check_probe_solenoidal(operator_set, dictionary)
     d = traj_c.c - traj_i.c
@@ -315,7 +321,6 @@ class SweepResult:
     rows: list[SweepRow]
     probe_labels: list[str]
     fits: dict[str, RateFit]
-    reference: IncompressibleTrajectory
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -325,11 +330,23 @@ class SweepResult:
         return self.column("alpha")
 
 
+@contextlib.contextmanager
+def _recording_failure(row: SweepRow):
+    """Record an exception raised inside the block as the row's error instead of raising it."""
+    try:
+        yield
+    except Exception as exc:  # row failures are recorded, not fatal
+        row.error = f"{type(exc).__name__}: {exc}"
+
+
 def sweep_alpha(config: SweepConfig) -> SweepResult:
     """Run the sweep: one incompressible reference plus one compressible run per alpha.
 
-    Rows run one after another in alpha order; a failed row is recorded
-    with its message instead of aborting the sweep.
+    The reference and the rows march in lockstep, one chunk of steps at a
+    time: each reference chunk has its pressure mean aligned with p0 and is
+    reduced into every live row's series, then dropped.  A row that fails
+    leaves the lockstep and is recorded with its message instead of
+    aborting the sweep; a failure of the reference aborts it.
     """
     config.validate()
     spec = build_basis(config.n_u, config.n_p)
@@ -363,13 +380,12 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     dt = config.dt if config.dt is not None else default_dt(min(alphas), config.n_u, config.T)
 
     base = dict(rho0=config.rho0, mu=config.mu, T=config.T, dt=dt, f=config.f, s=s_field)
-    reference = simulate_incompressible(
+    _, times, reference = stokes_chunks(
         spec,
         operator_set,
         solenoidal,
         CompressibleParams(eta=0.0, alpha=alphas[0], u0=VelocityCoeffs(spec, c0), **base),
     )
-    reference = shift_pressure_mean(reference, float(q0[0]))
 
     dictionary = probe_dictionary(operator_set, config.probes, config.T, config.seed)
     _check_probe_solenoidal(operator_set, dictionary)
@@ -378,30 +394,36 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
     x_limit = config.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
 
-    def run_row(alpha: float) -> SweepRow:
-        row = SweepRow(alpha=alpha)
-        try:
+    rows = [SweepRow(alpha=alpha) for alpha in alphas]
+    live = []  # (row, params, series, chunks) of every row still marching
+    for row in rows:
+        with _recording_failure(row):
             params = CompressibleParams(
                 eta=config.eta,
-                alpha=alpha,
+                alpha=row.alpha,
                 u0=VelocityCoeffs(spec, c0.copy()),
                 p0=PressureCoeffs(spec, q0.copy()),
                 **base,
             )
-            series = _RowSeries(operator_set, reference, dictionary, config.eta)
-            traj = simulate_compressible(spec, operator_set, params, consume=series)
-            _require_shared_grid(traj, reference)
-            t = traj.times
-            row.err_vel_l2h1 = float(np.sqrt(np.trapezoid(series.h01_sq, t)))
+            _, row_times, _, chunks = compressible_chunks(spec, operator_set, params)
+            _require_shared_grid(row_times, times)
+            live.append((row, params, _RowSeries(operator_set, times, dictionary, config.eta), chunks))
+
+    for start, _, c_ref, q_ref in reference:
+        q_ref[:, 0] = q0[0]  # the recovered pressure is mean zero; align it with p0's mean
+        for row, _, series, chunks in live:
+            with _recording_failure(row):
+                _, c, q = next(chunks)
+                series(start, c, q, c_ref, q_ref)
+        live = [entry for entry in live if not entry[0].failed]
+
+    for row, params, series, _ in live:
+        with _recording_failure(row):
+            row.err_vel_l2h1 = float(np.sqrt(np.trapezoid(series.h01_sq, times)))
             row.err_vel_linf_l2 = float(np.sqrt(np.max(series.l2_sq)))
             row.err_pres_linf_l2 = float(np.max(series.pres))
             row.x_alpha = series.x_alpha(params)
-            row.probe_deltas = _probe_deltas(t, series.signals, dictionary)
-        except Exception as exc:  # row failures are recorded, not fatal
-            row.error = f"{type(exc).__name__}: {exc}"
-        return row
-
-    rows = [run_row(a) for a in alphas]
+            row.probe_deltas = _probe_deltas(times, series.signals, dictionary)
 
     fits: dict[str, RateFit] = {}
     ok = [r for r in rows if not r.failed]
@@ -418,5 +440,4 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
         rows=rows,
         probe_labels=[p.label for p in dictionary],
         fits=fits,
-        reference=reference,
     )

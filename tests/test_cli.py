@@ -294,3 +294,31 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     )
     assert done.returncode == 1
     assert len(done.stderr.strip().splitlines()) == 1 and "missing.cfg" in done.stderr
+
+
+@pytest.mark.parametrize("line", ["s = cos(pi*y) ; 0.5*cos(pi*x)", "s_time = 1 + t", "sigma = cos(pi*x)", "sigma_time = t"])
+@pytest.mark.parametrize("command", ["sweep", "probe"])
+def test_sweep_rejects_sources_it_would_ignore(tmp_path, capsys, command, line):
+    # sweep rows and their reference are driven by rho0 f alone
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("u0 = mixed_u0", f"u0 = mixed_u0\n{line}"))
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    key = line.split(" =")[0]
+    assert len(err) == 1 and f"do not take {key}" in err[0]
+    assert not out.exists()
+
+
+def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
+    # a million nodes at n = 8: the stored states of one run take 1.6 GB, the
+    # series of a 6-row sweep with 8 probes 0.58 GB
+    from complim import cli
+
+    text = SWEEP_CFG.format(out="out").replace("n_u = 3", "n_u = 8").replace("n_p = 3", "n_p = 8")
+    text = text.replace("T = 0.4", "T = 100\ndt = 1e-4").replace("probes = 4", "probes = 8")
+    text = text.replace("alphas = 1e-1 1e-2 1e-3", "alphas = 1e-1 1e-2 1e-3 1e-4 1e-5 1e-6")
+    cfg = parse_config(text)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**30 // 4096}  # 1 GiB
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    cli._check_memory(cfg, sweep=True)
+    with pytest.raises(cli.InvalidParams, match="physical memory"):
+        cli._check_memory(cfg)

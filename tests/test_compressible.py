@@ -352,16 +352,16 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
 
 
 def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
-    original = limits.simulate_compressible
+    original = limits.compressible_chunks
 
-    def nan_in_u0(spec, ops, params, **kwargs):
+    def nan_in_u0(spec, ops, params):
         if params.alpha == 1e-2:
             u0 = params.u0.values.copy()
             u0[0] = np.nan
             params = dataclasses.replace(params, u0=VelocityCoeffs(spec, u0))
-        return original(spec, ops, params, **kwargs)
+        return original(spec, ops, params)
 
-    monkeypatch.setattr(limits, "simulate_compressible", nan_in_u0)
+    monkeypatch.setattr(limits, "compressible_chunks", nan_in_u0)
     res = sweep_alpha(
         SweepConfig(n_u=3, n_p=3, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="solenoidal_u0")
     )

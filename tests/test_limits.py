@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,11 @@ from complim import (
     SweepConfig,
     Trajectory,
     VelocityCoeffs,
+    build_basis,
     fit_rate,
     probe_dictionary,
+    shift_pressure_mean,
+    simulate_compressible,
     simulate_incompressible,
     sweep_alpha,
     weak_probe,
@@ -137,18 +141,48 @@ def test_sweep_thread_count_does_not_change_results():
 
 
 def test_failed_row_recorded_not_fatal(monkeypatch):
-    original = limits.simulate_compressible
+    original = limits.compressible_chunks
 
-    def sometimes_fail(spec, ops, params, **kwargs):
+    def sometimes_fail(spec, ops, params):
         if params.alpha == 1e-2:
             raise RuntimeError("synthetic failure")
-        return original(spec, ops, params, **kwargs)
+        return original(spec, ops, params)
 
-    monkeypatch.setattr(limits, "simulate_compressible", sometimes_fail)
+    monkeypatch.setattr(limits, "compressible_chunks", sometimes_fail)
     res = sweep_alpha(SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **SMALL))
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha)
+
+
+def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
+    cfg = SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **dict(SMALL, T=1.0, dt=1e-3))
+    clean = sweep_alpha(cfg)
+    original = limits.compressible_chunks
+    pulled = []
+
+    def fail_on_third_chunk(spec, ops, params):
+        dt, times, G, chunks = original(spec, ops, params)
+
+        def failing():
+            for k, chunk in enumerate(chunks):
+                if params.alpha == 1e-2 and k == 2:
+                    raise RuntimeError("synthetic failure")
+                pulled.append(params.alpha)
+                yield chunk
+
+        return dt, times, G, failing()
+
+    monkeypatch.setattr(limits, "compressible_chunks", fail_on_third_chunk)
+    res = sweep_alpha(cfg)
+    assert [r.failed for r in res.rows] == [False, True, False]
+    assert "synthetic failure" in res.rows[1].error
+    assert np.isnan(res.rows[1].x_alpha) and res.rows[1].probe_deltas.size == 0
+    # the failed row is pulled no further; the others finish as in a sweep without it
+    assert pulled.count(1e-2) == 2 and pulled.count(1e-1) == pulled.count(1e-3) == 4
+    for k in (0, 2):
+        assert res.rows[k].x_alpha == clean.rows[k].x_alpha
+        assert np.array_equal(res.rows[k].probe_deltas, clean.rows[k].probe_deltas)
 
 
 def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
@@ -206,19 +240,27 @@ def _weak_probe_full(traj, ref, dictionary):
     ],
 )
 def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, eta):
-    original = limits.simulate_compressible
-    runs = []
+    original_rows, original_reference = limits.compressible_chunks, limits.stokes_chunks
+    runs, reference_args = [], []
 
-    def record(spec, ops, params, **kwargs):
-        runs.append((ops, params, original(spec, ops, params)))
-        return original(spec, ops, params, **kwargs)
+    def record(spec, ops, params):
+        runs.append((ops, params, simulate_compressible(spec, ops, params)))
+        return original_rows(spec, ops, params)
 
-    monkeypatch.setattr(limits, "simulate_compressible", record)
+    def record_reference(*args):
+        reference_args.append(args)
+        return original_reference(*args)
+
+    monkeypatch.setattr(limits, "compressible_chunks", record)
+    monkeypatch.setattr(limits, "stokes_chunks", record_reference)
     cfg = SweepConfig(
         n_u=4, n_p=4, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=5, kind=kind, u0=u0, eta=eta
     )
     res = sweep_alpha(cfg)
-    ref = res.reference
+    # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
+    ref = shift_pressure_mean(
+        simulate_incompressible(*reference_args[0]), float(runs[0][1].p0.values[0])
+    )
     assert len(runs) == 3 and runs[-1][2].n_steps > 2 * STEP_CHUNK
     for row, (ops, params, traj) in zip(res.rows, runs):
         assert not row.failed
@@ -241,31 +283,47 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, e
         assert row.probe_deltas == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_streamed_rows_hold_no_trajectory(monkeypatch):
-    """Past the reference, a sweep's rows hold a few chunks of states, not (N+1) m doubles."""
-    cfg = SweepConfig(
-        n_u=4, n_p=4, T=1.0, dt=2e-4, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="mixed_u0"
-    )
-    original = limits.shift_pressure_mean
-
-    def reset_peak_after_reference(*args):
-        reference = original(*args)
-        tracemalloc.reset_peak()
-        return reference
-
-    monkeypatch.setattr(limits, "shift_pressure_mean", reset_peak_after_reference)
+def _traced_peak(cfg):
     tracemalloc.start()
     try:
         res = sweep_alpha(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ref = res.reference
-    assert not any(r.failed for r in res.rows) and ref.n_steps >= 2000
-    m, nodes = ref.spec.m_u + ref.spec.m_p, len(ref.times)
-    stored = sum(a.nbytes for a in (ref.times, ref.y, ref.c, ref.q, ref.energy, ref.h01, ref.div))
+    assert not any(r.failed for r in res.rows)
+    return peak
+
+
+def test_streamed_rows_hold_no_trajectory():
+    """A sweep holds its rows' series and a few chunks of states per system, not (N+1) m doubles."""
+    cfg = SweepConfig(
+        n_u=4, n_p=4, T=1.0, dt=2e-4, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="mixed_u0"
+    )
+    peak = _traced_peak(cfg)
+    spec = build_basis(cfg.n_u, cfg.n_p)
+    m, nodes = spec.m_u + spec.m_p, round(cfg.T / cfg.dt) + 1
+    assert nodes >= 2000
     series = 8 * nodes * (3 + cfg.probes)  # |d|^2, d'Md, |dq| and one signal per probe
     chunk = 8 * (STEP_CHUNK + 1) * m
-    # chunk-sized buffers: states, right-hand sides, loads, residual products;
-    # a row that stored its states would add 8 (N+1) m bytes, about 20 chunks here
-    assert peak < stored + series + 10 * chunk, (peak - stored - series) / chunk
+    # per row its series and three chunks (states, right-hand sides, its time
+    # grid and step matrices); shared, the transient loads and residual
+    # products and the reference's chunk.  One stored trajectory would add
+    # 8 (N+1) m bytes, about 20 chunks here
+    rows = len(cfg.alphas)
+    assert peak < rows * (series + 3 * chunk) + 10 * chunk, (peak - rows * series) / chunk
+
+
+def test_sweep_memory_does_not_grow_with_the_step_count():
+    """Doubling T doubles the rows' per-node series and nothing else."""
+    short = SweepConfig(
+        n_u=4, n_p=4, T=0.5, dt=2e-4, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="mixed_u0"
+    )
+    long = dataclasses.replace(short, T=2 * short.T)
+    growth = _traced_peak(long) - _traced_peak(short)
+    added = round(long.T / long.dt) - round(short.T / short.dt)
+    # per row its series and time grid, and the reference's time grid
+    series = 8 * added * ((4 + short.probes) * len(short.alphas) + 1)
+    spec = build_basis(short.n_u, short.n_p)
+    # a stored reference would add 8 (m_V + m_u + m_p) per node, about 1.9 MB here
+    slack = 8 * (STEP_CHUNK + 1) * (spec.m_u + spec.m_p)
+    assert growth <= series + slack, (growth, series, slack)
