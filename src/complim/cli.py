@@ -56,16 +56,17 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _check_memory(cfg: RunConfig, sweep: bool = False) -> None:
+def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> None:
     """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
 
-    Counts E, B and B's SVD factors and, per Crank-Nicolson system (m = m_u +
-    m_p), its 2 dense m x m matrices (the right-hand matrix and the LU
-    factor of the step matrix) and its chunk buffers.  A single run also
-    stores its (N+1) m states.  A sweep marches its n_alpha rows and the
-    Stokes reference in lockstep and stores no states: it counts n_alpha
-    row systems, the chunk buffers of the rows and the reference, and each
-    row's (N+1)(probes + 4) series, on the grid of its smallest alpha.
+    Counts E, B and B's SVD factors, which is all that march=False (decompose)
+    builds, and, per Crank-Nicolson system (m = m_u + m_p), its 2 dense m x m
+    matrices (the right-hand matrix and the LU factor of the step matrix) and
+    its chunk buffers.  A single run also stores its (N+1) m states.  A sweep
+    marches its n_alpha rows and the Stokes reference in lockstep and stores
+    no states: it counts n_alpha row systems, the chunk buffers of the rows
+    and the reference, and each row's (N+1)(probes + 4) series, on the grid
+    of its smallest alpha.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
@@ -78,7 +79,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False) -> None:
         if sweep:
             rows = len(cfg.alphas)
             need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0)) + chunk
-        else:
+        elif march:
             need += 2.0 * m * m + chunk + nodes * m
         need *= 8.0
     except OverflowError:  # a basis size beyond the float range
@@ -166,6 +167,7 @@ def _cmd_simulate_incompressible(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = _load_config(args.config)
+    _check_memory(cfg, march=False)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     source = args.field if args.field is not None else cfg.u0

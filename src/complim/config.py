@@ -32,17 +32,27 @@ Example document::
     dump_coefficients = false
 
 Data entries are either preset names (gradient_u0, solenoidal_u0, mixed_u0,
-compatible_p0, zero) or expressions over x, y with + - * / ( ) sin cos pi;
-vector fields take two expressions separated by ';'.  Optional keys
-``sigma_time`` and ``s_time`` hold separable time factors (expressions over
-t).  Unknown keys are rejected and all problems are reported together with
-their line numbers.
+compatible_p0, zero) or expressions over x, y; vector fields take two
+expressions separated by ';'.  Optional keys ``sigma_time`` and ``s_time``
+hold separable time factors (expressions over t): empty means none, and 0
+switches the source off.  Unknown keys are rejected and all problems are
+reported together with their line numbers.
+
+An expression is exactly: decimal literals, the names x y t pi, binary
++ - * /, unary + -, parentheses, and sin()/cos() of one argument.  Python's
+parser reads it and a whitelist over the syntax tree rejects the rest with a
+position; an expression too long or too deeply nested to parse is an
+ExpressionError as well, so a config error (exit 1).
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
+from functools import partial
+from types import CodeType
 from typing import Optional
 
 import numpy as np
@@ -77,142 +87,48 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expression parsing: reals, x, y, t, pi, + - * /, parentheses, sin(), cos()
+# expression parsing: Python's parser, then a whitelist over its syntax tree
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]+)"
-    r"|(?P<op>[-+*/()]))"
-)
+# Python's parser would read non-ASCII names under NFKC (a fullwidth x is x),
+# skip a comment and refuse a NUL without a position, so these go first
+_FOREIGN_RE = re.compile(r"[^\x01-\x7f]|#")
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UAdd, ast.USub)
+_NAMESPACE = {"__builtins__": {}, "pi": np.pi, "sin": np.sin, "cos": np.cos}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionError(f"unexpected character {stripped[0]!r} at position {pos}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), pos))
-        else:
-            tokens.append(("op", m.group("op"), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _position(body: str, lead: int, lineno: int, col: int) -> int:
+    """Index in the unstripped text of a parser position (line from 1, column from 0)."""
+    return lead + sum(len(line) + 1 for line in body.split("\n")[: lineno - 1]) + col
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} at position {pos}")
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected {val!r} at position {pos}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.unary()
-                node = ("mul" if val == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            node = self.unary()
-            return node if val == "+" else ("neg", node)
-        return self.primary()
-
-    def primary(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in ("x", "y", "t"):
-                return ("var", val)
-            if val == "pi":
-                return ("num", np.pi)
-            if val in ("sin", "cos"):
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return (val, arg)
-            raise ExpressionError(f"unknown name {val!r} at position {pos}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected {val or 'end of input'!r} at position {pos}")
-
-
-def _eval_node(node, x, y, t):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return {"x": x, "y": y, "t": t}[node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], x, y, t)
-    if op == "sin":
-        return np.sin(_eval_node(node[1], x, y, t))
-    if op == "cos":
-        return np.cos(_eval_node(node[1], x, y, t))
-    a = _eval_node(node[1], x, y, t)
-    b = _eval_node(node[2], x, y, t)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    return a / b
-
-
-def _uses(node, name: str) -> bool:
-    if node[0] == "var":
-        return node[1] == name
-    return any(_uses(child, name) for child in node[1:] if isinstance(child, tuple))
+def _checked(body: str, lead: int, tree: ast.Expression) -> ast.Expression:
+    """Reject all but numbers, x y t pi, + - * / and one-argument sin/cos; numbers become floats."""
+    callees = set()
+    for node in ast.walk(tree.body):
+        if isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
+            continue  # checked with the node that holds it
+        if isinstance(node, ast.Constant):
+            number = _NUMBER_RE.fullmatch(ast.get_source_segment(body, node))
+            if number:
+                node.value = float(number.group())
+                continue
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            if isinstance(node.op, _OPERATORS):
+                continue
+        elif isinstance(node, ast.Name):
+            if node.id in ("x", "y", "t", "pi") or node in callees:
+                continue
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("sin", "cos"):
+                if len(node.args) == 1 and not node.keywords:
+                    callees.add(func)
+                    continue
+        pos = _position(body, lead, node.lineno, node.col_offset)
+        raise ExpressionError(f"unexpected {ast.get_source_segment(body, node)!r} at position {pos}")
+    return tree
 
 
 @dataclass(frozen=True)
@@ -220,25 +136,40 @@ class ExpressionField:
     """Parsed arithmetic expression over x, y, t; evaluation broadcasts over arrays."""
 
     source: str
-    ast: tuple
+    code: CodeType
 
     def __call__(self, x, y, t=0.0):
         x = np.asarray(x, dtype=float)
-        value = _eval_node(self.ast, x, np.asarray(y, dtype=float), np.asarray(t, dtype=float))
-        return np.broadcast_arrays(value, x)[0]
+        names = {"x": x, "y": np.asarray(y, dtype=float), "t": np.asarray(t, dtype=float)}
+        return np.broadcast_arrays(eval(self.code, _NAMESPACE, names), x)[0]
 
     @property
     def uses_t(self) -> bool:
-        return _uses(self.ast, "t")
+        return "t" in self.code.co_names
 
     @property
     def uses_xy(self) -> bool:
-        return _uses(self.ast, "x") or _uses(self.ast, "y")
+        return "x" in self.code.co_names or "y" in self.code.co_names
 
 
 def parse_expression(text: str) -> ExpressionField:
     """Parse one expression; raises ExpressionError with the failing position."""
-    field = ExpressionField(source=text.strip(), ast=_Parser(text).parse())
+    foreign = _FOREIGN_RE.search(text)
+    if foreign:
+        raise ExpressionError(f"unexpected {foreign.group()!r} at position {foreign.start()}")
+    body = text.lstrip()
+    lead = len(text) - len(body)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. escapes in a string the whitelist rejects
+            tree = ast.parse(body, mode="eval")
+        code = compile(_checked(body, lead, tree), "<expression>", "eval")
+    except SyntaxError as exc:
+        pos = _position(body, lead, exc.lineno or 1, max((exc.offset or 1) - 1, 0))
+        raise ExpressionError(f"{exc.msg} at position {pos}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"too long or too deeply nested at position {lead}") from None
+    field = ExpressionField(source=text.strip(), code=code)
     # x, y and t evaluate as numpy values, which give inf or nan instead of
     # raising, so one trial evaluation finds every constant division by zero
     try:
@@ -257,7 +188,8 @@ _ZERO_NAMES = ("0", "zero", "")
 
 
 def _time_factor(expr_text: str):
-    if not expr_text or expr_text.strip() in _ZERO_NAMES[:1]:
+    """A *_time entry -> t -> factor, or None (no factor) when it is empty; 0 is the zero factor."""
+    if not expr_text.strip():
         return None
     expr = parse_expression(expr_text)
     if expr.uses_xy:
@@ -275,9 +207,7 @@ def realize_scalar_field(text: str, time_text: str = "") -> Optional[SampledFiel
         raise ExpressionError(
             f"{text!r}: spatial expressions may not use t; put time dependence in the *_time key"
         )
-    return SampledField.scalar(
-        lambda x, y: expr(x, y), time_factor=_time_factor(time_text), label=text
-    )
+    return SampledField.scalar(expr, time_factor=_time_factor(time_text), label=text)
 
 
 def realize_vector_field(text: str, time_text: str = "") -> Optional[SampledField]:
@@ -296,12 +226,7 @@ def realize_vector_field(text: str, time_text: str = "") -> Optional[SampledFiel
             raise ExpressionError(
                 f"{e.source!r}: spatial expressions may not use t; use the *_time key"
             )
-    return SampledField.of_vector(
-        lambda x, y: ex(x, y),
-        lambda x, y: ey(x, y),
-        time_factor=_time_factor(time_text),
-        label=text,
-    )
+    return SampledField.of_vector(ex, ey, time_factor=_time_factor(time_text), label=text)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +294,13 @@ def _parse_alphas(text: str) -> tuple:
     return values
 
 
+def _checked_entry(value: str, realize, names=()) -> str:
+    """The entry itself, once it is one of names or realize() reads it without an error."""
+    if value not in names:
+        realize(value)
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; collects every error before raising."""
     issues: list[str] = []
@@ -434,8 +366,6 @@ def parse_config(text: str) -> RunConfig:
         lambda s: None if s.lower() == "auto" else float(s),
         lambda v: None if v is None or v > 0 else "must be positive or 'auto'",
     )
-    if "dt" in values and values["dt"].lower() == "auto":
-        kwargs["dt"] = None
     convert("alphas", _parse_alphas)
     convert(
         "kind",
@@ -449,27 +379,11 @@ def parse_config(text: str) -> RunConfig:
 
     preset_keys = {"u0": presets.VELOCITY_PRESETS, "p0": presets.PRESSURE_PRESETS}
     for key in _VECTOR_DATA + _SCALAR_DATA:
-        if key not in values:
-            continue
-        lineno, value = seen[key], values[key]
-        if value in set(preset_keys.get(key, ())) | set(_ZERO_NAMES):
-            kwargs[key] = value
-            continue
-        try:
-            (realize_vector_field if key in _VECTOR_DATA else realize_scalar_field)(value)
-        except ExpressionError as exc:
-            issues.append(f"line {lineno}: key {key!r}: {exc}")
-            continue
-        kwargs[key] = value
+        realize = realize_vector_field if key in _VECTOR_DATA else realize_scalar_field
+        names = preset_keys.get(key, ()) + _ZERO_NAMES
+        convert(key, partial(_checked_entry, realize=realize, names=names))
     for key in ("sigma_time", "s_time"):
-        if key not in values:
-            continue
-        try:
-            _time_factor(values[key])
-        except ExpressionError as exc:
-            issues.append(f"line {seen[key]}: key {key!r}: {exc}")
-            continue
-        kwargs[key] = values[key]
+        convert(key, partial(_checked_entry, realize=_time_factor))
 
     if issues:
         raise ConfigError(issues)

@@ -233,7 +233,7 @@ def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     assert message in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
 def test_run_beyond_physical_memory_refused_before_building(tmp_path, capsys, command):
     template = SWEEP_CFG.replace("n_u = 3", "n_u = 200000")
     cfg, out = write_cfg(tmp_path, template)
@@ -322,3 +322,28 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     cli._check_memory(cfg, sweep=True)
     with pytest.raises(cli.InvalidParams, match="physical memory"):
         cli._check_memory(cfg)
+
+
+@pytest.mark.parametrize(
+    "u0",
+    ["-" * 2000 + "x ; 0", "x" + "+x" * 5000 + " ; 0", "(" * 400 + "x" + ")" * 400 + " ; 0"],
+    ids=["unary_minus", "long_sum", "nested_parentheses"],
+)
+def test_overdeep_expression_is_a_config_error(tmp_path, capsys, u0):
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("sin(pi*x)*sin(pi*y) ; 0", u0))
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'u0'" in err[0] and "position" in err[0]
+    assert not out.exists()
+
+
+def test_source_time_factor_zero_switches_the_source_off(tmp_path):
+    # only an empty *_time entry means "no time factor"; 0 is the zero factor
+    outputs = {}
+    for name, factor in (("zero", "0"), ("zero_t", "0*t"), ("one", "1")):
+        text = SIM_CFG.replace("f = cos(pi*y) ; 0.5*cos(pi*x)", f"s = 1 ; 1\ns_time = {factor}")
+        (tmp_path / name).mkdir()
+        cfg, out = write_cfg(tmp_path / name, text)
+        assert run_cli(["simulate", "--config", cfg]) == 0
+        outputs[name] = (out / "trajectory.csv").read_bytes()
+    assert outputs["zero"] == outputs["zero_t"] != outputs["one"]

@@ -129,6 +129,18 @@ def test_expression_errors_carry_position():
         parse_expression("foo(x)")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2**x", "0x1f*x", "1_0*x", "1j*x", "True*x", "x.real", '__import__("os")', "[x]",
+        "x[0]", "lambda: 1", "(x := 1)", "x if y else t", "sin*x", "sin(x, y)", "x + \0",
+    ],
+)
+def test_expression_outside_the_language_is_rejected_with_a_position(text):
+    with pytest.raises(ExpressionError, match="at position"):
+        parse_expression(text)
+
+
 def test_expression_broadcasts_over_arrays():
     expr = parse_expression("x + 2*y")
     x = np.array([0.0, 0.5])
