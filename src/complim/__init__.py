@@ -52,7 +52,6 @@ from .inequalities import (
 )
 from .limits import (
     DEFAULT_ALPHAS,
-    ProbePair,
     RateFit,
     SweepConfig,
     SweepResult,

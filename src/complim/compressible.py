@@ -177,10 +177,10 @@ class CompressibleParams:
     p0: Union[SampledField, PressureCoeffs, None] = None
 
     def validate(self, n_u: int) -> float:
-        if not (self.rho0 > 0 and self.mu > 0 and self.alpha > 0 and self.T > 0):
-            raise InvalidParams("rho0, mu, alpha and T must be positive")
-        if self.eta < 0:
-            raise InvalidParams("eta must be nonnegative")
+        if not all(0 < v < np.inf for v in (self.rho0, self.mu, self.alpha, self.T)):
+            raise InvalidParams("rho0, mu, alpha and T must be positive and finite")
+        if not 0 <= self.eta < np.inf:
+            raise InvalidParams("eta must be nonnegative and finite")
         dt = self.dt if self.dt is not None else default_dt(self.alpha, n_u, self.T)
         if not 0 < dt <= self.T:
             raise InvalidParams(f"dt = {dt} must lie in (0, T]")

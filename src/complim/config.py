@@ -359,12 +359,12 @@ def parse_config(text: str) -> RunConfig:
     convert("n_u", int, lambda v: None if v >= 1 else "must be >= 1")
     convert("n_p", int, lambda v: None if v >= 0 else "must be >= 0")
     for key in _POSITIVE:
-        convert(key, float, lambda v: None if v > 0 else "must be positive")
-    convert("eta", float, lambda v: None if v >= 0 else "must be nonnegative")
+        convert(key, float, lambda v: None if 0 < v < np.inf else "must be positive and finite")
+    convert("eta", float, lambda v: None if 0 <= v < np.inf else "must be nonnegative and finite")
     convert(
         "dt",
         lambda s: None if s.lower() == "auto" else float(s),
-        lambda v: None if v is None or v > 0 else "must be positive or 'auto'",
+        lambda v: None if v is None or 0 < v < np.inf else "must be positive and finite or 'auto'",
     )
     convert("alphas", _parse_alphas)
     convert(

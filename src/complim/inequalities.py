@@ -172,6 +172,7 @@ class CertificateReport:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values fail the comparisons below
 def verify_mixed(
     I: ScalarTrajectory,
     J: ScalarTrajectory,
@@ -184,7 +185,8 @@ def verify_mixed(
     The hypothesis I' + J^2 <= aI + bJ + c is tested on every interval with
     the forward difference of I against interval-averaged samples of the
     right side, within a tolerance that scales with the magnitudes of I and
-    J^2.  Conclusions are only asserted when the hypothesis holds.
+    J^2; a J whose square overflows cannot be certified.  Conclusions are
+    only asserted when the hypothesis holds.
     """
     _require_common_grid(I, J, a, b, c)
     dt = I.dt
@@ -195,10 +197,10 @@ def verify_mixed(
     i_prime = np.diff(I.values) / dt
     j_mid = mid(J)
     slack = mid(a) * mid(I) + mid(b) * j_mid + mid(c) - i_prime - j_mid**2
-    scale = max(float(I.values.max()), float(J.values.max()) ** 2)
+    scale = max(float(I.values.max()), float(np.square(J.values.max())))
     tol = HYPOTHESIS_RTOL * max(scale, 1e-300)
     hypothesis_margin = float(slack.min())
-    hypothesis_ok = bool(hypothesis_margin >= -tol)
+    hypothesis_ok = bool(np.isfinite(tol) and hypothesis_margin >= -tol)
     if not hypothesis_ok:
         return CertificateReport(
             hypothesis_ok=False,

@@ -5,8 +5,8 @@ compressible solutions on a shared time grid, then measures
 
   * strong velocity errors in L2(0,T;H10) and Linf(0,T;L2),
   * pressure errors in Linf(0,T;L2) after aligning means,
-  * weak-convergence probes |int ((u_a - u', v)) phi dt| against a fixed
-    dictionary of solenoidal directions,
+  * weak-convergence probes |int ((u_a - u', v)) t^2 dt| for each row v of a
+    seeded (k, m_u) array of orthonormal solenoidal directions,
   * the terminal-energy functional
 
         X_a = rho0 |u_a(T) - u'(T)|^2 + (alpha/rho0) |p_a(T)|^2
@@ -19,15 +19,15 @@ No trajectory is stored.  The reference and every row march in lockstep,
 one chunk of Crank-Nicolson steps at a time on the shared grid: each
 reference chunk is reduced into every live row's per-node scalar series of
 its deviation from the reference and then dropped.  A sweep therefore holds
-O(N (probes + 4)) numbers per row plus a chunk of states per system instead
-of (N+1) x m trajectories.
+probes + 3 numbers per node and row (one more when eta > 0) plus a chunk of
+states per system instead of (N+1) x m trajectories.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from . import presets
 __all__ = [
     "SWEEP_KINDS",
     "DEFAULT_ALPHAS",
-    "ProbePair",
     "SweepConfig",
     "SweepRow",
     "SweepResult",
@@ -79,23 +78,19 @@ class _RowSeries:
 
     With d = c - c' and dq = q - q' it holds |d|^2 (the H10 norm: the
     stiffness matrix is the identity), d'Md, |dq|, the pairing d.v with every
-    probe direction and, when eta > 0, d'Ed, plus the terminal d and q.  That
+    probe row v and, when eta > 0, d'Ed, plus the terminal d and q.  That
     is all the error norms, x_alpha and the probes read, so a sweep row
     reduces each chunk of its march and of the reference into this object and
     stores no state.
     """
 
     def __init__(
-        self,
-        operator_set: OperatorSet,
-        times: np.ndarray,
-        dictionary: Sequence[ProbePair],
-        eta: float,
+        self, operator_set: OperatorSet, times: np.ndarray, probes: np.ndarray, eta: float
     ):
         n = len(times)
-        self.operator_set, self.times, self.dictionary = operator_set, times, dictionary
+        self.operator_set, self.times, self.probes = operator_set, times, probes
         self.h01_sq, self.l2_sq, self.pres = np.empty(n), np.empty(n), np.empty(n)
-        self.signals = np.empty((len(dictionary), n))
+        self.signals = np.empty((len(probes), n))
         self.div_sq = np.empty(n) if eta > 0.0 else None
         self.d_end = self.q_end = None
 
@@ -108,8 +103,8 @@ class _RowSeries:
         self.h01_sq[nodes] = np.einsum("ni,ni->n", d, d)
         self.l2_sq[nodes] = np.einsum("ni,i,ni->n", d, self.operator_set.mass_diag, d)
         self.pres[nodes] = np.linalg.norm(q - q_ref, axis=1)
-        for signal, pair in zip(self.signals, self.dictionary):
-            signal[nodes] = d @ pair.v
+        for signal, v in zip(self.signals, self.probes):
+            signal[nodes] = d @ v
         if self.div_sq is not None:
             self.div_sq[nodes] = np.einsum(
                 "ni,ij,nj->n", d, self.operator_set.div_gram, d, optimize=True
@@ -142,93 +137,62 @@ def x_alpha(
     return series.x_alpha(params)
 
 
-@dataclass(frozen=True)
-class ProbePair:
-    """One weak-convergence probe: a solenoidal direction and a time weight.
+def probe_dictionary(operator_set: OperatorSet, k: int, seed: int) -> np.ndarray:
+    """Seeded (k, m_u) array of orthonormal kernel directions, one probe per row.
 
-    ``phi_prime`` (the weight's derivative) enables the endpoint-corrected
-    time quadrature in weak_probe; without it the plain trapezoidal value is
-    reported.
-    """
-
-    v: np.ndarray  # (m_u,), in the kernel of B
-    phi: Callable[[np.ndarray], np.ndarray]
-    label: str
-    phi_prime: Optional[Callable[[float], float]] = None
-
-
-def probe_dictionary(
-    operator_set: OperatorSet, k: int, T: float, seed: int
-) -> list[ProbePair]:
-    """Seeded dictionary of k orthonormal kernel directions, each with the time weight t^2.
-
-    Of the candidate weights {1, t, t^2, T-t}, only t^2 yields pairings that
-    stay measurable across the sweep: the constant weight telescopes through
-    the kernel-projected momentum balance (mu Z' int c dt = rho0 Z'M(c0 -
-    c(T)), which vanishes for gradient data), and the weights with
-    phi'(0) != 0 collapse onto the order dt^2 |((u0, v))| / 6 sampling floor
-    of the shared grid within two rows.  ``T`` is not used by t^2.
+    Every probe carries the time weight t^2.  Of the candidate weights
+    {1, t, t^2, T-t}, only t^2 yields pairings that stay measurable across
+    the sweep: the constant weight telescopes through the kernel-projected
+    momentum balance (mu Z' int c dt = rho0 Z'M(c0 - c(T)), which vanishes
+    for gradient data), and the weights with phi'(0) != 0 collapse onto the
+    order dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two
+    rows.  InvalidParams unless 1 <= k <= dim V_h.
     """
     z = operator_set.kernel
-    if z.shape[1] == 0:
-        raise ValueError("cannot build probes: the solenoidal space is trivial")
-    if k < 1:
-        raise ValueError("need at least one probe")
+    if not 1 <= k <= z.shape[1]:
+        raise InvalidParams(
+            f"probes = {k} must lie between 1 and the dimension {z.shape[1]} of the "
+            "discrete solenoidal space"
+        )
     rng = np.random.default_rng(seed)
-    raw = z @ rng.standard_normal((z.shape[1], k))
-    q, _ = np.linalg.qr(raw)
-    return [
-        ProbePair(v=q[:, j].copy(), phi=lambda t: t**2, label=f"v{j}*t^2",
-                  phi_prime=lambda t: 2.0 * t)
-        for j in range(k)
-    ]
+    q, _ = np.linalg.qr(z @ rng.standard_normal((z.shape[1], k)))
+    return np.ascontiguousarray(q.T)
 
 
-def _check_probe_solenoidal(operator_set: OperatorSet, dictionary: Sequence[ProbePair]) -> None:
-    b = operator_set.div_coupling[1:]
-    for pair in dictionary:
-        defect = np.linalg.norm(b @ pair.v)
-        if defect > 1e-8 * max(1.0, np.linalg.norm(pair.v)):
-            raise ValueError(f"probe {pair.label!r} is not solenoidal (|Bv| = {defect:.3e})")
-
-
-def _probe_deltas(t: np.ndarray, signals, dictionary: Sequence[ProbePair]) -> np.ndarray:
-    """|int signal phi dt| for each probe's signal, trapezoidal with the endpoint correction."""
+def _probe_deltas(t: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """|int signal t^2 dt| for each row of signals, trapezoidal with the endpoint correction."""
     dt = float(t[1] - t[0])
-    deltas = np.empty(len(dictionary))
-    for idx, (signal, pair) in enumerate(zip(signals, dictionary)):
-        value = np.trapezoid(signal * pair.phi(t), t)
-        if pair.phi_prime is not None:
-            # only the smooth signal * phi' part belongs in the correction; the
-            # oscillatory signal-derivative part is already summed exactly by
-            # the trapezoidal rule (geometric summation of the sampled modes)
-            value -= dt**2 / 12.0 * (
-                signal[-1] * float(pair.phi_prime(t[-1]))
-                - signal[0] * float(pair.phi_prime(t[0]))
-            )
-        deltas[idx] = abs(value)
-    return deltas
+    # only the smooth signal * (t^2)' part belongs in the correction; the
+    # oscillatory signal-derivative part is already summed exactly by the
+    # trapezoidal rule (geometric summation of the sampled modes)
+    value = np.trapezoid(signals * t**2, t, axis=1) - dt**2 / 12.0 * (
+        signals[:, -1] * (2.0 * t[-1]) - signals[:, 0] * (2.0 * t[0])
+    )
+    return np.abs(value)
 
 
 def weak_probe(
     traj_c: Trajectory,
     traj_i: IncompressibleTrajectory,
-    dictionary: Sequence[ProbePair],
-    operator_set: Optional[OperatorSet] = None,
+    probes: np.ndarray,
+    operator_set: OperatorSet,
 ) -> np.ndarray:
-    """|int_0^T ((u_a - u', v)) phi dt| for every probe pair.
+    """|int_0^T ((u_a - u', v)) t^2 dt| for every row v of probes.
 
     Time quadrature is trapezoidal with the endpoint correction
-    -dt^2/12 [signal * phi']_0^T.  Without it the sweep-wide shared dt
-    leaves an alpha-independent boundary-error floor that masks the decay of
-    the fastest-vanishing pairings.  Probes must stay inside the discrete
-    solenoidal space; pass the operator set to have that rejected here.
+    -dt^2/12 [signal * 2t]_0^T.  Without it the sweep-wide shared dt leaves
+    an alpha-independent boundary-error floor that masks the decay of the
+    fastest-vanishing pairings.  Probes must lie in the discrete solenoidal
+    space of operator_set; ValueError otherwise.
     """
     _require_shared_grid(traj_c.times, traj_i.times)
-    if operator_set is not None:
-        _check_probe_solenoidal(operator_set, dictionary)
+    b = operator_set.div_coupling[1:]
+    for j, v in enumerate(probes):
+        defect = np.linalg.norm(b @ v)
+        if defect > 1e-8 * max(1.0, np.linalg.norm(v)):
+            raise ValueError(f"probe {j} is not solenoidal (|Bv| = {defect:.3e})")
     d = traj_c.c - traj_i.c
-    return _probe_deltas(traj_c.times, [d @ pair.v for pair in dictionary], dictionary)
+    return _probe_deltas(traj_c.times, np.array([d @ v for v in probes]))
 
 
 @dataclass(frozen=True)
@@ -352,6 +316,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     spec = build_basis(config.n_u, config.n_p)
     operator_set = assemble(spec)
     solenoidal = nullspace_basis(operator_set)
+    probes = probe_dictionary(operator_set, config.probes, config.seed)
 
     s_field = config.f.scaled(config.rho0) if config.f is not None else None
     c0 = presets.resolve(config.u0, spec, operator_set)
@@ -387,9 +352,6 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
         CompressibleParams(eta=0.0, alpha=alphas[0], u0=VelocityCoeffs(spec, c0), **base),
     )
 
-    dictionary = probe_dictionary(operator_set, config.probes, config.T, config.seed)
-    _check_probe_solenoidal(operator_set, dictionary)
-
     sol_part = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
     x_limit = config.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
@@ -405,9 +367,9 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
                 p0=PressureCoeffs(spec, q0.copy()),
                 **base,
             )
-            _, row_times, _, chunks = compressible_chunks(spec, operator_set, params)
-            _require_shared_grid(row_times, times)
-            live.append((row, params, _RowSeries(operator_set, times, dictionary, config.eta), chunks))
+            # the same explicit dt and T give the row the reference's time grid
+            _, _, _, chunks = compressible_chunks(spec, operator_set, params)
+            live.append((row, params, _RowSeries(operator_set, times, probes, config.eta), chunks))
 
     for start, _, c_ref, q_ref in reference:
         q_ref[:, 0] = q0[0]  # the recovered pressure is mean zero; align it with p0's mean
@@ -423,7 +385,7 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
             row.err_vel_linf_l2 = float(np.sqrt(np.max(series.l2_sq)))
             row.err_pres_linf_l2 = float(np.max(series.pres))
             row.x_alpha = series.x_alpha(params)
-            row.probe_deltas = _probe_deltas(times, series.signals, dictionary)
+            row.probe_deltas = _probe_deltas(times, series.signals)
 
     fits: dict[str, RateFit] = {}
     ok = [r for r in rows if not r.failed]
@@ -438,6 +400,6 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
         seed=config.seed,
         x_limit=x_limit,
         rows=rows,
-        probe_labels=[p.label for p in dictionary],
+        probe_labels=[f"v{j}*t^2" for j in range(len(probes))],
         fits=fits,
     )

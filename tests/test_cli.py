@@ -347,3 +347,26 @@ def test_source_time_factor_zero_switches_the_source_off(tmp_path):
         assert run_cli(["simulate", "--config", cfg]) == 0
         outputs[name] = (out / "trajectory.csv").read_bytes()
     assert outputs["zero"] == outputs["zero_t"] != outputs["one"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "probe"])
+def test_more_probes_than_solenoidal_directions_exits_1(tmp_path, capsys, command):
+    # the discrete solenoidal space has dimension 4 at n_u = n_p = 3
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("probes = 4", "probes = 8"))
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "probes = 8" in err[0] and "dimension 4" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("key", ["rho0", "mu", "eta", "alpha", "T", "dt"])
+def test_nonfinite_physics_value_exits_1(tmp_path, capsys, key, value):
+    text = "\n".join(
+        line for line in SIM_CFG.splitlines() if not line.startswith(f"{key} =")
+    ).replace("[physics]", f"[physics]\n{key} = {value}")
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"key {key!r}: must be" in err[0] and "finite" in err[0]
+    assert not out.exists()

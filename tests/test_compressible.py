@@ -245,6 +245,12 @@ def test_invalid_params_rejected(spec2, ops2):
         simulate_compressible(spec2, ops2, CompressibleParams(f=f_t))
 
 
+@pytest.mark.parametrize("key", ["rho0", "mu", "eta", "alpha", "T"])
+def test_nonfinite_params_rejected(spec2, ops2, key):
+    with pytest.raises(InvalidParams, match="finite"):
+        simulate_compressible(spec2, ops2, CompressibleParams(**{key: np.inf}))
+
+
 def test_default_dt_policy():
     assert default_dt(1e-2, 8, 1.0) == pytest.approx(0.1 / (4 * np.pi * 8))
     assert default_dt(0.9, 1, 1.0) == pytest.approx(1.0 / 200.0)

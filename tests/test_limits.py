@@ -22,7 +22,6 @@ from complim import (
     x_alpha,
 )
 from complim.compressible import STEP_CHUNK
-from complim.limits import ProbePair
 from complim.presets import pressure_preset, velocity_preset
 
 
@@ -61,13 +60,23 @@ def test_presets_structure(spec8, ops8, kernel8):
 
 
 def test_probe_dictionary_properties(ops4):
-    pairs = probe_dictionary(ops4, 5, T=1.0, seed=42)
-    again = probe_dictionary(ops4, 5, T=1.0, seed=42)
-    for a, b in zip(pairs, again):
-        assert np.array_equal(a.v, b.v)
-    vs = np.stack([p.v for p in pairs], axis=1)
-    assert np.abs(vs.T @ vs - np.eye(5)).max() <= 1e-12
-    assert np.abs(ops4.div_coupling[1:] @ vs).max() <= 1e-12
+    probes = probe_dictionary(ops4, 5, seed=42)
+    again = probe_dictionary(ops4, 5, seed=42)
+    assert probes.shape == (5, ops4.kernel.shape[0])
+    assert np.array_equal(probes, again)
+    assert np.abs(probes @ probes.T - np.eye(5)).max() <= 1e-12
+    assert np.abs(ops4.div_coupling[1:] @ probes.T).max() <= 1e-12
+
+
+def test_probe_count_is_bounded_by_the_solenoidal_dimension(ops4):
+    m_v = ops4.kernel.shape[1]
+    for k in (0, m_v + 1):
+        with pytest.raises(InvalidParams, match=f"probes = {k} .* {m_v} "):
+            probe_dictionary(ops4, k, seed=7)
+    probes = probe_dictionary(ops4, m_v, seed=7)
+    assert probes.shape == (m_v, ops4.kernel.shape[0])
+    assert np.abs(probes @ probes.T - np.eye(m_v)).max() <= 1e-12
+    assert np.abs(ops4.div_coupling[1:] @ probes.T).max() <= 1e-12
 
 
 def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
@@ -78,8 +87,8 @@ def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
         q=np.zeros((len(ref.times), spec4.m_p)), energy=ref.energy.copy(),
         h01=ref.h01.copy(), div=ref.div.copy(), mass=np.ones(len(ref.times)),
     )
-    pairs = probe_dictionary(ops4, 3, T=0.3, seed=1)
-    deltas = weak_probe(embedded, ref, pairs, ops4)
+    probes = probe_dictionary(ops4, 3, seed=1)
+    deltas = weak_probe(embedded, ref, probes, ops4)
     assert np.all(deltas == 0.0)
 
     # a genuinely different compressible run: doubling the probe doubles the pairing
@@ -89,12 +98,11 @@ def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
     from complim import simulate_compressible
 
     traj = simulate_compressible(spec4, ops4, params_c)
-    one = weak_probe(traj, ref, pairs)
-    doubled = [ProbePair(2 * p.v, p.phi, p.label, p.phi_prime) for p in pairs]
-    two = weak_probe(traj, ref, doubled)
+    one = weak_probe(traj, ref, probes, ops4)
+    two = weak_probe(traj, ref, 2 * probes, ops4)
     assert np.allclose(two, 2 * one, rtol=1e-12)
 
-    bad = [ProbePair(np.ones(spec4.m_u), lambda t: np.ones_like(t), "bad")]
+    bad = np.ones((1, spec4.m_u))
     with pytest.raises(ValueError):
         weak_probe(traj, ref, bad, ops4)
 
@@ -216,14 +224,14 @@ def _x_alpha_full(ops, params, traj, ref):
     return float(value)
 
 
-def _weak_probe_full(traj, ref, dictionary):
+def _weak_probe_full(traj, ref, probes):
     """Probe deltas over whole stored trajectories, one GEMV per probe over all nodes."""
     d, t = traj.c - ref.c, traj.times
     deltas = []
-    for pair in dictionary:
-        signal = d @ pair.v
-        value = np.trapezoid(signal * pair.phi(t), t) - (t[1] - t[0]) ** 2 / 12.0 * (
-            signal[-1] * pair.phi_prime(t[-1]) - signal[0] * pair.phi_prime(t[0])
+    for v in probes:
+        signal = d @ v
+        value = np.trapezoid(signal * t**2, t) - (t[1] - t[0]) ** 2 / 12.0 * (
+            signal[-1] * (2.0 * t[-1]) - signal[0] * (2.0 * t[0])
         )
         deltas.append(abs(value))
     return np.array(deltas)
@@ -276,9 +284,9 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, e
         else:  # the div term's GEMM may sum a chunk in another order
             assert row.x_alpha == pytest.approx(full, rel=1e-12, abs=0.0)
             assert x_alpha(ops, params, traj, ref) == full
-        dictionary = probe_dictionary(ops, cfg.probes, cfg.T, cfg.seed)
-        expected = weak_probe(traj, ref, dictionary)
-        assert np.array_equal(expected, _weak_probe_full(traj, ref, dictionary))
+        probes = probe_dictionary(ops, cfg.probes, cfg.seed)
+        expected = weak_probe(traj, ref, probes, ops)
+        assert np.array_equal(expected, _weak_probe_full(traj, ref, probes))
         # a chunk's GEMV may split its rows differently from one over all nodes
         assert row.probe_deltas == pytest.approx(expected, rel=1e-12, abs=0.0)
 
