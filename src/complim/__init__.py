@@ -53,7 +53,6 @@ from .inequalities import (
 from .limits import (
     DEFAULT_ALPHAS,
     RateFit,
-    SweepConfig,
     SweepResult,
     SweepRow,
     fit_rate,

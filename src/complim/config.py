@@ -373,7 +373,7 @@ def parse_config(text: str) -> RunConfig:
         lambda v: None if v in SWEEP_KINDS else f"must be one of {', '.join(SWEEP_KINDS)}",
     )
     convert("probes", int, lambda v: None if v >= 1 else "must be >= 1")
-    convert("seed", int)
+    convert("seed", int, lambda v: None if v >= 0 else "must be >= 0")
     convert("directory", str)
     convert("dump_coefficients", _parse_bool)
 

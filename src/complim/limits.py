@@ -1,7 +1,8 @@
 """Experiments that realize the incompressible-limit theorems numerically.
 
-An alpha sweep runs one incompressible reference and a family of
-compressible solutions on a shared time grid, then measures
+An alpha sweep takes one problem, the CompressibleParams a single run
+takes, and solves it at each alpha: one incompressible reference and a
+family of compressible solutions on a shared time grid.  It then measures
 
   * strong velocity errors in L2(0,T;H10) and Linf(0,T;L2),
   * pressure errors in Linf(0,T;L2) after aligning means,
@@ -26,12 +27,12 @@ states per system instead of (N+1) x m trajectories.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from .basis import PressureCoeffs, SampledField, VelocityCoeffs, build_basis
+from .basis import PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import (
     CompressibleParams,
     InvalidParams,
@@ -47,13 +48,12 @@ from .incompressible import (
     stokes_chunks,
 )
 from .incompressible import simulate_incompressible  # noqa: F401  unused; perfbench traces it under this module
-from .operators import OperatorSet, assemble, leray_project
-from . import presets
+from .operators import OperatorSet, leray_project
+from .operators import assemble  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
     "SWEEP_KINDS",
     "DEFAULT_ALPHAS",
-    "SweepConfig",
     "SweepRow",
     "SweepResult",
     "RateFit",
@@ -146,8 +146,10 @@ def probe_dictionary(operator_set: OperatorSet, k: int, seed: int) -> np.ndarray
     momentum balance (mu Z' int c dt = rho0 Z'M(c0 - c(T)), which vanishes
     for gradient data), and the weights with phi'(0) != 0 collapse onto the
     order dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two
-    rows.  InvalidParams unless 1 <= k <= dim V_h.
+    rows.  InvalidParams unless 1 <= k <= dim V_h and seed >= 0.
     """
+    if seed < 0:
+        raise InvalidParams(f"seed = {seed} must be >= 0")
     z = operator_set.kernel
     if not 1 <= k <= z.shape[1]:
         raise InvalidParams(
@@ -218,43 +220,6 @@ def fit_rate(alphas: Sequence[float], errors: Sequence[float]) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Description of one alpha sweep.
-
-    ``u0``/``p0`` accept sampled fields, coefficient vectors, or preset
-    names (gradient_u0, solenoidal_u0, mixed_u0, compatible_p0, zero).  The
-    time step is shared across the rows and defaults to the policy of the
-    smallest alpha so that row differences are not stepping artifacts.
-    """
-
-    n_u: int = 8
-    n_p: int = 8
-    rho0: float = 1.0
-    mu: float = 1.0
-    eta: float = 0.0
-    T: float = 1.0
-    dt: Optional[float] = None
-    f: Optional[SampledField] = None
-    u0: Union[SampledField, VelocityCoeffs, str, None] = None
-    p0: Union[SampledField, PressureCoeffs, str, None] = None
-    alphas: Sequence[float] = DEFAULT_ALPHAS
-    kind: str = "strong_velocity"
-    probes: int = 8
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in SWEEP_KINDS:
-            raise InvalidParams(f"unknown sweep kind {self.kind!r}; expected one of {SWEEP_KINDS}")
-        a = np.asarray(self.alphas, dtype=float)
-        if len(a) < 3:
-            raise InvalidParams("a sweep needs at least 3 alpha values for rate fitting")
-        if np.any(a <= 0.0) or np.any(a >= 1.0):
-            raise InvalidParams("alpha values must lie in (0, 1)")
-        if np.any(np.diff(a) >= 0.0):
-            raise InvalidParams("alpha values must be strictly decreasing")
-
-
 @dataclass
 class SweepRow:
     alpha: float
@@ -278,7 +243,8 @@ class SweepRow:
 class SweepResult:
     """Per-alpha error norms and fits of one sweep, ordered by decreasing alpha."""
 
-    config: SweepConfig
+    params: CompressibleParams
+    kind: str
     dt: float
     seed: int
     x_limit: float
@@ -303,8 +269,23 @@ def _recording_failure(row: SweepRow):
         row.error = f"{type(exc).__name__}: {exc}"
 
 
-def sweep_alpha(config: SweepConfig) -> SweepResult:
+def sweep_alpha(
+    operator_set: OperatorSet,
+    params: CompressibleParams,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
+    *,
+    kind: str = "strong_velocity",
+    probes: int = 8,
+    seed: int = 0,
+) -> SweepResult:
     """Run the sweep: one incompressible reference plus one compressible run per alpha.
+
+    ``params`` is the problem, the same one a single run takes; only its
+    alpha is swept.  Every row and the reference share one time step:
+    ``params.dt``, or the default policy of the smallest alpha, so that row
+    differences are not stepping artifacts.  A pressure_strong sweep
+    replaces ``params.p0`` with the Stokes initial pressure of u0 and
+    ``params.s``; the pressure sweeps need a solenoidal u0.
 
     The reference and the rows march in lockstep, one chunk of steps at a
     time: each reference chunk has its pressure mean aligned with p0 and is
@@ -312,64 +293,54 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
     leaves the lockstep and is recorded with its message instead of
     aborting the sweep; a failure of the reference aborts it.
     """
-    config.validate()
-    spec = build_basis(config.n_u, config.n_p)
-    operator_set = assemble(spec)
+    if kind not in SWEEP_KINDS:
+        raise InvalidParams(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    a = np.asarray(alphas, dtype=float)
+    if len(a) < 3:
+        raise InvalidParams("a sweep needs at least 3 alpha values for rate fitting")
+    if np.any(a <= 0.0) or np.any(a >= 1.0):
+        raise InvalidParams("alpha values must lie in (0, 1)")
+    if np.any(np.diff(a) >= 0.0):
+        raise InvalidParams("alpha values must be strictly decreasing")
+    spec = operator_set.spec
     solenoidal = nullspace_basis(operator_set)
-    probes = probe_dictionary(operator_set, config.probes, config.seed)
+    directions = probe_dictionary(operator_set, probes, seed)
 
-    s_field = config.f.scaled(config.rho0) if config.f is not None else None
-    c0 = presets.resolve(config.u0, spec, operator_set)
-    if config.kind in ("pressure_weak", "pressure_strong"):
+    c0 = coefficients_of(spec, params.u0)
+    if kind in ("pressure_weak", "pressure_strong"):
         defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
         if defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
             raise InvalidParams(
                 f"pressure sweeps need a solenoidal u0 (|B u0| = {defect:.3e})"
             )
-    if config.kind == "pressure_strong":
+    if kind == "pressure_strong":
         q0 = initial_pressure(
-            spec,
-            operator_set,
-            solenoidal,
-            VelocityCoeffs(spec, c0),
-            s_field,
-            rho0=config.rho0,
-            mu=config.mu,
+            spec, operator_set, solenoidal, VelocityCoeffs(spec, c0), params.s,
+            rho0=params.rho0, mu=params.mu,
         ).values
     else:
-        q0 = presets.resolve(
-            config.p0, spec, operator_set, pressure=True, s=s_field, rho0=config.rho0, mu=config.mu
-        )
+        q0 = coefficients_of(spec, params.p0, pressure=True)
 
-    alphas = [float(a) for a in config.alphas]
-    dt = config.dt if config.dt is not None else default_dt(min(alphas), config.n_u, config.T)
-
-    base = dict(rho0=config.rho0, mu=config.mu, T=config.T, dt=dt, f=config.f, s=s_field)
+    alphas = [float(alpha) for alpha in alphas]
+    dt = params.dt if params.dt is not None else default_dt(min(alphas), spec.n_u, params.T)
+    params = replace(params, dt=dt, u0=VelocityCoeffs(spec, c0), p0=PressureCoeffs(spec, q0))
     _, times, reference = stokes_chunks(
-        spec,
-        operator_set,
-        solenoidal,
-        CompressibleParams(eta=0.0, alpha=alphas[0], u0=VelocityCoeffs(spec, c0), **base),
+        spec, operator_set, solenoidal, replace(params, alpha=alphas[0])
     )
 
-    sol_part = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
+    sol_part = leray_project(operator_set, params.u0).solenoidal.values
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
-    x_limit = config.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
+    x_limit = params.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
 
     rows = [SweepRow(alpha=alpha) for alpha in alphas]
-    live = []  # (row, params, series, chunks) of every row still marching
+    live = []  # (row, row_params, series, chunks) of every row still marching
     for row in rows:
         with _recording_failure(row):
-            params = CompressibleParams(
-                eta=config.eta,
-                alpha=row.alpha,
-                u0=VelocityCoeffs(spec, c0.copy()),
-                p0=PressureCoeffs(spec, q0.copy()),
-                **base,
-            )
+            row_params = replace(params, alpha=row.alpha)
             # the same explicit dt and T give the row the reference's time grid
-            _, _, _, chunks = compressible_chunks(spec, operator_set, params)
-            live.append((row, params, _RowSeries(operator_set, times, probes, config.eta), chunks))
+            _, _, _, chunks = compressible_chunks(spec, operator_set, row_params)
+            series = _RowSeries(operator_set, times, directions, params.eta)
+            live.append((row, row_params, series, chunks))
 
     for start, _, c_ref, q_ref in reference:
         q_ref[:, 0] = q0[0]  # the recovered pressure is mean zero; align it with p0's mean
@@ -379,12 +350,12 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
                 series(start, c, q, c_ref, q_ref)
         live = [entry for entry in live if not entry[0].failed]
 
-    for row, params, series, _ in live:
+    for row, row_params, series, _ in live:
         with _recording_failure(row):
             row.err_vel_l2h1 = float(np.sqrt(np.trapezoid(series.h01_sq, times)))
             row.err_vel_linf_l2 = float(np.sqrt(np.max(series.l2_sq)))
             row.err_pres_linf_l2 = float(np.max(series.pres))
-            row.x_alpha = series.x_alpha(params)
+            row.x_alpha = series.x_alpha(row_params)
             row.probe_deltas = _probe_deltas(times, series.signals)
 
     fits: dict[str, RateFit] = {}
@@ -395,11 +366,12 @@ def sweep_alpha(config: SweepConfig) -> SweepResult:
             if np.all(vals > 0.0):
                 fits[name] = fit_rate([r.alpha for r in ok], vals)
     return SweepResult(
-        config=config,
+        params=params,
+        kind=kind,
         dt=dt,
-        seed=config.seed,
+        seed=seed,
         x_limit=x_limit,
         rows=rows,
-        probe_labels=[f"v{j}*t^2" for j in range(len(probes))],
+        probe_labels=[f"v{j}*t^2" for j in range(len(directions))],
         fits=fits,
     )

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSpec, PressureCoeffs, SampledField, VelocityCoeffs, coefficients_of
+from .compressible import InvalidParams
 from .incompressible import initial_pressure, nullspace_basis
 from .operators import OperatorSet
 
@@ -24,15 +25,19 @@ VELOCITY_PRESETS = ("gradient_u0", "solenoidal_u0", "mixed_u0", "zero")
 PRESSURE_PRESETS = ("compatible_p0", "zero")
 
 
-def _gradient_unit(spec: BasisSpec, operator_set: OperatorSet) -> np.ndarray:
-    """Unit-L2-norm velocity in the discrete gradient space G(D).
+def _gradient_unit(name: str, spec: BasisSpec, operator_set: OperatorSet) -> np.ndarray:
+    """Unit-L2-norm velocity in the discrete gradient space G(D), for the preset ``name``.
 
     Image of the two lowest mean-zero pressure modes under M^-1 B', i.e. the
     discrete gradient pattern of cos(pi x) + cos(pi y).  Its acoustic
     response is dominated by one frequency pair, which keeps weak-probe
     pairings envelope-dominated (monotone in alpha) instead of
-    interference-dominated.
+    interference-dominated.  At n_p = 0 G(D) is {0}: InvalidParams.
     """
+    if spec.n_p < 1:
+        raise InvalidParams(
+            f"the {name} preset needs n_p >= 1: at n_p = 0 the discrete gradient space is {{0}}"
+        )
     qstar = np.zeros(spec.m_p)
     qstar[spec.pressure_index(1, 0)] = 1.0
     qstar[spec.pressure_index(0, 1)] = 1.0
@@ -49,13 +54,13 @@ def velocity_preset(name: str, spec: BasisSpec, operator_set: OperatorSet) -> Ve
     if name == "zero":
         return VelocityCoeffs(spec, np.zeros(spec.m_u))
     if name == "gradient_u0":
-        return VelocityCoeffs(spec, _gradient_unit(spec, operator_set))
+        return VelocityCoeffs(spec, _gradient_unit(name, spec, operator_set))
     if name == "solenoidal_u0":
         z = nullspace_basis(operator_set).z
         return VelocityCoeffs(spec, z[:, 0].copy())
     if name == "mixed_u0":
         z = nullspace_basis(operator_set).z
-        return VelocityCoeffs(spec, _gradient_unit(spec, operator_set) + z[:, 0])
+        return VelocityCoeffs(spec, _gradient_unit(name, spec, operator_set) + z[:, 0])
     raise KeyError(f"unknown velocity preset {name!r}; known: {VELOCITY_PRESETS}")
 
 

@@ -38,31 +38,33 @@ def desk():
     return spec, ops, cl.nullspace_basis(ops)
 
 
+def desk_problem(ops, u0, **physics):
+    """CompressibleParams of a desk-scale sweep started from the u0 preset."""
+    return cl.CompressibleParams(u0=velocity_preset(u0, ops.spec, ops), **physics)
+
+
 @pytest.fixture(scope="module")
-def dichotomy_sweeps():
+def dichotomy_sweeps(desk):
+    _, ops, _ = desk
     out = {}
     for preset in ("gradient_u0", "solenoidal_u0", "mixed_u0"):
-        cfg = cl.SweepConfig(n_u=8, n_p=8, kind="strong_velocity", u0=preset, seed=SEED)
-        out[preset] = cl.sweep_alpha(cfg)
+        params = desk_problem(ops, preset)
+        out[preset] = cl.sweep_alpha(ops, params, kind="strong_velocity", seed=SEED)
     return out
 
 
 @pytest.fixture(scope="module")
-def pressure_weak_sweep():
-    cfg = cl.SweepConfig(
-        n_u=8, n_p=8, mu=0.25, kind="pressure_weak", u0="solenoidal_u0",
-        p0=realize_scalar_field(GENERIC_P0), alphas=RATE_ALPHAS, seed=SEED,
-    )
-    return cl.sweep_alpha(cfg)
+def pressure_weak_sweep(desk):
+    _, ops, _ = desk
+    params = desk_problem(ops, "solenoidal_u0", mu=0.25, p0=realize_scalar_field(GENERIC_P0))
+    return cl.sweep_alpha(ops, params, RATE_ALPHAS, kind="pressure_weak", seed=SEED)
 
 
 @pytest.fixture(scope="module")
-def pressure_strong_sweep():
-    cfg = cl.SweepConfig(
-        n_u=8, n_p=8, mu=0.25, kind="pressure_strong", u0="solenoidal_u0",
-        alphas=RATE_ALPHAS, seed=SEED,
-    )
-    return cl.sweep_alpha(cfg)
+def pressure_strong_sweep(desk):
+    _, ops, _ = desk
+    params = desk_problem(ops, "solenoidal_u0", mu=0.25)
+    return cl.sweep_alpha(ops, params, RATE_ALPHAS, kind="pressure_strong", seed=SEED)
 
 
 def test_criterion_01_operator_identities(desk):
@@ -292,7 +294,7 @@ def test_criterion_07_weak_convergence_where_strong_fails(dichotomy_sweeps):
     deltas = np.stack([r.probe_deltas for r in res.rows])  # (n_alpha, K)
     monotone = bool(np.all(np.diff(deltas, axis=0) < 0.0))
     vanishing = bool(np.all(deltas[-1] <= 1e-2 * deltas[0]))
-    floor = 0.5 * np.sqrt(res.x_limit / res.config.rho0)
+    floor = 0.5 * np.sqrt(res.x_limit / res.params.rho0)
     strong_fails = bool(np.all(res.column("err_vel_linf_l2") >= floor))
     report(
         7,
@@ -312,8 +314,9 @@ def test_criterion_08_pressure_weak_rate_and_obstruction(pressure_weak_sweep, de
 
     q0 = cl.project_pressure(spec, realize_scalar_field(GENERIC_P0)).values
     # the sweep's reference pressure at t = 0, shifted to mean(p0) as the sweep shifts it
-    u0 = velocity_preset(res.config.u0, spec, ops)
-    p_ref0 = cl.initial_pressure(spec, ops, kernel, u0, rho0=res.config.rho0, mu=res.config.mu).values
+    p_ref0 = cl.initial_pressure(
+        spec, ops, kernel, res.params.u0, rho0=res.params.rho0, mu=res.params.mu
+    ).values
     p_ref0[0] = q0[0]
     obstruction = np.linalg.norm(q0 - p_ref0)
     above_floor = bool(np.all(err_p >= obstruction - 1e-3))

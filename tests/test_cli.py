@@ -132,6 +132,19 @@ def test_verify_energy_failure_exit_code(tmp_path):
     assert run_cli(["verify", "--energy", str(path)]) == 3
     assert run_cli(["verify", "--energy", str(path), "--tol", "1.0"]) == 0
 
+    # a ledger whose sum overflows, or that holds inf and -inf, fails without a numpy warning
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    for cells in ("1e308\n1,1,1e308", "inf\n1,1,-inf"):
+        path.write_text(f"t,I,energy_residual\n0,1,0\n0.5,1,{cells}\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "complim.cli", "verify", "--energy", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 3 and "cumulative residual" in done.stdout
+        assert "RuntimeWarning" not in done.stderr, done.stderr
+
 
 def test_usage_errors(tmp_path):
     assert run_cli(["verify"]) == 1  # neither --energy nor the series set
@@ -369,4 +382,26 @@ def test_nonfinite_physics_value_exits_1(tmp_path, capsys, key, value):
     assert run_cli(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"key {key!r}: must be" in err[0] and "finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "probe"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("seed = 11", "seed = -1"))
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "key 'seed': must be >= 0" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("u0", ["gradient_u0", "mixed_u0"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep", "decompose"])
+def test_gradient_presets_need_a_pressure_mode(tmp_path, capsys, command, u0):
+    # at n_p = 0 the discrete gradient space is {0}
+    text = SWEEP_CFG.replace("n_p = 3", "n_p = 0").replace("u0 = mixed_u0", f"u0 = {u0}")
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert u0 in err[0] and "n_p >= 1" in err[0]
     assert not out.exists()

@@ -11,7 +11,6 @@ from complim import (
     CompressibleParams,
     InvalidParams,
     StepFailure,
-    SweepConfig,
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
@@ -27,6 +26,7 @@ from complim.basis import pressure_load_vector, velocity_load_vector
 from complim.cli import _build_params
 from complim.config import parse_config
 from complim.operators import coupling_matrix
+from complim.presets import velocity_preset
 
 
 def random_state(spec, seed=0, scale=1.0):
@@ -357,6 +357,12 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
         simulate_compressible(spec2, ops2, CompressibleParams(alpha=0.05, T=0.1, u0=u0, p0=p0))
 
 
+def _sweep_problem(n, **physics):
+    """Operators at n_u = n_p = n and a sweep's CompressibleParams started from solenoidal_u0."""
+    ops = assemble(build_basis(n, n))
+    return ops, CompressibleParams(**physics, u0=velocity_preset("solenoidal_u0", ops.spec, ops))
+
+
 def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
     original = limits.compressible_chunks
 
@@ -368,8 +374,6 @@ def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
         return original(spec, ops, params)
 
     monkeypatch.setattr(limits, "compressible_chunks", nan_in_u0)
-    res = sweep_alpha(
-        SweepConfig(n_u=3, n_p=3, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="solenoidal_u0")
-    )
+    res = sweep_alpha(*_sweep_problem(3, T=0.5), (1e-1, 1e-2, 1e-3), probes=4)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert res.rows[1].error.startswith("StepFailure: step 1 at t = ")

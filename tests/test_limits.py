@@ -8,9 +8,9 @@ import complim.limits as limits
 from complim import (
     CompressibleParams,
     InvalidParams,
-    SweepConfig,
     Trajectory,
     VelocityCoeffs,
+    assemble,
     build_basis,
     fit_rate,
     probe_dictionary,
@@ -25,7 +25,14 @@ from complim.compressible import STEP_CHUNK
 from complim.presets import pressure_preset, velocity_preset
 
 
-SMALL = dict(n_u=3, n_p=3, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
+SMALL = dict(alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
+
+
+def _problem(u0, n=3, **physics):
+    """Operators at n_u = n_p = n and the CompressibleParams of a sweep from the u0 preset."""
+    ops = assemble(build_basis(n, n))
+    params = CompressibleParams(**{"T": 0.5, **physics}, u0=velocity_preset(u0, ops.spec, ops))
+    return ops, params
 
 
 def test_fit_rate_exact_half_order_line():
@@ -79,6 +86,13 @@ def test_probe_count_is_bounded_by_the_solenoidal_dimension(ops4):
     assert np.abs(ops4.div_coupling[1:] @ probes.T).max() <= 1e-12
 
 
+def test_negative_seed_is_invalid(ops4):
+    with pytest.raises(InvalidParams, match="seed = -1 must be >= 0"):
+        probe_dictionary(ops4, 2, seed=-1)
+    with pytest.raises(InvalidParams, match="seed = -1 must be >= 0"):
+        sweep_alpha(*_problem("solenoidal_u0"), **dict(SMALL, seed=-1))
+
+
 def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
     params = CompressibleParams(T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel4.z[:, 0].copy()))
     ref = simulate_incompressible(spec4, ops4, kernel4, params)
@@ -108,7 +122,7 @@ def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
 
 
 def test_sweep_row_count_and_shapes():
-    res = sweep_alpha(SweepConfig(u0="mixed_u0", kind="strong_velocity", **SMALL))
+    res = sweep_alpha(*_problem("mixed_u0"), kind="strong_velocity", **SMALL)
     assert len(res.rows) == 3
     assert [r.alpha for r in res.rows] == [1e-1, 1e-2, 1e-3]
     for row in res.rows:
@@ -118,30 +132,31 @@ def test_sweep_row_count_and_shapes():
     assert res.x_limit == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_config_validation():
+def test_sweep_rejects_bad_kind_and_alphas():
+    ops, params = _problem("zero")
     with pytest.raises(InvalidParams):
-        sweep_alpha(SweepConfig(kind="bogus", **SMALL))
+        sweep_alpha(ops, params, kind="bogus", **SMALL)
     bad = dict(SMALL)
     bad["alphas"] = (1e-1, 1e-2)
     with pytest.raises(InvalidParams):
-        sweep_alpha(SweepConfig(**bad))
+        sweep_alpha(ops, params, **bad)
     bad["alphas"] = (1e-2, 1e-1, 1e-3)
     with pytest.raises(InvalidParams):
-        sweep_alpha(SweepConfig(**bad))
+        sweep_alpha(ops, params, **bad)
     bad["alphas"] = (2.0, 1e-1, 1e-2)
     with pytest.raises(InvalidParams):
-        sweep_alpha(SweepConfig(**bad))
+        sweep_alpha(ops, params, **bad)
 
 
 def test_pressure_sweep_requires_solenoidal_u0():
     with pytest.raises(InvalidParams):
-        sweep_alpha(SweepConfig(u0="gradient_u0", kind="pressure_weak", **SMALL))
+        sweep_alpha(*_problem("gradient_u0"), kind="pressure_weak", **SMALL)
 
 
-def test_sweep_thread_count_does_not_change_results():
-    cfg = SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **SMALL)
-    res1 = sweep_alpha(cfg)
-    res3 = sweep_alpha(cfg)
+def test_two_sweeps_give_the_same_rows():
+    ops, params = _problem("solenoidal_u0")
+    res1 = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
+    res3 = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
     for a, b in zip(res1.rows, res3.rows):
         assert a.err_vel_l2h1 == b.err_vel_l2h1
         assert a.x_alpha == b.x_alpha
@@ -157,15 +172,15 @@ def test_failed_row_recorded_not_fatal(monkeypatch):
         return original(spec, ops, params)
 
     monkeypatch.setattr(limits, "compressible_chunks", sometimes_fail)
-    res = sweep_alpha(SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **SMALL))
+    res = sweep_alpha(*_problem("solenoidal_u0"), kind="strong_velocity", **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha)
 
 
 def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
-    cfg = SweepConfig(u0="solenoidal_u0", kind="strong_velocity", **dict(SMALL, T=1.0, dt=1e-3))
-    clean = sweep_alpha(cfg)
+    ops, params = _problem("solenoidal_u0", T=1.0, dt=1e-3)
+    clean = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
     original = limits.compressible_chunks
     pulled = []
 
@@ -182,7 +197,7 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
         return dt, times, G, failing()
 
     monkeypatch.setattr(limits, "compressible_chunks", fail_on_third_chunk)
-    res = sweep_alpha(cfg)
+    res = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha) and res.rows[1].probe_deltas.size == 0
@@ -206,7 +221,7 @@ def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
 
 
 def test_weak_kind_runs():
-    res = sweep_alpha(SweepConfig(u0="gradient_u0", kind="weak", **SMALL))
+    res = sweep_alpha(*_problem("gradient_u0"), kind="weak", **SMALL)
     assert len(res.rows) == 3 and not any(r.failed for r in res.rows)
 
 
@@ -261,10 +276,9 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, e
 
     monkeypatch.setattr(limits, "compressible_chunks", record)
     monkeypatch.setattr(limits, "stokes_chunks", record_reference)
-    cfg = SweepConfig(
-        n_u=4, n_p=4, T=0.5, alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=5, kind=kind, u0=u0, eta=eta
+    res = sweep_alpha(
+        *_problem(u0, n=4, T=0.5, eta=eta), (1e-1, 1e-2, 1e-3), kind=kind, probes=4, seed=5
     )
-    res = sweep_alpha(cfg)
     # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
     ref = shift_pressure_mean(
         simulate_incompressible(*reference_args[0]), float(runs[0][1].p0.values[0])
@@ -284,17 +298,17 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, e
         else:  # the div term's GEMM may sum a chunk in another order
             assert row.x_alpha == pytest.approx(full, rel=1e-12, abs=0.0)
             assert x_alpha(ops, params, traj, ref) == full
-        probes = probe_dictionary(ops, cfg.probes, cfg.seed)
+        probes = probe_dictionary(ops, 4, 5)
         expected = weak_probe(traj, ref, probes, ops)
         assert np.array_equal(expected, _weak_probe_full(traj, ref, probes))
         # a chunk's GEMV may split its rows differently from one over all nodes
         assert row.probe_deltas == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _traced_peak(cfg):
+def _traced_peak(ops, params, alphas, probes):
     tracemalloc.start()
     try:
-        res = sweep_alpha(cfg)
+        res = sweep_alpha(ops, params, alphas, probes=probes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -304,34 +318,32 @@ def _traced_peak(cfg):
 
 def test_streamed_rows_hold_no_trajectory():
     """A sweep holds its rows' series and a few chunks of states per system, not (N+1) m doubles."""
-    cfg = SweepConfig(
-        n_u=4, n_p=4, T=1.0, dt=2e-4, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="mixed_u0"
-    )
-    peak = _traced_peak(cfg)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    m, nodes = spec.m_u + spec.m_p, round(cfg.T / cfg.dt) + 1
+    alphas, probes = (1e-1, 1e-2, 1e-3), 4
+    ops, params = _problem("mixed_u0", n=4, T=1.0, dt=2e-4)  # assembled outside the trace
+    peak = _traced_peak(ops, params, alphas, probes)
+    spec = ops.spec
+    m, nodes = spec.m_u + spec.m_p, round(params.T / params.dt) + 1
     assert nodes >= 2000
-    series = 8 * nodes * (3 + cfg.probes)  # |d|^2, d'Md, |dq| and one signal per probe
+    series = 8 * nodes * (3 + probes)  # |d|^2, d'Md, |dq| and one signal per probe
     chunk = 8 * (STEP_CHUNK + 1) * m
     # per row its series and three chunks (states, right-hand sides, its time
     # grid and step matrices); shared, the transient loads and residual
     # products and the reference's chunk.  One stored trajectory would add
     # 8 (N+1) m bytes, about 20 chunks here
-    rows = len(cfg.alphas)
+    rows = len(alphas)
     assert peak < rows * (series + 3 * chunk) + 10 * chunk, (peak - rows * series) / chunk
 
 
 def test_sweep_memory_does_not_grow_with_the_step_count():
     """Doubling T doubles the rows' per-node series and nothing else."""
-    short = SweepConfig(
-        n_u=4, n_p=4, T=0.5, dt=2e-4, alphas=(1e-1, 1e-2, 1e-3), probes=4, u0="mixed_u0"
-    )
+    alphas, probes = (1e-1, 1e-2, 1e-3), 4
+    ops, short = _problem("mixed_u0", n=4, T=0.5, dt=2e-4)  # assembled outside the trace
     long = dataclasses.replace(short, T=2 * short.T)
-    growth = _traced_peak(long) - _traced_peak(short)
+    growth = _traced_peak(ops, long, alphas, probes) - _traced_peak(ops, short, alphas, probes)
     added = round(long.T / long.dt) - round(short.T / short.dt)
     # per row its series and time grid, and the reference's time grid
-    series = 8 * added * ((4 + short.probes) * len(short.alphas) + 1)
-    spec = build_basis(short.n_u, short.n_p)
+    series = 8 * added * ((4 + probes) * len(alphas) + 1)
+    spec = ops.spec
     # a stored reference would add 8 (m_V + m_u + m_p) per node, about 1.9 MB here
     slack = 8 * (STEP_CHUNK + 1) * (spec.m_u + spec.m_p)
     assert growth <= series + slack, (growth, series, slack)
