@@ -104,9 +104,10 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
     s = realize_vector_field(cfg.s, cfg.s_time)
     if s is None and f is not None:
         s = f.scaled(cfg.rho0)  # homogeneous problem: the momentum source is rho0 * f
+    u0 = VelocityCoeffs(spec, presets.resolve(_initial_data(cfg.u0), spec, operator_set))
     p0 = presets.resolve(
         _initial_data(cfg.p0, pressure=True), spec, operator_set,
-        pressure=True, s=s, rho0=cfg.rho0, mu=cfg.mu,
+        pressure=True, u0=u0, s=s, rho0=cfg.rho0, mu=cfg.mu,
     )
     return CompressibleParams(
         rho0=cfg.rho0,
@@ -118,7 +119,7 @@ def _build_params(cfg: RunConfig, spec, operator_set) -> CompressibleParams:
         f=f,
         sigma=realize_scalar_field(cfg.sigma, cfg.sigma_time),
         s=s,
-        u0=VelocityCoeffs(spec, presets.resolve(_initial_data(cfg.u0), spec, operator_set)),
+        u0=u0,
         p0=PressureCoeffs(spec, p0),
     )
 
@@ -209,31 +210,19 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-# sweep rows and their reference are driven by rho0 f alone
-_NOT_SWEPT = ("s", "s_time", "sigma", "sigma_time")
-
-
 def _run_sweep(cfg: RunConfig):
-    given = [key for key in _NOT_SWEPT if getattr(cfg, key) != getattr(RunConfig, key)]
-    if given:
-        raise InvalidParams(
-            f"sweep and probe do not take {', '.join(given)}: the momentum source of a "
-            "sweep is rho0 f and it has no mass source"
-        )
     _check_memory(cfg, sweep=True)
     spec = build_basis(cfg.n_u, cfg.n_p)
     operator_set = assemble(spec)
     params = _build_params(cfg, spec, operator_set)
-    result = sweep_alpha(
-        operator_set, params, cfg.alphas, kind=cfg.kind, probes=cfg.probes, seed=cfg.seed
-    )
+    result = sweep_alpha(operator_set, params, cfg.alphas, probes=cfg.probes, seed=cfg.seed)
     meta = {
         "config": {
             f.name: (list(getattr(cfg, f.name)) if f.name == "alphas" else getattr(cfg, f.name))
             for f in dataclasses.fields(cfg)
         },
         "seed": result.seed,
-        "dt": result.dt,
+        "dt": result.params.dt,
         "n_u": cfg.n_u,
         "n_p": cfg.n_p,
         "x_limit": result.x_limit,
@@ -253,7 +242,7 @@ def _cmd_sweep(args) -> int:
     out = cfg.directory
     csvio.write_sweep_csv(os.path.join(out, "sweep.csv"), result)
     csvio.write_json(os.path.join(out, "sweep_meta.json"), meta)
-    print(f"wrote {out}/sweep.csv ({len(result.rows)} rows, dt={result.dt:.6g})")
+    print(f"wrote {out}/sweep.csv ({len(result.rows)} rows, dt={result.params.dt:.6g})")
     if any(r.failed for r in result.rows):
         for row in result.rows:
             if row.failed:

@@ -23,7 +23,6 @@ Example document::
 
     [sweep]
     alphas = 1e-1 1e-1.5 ...   # any whitespace/comma separated decreasing list
-    kind = strong_velocity
     probes = 8
     seed = 0
 
@@ -35,8 +34,10 @@ Data entries are either preset names (gradient_u0, solenoidal_u0, mixed_u0,
 compatible_p0, zero) or expressions over x, y; vector fields take two
 expressions separated by ';'.  Optional keys ``sigma_time`` and ``s_time``
 hold separable time factors (expressions over t): empty means none, and 0
-switches the source off.  Unknown keys are rejected and all problems are
-reported together with their line numbers.
+switches the source off.  A time factor multiplies its field, so a nonempty
+``s_time`` (``sigma_time``) with a zero or unset ``s`` (``sigma``) is an
+error.  Unknown keys are rejected and all problems are reported together
+with their line numbers.
 
 An expression is exactly: decimal literals, the names x y t pi, binary
 + - * /, unary + -, parentheses, and sin()/cos() of one argument.  Python's
@@ -58,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import SampledField
-from .limits import DEFAULT_ALPHAS, SWEEP_KINDS
+from .limits import DEFAULT_ALPHAS
 from . import presets
 
 __all__ = [
@@ -254,7 +255,6 @@ class RunConfig:
     sigma_time: str = ""
     s_time: str = ""
     alphas: tuple = DEFAULT_ALPHAS
-    kind: str = "strong_velocity"
     probes: int = 8
     seed: int = 0
     directory: str = "out"
@@ -265,7 +265,7 @@ _SCHEMA = {
     "basis": ("n_u", "n_p"),
     "physics": ("rho0", "mu", "eta", "alpha", "T", "dt"),
     "data": ("u0", "p0", "f", "sigma", "s", "sigma_time", "s_time"),
-    "sweep": ("alphas", "kind", "probes", "seed"),
+    "sweep": ("alphas", "probes", "seed"),
     "output": ("directory", "dump_coefficients"),
 }
 _POSITIVE = ("rho0", "mu", "alpha", "T")
@@ -367,11 +367,6 @@ def parse_config(text: str) -> RunConfig:
         lambda v: None if v is None or 0 < v < np.inf else "must be positive and finite or 'auto'",
     )
     convert("alphas", _parse_alphas)
-    convert(
-        "kind",
-        str,
-        lambda v: None if v in SWEEP_KINDS else f"must be one of {', '.join(SWEEP_KINDS)}",
-    )
     convert("probes", int, lambda v: None if v >= 1 else "must be >= 1")
     convert("seed", int, lambda v: None if v >= 0 else "must be >= 0")
     convert("directory", str)
@@ -383,7 +378,13 @@ def parse_config(text: str) -> RunConfig:
         names = preset_keys.get(key, ()) + _ZERO_NAMES
         convert(key, partial(_checked_entry, realize=realize, names=names))
     for key in ("sigma_time", "s_time"):
-        convert(key, partial(_checked_entry, realize=_time_factor))
+        source = key.removesuffix("_time")
+        unset = values.get(source, "0") in _ZERO_NAMES  # the factor would be ignored
+        convert(
+            key,
+            partial(_checked_entry, realize=_time_factor),
+            lambda v: f"multiplies {source}, which is zero or unset" if v and unset else None,
+        )
 
     if issues:
         raise ConfigError(issues)

@@ -255,13 +255,14 @@ def initial_pressure(
 
     The node-0 pressure recovery of simulate_incompressible for the reduced
     evolution started from ``u0_solenoidal``, which must be discretely
-    solenoidal; the result is mean zero.
+    solenoidal (InvalidParams otherwise); the result is mean zero.
     """
     c0 = np.asarray(u0_solenoidal.values, dtype=float)
     kernel_defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
     if kernel_defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
-        raise ValueError(
-            f"u0 is not discretely solenoidal (|B u0| = {kernel_defect:.3e})"
+        raise InvalidParams(
+            "the Stokes initial pressure (compatible_p0) needs a discretely solenoidal u0 "
+            f"(|B u0| = {kernel_defect:.3e})"
         )
     params = CompressibleParams(rho0=rho0, mu=mu, s=s)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)

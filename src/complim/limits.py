@@ -15,6 +15,8 @@ family of compressible solutions on a shared time grid.  It then measures
 
 whose limit rho0 (|u0|^2 - |P_J u0|^2) decides whether the convergence is
 strong.  Log-log slope fits of the error columns give the empirical rates.
+Which statement the rows test follows from the data alone: whether u0 is
+solenoidal, and whether p0 is then its compatible Stokes pressure.
 
 No trajectory is stored.  The reference and every row march in lockstep,
 one chunk of Crank-Nicolson steps at a time on the shared grid: each
@@ -41,18 +43,12 @@ from .compressible import (
     default_dt,
 )
 from .compressible import simulate_compressible  # noqa: F401  unused; perfbench traces it under this module
-from .incompressible import (
-    IncompressibleTrajectory,
-    initial_pressure,
-    nullspace_basis,
-    stokes_chunks,
-)
+from .incompressible import IncompressibleTrajectory, nullspace_basis, stokes_chunks
 from .incompressible import simulate_incompressible  # noqa: F401  unused; perfbench traces it under this module
 from .operators import OperatorSet, leray_project
 from .operators import assemble  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
-    "SWEEP_KINDS",
     "DEFAULT_ALPHAS",
     "SweepRow",
     "SweepResult",
@@ -64,7 +60,6 @@ __all__ = [
     "fit_rate",
 ]
 
-SWEEP_KINDS = ("weak", "strong_velocity", "pressure_weak", "pressure_strong")
 DEFAULT_ALPHAS = tuple(10.0**e for e in (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5))
 
 
@@ -244,8 +239,6 @@ class SweepResult:
     """Per-alpha error norms and fits of one sweep, ordered by decreasing alpha."""
 
     params: CompressibleParams
-    kind: str
-    dt: float
     seed: int
     x_limit: float
     rows: list[SweepRow]
@@ -274,7 +267,6 @@ def sweep_alpha(
     params: CompressibleParams,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     *,
-    kind: str = "strong_velocity",
     probes: int = 8,
     seed: int = 0,
 ) -> SweepResult:
@@ -283,9 +275,7 @@ def sweep_alpha(
     ``params`` is the problem, the same one a single run takes; only its
     alpha is swept.  Every row and the reference share one time step:
     ``params.dt``, or the default policy of the smallest alpha, so that row
-    differences are not stepping artifacts.  A pressure_strong sweep
-    replaces ``params.p0`` with the Stokes initial pressure of u0 and
-    ``params.s``; the pressure sweeps need a solenoidal u0.
+    differences are not stepping artifacts.
 
     The reference and the rows march in lockstep, one chunk of steps at a
     time: each reference chunk has its pressure mean aligned with p0 and is
@@ -293,8 +283,6 @@ def sweep_alpha(
     leaves the lockstep and is recorded with its message instead of
     aborting the sweep; a failure of the reference aborts it.
     """
-    if kind not in SWEEP_KINDS:
-        raise InvalidParams(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
     a = np.asarray(alphas, dtype=float)
     if len(a) < 3:
         raise InvalidParams("a sweep needs at least 3 alpha values for rate fitting")
@@ -307,19 +295,7 @@ def sweep_alpha(
     directions = probe_dictionary(operator_set, probes, seed)
 
     c0 = coefficients_of(spec, params.u0)
-    if kind in ("pressure_weak", "pressure_strong"):
-        defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
-        if defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
-            raise InvalidParams(
-                f"pressure sweeps need a solenoidal u0 (|B u0| = {defect:.3e})"
-            )
-    if kind == "pressure_strong":
-        q0 = initial_pressure(
-            spec, operator_set, solenoidal, VelocityCoeffs(spec, c0), params.s,
-            rho0=params.rho0, mu=params.mu,
-        ).values
-    else:
-        q0 = coefficients_of(spec, params.p0, pressure=True)
+    q0 = coefficients_of(spec, params.p0, pressure=True)
 
     alphas = [float(alpha) for alpha in alphas]
     dt = params.dt if params.dt is not None else default_dt(min(alphas), spec.n_u, params.T)
@@ -367,8 +343,6 @@ def sweep_alpha(
                 fits[name] = fit_rate([r.alpha for r in ok], vals)
     return SweepResult(
         params=params,
-        kind=kind,
-        dt=dt,
         seed=seed,
         x_limit=x_limit,
         rows=rows,

@@ -2,10 +2,11 @@
 
 The strong-limit dichotomy needs initial velocities with a prescribed split
 between the discrete solenoidal space and its M-orthogonal complement, and
-the strong pressure experiment needs an initial pressure compatible with
-the Stokes flow.  These cannot be written down as closed-form fields (the
-discrete gradient space is not spanned by elementary expressions), so they
-are constructed from the assembled operators.
+the strong pressure experiment needs the initial pressure of the Stokes
+flow from the run's own initial velocity.  These cannot be written down as
+closed-form fields (the discrete gradient space is not spanned by
+elementary expressions), so they are constructed from the assembled
+operators.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def pressure_preset(
     spec: BasisSpec,
     operator_set: OperatorSet,
     *,
+    u0=None,
     s: Optional[SampledField] = None,
     rho0: float = 1.0,
     mu: float = 1.0,
@@ -76,14 +78,15 @@ def pressure_preset(
     """Resolve a named initial-pressure preset to coefficients.
 
     compatible_p0 is the well-defined Stokes initial pressure belonging to
-    the solenoidal_u0 preset and the momentum source s (rho0 f for the
-    homogeneous problem).
+    the initial velocity u0 (anything basis.coefficients_of reads; None is
+    zero) and the momentum source s (rho0 f for the homogeneous problem).
+    It needs a discretely solenoidal u0: InvalidParams otherwise.
     """
     if name == "zero":
         return PressureCoeffs(spec, np.zeros(spec.m_p))
     if name == "compatible_p0":
+        u0 = VelocityCoeffs(spec, coefficients_of(spec, u0))
         basis = nullspace_basis(operator_set)
-        u0 = velocity_preset("solenoidal_u0", spec, operator_set)
         return initial_pressure(spec, operator_set, basis, u0, s, rho0=rho0, mu=mu)
     raise KeyError(f"unknown pressure preset {name!r}; known: {PRESSURE_PRESETS}")
 
@@ -94,6 +97,7 @@ def resolve(
     operator_set: OperatorSet,
     *,
     pressure: bool = False,
+    u0=None,
     s: Optional[SampledField] = None,
     rho0: float = 1.0,
     mu: float = 1.0,
@@ -102,10 +106,11 @@ def resolve(
 
     ``data`` is a preset name, a sampled field, a coefficient object or
     None; everything but a name goes through basis.coefficients_of.  The
-    momentum source and the constants only matter for compatible_p0.
+    initial velocity u0, the momentum source and the constants only matter
+    for compatible_p0.
     """
     if not isinstance(data, str):
         return coefficients_of(spec, data, pressure=pressure)
     if pressure:
-        return pressure_preset(data, spec, operator_set, s=s, rho0=rho0, mu=mu).values
+        return pressure_preset(data, spec, operator_set, u0=u0, s=s, rho0=rho0, mu=mu).values
     return velocity_preset(data, spec, operator_set).values

@@ -8,6 +8,8 @@ underdamped regime where the half-order rate is visible (the default grid's
 top decade sits in the damping crossover and flattens the fit).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +18,7 @@ import complim as cl
 from complim.cli import run_cli
 from complim.config import realize_scalar_field
 from complim.csvio import read_csv_columns
-from complim.presets import velocity_preset
+from complim.presets import pressure_preset, velocity_preset
 
 from test_compressible import exp_reference
 from test_inequalities import equality_case_instance
@@ -49,7 +51,7 @@ def dichotomy_sweeps(desk):
     out = {}
     for preset in ("gradient_u0", "solenoidal_u0", "mixed_u0"):
         params = desk_problem(ops, preset)
-        out[preset] = cl.sweep_alpha(ops, params, kind="strong_velocity", seed=SEED)
+        out[preset] = cl.sweep_alpha(ops, params, seed=SEED)
     return out
 
 
@@ -57,14 +59,15 @@ def dichotomy_sweeps(desk):
 def pressure_weak_sweep(desk):
     _, ops, _ = desk
     params = desk_problem(ops, "solenoidal_u0", mu=0.25, p0=realize_scalar_field(GENERIC_P0))
-    return cl.sweep_alpha(ops, params, RATE_ALPHAS, kind="pressure_weak", seed=SEED)
+    return cl.sweep_alpha(ops, params, RATE_ALPHAS, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def pressure_strong_sweep(desk):
     _, ops, _ = desk
     params = desk_problem(ops, "solenoidal_u0", mu=0.25)
-    return cl.sweep_alpha(ops, params, RATE_ALPHAS, kind="pressure_strong", seed=SEED)
+    p0 = pressure_preset("compatible_p0", ops.spec, ops, u0=params.u0, mu=params.mu)
+    return cl.sweep_alpha(ops, replace(params, p0=p0), RATE_ALPHAS, seed=SEED)
 
 
 def test_criterion_01_operator_identities(desk):
@@ -353,7 +356,6 @@ u0 = mixed_u0
 
 [sweep]
 alphas = 1e-1 1e-2 1e-3
-kind = strong_velocity
 probes = 4
 seed = 11
 

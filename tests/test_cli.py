@@ -46,7 +46,6 @@ u0 = mixed_u0
 
 [sweep]
 alphas = 1e-1 1e-2 1e-3
-kind = strong_velocity
 probes = 4
 seed = 11
 
@@ -282,8 +281,8 @@ def test_compatible_p0_follows_explicit_s(tmp_path):
     spec = build_basis(cfg.n_u, cfg.n_p)
     ops = assemble(spec)
     params = _build_params(cfg, spec, ops)
-    from_s = pressure_preset("compatible_p0", spec, ops, s=params.s).values
-    from_f = pressure_preset("compatible_p0", spec, ops, s=params.f).values
+    from_s = pressure_preset("compatible_p0", spec, ops, u0=params.u0, s=params.s).values
+    from_f = pressure_preset("compatible_p0", spec, ops, u0=params.u0, s=params.f).values
     assert np.array_equal(params.p0.values, from_s)
     assert np.abs(from_s - from_f).max() > 1e-3 * np.abs(from_s).max()
 
@@ -309,15 +308,58 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert len(done.stderr.strip().splitlines()) == 1 and "missing.cfg" in done.stderr
 
 
-@pytest.mark.parametrize("line", ["s = cos(pi*y) ; 0.5*cos(pi*x)", "s_time = 1 + t", "sigma = cos(pi*x)", "sigma_time = t"])
+@pytest.mark.parametrize("line", ["s_time = 1 + t", "sigma = cos(pi*x)", "sigma_time = t"])
 @pytest.mark.parametrize("command", ["sweep", "probe"])
 def test_sweep_rejects_sources_it_would_ignore(tmp_path, capsys, command, line):
-    # sweep rows and their reference are driven by rho0 f alone
+    # a time factor without its field is a config error, and the Stokes
+    # reference of a sweep has no mass source
     cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("u0 = mixed_u0", f"u0 = mixed_u0\n{line}"))
     assert run_cli([command, "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     key = line.split(" =")[0]
-    assert len(err) == 1 and f"do not take {key}" in err[0]
+    assert len(err) == 1 and key in err[0] and "Traceback" not in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, output", [("sweep", "sweep.csv"), ("probe", "probe_deltas.csv")])
+def test_sweep_reads_s_as_simulate_does(tmp_path, command, output):
+    # at rho0 = 1 an explicit s equal to f is the momentum source rho0 f; s_time multiplies it
+    force = "f = cos(pi*y) ; 0.5*cos(pi*x)"
+    lines = {"f": force, "f_and_s": f"{force}\ns = cos(pi*y) ; 0.5*cos(pi*x)"}
+    lines["timed"] = lines["f_and_s"] + "\ns_time = 1 + t"
+    outputs = {}
+    for name, line in lines.items():
+        (tmp_path / name).mkdir()
+        text = SWEEP_CFG.replace("u0 = mixed_u0", f"u0 = mixed_u0\n{line}")
+        cfg, out = write_cfg(tmp_path / name, text)
+        assert run_cli([command, "--config", cfg]) == 0
+        outputs[name] = (out / output).read_bytes()
+    assert outputs["f"] == outputs["f_and_s"] != outputs["timed"]
+
+
+@pytest.mark.parametrize("line", ["s_time = 5 + 0*t", "sigma_time = 7"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "simulate-incompressible", "decompose", "sweep", "probe"]
+)
+def test_time_factor_without_its_field_exits_1(tmp_path, capsys, command, line):
+    # SIM_CFG has f but neither s nor sigma, so the factor would multiply nothing
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("[output]", f"{line}\n\n[output]"))
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    key = line.split(" =")[0]
+    assert len(err) == 1 and f"key {key!r}: multiplies" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep", "probe"])
+def test_compatible_p0_needs_a_solenoidal_u0(tmp_path, capsys, command):
+    # the Stokes initial pressure belongs to the run's own u0, here one with a gradient part
+    text = SWEEP_CFG.replace("u0 = mixed_u0", "u0 = mixed_u0\np0 = compatible_p0")
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert "compatible_p0" in err[0] and "solenoidal u0" in err[0]
     assert not out.exists()
 
 

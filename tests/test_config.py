@@ -63,7 +63,6 @@ sigma_time = 1 + t
 
 [sweep]
 alphas = 0.1, 0.01, 0.001
-kind = pressure_strong
 probes = 6
 seed = 9
 
@@ -183,6 +182,21 @@ def test_constant_division_by_zero_is_a_config_error(text, key):
     (issue,) = err.value.issues
     lineno = text.count("\n", 0, text.index(key)) + 1
     assert issue == f"line {lineno}: key {key!r}: division by zero"
+
+
+@pytest.mark.parametrize("field", [None, "", "0", "zero"], ids=["unset", "empty", "0", "zero"])
+@pytest.mark.parametrize("key", ["s_time", "sigma_time"])
+def test_time_factor_without_its_field_is_a_config_error(key, field):
+    # a time factor multiplies its field: with the field zero or unset it would be ignored
+    source = key.removesuffix("_time")
+    lines = ["[data]", "f = cos(pi*y) ; 0", f"{key} = 5 + 0*t"]
+    if field is not None:
+        lines.insert(2, f"{source} = {field}")
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines))
+    (issue,) = err.value.issues
+    assert issue == f"line {len(lines)}: key {key!r}: multiplies {source}, which is zero or unset"
+    assert getattr(parse_config(f"[data]\n{source} =\n{key} =\n"), key) == ""
 
 
 def test_division_by_a_variable_is_not_an_error():

@@ -60,7 +60,7 @@ def test_presets_structure(spec8, ops8, kernel8):
     # gradient preset is M-orthogonal to the kernel; solenoidal preset lies in it
     assert np.abs(kernel8.z.T @ (md * g.values)).max() <= 1e-12
     assert np.abs(ops8.div_coupling[1:] @ s.values).max() <= 1e-12
-    p = pressure_preset("compatible_p0", spec8, ops8, s=None, rho0=1.0, mu=1.0)
+    p = pressure_preset("compatible_p0", spec8, ops8, u0=s, s=None, rho0=1.0, mu=1.0)
     assert p.values[0] == 0.0
     with pytest.raises(KeyError):
         velocity_preset("nope", spec8, ops8)
@@ -122,7 +122,7 @@ def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
 
 
 def test_sweep_row_count_and_shapes():
-    res = sweep_alpha(*_problem("mixed_u0"), kind="strong_velocity", **SMALL)
+    res = sweep_alpha(*_problem("mixed_u0"), **SMALL)
     assert len(res.rows) == 3
     assert [r.alpha for r in res.rows] == [1e-1, 1e-2, 1e-3]
     for row in res.rows:
@@ -132,10 +132,8 @@ def test_sweep_row_count_and_shapes():
     assert res.x_limit == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_rejects_bad_kind_and_alphas():
+def test_sweep_rejects_bad_alphas():
     ops, params = _problem("zero")
-    with pytest.raises(InvalidParams):
-        sweep_alpha(ops, params, kind="bogus", **SMALL)
     bad = dict(SMALL)
     bad["alphas"] = (1e-1, 1e-2)
     with pytest.raises(InvalidParams):
@@ -148,15 +146,10 @@ def test_sweep_rejects_bad_kind_and_alphas():
         sweep_alpha(ops, params, **bad)
 
 
-def test_pressure_sweep_requires_solenoidal_u0():
-    with pytest.raises(InvalidParams):
-        sweep_alpha(*_problem("gradient_u0"), kind="pressure_weak", **SMALL)
-
-
 def test_two_sweeps_give_the_same_rows():
     ops, params = _problem("solenoidal_u0")
-    res1 = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
-    res3 = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
+    res1 = sweep_alpha(ops, params, **SMALL)
+    res3 = sweep_alpha(ops, params, **SMALL)
     for a, b in zip(res1.rows, res3.rows):
         assert a.err_vel_l2h1 == b.err_vel_l2h1
         assert a.x_alpha == b.x_alpha
@@ -172,7 +165,7 @@ def test_failed_row_recorded_not_fatal(monkeypatch):
         return original(spec, ops, params)
 
     monkeypatch.setattr(limits, "compressible_chunks", sometimes_fail)
-    res = sweep_alpha(*_problem("solenoidal_u0"), kind="strong_velocity", **SMALL)
+    res = sweep_alpha(*_problem("solenoidal_u0"), **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha)
@@ -180,7 +173,7 @@ def test_failed_row_recorded_not_fatal(monkeypatch):
 
 def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
     ops, params = _problem("solenoidal_u0", T=1.0, dt=1e-3)
-    clean = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
+    clean = sweep_alpha(ops, params, **SMALL)
     original = limits.compressible_chunks
     pulled = []
 
@@ -197,7 +190,7 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
         return dt, times, G, failing()
 
     monkeypatch.setattr(limits, "compressible_chunks", fail_on_third_chunk)
-    res = sweep_alpha(ops, params, kind="strong_velocity", **SMALL)
+    res = sweep_alpha(ops, params, **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha) and res.rows[1].probe_deltas.size == 0
@@ -221,7 +214,7 @@ def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
 
 
 def test_weak_kind_runs():
-    res = sweep_alpha(*_problem("gradient_u0"), kind="weak", **SMALL)
+    res = sweep_alpha(*_problem("gradient_u0"), **SMALL)
     assert len(res.rows) == 3 and not any(r.failed for r in res.rows)
 
 
@@ -253,16 +246,16 @@ def _weak_probe_full(traj, ref, probes):
 
 
 @pytest.mark.parametrize(
-    "kind, u0, eta",
-    [
-        ("weak", "gradient_u0", 0.0),
-        ("strong_velocity", "mixed_u0", 0.0),
-        ("strong_velocity", "mixed_u0", 0.5),
-        ("pressure_weak", "solenoidal_u0", 0.0),
-        ("pressure_strong", "solenoidal_u0", 0.0),
+    "u0, p0, eta",
+    [  # each case is named after the experiment whose data it sweeps
+        pytest.param("gradient_u0", "zero", 0.0, id="weak-gradient_u0-0.0"),
+        pytest.param("mixed_u0", "zero", 0.0, id="strong_velocity-mixed_u0-0.0"),
+        pytest.param("mixed_u0", "zero", 0.5, id="strong_velocity-mixed_u0-0.5"),
+        pytest.param("solenoidal_u0", "zero", 0.0, id="pressure_weak-solenoidal_u0-0.0"),
+        pytest.param("solenoidal_u0", "compatible_p0", 0.0, id="pressure_strong-solenoidal_u0-0.0"),
     ],
 )
-def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, eta):
+def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, u0, p0, eta):
     original_rows, original_reference = limits.compressible_chunks, limits.stokes_chunks
     runs, reference_args = [], []
 
@@ -276,9 +269,9 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, kind, u0, e
 
     monkeypatch.setattr(limits, "compressible_chunks", record)
     monkeypatch.setattr(limits, "stokes_chunks", record_reference)
-    res = sweep_alpha(
-        *_problem(u0, n=4, T=0.5, eta=eta), (1e-1, 1e-2, 1e-3), kind=kind, probes=4, seed=5
-    )
+    ops, params = _problem(u0, n=4, T=0.5, eta=eta)
+    params = dataclasses.replace(params, p0=pressure_preset(p0, ops.spec, ops, u0=params.u0))
+    res = sweep_alpha(ops, params, (1e-1, 1e-2, 1e-3), probes=4, seed=5)
     # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
     ref = shift_pressure_mean(
         simulate_incompressible(*reference_args[0]), float(runs[0][1].p0.values[0])

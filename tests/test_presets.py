@@ -3,9 +3,13 @@ import pytest
 
 from complim import (
     CompressibleParams,
+    InvalidParams,
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
+    assemble,
+    build_basis,
+    initial_pressure,
     nullspace_basis,
     project_pressure,
     project_velocity,
@@ -35,8 +39,9 @@ def test_resolve_velocity_preset(spec4, ops4, name):
 @pytest.mark.parametrize("name", PRESSURE_PRESETS)
 def test_resolve_pressure_preset_passes_force_and_constants(spec4, ops4, name):
     source = FORCE.scaled(2.0)  # the momentum source rho0 f
-    expected = pressure_preset(name, spec4, ops4, s=source, rho0=2.0, mu=0.5).values
-    got = resolve(name, spec4, ops4, pressure=True, s=source, rho0=2.0, mu=0.5)
+    u0 = velocity_preset("solenoidal_u0", spec4, ops4)
+    expected = pressure_preset(name, spec4, ops4, u0=u0, s=source, rho0=2.0, mu=0.5).values
+    got = resolve(name, spec4, ops4, pressure=True, u0=u0, s=source, rho0=2.0, mu=0.5)
     assert bitwise(got, expected)
 
 
@@ -75,9 +80,31 @@ def test_scaled_field_keeps_time_factor_and_kind():
 def test_compatible_p0_from_s_is_the_node0_stokes_pressure(spec4, ops4):
     # a time-dependent source at rho0 != 1: compatible_p0 is the t = 0 recovery of the run it seeds
     s = SampledField(spatial=FORCE.spatial, vector=True, time_factor=lambda t: 1.5 + t)
-    q0 = pressure_preset("compatible_p0", spec4, ops4, s=s, rho0=2.0, mu=0.5).values
     u0 = velocity_preset("solenoidal_u0", spec4, ops4)
+    q0 = pressure_preset("compatible_p0", spec4, ops4, u0=u0, s=s, rho0=2.0, mu=0.5).values
     params = CompressibleParams(rho0=2.0, mu=0.5, T=0.1, dt=0.01, s=s, u0=u0)
     traj = simulate_incompressible(spec4, ops4, nullspace_basis(ops4), params)
     assert np.abs(q0).max() > 0.1
     assert np.abs(traj.q[0] - q0).max() <= 1e-12 * np.abs(q0).max()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("timed", [False, True], ids=["s_none", "s_timed"])
+def test_compatible_p0_of_solenoidal_u0_is_the_preset_pressure_as_before(n, timed):
+    # compatible_p0 used to be the Stokes pressure of the solenoidal_u0 preset whatever u0 the
+    # run had; given that preset as u0 it must stay that value bit for bit
+    spec = build_basis(n, n)
+    ops = assemble(spec)
+    s = None
+    if timed:
+        s = SampledField(spatial=FORCE.spatial, vector=True, time_factor=lambda t: 1.5 + t)
+    u0 = velocity_preset("solenoidal_u0", spec, ops)
+    before = initial_pressure(spec, ops, nullspace_basis(ops), u0, s, rho0=2.0, mu=0.5).values
+    got = pressure_preset("compatible_p0", spec, ops, u0=u0, s=s, rho0=2.0, mu=0.5).values
+    assert bitwise(got, before)
+
+
+@pytest.mark.parametrize("u0", ["gradient_u0", "mixed_u0"])
+def test_compatible_p0_needs_a_solenoidal_u0(spec4, ops4, u0):
+    with pytest.raises(InvalidParams, match="compatible_p0.*solenoidal u0"):
+        pressure_preset("compatible_p0", spec4, ops4, u0=velocity_preset(u0, spec4, ops4))
