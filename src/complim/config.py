@@ -31,13 +31,16 @@ Example document::
     dump_coefficients = false
 
 Data entries are either preset names (gradient_u0, solenoidal_u0, mixed_u0,
-compatible_p0, zero) or expressions over x, y; vector fields take two
-expressions separated by ';'.  Optional keys ``sigma_time`` and ``s_time``
-hold separable time factors (expressions over t): empty means none, and 0
-switches the source off.  A time factor multiplies its field, so a nonempty
-``s_time`` (``sigma_time``) with a zero or unset ``s`` (``sigma``) is an
-error.  Unknown keys are rejected and all problems are reported together
-with their line numbers.
+compatible_p0) or expressions over x, y; vector fields take two
+expressions separated by ';'.  ``0``, ``zero`` and an empty entry are the
+zero field, and so is a vector of two of them (``0 ; 0``).  An absent or
+empty ``s`` is the exception: it is unset, and the run's momentum source is
+then rho0 f; a written zero ``s`` is the zero source.  Optional keys
+``sigma_time`` and ``s_time`` hold separable time factors (expressions over
+t): empty means none, and 0 switches the source off.  A time factor
+multiplies its field, so a nonempty ``s_time`` (``sigma_time``) with a zero
+or unset ``s`` (``sigma``) is an error.  Unknown keys are rejected and all
+problems are reported together with their line numbers.
 
 An expression is exactly: decimal literals, the names x y t pi, binary
 + - * /, unary + -, parentheses, and sin()/cos() of one argument.  Python's
@@ -188,6 +191,11 @@ def parse_expression(text: str) -> ExpressionField:
 _ZERO_NAMES = ("0", "zero", "")
 
 
+def _zero_entry(text: str) -> bool:
+    """Whether a data entry is the zero field: a zero name, or two of them around ';'."""
+    return all(part.strip() in _ZERO_NAMES for part in text.split(";", 1))
+
+
 def _time_factor(expr_text: str):
     """A *_time entry -> t -> factor, or None (no factor) when it is empty; 0 is the zero factor."""
     if not expr_text.strip():
@@ -212,9 +220,9 @@ def realize_scalar_field(text: str, time_text: str = "") -> Optional[SampledFiel
 
 
 def realize_vector_field(text: str, time_text: str = "") -> Optional[SampledField]:
-    """Vector data entry 'expr ; expr' -> SampledField, or None when both are zero."""
+    """Vector data entry 'expr ; expr' -> SampledField, or None when both are zero names."""
     text = text.strip()
-    if text in _ZERO_NAMES:
+    if _zero_entry(text):
         return None
     parts = text.split(";")
     if len(parts) != 2:
@@ -251,7 +259,7 @@ class RunConfig:
     p0: str = "0"
     f: str = "0"
     sigma: str = "0"
-    s: str = "0"
+    s: str = ""  # empty: unset, so s = rho0 f; a written zero is the zero source
     sigma_time: str = ""
     s_time: str = ""
     alphas: tuple = DEFAULT_ALPHAS
@@ -379,7 +387,7 @@ def parse_config(text: str) -> RunConfig:
         convert(key, partial(_checked_entry, realize=realize, names=names))
     for key in ("sigma_time", "s_time"):
         source = key.removesuffix("_time")
-        unset = values.get(source, "0") in _ZERO_NAMES  # the factor would be ignored
+        unset = _zero_entry(values.get(source, ""))  # the factor would be ignored
         convert(
             key,
             partial(_checked_entry, realize=_time_factor),

@@ -24,11 +24,11 @@ chunks, and an alpha sweep reduces each one against its rows and drops it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .basis import BasisSpec, PressureCoeffs, SampledField, VelocityCoeffs, coefficients_of
+from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import (
     STEP_CHUNK,
     CompressibleParams,
@@ -241,32 +241,25 @@ def _recover_pressure(operator_set, Z, stiff, params, F, y, c) -> np.ndarray:
     return q
 
 
-def initial_pressure(
-    spec: BasisSpec,
-    operator_set: OperatorSet,
-    solenoidal: SolenoidalBasis,
-    u0_solenoidal: VelocityCoeffs,
-    s: Optional[SampledField] = None,
-    *,
-    rho0: float = 1.0,
-    mu: float = 1.0,
-) -> PressureCoeffs:
-    """Well-defined initial pressure of the Stokes problem driven by the momentum source s.
+def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> PressureCoeffs:
+    """The Stokes initial pressure p'(0) of the problem: the ``compatible_p0`` of a config.
 
-    The node-0 pressure recovery of simulate_incompressible for the reduced
-    evolution started from ``u0_solenoidal``, which must be discretely
-    solenoidal (InvalidParams otherwise); the result is mean zero.
+    The node-0 pressure recovery of simulate_incompressible for the problem's
+    ``u0``, momentum source ``s``, ``rho0`` and ``mu``; the rest of
+    ``params`` (``sigma`` included) is not read.  ``u0`` must be discretely
+    solenoidal (InvalidParams otherwise) and the solenoidal space nontrivial
+    (EmptyKernel otherwise); the result is mean zero.
     """
-    c0 = np.asarray(u0_solenoidal.values, dtype=float)
+    spec = operator_set.spec
+    c0 = coefficients_of(spec, params.u0)
     kernel_defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
     if kernel_defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
         raise InvalidParams(
             "the Stokes initial pressure (compatible_p0) needs a discretely solenoidal u0 "
             f"(|B u0| = {kernel_defect:.3e})"
         )
-    params = CompressibleParams(rho0=rho0, mu=mu, s=s)
-    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
-    Z = solenoidal.z
+    s_vec, s_fac, _, _ = _forcing_terms(spec, replace(params, sigma=None))
+    Z = nullspace_basis(operator_set).z
     y0 = Z.T @ (operator_set.mass_diag * c0)
     F0 = np.outer(_time_values(s_fac, [0.0]), s_vec)
     q0 = _recover_pressure(operator_set, Z, Z.T @ Z, params, F0, y0[None], c0[None])

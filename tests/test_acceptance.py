@@ -18,7 +18,7 @@ import complim as cl
 from complim.cli import run_cli
 from complim.config import realize_scalar_field
 from complim.csvio import read_csv_columns
-from complim.presets import pressure_preset, velocity_preset
+from complim.presets import velocity_preset
 
 from test_compressible import exp_reference
 from test_inequalities import equality_case_instance
@@ -42,7 +42,7 @@ def desk():
 
 def desk_problem(ops, u0, **physics):
     """CompressibleParams of a desk-scale sweep started from the u0 preset."""
-    return cl.CompressibleParams(u0=velocity_preset(u0, ops.spec, ops), **physics)
+    return cl.CompressibleParams(u0=velocity_preset(u0, ops), **physics)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def pressure_weak_sweep(desk):
 def pressure_strong_sweep(desk):
     _, ops, _ = desk
     params = desk_problem(ops, "solenoidal_u0", mu=0.25)
-    p0 = pressure_preset("compatible_p0", ops.spec, ops, u0=params.u0, mu=params.mu)
+    p0 = cl.initial_pressure(ops, params)
     return cl.sweep_alpha(ops, replace(params, p0=p0), RATE_ALPHAS, seed=SEED)
 
 
@@ -317,9 +317,7 @@ def test_criterion_08_pressure_weak_rate_and_obstruction(pressure_weak_sweep, de
 
     q0 = cl.project_pressure(spec, realize_scalar_field(GENERIC_P0)).values
     # the sweep's reference pressure at t = 0, shifted to mean(p0) as the sweep shifts it
-    p_ref0 = cl.initial_pressure(
-        spec, ops, kernel, res.params.u0, rho0=res.params.rho0, mu=res.params.mu
-    ).values
+    p_ref0 = cl.initial_pressure(ops, res.params).values
     p_ref0[0] = q0[0]
     obstruction = np.linalg.norm(q0 - p_ref0)
     above_floor = bool(np.all(err_p >= obstruction - 1e-3))

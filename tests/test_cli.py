@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,10 +7,16 @@ import time
 import numpy as np
 import pytest
 
-from complim import CompressibleParams, assemble, build_basis, energy_ledger, simulate_compressible
+from complim import (
+    CompressibleParams,
+    assemble,
+    build_basis,
+    energy_ledger,
+    initial_pressure,
+    simulate_compressible,
+)
 from complim.cli import _build_params, run_cli
 from complim.config import parse_config, realize_scalar_field, realize_vector_field
-from complim.presets import pressure_preset
 from complim.csvio import read_csv_columns, write_series_csv, write_trajectory_csv
 
 SIM_CFG = """
@@ -104,9 +111,19 @@ def test_sweep_reproducible_and_probe(tmp_path):
     assert (out / "sweep_meta.json").read_bytes() == meta_first
     cols = read_csv_columns(out / "sweep.csv")
     assert len(cols["alpha"]) == 3
-    assert run_cli(["probe", "--config", cfg]) == 0
+    # the sweep writes every probe delta; probe_max is the largest of its row's
     probes = read_csv_columns(out / "probe_deltas.csv")
     assert len(probes["alpha"]) == 3 * 4
+    assert list(probes["label"][:4]) == [f"v{k}*t^2" for k in range(4)]
+    assert np.array_equal(probes["delta"].reshape(3, 4).max(axis=1), cols["probe_max"])
+
+
+def test_probe_is_not_a_command(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli(["probe", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'probe'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_mixed_series(tmp_path):
@@ -143,6 +160,14 @@ def test_verify_energy_failure_exit_code(tmp_path):
         )
         assert done.returncode == 3 and "cumulative residual" in done.stdout
         assert "RuntimeWarning" not in done.stderr, done.stderr
+
+
+def test_verify_energy_gates_the_worst_step(tmp_path):
+    # per-step residuals of opposite sign cancel in the sum; the worst step still fails
+    path = tmp_path / "traj.csv"
+    path.write_text("t,I,energy_residual\n0,1,0\n0.5,1,1e-3\n1,1,-1e-3\n")
+    assert run_cli(["verify", "--energy", str(path)]) == 3
+    assert run_cli(["verify", "--energy", str(path), "--tol", "1e-3"]) == 0
 
 
 def test_usage_errors(tmp_path):
@@ -196,7 +221,7 @@ def test_decompose_gradient_preset(tmp_path):
     "line", ["u0 = 0/0 ; 0", "sigma = 1\nsigma_time = 1/(2-2)"], ids=["u0", "sigma_time"]
 )
 @pytest.mark.parametrize(
-    "command", ["simulate", "simulate-incompressible", "decompose", "sweep", "probe"]
+    "command", ["simulate", "simulate-incompressible", "decompose", "sweep"]
 )
 def test_constant_division_by_zero_exits_1_without_output(tmp_path, capsys, command, line):
     template = SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", line)
@@ -278,11 +303,10 @@ def test_compatible_p0_follows_explicit_s(tmp_path):
     text = text.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", "u0 = solenoidal_u0")
     text = text.replace("p0 = 0.3*cos(pi*x)", "p0 = compatible_p0\ns = sin(pi*x) ; x*y")
     cfg = parse_config(text)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    ops = assemble(spec)
-    params = _build_params(cfg, spec, ops)
-    from_s = pressure_preset("compatible_p0", spec, ops, u0=params.u0, s=params.s).values
-    from_f = pressure_preset("compatible_p0", spec, ops, u0=params.u0, s=params.f).values
+    ops = assemble(build_basis(cfg.n_u, cfg.n_p))
+    params = _build_params(cfg, ops)
+    from_s = initial_pressure(ops, params).values
+    from_f = initial_pressure(ops, dataclasses.replace(params, s=params.f)).values
     assert np.array_equal(params.p0.values, from_s)
     assert np.abs(from_s - from_f).max() > 1e-3 * np.abs(from_s).max()
 
@@ -309,7 +333,7 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["s_time = 1 + t", "sigma = cos(pi*x)", "sigma_time = t"])
-@pytest.mark.parametrize("command", ["sweep", "probe"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_sweep_rejects_sources_it_would_ignore(tmp_path, capsys, command, line):
     # a time factor without its field is a config error, and the Stokes
     # reference of a sweep has no mass source
@@ -321,7 +345,7 @@ def test_sweep_rejects_sources_it_would_ignore(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, output", [("sweep", "sweep.csv"), ("probe", "probe_deltas.csv")])
+@pytest.mark.parametrize("command, output", [("sweep", "sweep.csv"), ("sweep", "probe_deltas.csv")])
 def test_sweep_reads_s_as_simulate_does(tmp_path, command, output):
     # at rho0 = 1 an explicit s equal to f is the momentum source rho0 f; s_time multiplies it
     force = "f = cos(pi*y) ; 0.5*cos(pi*x)"
@@ -339,7 +363,7 @@ def test_sweep_reads_s_as_simulate_does(tmp_path, command, output):
 
 @pytest.mark.parametrize("line", ["s_time = 5 + 0*t", "sigma_time = 7"])
 @pytest.mark.parametrize(
-    "command", ["simulate", "simulate-incompressible", "decompose", "sweep", "probe"]
+    "command", ["simulate", "simulate-incompressible", "decompose", "sweep"]
 )
 def test_time_factor_without_its_field_exits_1(tmp_path, capsys, command, line):
     # SIM_CFG has f but neither s nor sigma, so the factor would multiply nothing
@@ -351,7 +375,7 @@ def test_time_factor_without_its_field_exits_1(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep", "probe"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "sweep"])
 def test_compatible_p0_needs_a_solenoidal_u0(tmp_path, capsys, command):
     # the Stokes initial pressure belongs to the run's own u0, here one with a gradient part
     text = SWEEP_CFG.replace("u0 = mixed_u0", "u0 = mixed_u0\np0 = compatible_p0")
@@ -404,7 +428,7 @@ def test_source_time_factor_zero_switches_the_source_off(tmp_path):
     assert outputs["zero"] == outputs["zero_t"] != outputs["one"]
 
 
-@pytest.mark.parametrize("command", ["sweep", "probe"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_more_probes_than_solenoidal_directions_exits_1(tmp_path, capsys, command):
     # the discrete solenoidal space has dimension 4 at n_u = n_p = 3
     cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("probes = 4", "probes = 8"))
@@ -427,7 +451,7 @@ def test_nonfinite_physics_value_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "probe"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("seed = 11", "seed = -1"))
     assert run_cli([command, "--config", cfg]) == 1
@@ -447,3 +471,35 @@ def test_gradient_presets_need_a_pressure_mode(tmp_path, capsys, command, u0):
     assert len(err) == 1 and "Traceback" not in err[0]
     assert u0 in err[0] and "n_p >= 1" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, template, output",
+    [("simulate", SIM_CFG, "trajectory.csv"), ("sweep", SWEEP_CFG, "sweep.csv")],
+    ids=["simulate", "sweep"],
+)
+def test_s_absent_or_empty_is_rho0_f_and_every_written_zero_is_the_zero_source(
+    tmp_path, command, template, output
+):
+    # an absent or empty s is unset, so s = rho0 f (rho0 = 1 here); 0, zero and a vector
+    # of zero names are the zero source, whatever f is
+    force = "f = cos(pi*y) ; 0.5*cos(pi*x)"
+    text = template.replace(f"\n{force}", "").replace("[data]", f"[data]\n{force}")
+    spellings = {
+        "absent": "",
+        "empty": "s =",
+        "0": "s = 0",
+        "zero": "s = zero",
+        "0_0": "s = 0 ; 0",
+        "zero_0": "s = zero ; 0",
+        "rho0_f": "s = cos(pi*y) ; 0.5*cos(pi*x)",
+    }
+    outputs = {}
+    for name, line in spellings.items():
+        (tmp_path / name).mkdir()
+        cfg, out = write_cfg(tmp_path / name, text.replace("[data]", f"[data]\n{line}"))
+        assert run_cli([command, "--config", cfg]) == 0
+        outputs[name] = (out / output).read_bytes()
+    assert outputs["absent"] == outputs["empty"] == outputs["rho0_f"]
+    assert outputs["0"] == outputs["zero"] == outputs["0_0"] == outputs["zero_0"]
+    assert outputs["0"] != outputs["absent"]

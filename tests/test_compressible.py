@@ -191,7 +191,7 @@ def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
     assert (cfg.n_u, cfg.n_p) == (8, 8) and cfg.eta > 0.0
     spec = build_basis(cfg.n_u, cfg.n_p)
     ops = assemble(spec)
-    params = _build_params(cfg, spec, ops)
+    params = _build_params(cfg, ops)
     traj = simulate_compressible(spec, ops, params)
     report = apriori_check(ops, params, traj)
     # |E| as the 2-norm through a full SVD, as it was taken before
@@ -360,7 +360,7 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
 def _sweep_problem(n, **physics):
     """Operators at n_u = n_p = n and a sweep's CompressibleParams started from solenoidal_u0."""
     ops = assemble(build_basis(n, n))
-    return ops, CompressibleParams(**physics, u0=velocity_preset("solenoidal_u0", ops.spec, ops))
+    return ops, CompressibleParams(**physics, u0=velocity_preset("solenoidal_u0", ops))
 
 
 def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):

@@ -203,3 +203,24 @@ def test_division_by_a_variable_is_not_an_error():
     # numpy values give inf/nan instead of raising, so only constants are rejected
     cfg = parse_config("[data]\nu0 = 1/x ; 0\nsigma = 1\nsigma_time = 1/t\n")
     assert cfg.u0 == "1/x ; 0" and cfg.sigma_time == "1/t"
+
+
+@pytest.mark.parametrize("text", ["0 ; 0", "zero ; 0", " 0;zero ", "0 ;", ";"])
+def test_a_vector_of_zero_names_is_the_zero_field(text):
+    assert realize_vector_field(text) is None
+
+
+def test_three_zero_names_are_not_a_vector():
+    with pytest.raises(ExpressionError):
+        realize_vector_field("0 ; 0 ; 0")
+
+
+def test_s_is_unset_unless_written():
+    assert RunConfig().s == parse_config("[data]\nf = 1 ; 0\n").s == ""
+    assert parse_config("[data]\ns = 0 ; 0\n").s == "0 ; 0"
+
+
+def test_time_factor_of_a_zero_vector_source_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[data]\ns = 0 ; 0\ns_time = 1 + t\n")
+    assert err.value.issues == ["line 3: key 's_time': multiplies s, which is zero or unset"]

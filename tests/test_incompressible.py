@@ -164,10 +164,8 @@ def test_pressure_recovery_galerkin_orthogonal(spec4, ops4, kernel4):
         assert np.abs(z.T @ residual).max() <= 1e-10
 
 
-def test_initial_pressure_trivial_and_constructed(spec4, ops4, kernel4):
-    zero = initial_pressure(
-        spec4, ops4, kernel4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)), None
-    )
+def test_initial_pressure_trivial_and_constructed(spec4, ops4):
+    zero = initial_pressure(ops4, CompressibleParams(u0=VelocityCoeffs(spec4, np.zeros(spec4.m_u))))
     assert np.all(zero.values == 0.0)
 
     # force chosen so the t=0 momentum residual is exactly -B'q*
@@ -186,15 +184,14 @@ def test_initial_pressure_trivial_and_constructed(spec4, ops4, kernel4):
         return fn
 
     f = SampledField.of_vector(component(0), component(1))
-    q0 = initial_pressure(
-        spec4, ops4, kernel4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)), f, rho0=1.0, mu=1.0
-    )
+    u0 = VelocityCoeffs(spec4, np.zeros(spec4.m_u))
+    q0 = initial_pressure(ops4, CompressibleParams(rho0=1.0, mu=1.0, s=f, u0=u0))
     assert np.abs(q0.values - qstar).max() <= 1e-8 * max(1.0, np.abs(qstar).max())
 
 
 def test_initial_pressure_matches_short_time_limit(spec4, ops4, kernel4):
     u0 = VelocityCoeffs(spec4, kernel4.z[:, 0].copy())
-    q0 = initial_pressure(spec4, ops4, kernel4, u0, None, rho0=1.0, mu=1.0)
+    q0 = initial_pressure(ops4, CompressibleParams(rho0=1.0, mu=1.0, u0=u0))
     gaps = []
     for dt in (0.02, 0.01, 0.005):
         params = CompressibleParams(T=1.0, dt=dt, u0=u0)
@@ -204,11 +201,11 @@ def test_initial_pressure_matches_short_time_limit(spec4, ops4, kernel4):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_initial_pressure_rejects_nonsolenoidal(spec4, ops4, kernel4):
+def test_initial_pressure_rejects_nonsolenoidal(spec4, ops4):
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
         initial_pressure(
-            spec4, ops4, kernel4, VelocityCoeffs(spec4, rng.standard_normal(spec4.m_u)), None
+            ops4, CompressibleParams(u0=VelocityCoeffs(spec4, rng.standard_normal(spec4.m_u)))
         )
 
 

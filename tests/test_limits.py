@@ -8,11 +8,13 @@ import complim.limits as limits
 from complim import (
     CompressibleParams,
     InvalidParams,
+    PressureCoeffs,
     Trajectory,
     VelocityCoeffs,
     assemble,
     build_basis,
     fit_rate,
+    initial_pressure,
     probe_dictionary,
     shift_pressure_mean,
     simulate_compressible,
@@ -22,7 +24,7 @@ from complim import (
     x_alpha,
 )
 from complim.compressible import STEP_CHUNK
-from complim.presets import pressure_preset, velocity_preset
+from complim.presets import velocity_preset
 
 
 SMALL = dict(alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
@@ -31,7 +33,7 @@ SMALL = dict(alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
 def _problem(u0, n=3, **physics):
     """Operators at n_u = n_p = n and the CompressibleParams of a sweep from the u0 preset."""
     ops = assemble(build_basis(n, n))
-    params = CompressibleParams(**{"T": 0.5, **physics}, u0=velocity_preset(u0, ops.spec, ops))
+    params = CompressibleParams(**{"T": 0.5, **physics}, u0=velocity_preset(u0, ops))
     return ops, params
 
 
@@ -50,9 +52,9 @@ def test_fit_rate_constant_and_rejections():
 
 
 def test_presets_structure(spec8, ops8, kernel8):
-    g = velocity_preset("gradient_u0", spec8, ops8)
-    s = velocity_preset("solenoidal_u0", spec8, ops8)
-    m = velocity_preset("mixed_u0", spec8, ops8)
+    g = velocity_preset("gradient_u0", ops8)
+    s = velocity_preset("solenoidal_u0", ops8)
+    m = velocity_preset("mixed_u0", ops8)
     md = ops8.mass_diag
     assert g.values @ (md * g.values) == pytest.approx(1.0, abs=1e-12)
     assert s.values @ (md * s.values) == pytest.approx(1.0, abs=1e-12)
@@ -60,10 +62,10 @@ def test_presets_structure(spec8, ops8, kernel8):
     # gradient preset is M-orthogonal to the kernel; solenoidal preset lies in it
     assert np.abs(kernel8.z.T @ (md * g.values)).max() <= 1e-12
     assert np.abs(ops8.div_coupling[1:] @ s.values).max() <= 1e-12
-    p = pressure_preset("compatible_p0", spec8, ops8, u0=s, s=None, rho0=1.0, mu=1.0)
+    p = initial_pressure(ops8, CompressibleParams(rho0=1.0, mu=1.0, u0=s))
     assert p.values[0] == 0.0
     with pytest.raises(KeyError):
-        velocity_preset("nope", spec8, ops8)
+        velocity_preset("nope", ops8)
 
 
 def test_probe_dictionary_properties(ops4):
@@ -133,7 +135,7 @@ def test_sweep_row_count_and_shapes():
 
 
 def test_sweep_rejects_bad_alphas():
-    ops, params = _problem("zero")
+    ops, params = assemble(build_basis(3, 3)), CompressibleParams(T=0.5)  # zero initial data
     bad = dict(SMALL)
     bad["alphas"] = (1e-1, 1e-2)
     with pytest.raises(InvalidParams):
@@ -270,7 +272,10 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, u0, p0, eta
     monkeypatch.setattr(limits, "compressible_chunks", record)
     monkeypatch.setattr(limits, "stokes_chunks", record_reference)
     ops, params = _problem(u0, n=4, T=0.5, eta=eta)
-    params = dataclasses.replace(params, p0=pressure_preset(p0, ops.spec, ops, u0=params.u0))
+    if p0 == "compatible_p0":
+        params = dataclasses.replace(params, p0=initial_pressure(ops, params))
+    else:
+        params = dataclasses.replace(params, p0=PressureCoeffs(ops.spec, np.zeros(ops.spec.m_p)))
     res = sweep_alpha(ops, params, (1e-1, 1e-2, 1e-3), probes=4, seed=5)
     # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
     ref = shift_pressure_mean(

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from complim import (
     CompressibleParams,
+    EmptyKernel,
     InvalidParams,
     PressureCoeffs,
     SampledField,
@@ -15,13 +18,7 @@ from complim import (
     project_velocity,
     simulate_incompressible,
 )
-from complim.presets import (
-    PRESSURE_PRESETS,
-    VELOCITY_PRESETS,
-    pressure_preset,
-    resolve,
-    velocity_preset,
-)
+from complim.presets import VELOCITY_PRESETS, resolve, velocity_preset
 
 FORCE = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
 
@@ -32,40 +29,51 @@ def bitwise(a, b):
 
 @pytest.mark.parametrize("name", VELOCITY_PRESETS)
 def test_resolve_velocity_preset(spec4, ops4, name):
-    expected = velocity_preset(name, spec4, ops4).values
-    assert bitwise(resolve(name, spec4, ops4), expected)
+    expected = velocity_preset(name, ops4).values
+    assert bitwise(resolve(name, ops4), expected)
 
 
-@pytest.mark.parametrize("name", PRESSURE_PRESETS)
-def test_resolve_pressure_preset_passes_force_and_constants(spec4, ops4, name):
-    source = FORCE.scaled(2.0)  # the momentum source rho0 f
-    u0 = velocity_preset("solenoidal_u0", spec4, ops4)
-    expected = pressure_preset(name, spec4, ops4, u0=u0, s=source, rho0=2.0, mu=0.5).values
-    got = resolve(name, spec4, ops4, pressure=True, u0=u0, s=source, rho0=2.0, mu=0.5)
-    assert bitwise(got, expected)
+def test_initial_pressure_reads_source_and_constants_from_params(ops4):
+    # compatible_p0 is a function of the problem's u0, s, rho0 and mu alone
+    u0 = velocity_preset("solenoidal_u0", ops4)
+    problem = CompressibleParams(rho0=2.0, mu=0.5, s=FORCE.scaled(2.0), u0=u0)
+    expected = initial_pressure(ops4, problem).values
+    sigma = SampledField.scalar(lambda x, y: np.cos(np.pi * x))
+    others = dict(eta=0.5, alpha=0.1, T=0.3, dt=0.01, f=FORCE, sigma=sigma)
+    got = initial_pressure(ops4, replace(problem, **others, p0=PressureCoeffs(ops4.spec, expected)))
+    assert bitwise(got.values, expected)
+    for changed in (dict(mu=1.0), dict(s=FORCE)):  # rho0 cancels from the t = 0 recovery
+        moved = initial_pressure(ops4, replace(problem, **changed)).values
+        assert np.abs(moved - expected).max() > 1e-3 * np.abs(expected).max()
 
 
 def test_resolve_fields_coefficients_and_none(spec4, ops4):
     u = SampledField.of_vector(lambda x, y: x * (1 - x) * y, lambda x, y: np.sin(np.pi * x) * y)
     p = SampledField.scalar(lambda x, y: 0.3 * np.cos(np.pi * x) + x * y)
-    assert bitwise(resolve(u, spec4, ops4), project_velocity(spec4, u).values)
-    assert bitwise(resolve(p, spec4, ops4, pressure=True), project_pressure(spec4, p).values)
+    assert bitwise(resolve(u, ops4), project_velocity(spec4, u).values)
+    assert bitwise(resolve(p, ops4, pressure=True), project_pressure(spec4, p).values)
 
     c = VelocityCoeffs(spec4, np.arange(spec4.m_u, dtype=float))
     q = PressureCoeffs(spec4, np.arange(spec4.m_p, dtype=float))
-    got_c, got_q = resolve(c, spec4, ops4), resolve(q, spec4, ops4, pressure=True)
+    got_c, got_q = resolve(c, ops4), resolve(q, ops4, pressure=True)
     assert bitwise(got_c, c.values) and got_c is not c.values
     assert bitwise(got_q, q.values) and got_q is not q.values
 
-    assert bitwise(resolve(None, spec4, ops4), np.zeros(spec4.m_u))
-    assert bitwise(resolve(None, spec4, ops4, pressure=True), np.zeros(spec4.m_p))
+    assert bitwise(resolve(None, ops4), np.zeros(spec4.m_u))
+    assert bitwise(resolve(None, ops4, pressure=True), np.zeros(spec4.m_p))
 
 
-def test_resolve_rejects_unknown_names(spec4, ops4):
+def test_resolve_rejects_unknown_names(ops4):
     with pytest.raises(KeyError):
-        resolve("compatible_p0", spec4, ops4)
+        resolve("compatible_p0", ops4)
     with pytest.raises(KeyError):
-        resolve("mixed_u0", spec4, ops4, pressure=True)
+        resolve("mixed_u0", ops4, pressure=True)
+    # the zero field is spelled as a field ("0", "zero"), not as a preset
+    for name in ("zero", "compatible_p0"):
+        with pytest.raises(KeyError):
+            resolve(name, ops4, pressure=True)
+    with pytest.raises(KeyError):
+        velocity_preset("zero", ops4)
 
 
 def test_scaled_field_keeps_time_factor_and_kind():
@@ -80,9 +88,9 @@ def test_scaled_field_keeps_time_factor_and_kind():
 def test_compatible_p0_from_s_is_the_node0_stokes_pressure(spec4, ops4):
     # a time-dependent source at rho0 != 1: compatible_p0 is the t = 0 recovery of the run it seeds
     s = SampledField(spatial=FORCE.spatial, vector=True, time_factor=lambda t: 1.5 + t)
-    u0 = velocity_preset("solenoidal_u0", spec4, ops4)
-    q0 = pressure_preset("compatible_p0", spec4, ops4, u0=u0, s=s, rho0=2.0, mu=0.5).values
+    u0 = velocity_preset("solenoidal_u0", ops4)
     params = CompressibleParams(rho0=2.0, mu=0.5, T=0.1, dt=0.01, s=s, u0=u0)
+    q0 = initial_pressure(ops4, params).values
     traj = simulate_incompressible(spec4, ops4, nullspace_basis(ops4), params)
     assert np.abs(q0).max() > 0.1
     assert np.abs(traj.q[0] - q0).max() <= 1e-12 * np.abs(q0).max()
@@ -92,19 +100,26 @@ def test_compatible_p0_from_s_is_the_node0_stokes_pressure(spec4, ops4):
 @pytest.mark.parametrize("timed", [False, True], ids=["s_none", "s_timed"])
 def test_compatible_p0_of_solenoidal_u0_is_the_preset_pressure_as_before(n, timed):
     # compatible_p0 used to be the Stokes pressure of the solenoidal_u0 preset whatever u0 the
-    # run had; given that preset as u0 it must stay that value bit for bit
-    spec = build_basis(n, n)
-    ops = assemble(spec)
+    # run had, computed from (u0, s, rho0, mu) alone; given that preset as u0, the pressure of
+    # a whole problem must stay that value bit for bit
+    ops = assemble(build_basis(n, n))
     s = None
     if timed:
         s = SampledField(spatial=FORCE.spatial, vector=True, time_factor=lambda t: 1.5 + t)
-    u0 = velocity_preset("solenoidal_u0", spec, ops)
-    before = initial_pressure(spec, ops, nullspace_basis(ops), u0, s, rho0=2.0, mu=0.5).values
-    got = pressure_preset("compatible_p0", spec, ops, u0=u0, s=s, rho0=2.0, mu=0.5).values
+    u0 = velocity_preset("solenoidal_u0", ops)
+    before = initial_pressure(ops, CompressibleParams(rho0=2.0, mu=0.5, s=s, u0=u0)).values
+    problem = CompressibleParams(rho0=2.0, mu=0.5, eta=0.5, alpha=1e-3, T=0.5, f=FORCE, s=s, u0=u0)
+    got = initial_pressure(ops, problem).values
     assert bitwise(got, before)
 
 
 @pytest.mark.parametrize("u0", ["gradient_u0", "mixed_u0"])
 def test_compatible_p0_needs_a_solenoidal_u0(spec4, ops4, u0):
     with pytest.raises(InvalidParams, match="compatible_p0.*solenoidal u0"):
-        pressure_preset("compatible_p0", spec4, ops4, u0=velocity_preset(u0, spec4, ops4))
+        initial_pressure(ops4, CompressibleParams(u0=velocity_preset(u0, ops4)))
+
+
+def test_compatible_p0_needs_solenoidal_modes():
+    # at n_u = n_p = 1 the discrete solenoidal space is {0}; u0 = 0 is solenoidal
+    with pytest.raises(EmptyKernel, match="no solenoidal modes"):
+        initial_pressure(assemble(build_basis(1, 1)), CompressibleParams())
