@@ -33,7 +33,6 @@ from .compressible import (
 from .incompressible import (
     EmptyKernel,
     IncompressibleTrajectory,
-    SolenoidalBasis,
     initial_pressure,
     nullspace_basis,
     shift_pressure_mean,

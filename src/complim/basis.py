@@ -350,12 +350,14 @@ def eval_field(spec: BasisSpec, coeffs, points) -> np.ndarray:
     raise TypeError(f"unsupported coefficient type {type(coeffs).__name__}")
 
 
-def norms(spec: BasisSpec, operator_set, coeffs) -> dict:
+def norms(operator_set, coeffs) -> dict:
     """Norms of the represented field; velocity also reports h01 and div_l2.
 
     For velocity coefficients c: l2 = sqrt(c' M c), h01 = |c|, div_l2 =
     sqrt(c' E c); for pressure coefficients the L^2 norm is Euclidean.
+    ``operator_set`` is the assembled OperatorSet of the coefficients' basis.
     """
+    spec = operator_set.spec
     if isinstance(coeffs, VelocityCoeffs):
         c = coeffs.values
         if c.shape != (spec.m_u,):

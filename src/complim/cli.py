@@ -201,7 +201,7 @@ def _cmd_decompose(args) -> int:
         rows,
     )
     summary = {
-        name: norms(spec, operator_set, VelocityCoeffs(spec, vec))
+        name: norms(operator_set, VelocityCoeffs(spec, vec))
         for name, vec in (
             ("input", coeffs.values),
             ("solenoidal", parts.solenoidal.values),
@@ -253,10 +253,12 @@ def _cmd_sweep(args) -> int:
         ),
     )
     print(f"wrote {out}/sweep.csv ({len(result.rows)} rows, dt={result.params.dt:.6g})")
-    if any(r.failed for r in result.rows):
-        for row in result.rows:
-            if row.failed:
-                _err(f"alpha={row.alpha:g} failed: {row.error}")
+    failed = [r for r in result.rows if r.failed]
+    if failed:  # one stderr line; sweep_meta.json's row_errors holds every row's error
+        _err(
+            f"{len(failed)} of {len(result.rows)} rows failed; first alpha={failed[0].alpha:g}: "
+            f"{failed[0].error}"
+        )
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -20,7 +20,8 @@ of the step matrix and the right-hand matrix, marches with one LAPACK
 per chunk of steps and hands each chunk of states to its caller.  The
 caller pulls the chunks: :func:`simulate_compressible` stores them, and a
 sweep row (:func:`compressible_chunks`) reduces them on the fly in
-lockstep with the Stokes reference.
+lockstep with the Stokes reference.  The discretization is the
+``OperatorSet`` alone: its ``spec`` is the basis of every function here.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _time_values(fac: Optional[Callable[[float], float]], t) -> np.ndarray:
 
 
 def compressible_chunks(
-    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
+    operator_set: OperatorSet, params: CompressibleParams
 ) -> tuple[float, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
     """Set up one compressible run on its grid: (dt, times, G, chunks).
 
@@ -255,6 +256,7 @@ def compressible_chunks(
     start, start + 1, ... (views that the next chunk overwrites), and raises
     StepFailure when the relative residual of a step solve exceeds 1e-9.
     """
+    spec = operator_set.spec
     dt, times = time_grid(params.validate(spec.n_u), params.T)
     if params.f is not None and params.f.time_dependent:
         raise InvalidParams(
@@ -265,7 +267,7 @@ def compressible_chunks(
     m = m_u + m_p
 
     G = (
-        coupling_matrix(spec, operator_set, params.f)
+        coupling_matrix(operator_set, params.f)
         if params.f is not None
         else np.zeros((m_u, m_p))
     )
@@ -300,9 +302,11 @@ def simulate_compressible(
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
     The whole march of :func:`compressible_chunks`, stored, with its per-node
-    diagnostics.
+    diagnostics.  ``spec`` is not read; it goes away once the benchmark's
+    workload process stops passing it.
     """
-    dt, times, G, chunks = compressible_chunks(spec, operator_set, params)
+    spec = operator_set.spec
+    dt, times, G, chunks = compressible_chunks(operator_set, params)
     states = np.empty((len(times), spec.m_u + spec.m_p))
     c, q = states[:, : spec.m_u], states[:, spec.m_u :]
     for start, c_k, q_k in chunks:
@@ -331,8 +335,8 @@ def _coupling(operator_set: OperatorSet, params: CompressibleParams, traj: Traje
     if traj.coupling is not None and params.f is traj.params.f:
         return traj.coupling
     if params.f is None:
-        return np.zeros((traj.spec.m_u, traj.spec.m_p))
-    return coupling_matrix(traj.spec, operator_set, params.f)
+        return np.zeros((operator_set.spec.m_u, operator_set.spec.m_p))
+    return coupling_matrix(operator_set, params.f)
 
 
 @dataclass
@@ -359,8 +363,8 @@ class EnergyLedger:
 def energy_ledger(
     operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory
 ) -> EnergyLedger:
-    """Audit the energy identity of a compressible trajectory interval by interval."""
-    spec = traj.spec
+    """Audit the energy identity of a compressible trajectory of ``operator_set``, per interval."""
+    spec = operator_set.spec
     if traj.c.shape[1] != spec.m_u or traj.q.shape[1] != spec.m_p:
         raise ValueError("trajectory does not match the operator set")
     dt = traj.dt
@@ -444,7 +448,9 @@ def apriori_check(
     c = |sigma|^2/(2 rho0 alpha) satisfy I' + J^2 <= aI + bJ + c; the bounds
     follow with C_a = 1 + A e^A, A = aT.
     """
-    spec = traj.spec
+    spec = operator_set.spec
+    if traj.c.shape[1] != spec.m_u or traj.q.shape[1] != spec.m_p:
+        raise ValueError("trajectory does not match the operator set")
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 

@@ -1,7 +1,8 @@
 """Nonsteady Stokes flow in the discrete solenoidal subspace.
 
-The state is reduced to coordinates y with c = Z y, where the columns of Z
-span {c : B c = 0} and are M-orthonormal, so the evolution is simply
+The state is reduced to coordinates y with c = Z y, where Z is the kernel
+that ``assemble`` stores in the OperatorSet: its columns span {c : B c = 0}
+and are M-orthonormal, so the evolution is simply
 
     rho0 dy/dt + mu (Z'Z) y = Z' F(t),      F_i = <s, velocity mode i>,
 
@@ -19,6 +20,8 @@ initial pressure is the same recovery at t = 0.  The march is a chunk
 source, :func:`stokes_chunks`, which yields each chunk of steps with its
 velocity and recovered pressure: :func:`simulate_incompressible` stores the
 chunks, and an alpha sweep reduces each one against its rows and drops it.
+Every function takes the OperatorSet and reads Z through
+:func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .operators import ANNIHILATION_TOL, AnnihilationError, OperatorSet, leray_p
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
-    "SolenoidalBasis",
     "IncompressibleTrajectory",
     "EmptyKernel",
     "nullspace_basis",
@@ -57,20 +59,8 @@ class EmptyKernel(RuntimeError):
     """The discrete solenoidal space is trivial for this truncation."""
 
 
-@dataclass(frozen=True)
-class SolenoidalBasis:
-    """M-orthonormal basis Z of the discrete solenoidal space (B Z = 0, Z'MZ = I)."""
-
-    spec: BasisSpec
-    z: np.ndarray  # (m_u, m_V)
-
-    @property
-    def m_v(self) -> int:
-        return self.z.shape[1]
-
-
-def nullspace_basis(operator_set: OperatorSet) -> SolenoidalBasis:
-    """Kernel basis of the divergence coupling, M-orthonormalized.
+def nullspace_basis(operator_set: OperatorSet) -> np.ndarray:
+    """The discrete solenoidal basis Z = ``operator_set.kernel``, (m_u, m_V), B Z = 0, Z'MZ = I.
 
     Raises EmptyKernel when no discrete solenoidal field exists, which does
     happen at the smallest truncations (n_u = n_p = 1 leaves m_V = 0).
@@ -79,7 +69,7 @@ def nullspace_basis(operator_set: OperatorSet) -> SolenoidalBasis:
         raise EmptyKernel(
             f"no solenoidal modes for n_u={operator_set.spec.n_u}, n_p={operator_set.spec.n_p}"
         )
-    return SolenoidalBasis(spec=operator_set.spec, z=operator_set.kernel)
+    return operator_set.kernel
 
 
 @dataclass
@@ -104,10 +94,7 @@ class IncompressibleTrajectory:
 
 
 def stokes_chunks(
-    spec: BasisSpec,
-    operator_set: OperatorSet,
-    solenoidal: SolenoidalBasis,
-    params: CompressibleParams,
+    operator_set: OperatorSet, params: CompressibleParams
 ) -> tuple[float, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
     """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
 
@@ -124,7 +111,8 @@ def stokes_chunks(
     ``params.f`` not at all.  A mass source ``params.sigma`` has no place in
     the solenoidal limit and raises InvalidParams.
     """
-    Z = solenoidal.z
+    spec = operator_set.spec
+    Z = nullspace_basis(operator_set)
     dt, times = time_grid(params.validate(spec.n_u), params.T)
     if params.sigma is not None:
         raise InvalidParams("the incompressible limit has no mass source; leave sigma unset")
@@ -151,7 +139,7 @@ def stokes_chunks(
         for start, y in states:
             c = y @ Z.T
             F = s_vec if s_fac is None else loads(times[start : start + len(y)])
-            yield start, y, c, _recover_pressure(operator_set, Z, stiff, params, F, y, c)
+            yield start, y, c, _recover_pressure(operator_set, stiff, params, F, y, c)
 
     return dt, times, chunks()
 
@@ -159,17 +147,19 @@ def stokes_chunks(
 def simulate_incompressible(
     spec: BasisSpec,
     operator_set: OperatorSet,
-    solenoidal: SolenoidalBasis,
+    kernel: np.ndarray,
     params: CompressibleParams,
 ) -> IncompressibleTrajectory:
     """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, stored.
 
     The per-node diagnostics and the energy-identity audit are computed
     block by block over the stored series, so they add no whole-trajectory
-    temporaries.
+    temporaries.  ``spec`` and ``kernel`` are not read; both go away once the
+    benchmark's workload process stops passing them.
     """
-    dt, times, chunks = stokes_chunks(spec, operator_set, solenoidal, params)
-    Z = solenoidal.z
+    spec = operator_set.spec
+    dt, times, chunks = stokes_chunks(operator_set, params)
+    Z = operator_set.kernel
     n = len(times)
     y, c, q = np.empty((n, Z.shape[1])), np.empty((n, spec.m_u)), np.empty((n, spec.m_p))
     for start, y_k, c_k, q_k in chunks:
@@ -215,21 +205,21 @@ def simulate_incompressible(
     )
 
 
-def _recover_pressure(operator_set, Z, stiff, params, F, y, c) -> np.ndarray:
+def _recover_pressure(operator_set, stiff, params, F, y, c) -> np.ndarray:
     """Pressure at the nodes of the rows of y and c, from the momentum residual.
 
     The residual annihilates the kernel by Galerkin orthogonality, so its
     roundoff kernel component is removed; rows whose residual is roundoff of
     its terms stay zero, the others get grad_inverse's annihilation check.
     """
-    rho0, mu, mass = params.rho0, params.mu, operator_set.mass_diag
+    Z, rho0, mu, mass = operator_set.kernel, params.rho0, params.mu, operator_set.mass_diag
     ydot = (F @ Z - mu * (y @ stiff.T)) / rho0
     terms = (np.broadcast_to(F, c.shape), rho0 * mass * (ydot @ Z.T), mu * c)
     g = terms[0] - terms[1] - terms[2]
     g -= mass * ((g @ Z) @ Z.T)
     norm_g = np.linalg.norm(g, axis=1)
     keep = norm_g > 1e-13 * np.max([np.linalg.norm(t, axis=1) for t in terms], axis=0)
-    defect = np.linalg.norm(g @ operator_set.kernel, axis=1)
+    defect = np.linalg.norm(g @ Z, axis=1)
     bad = np.flatnonzero(keep & (defect > ANNIHILATION_TOL * norm_g))
     if bad.size:
         raise AnnihilationError(
@@ -259,10 +249,10 @@ def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> P
             f"(|B u0| = {kernel_defect:.3e})"
         )
     s_vec, s_fac, _, _ = _forcing_terms(spec, replace(params, sigma=None))
-    Z = nullspace_basis(operator_set).z
+    Z = nullspace_basis(operator_set)
     y0 = Z.T @ (operator_set.mass_diag * c0)
     F0 = np.outer(_time_values(s_fac, [0.0]), s_vec)
-    q0 = _recover_pressure(operator_set, Z, Z.T @ Z, params, F0, y0[None], c0[None])
+    q0 = _recover_pressure(operator_set, Z.T @ Z, params, F0, y0[None], c0[None])
     return PressureCoeffs(spec, q0[0])
 
 

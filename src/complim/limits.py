@@ -141,11 +141,11 @@ def probe_dictionary(operator_set: OperatorSet, k: int, seed: int) -> np.ndarray
     momentum balance (mu Z' int c dt = rho0 Z'M(c0 - c(T)), which vanishes
     for gradient data), and the weights with phi'(0) != 0 collapse onto the
     order dt^2 |((u0, v))| / 6 sampling floor of the shared grid within two
-    rows.  InvalidParams unless 1 <= k <= dim V_h and seed >= 0.
+    rows.  InvalidParams unless 1 <= k <= dim V_h and seed >= 0; EmptyKernel if V_h = {0}.
     """
+    z = nullspace_basis(operator_set)
     if seed < 0:
         raise InvalidParams(f"seed = {seed} must be >= 0")
-    z = operator_set.kernel
     if not 1 <= k <= z.shape[1]:
         raise InvalidParams(
             f"probes = {k} must lie between 1 and the dimension {z.shape[1]} of the "
@@ -188,8 +188,9 @@ def weak_probe(
         defect = np.linalg.norm(b @ v)
         if defect > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise ValueError(f"probe {j} is not solenoidal (|Bv| = {defect:.3e})")
-    d = traj_c.c - traj_i.c
-    return _probe_deltas(traj_c.times, np.array([d @ v for v in probes]))
+    series = _RowSeries(operator_set, traj_i.times, probes, 0.0)
+    series(0, traj_c.c, traj_c.q, traj_i.c, traj_i.q)
+    return _probe_deltas(traj_c.times, series.signals)
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,6 @@ def sweep_alpha(
     if np.any(np.diff(a) >= 0.0):
         raise InvalidParams("alpha values must be strictly decreasing")
     spec = operator_set.spec
-    solenoidal = nullspace_basis(operator_set)
     directions = probe_dictionary(operator_set, probes, seed)
 
     c0 = coefficients_of(spec, params.u0)
@@ -300,9 +300,7 @@ def sweep_alpha(
     alphas = [float(alpha) for alpha in alphas]
     dt = params.dt if params.dt is not None else default_dt(min(alphas), spec.n_u, params.T)
     params = replace(params, dt=dt, u0=VelocityCoeffs(spec, c0), p0=PressureCoeffs(spec, q0))
-    _, times, reference = stokes_chunks(
-        spec, operator_set, solenoidal, replace(params, alpha=alphas[0])
-    )
+    _, times, reference = stokes_chunks(operator_set, replace(params, alpha=alphas[0]))
 
     sol_part = leray_project(operator_set, params.u0).solenoidal.values
     u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
@@ -314,7 +312,7 @@ def sweep_alpha(
         with _recording_failure(row):
             row_params = replace(params, alpha=row.alpha)
             # the same explicit dt and T give the row the reference's time grid
-            _, _, _, chunks = compressible_chunks(spec, operator_set, row_params)
+            _, _, _, chunks = compressible_chunks(operator_set, row_params)
             series = _RowSeries(operator_set, times, directions, params.eta)
             live.append((row, row_params, series, chunks))
 

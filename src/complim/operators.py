@@ -146,10 +146,11 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     )
 
 
-def coupling_matrix(spec: BasisSpec, operator_set: OperatorSet, f: SampledField) -> np.ndarray:
+def coupling_matrix(operator_set: OperatorSet, f: SampledField) -> np.ndarray:
     """Force coupling G with G_ik = int_D (pressure mode k) (f . velocity mode i) dx."""
     if not f.vector:
         raise ValueError("coupling_matrix expects a 2-vector force field")
+    spec = operator_set.spec
     x, w = spec.quad_rule()
     fvals = f(x[:, None], x[None, :])  # (2, Q, Q), spatial part
     sin_w = spec.velocity_sine_table(x) * w  # (N_u, Q)

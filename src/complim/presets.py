@@ -55,10 +55,9 @@ def velocity_preset(name: str, operator_set: OperatorSet) -> VelocityCoeffs:
     if name == "gradient_u0":
         return VelocityCoeffs(spec, _gradient_unit(name, operator_set))
     if name == "solenoidal_u0":
-        z = nullspace_basis(operator_set).z
-        return VelocityCoeffs(spec, z[:, 0].copy())
+        return VelocityCoeffs(spec, nullspace_basis(operator_set)[:, 0].copy())
     if name == "mixed_u0":
-        z = nullspace_basis(operator_set).z
+        z = nullspace_basis(operator_set)
         return VelocityCoeffs(spec, _gradient_unit(name, operator_set) + z[:, 0])
     raise KeyError(f"unknown velocity preset {name!r}; known: {VELOCITY_PRESETS}")
 

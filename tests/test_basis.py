@@ -188,17 +188,17 @@ def test_eval_field_zero_and_errors(spec4, spec2):
 def test_norms_unit_velocity_mode(spec4, ops4):
     values = np.zeros(spec4.m_u)
     values[spec4.velocity_index(0, 1, 1)] = 1.0
-    result = norms(spec4, ops4, VelocityCoeffs(spec4, values))
+    result = norms(ops4, VelocityCoeffs(spec4, values))
     assert result["h01"] == pytest.approx(1.0, abs=1e-15)
     assert result["l2"] == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)), abs=1e-15)
 
 
 def test_norms_zero_and_pressure(spec4, ops4):
-    zero = norms(spec4, ops4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)))
+    zero = norms(ops4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)))
     assert zero == {"l2": 0.0, "h01": 0.0, "div_l2": 0.0}
     q = np.zeros(spec4.m_p)
     q[spec4.pressure_index(2, 1)] = 1.0
-    assert norms(spec4, ops4, PressureCoeffs(spec4, q))["l2"] == pytest.approx(1.0)
+    assert norms(ops4, PressureCoeffs(spec4, q))["l2"] == pytest.approx(1.0)
 
 
 def test_parseval_on_span(spec2, ops2):
@@ -215,7 +215,7 @@ def test_parseval_on_span(spec2, ops2):
         return fn
 
     l2_sq = quad2d(lambda x, y: component(0)(x, y) ** 2 + component(1)(x, y) ** 2)
-    reported = norms(spec2, ops2, coeffs)
+    reported = norms(ops2, coeffs)
     assert np.sqrt(l2_sq) == pytest.approx(reported["l2"], abs=1e-10)
 
 

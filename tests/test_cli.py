@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -116,6 +117,22 @@ def test_sweep_reproducible_and_probe(tmp_path):
     assert len(probes["alpha"]) == 3 * 4
     assert list(probes["label"][:4]) == [f"v{k}*t^2" for k in range(4)]
     assert np.array_equal(probes["delta"].reshape(3, 4).max(axis=1), cols["probe_max"])
+
+
+def test_sweep_with_failing_rows_prints_one_line(tmp_path, capsys):
+    cfg, out = write_cfg(
+        tmp_path,
+        SWEEP_CFG.replace("n_u = 3\nn_p = 3", "n_u = 2\nn_p = 2")
+        .replace("T = 0.4", "T = 0.05")
+        .replace("u0 = mixed_u0", "u0 = mixed_u0\nf = 1e307*cos(pi*y) ; 1e307*cos(pi*x)\ns = 0")
+        .replace("probes = 4", "probes = 1"),
+    )
+    assert run_cli(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("complim: 3 of 3 rows failed; first alpha=0.1: ")
+    assert "StepFailure" in err[0]
+    row_errors = json.loads((out / "sweep_meta.json").read_text())["row_errors"]
+    assert len(row_errors) == 3 and all(e.startswith("StepFailure") for e in row_errors.values())
 
 
 def test_probe_is_not_a_command(tmp_path, capsys):

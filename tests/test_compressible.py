@@ -177,6 +177,15 @@ def test_energy_ledger_second_order_in_dt(spec2, ops2):
     assert 3.5 <= cums[0] / cums[1] <= 4.5
 
 
+def test_ledger_and_apriori_refuse_a_trajectory_of_another_basis(spec4, ops4):
+    params = CompressibleParams(alpha=0.05, T=0.05, dt=0.01)
+    traj = simulate_compressible(spec4, ops4, params)
+    ops3 = assemble(build_basis(3, 3))
+    for audit in (energy_ledger, apriori_check):
+        with pytest.raises(ValueError, match="trajectory does not match the operator set"):
+            audit(ops3, params, traj)
+
+
 def test_apriori_zero_data(spec2, ops2):
     params = CompressibleParams(alpha=0.05, T=0.5, dt=0.01)
     traj = simulate_compressible(spec2, ops2, params)
@@ -283,7 +292,7 @@ def lu_solve_march(spec, ops, params, dt):
     m_u, m_p = spec.m_u, spec.m_p
     m = m_u + m_p
     n_steps = round(params.T / dt)
-    G = coupling_matrix(spec, ops, params.f) if params.f is not None else np.zeros((m_u, m_p))
+    G = coupling_matrix(ops, params.f) if params.f is not None else np.zeros((m_u, m_p))
     K = np.zeros((m, m))
     K[:m_u, :m_u] = -params.eta * ops.div_gram
     K[:m_u, :m_u] -= params.mu * np.eye(m_u)
@@ -366,12 +375,12 @@ def _sweep_problem(n, **physics):
 def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
     original = limits.compressible_chunks
 
-    def nan_in_u0(spec, ops, params):
+    def nan_in_u0(ops, params):
         if params.alpha == 1e-2:
             u0 = params.u0.values.copy()
             u0[0] = np.nan
-            params = dataclasses.replace(params, u0=VelocityCoeffs(spec, u0))
-        return original(spec, ops, params)
+            params = dataclasses.replace(params, u0=VelocityCoeffs(ops.spec, u0))
+        return original(ops, params)
 
     monkeypatch.setattr(limits, "compressible_chunks", nan_in_u0)
     res = sweep_alpha(*_sweep_problem(3, T=0.5), (1e-1, 1e-2, 1e-3), probes=4)

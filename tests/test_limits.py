@@ -60,7 +60,7 @@ def test_presets_structure(spec8, ops8, kernel8):
     assert s.values @ (md * s.values) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(m.values - g.values - s.values).max() <= 1e-15 * np.abs(m.values).max()
     # gradient preset is M-orthogonal to the kernel; solenoidal preset lies in it
-    assert np.abs(kernel8.z.T @ (md * g.values)).max() <= 1e-12
+    assert np.abs(kernel8.T @ (md * g.values)).max() <= 1e-12
     assert np.abs(ops8.div_coupling[1:] @ s.values).max() <= 1e-12
     p = initial_pressure(ops8, CompressibleParams(rho0=1.0, mu=1.0, u0=s))
     assert p.values[0] == 0.0
@@ -96,7 +96,7 @@ def test_negative_seed_is_invalid(ops4):
 
 
 def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
-    params = CompressibleParams(T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel4.z[:, 0].copy()))
+    params = CompressibleParams(T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
     ref = simulate_incompressible(spec4, ops4, kernel4, params)
     embedded = Trajectory(
         spec=spec4, params=params, dt=ref.dt, times=ref.times, c=ref.c.copy(),
@@ -161,10 +161,10 @@ def test_two_sweeps_give_the_same_rows():
 def test_failed_row_recorded_not_fatal(monkeypatch):
     original = limits.compressible_chunks
 
-    def sometimes_fail(spec, ops, params):
+    def sometimes_fail(ops, params):
         if params.alpha == 1e-2:
             raise RuntimeError("synthetic failure")
-        return original(spec, ops, params)
+        return original(ops, params)
 
     monkeypatch.setattr(limits, "compressible_chunks", sometimes_fail)
     res = sweep_alpha(*_problem("solenoidal_u0"), **SMALL)
@@ -179,8 +179,8 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
     original = limits.compressible_chunks
     pulled = []
 
-    def fail_on_third_chunk(spec, ops, params):
-        dt, times, G, chunks = original(spec, ops, params)
+    def fail_on_third_chunk(ops, params):
+        dt, times, G, chunks = original(ops, params)
 
         def failing():
             for k, chunk in enumerate(chunks):
@@ -205,7 +205,7 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
 
 def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
     params = CompressibleParams(alpha=0.05, T=0.3, dt=0.01,
-                                u0=VelocityCoeffs(spec4, kernel4.z[:, 0].copy()))
+                                u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
     ref = simulate_incompressible(spec4, ops4, kernel4, params)
     embedded = Trajectory(
         spec=spec4, params=params, dt=ref.dt, times=ref.times, c=ref.c.copy(),
@@ -261,9 +261,9 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, u0, p0, eta
     original_rows, original_reference = limits.compressible_chunks, limits.stokes_chunks
     runs, reference_args = [], []
 
-    def record(spec, ops, params):
-        runs.append((ops, params, simulate_compressible(spec, ops, params)))
-        return original_rows(spec, ops, params)
+    def record(ops, params):
+        runs.append((ops, params, simulate_compressible(ops.spec, ops, params)))
+        return original_rows(ops, params)
 
     def record_reference(*args):
         reference_args.append(args)
@@ -278,8 +278,10 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, u0, p0, eta
         params = dataclasses.replace(params, p0=PressureCoeffs(ops.spec, np.zeros(ops.spec.m_p)))
     res = sweep_alpha(ops, params, (1e-1, 1e-2, 1e-3), probes=4, seed=5)
     # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
+    ref_ops, ref_params = reference_args[0]
     ref = shift_pressure_mean(
-        simulate_incompressible(*reference_args[0]), float(runs[0][1].p0.values[0])
+        simulate_incompressible(ref_ops.spec, ref_ops, ref_ops.kernel, ref_params),
+        float(runs[0][1].p0.values[0]),
     )
     assert len(runs) == 3 and runs[-1][2].n_steps > 2 * STEP_CHUNK
     for row, (ops, params, traj) in zip(res.rows, runs):

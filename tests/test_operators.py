@@ -78,7 +78,7 @@ def test_div_gram_spd_and_dominates_coupling(ops4):
 
 def test_coupling_matrix_constant_force(spec2, ops2):
     f = SampledField.of_vector(lambda x, y: np.ones_like(x), lambda x, y: np.zeros_like(x))
-    G = coupling_matrix(spec2, ops2, f)
+    G = coupling_matrix(ops2, f)
     for flat in range(spec2.m_u):
         comp, i, j = spec2.velocity_mode(flat)
         if comp == 1:
@@ -94,9 +94,9 @@ def test_coupling_matrix_constant_force(spec2, ops2):
 def test_coupling_matrix_linearity_and_errors(spec2, ops2):
     f = SampledField.of_vector(lambda x, y: np.cos(np.pi * x), lambda x, y: x * y)
     f2 = SampledField.of_vector(lambda x, y: 2 * np.cos(np.pi * x), lambda x, y: 2 * x * y)
-    assert np.allclose(coupling_matrix(spec2, ops2, f2), 2 * coupling_matrix(spec2, ops2, f), atol=1e-14)
+    assert np.allclose(coupling_matrix(ops2, f2), 2 * coupling_matrix(ops2, f), atol=1e-14)
     with pytest.raises(ValueError):
-        coupling_matrix(spec2, ops2, SampledField.zero(vector=False))
+        coupling_matrix(ops2, SampledField.zero(vector=False))
 
 
 def test_leray_fixed_point_on_kernel(ops4):
