@@ -10,6 +10,8 @@ configured output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import os
 import sys
@@ -46,6 +48,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CERTIFICATE = 3
+
+# A command whose step systems have fewer unknowns than this (m = m_u + m_p)
+# runs every OpenBLAS copy in the process on one thread, so its outputs do
+# not depend on OPENBLAS_NUM_THREADS.  Below it the per-step products are too
+# small to split, and the workers that the few per-chunk products wake spin
+# through the steps that follow: on 2 vCPUs a second thread doubled a sweep's
+# CPU time up to m = 706 (n_u = n_p = 15) and gave back no wall time beyond
+# the spread between runs, while at m = 801 (n = 16) it cut a sweep's wall
+# time by 12%.
+ONE_BLAS_THREAD_BELOW = 801
 
 
 def _err(message: str) -> None:
@@ -93,6 +105,51 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         )
 
 
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS copy already loaded in the process."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already mapped, so this binds the loaded copy
+        except OSError:
+            continue
+        # numpy's copy is scipy_openblas_*64_, scipy's scipy_openblas_*, others openblas_*
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(cfg: RunConfig):
+    """Run the command on one BLAS thread when its step systems are small.
+
+    Restores every copy's previous thread count on the way out, whether the
+    command returns or raises.  Never raises a count, and does nothing when
+    the system is large or no OpenBLAS copy is found.
+    """
+    small = 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
+    controls = _openblas_thread_controls() if small else []
+    saved = [(put, threads) for get, put in controls if (threads := get()) > 1]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, threads in saved:
+            put(threads)
+
+
 def _initial_data(text: str):
     """A u0 entry as a preset name, a sampled field, or None for zero."""
     return text if text in presets.VELOCITY_PRESETS else realize_vector_field(text)
@@ -133,134 +190,138 @@ def _build_params(cfg: RunConfig, operator_set) -> CompressibleParams:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    operator_set = assemble(spec)
-    params = _build_params(cfg, operator_set)
-    traj = simulate_compressible(spec, operator_set, params)
-    ledger = energy_ledger(operator_set, params, traj)
-    out = cfg.directory
-    csvio.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj, ledger.per_step)
-    csvio.write_csv(
-        os.path.join(out, "ledger.csv"),
-        ["t_mid", "per_step", "cumulative", "dissipation", "work"],
-        zip(
-            ledger.interval_midpoints,
-            ledger.per_step,
-            ledger.cumulative,
-            ledger.dissipation,
-            ledger.work,
-        ),
-    )
-    if cfg.dump_coefficients:
-        csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
-    print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
-    return EXIT_OK
+    with _blas_threads(cfg):
+        spec = build_basis(cfg.n_u, cfg.n_p)
+        operator_set = assemble(spec)
+        params = _build_params(cfg, operator_set)
+        traj = simulate_compressible(spec, operator_set, params)
+        ledger = energy_ledger(operator_set, params, traj)
+        out = cfg.directory
+        csvio.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj, ledger.per_step)
+        csvio.write_csv(
+            os.path.join(out, "ledger.csv"),
+            ["t_mid", "per_step", "cumulative", "dissipation", "work"],
+            zip(
+                ledger.interval_midpoints,
+                ledger.per_step,
+                ledger.cumulative,
+                ledger.dissipation,
+                ledger.work,
+            ),
+        )
+        if cfg.dump_coefficients:
+            csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
+        print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
+        return EXIT_OK
 
 
 def _cmd_simulate_incompressible(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    operator_set = assemble(spec)
-    params = _build_params(cfg, operator_set)
-    traj = simulate_incompressible(spec, operator_set, nullspace_basis(operator_set), params)
-    out = cfg.directory
-    csvio.write_incompressible_csv(os.path.join(out, "trajectory.csv"), traj)
-    if cfg.dump_coefficients:
-        csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
-    print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
-    return EXIT_OK
+    with _blas_threads(cfg):
+        spec = build_basis(cfg.n_u, cfg.n_p)
+        operator_set = assemble(spec)
+        params = _build_params(cfg, operator_set)
+        traj = simulate_incompressible(spec, operator_set, nullspace_basis(operator_set), params)
+        out = cfg.directory
+        csvio.write_incompressible_csv(os.path.join(out, "trajectory.csv"), traj)
+        if cfg.dump_coefficients:
+            csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
+        print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
+        return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg, march=False)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    operator_set = assemble(spec)
-    source = args.field if args.field is not None else cfg.u0
-    coeffs = VelocityCoeffs(spec, presets.resolve(_initial_data(source), operator_set))
-    parts = leray_project(operator_set, coeffs)
-    out = cfg.directory
-    rows = []
-    for flat in range(spec.m_u):
-        comp, i, j = spec.velocity_mode(flat)
-        rows.append(
-            [
-                str(flat),
-                str(comp),
-                str(i),
-                str(j),
-                coeffs.values[flat],
-                parts.solenoidal.values[flat],
-                parts.gradient.values[flat],
-            ]
+    with _blas_threads(cfg):
+        spec = build_basis(cfg.n_u, cfg.n_p)
+        operator_set = assemble(spec)
+        source = args.field if args.field is not None else cfg.u0
+        coeffs = VelocityCoeffs(spec, presets.resolve(_initial_data(source), operator_set))
+        parts = leray_project(operator_set, coeffs)
+        out = cfg.directory
+        rows = []
+        for flat in range(spec.m_u):
+            comp, i, j = spec.velocity_mode(flat)
+            rows.append(
+                [
+                    str(flat),
+                    str(comp),
+                    str(i),
+                    str(j),
+                    coeffs.values[flat],
+                    parts.solenoidal.values[flat],
+                    parts.gradient.values[flat],
+                ]
+            )
+        csvio.write_csv(
+            os.path.join(out, "decompose.csv"),
+            ["flat", "component", "i", "j", "input", "solenoidal", "gradient"],
+            rows,
         )
-    csvio.write_csv(
-        os.path.join(out, "decompose.csv"),
-        ["flat", "component", "i", "j", "input", "solenoidal", "gradient"],
-        rows,
-    )
-    summary = {
-        name: norms(operator_set, VelocityCoeffs(spec, vec))
-        for name, vec in (
-            ("input", coeffs.values),
-            ("solenoidal", parts.solenoidal.values),
-            ("gradient", parts.gradient.values),
-        )
-    }
-    csvio.write_json(os.path.join(out, "decompose_norms.json"), summary)
-    for name, vals in summary.items():
-        print(
-            f"{name}: l2={vals['l2']:.12g} h01={vals['h01']:.12g} div_l2={vals['div_l2']:.12g}"
-        )
-    return EXIT_OK
+        summary = {
+            name: norms(operator_set, VelocityCoeffs(spec, vec))
+            for name, vec in (
+                ("input", coeffs.values),
+                ("solenoidal", parts.solenoidal.values),
+                ("gradient", parts.gradient.values),
+            )
+        }
+        csvio.write_json(os.path.join(out, "decompose_norms.json"), summary)
+        for name, vals in summary.items():
+            print(
+                f"{name}: l2={vals['l2']:.12g} h01={vals['h01']:.12g} div_l2={vals['div_l2']:.12g}"
+            )
+        return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg, sweep=True)
-    spec = build_basis(cfg.n_u, cfg.n_p)
-    operator_set = assemble(spec)
-    params = _build_params(cfg, operator_set)
-    result = sweep_alpha(operator_set, params, cfg.alphas, probes=cfg.probes, seed=cfg.seed)
-    meta = {
-        "config": {
-            f.name: (list(getattr(cfg, f.name)) if f.name == "alphas" else getattr(cfg, f.name))
-            for f in dataclasses.fields(cfg)
-        },
-        "seed": result.seed,
-        "dt": result.params.dt,
-        "n_u": cfg.n_u,
-        "n_p": cfg.n_p,
-        "x_limit": result.x_limit,
-        "probe_labels": result.probe_labels,
-        "fits": {
-            name: {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual}
-            for name, fit in result.fits.items()
-        },
-        "row_errors": {csvio.fmt17(r.alpha): r.error for r in result.rows if r.failed},
-    }
-    out = cfg.directory
-    csvio.write_sweep_csv(os.path.join(out, "sweep.csv"), result)
-    csvio.write_json(os.path.join(out, "sweep_meta.json"), meta)
-    csvio.write_csv(
-        os.path.join(out, "probe_deltas.csv"),
-        ["alpha", "probe", "label", "delta"],
-        (
-            [row.alpha, str(k), result.probe_labels[k], delta]
-            for row in result.rows
-            for k, delta in enumerate(row.probe_deltas)
-        ),
-    )
-    print(f"wrote {out}/sweep.csv ({len(result.rows)} rows, dt={result.params.dt:.6g})")
-    failed = [r for r in result.rows if r.failed]
-    if failed:  # one stderr line; sweep_meta.json's row_errors holds every row's error
-        _err(
-            f"{len(failed)} of {len(result.rows)} rows failed; first alpha={failed[0].alpha:g}: "
-            f"{failed[0].error}"
+    with _blas_threads(cfg):
+        spec = build_basis(cfg.n_u, cfg.n_p)
+        operator_set = assemble(spec)
+        params = _build_params(cfg, operator_set)
+        result = sweep_alpha(operator_set, params, cfg.alphas, probes=cfg.probes, seed=cfg.seed)
+        meta = {
+            "config": {
+                f.name: (list(getattr(cfg, f.name)) if f.name == "alphas" else getattr(cfg, f.name))
+                for f in dataclasses.fields(cfg)
+            },
+            "seed": result.seed,
+            "dt": result.params.dt,
+            "n_u": cfg.n_u,
+            "n_p": cfg.n_p,
+            "x_limit": result.x_limit,
+            "probe_labels": result.probe_labels,
+            "fits": {
+                name: {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual}
+                for name, fit in result.fits.items()
+            },
+            "row_errors": {csvio.fmt17(r.alpha): r.error for r in result.rows if r.failed},
+        }
+        out = cfg.directory
+        csvio.write_sweep_csv(os.path.join(out, "sweep.csv"), result)
+        csvio.write_json(os.path.join(out, "sweep_meta.json"), meta)
+        csvio.write_csv(
+            os.path.join(out, "probe_deltas.csv"),
+            ["alpha", "probe", "label", "delta"],
+            (
+                [row.alpha, str(k), result.probe_labels[k], delta]
+                for row in result.rows
+                for k, delta in enumerate(row.probe_deltas)
+            ),
         )
-        return EXIT_SOLVER
-    return EXIT_OK
+        print(f"wrote {out}/sweep.csv ({len(result.rows)} rows, dt={result.params.dt:.6g})")
+        failed = [r for r in result.rows if r.failed]
+        if failed:  # one stderr line; sweep_meta.json's row_errors holds every row's error
+            _err(
+                f"{len(failed)} of {len(result.rows)} rows failed; first alpha={failed[0].alpha:g}: "
+                f"{failed[0].error}"
+            )
+            return EXIT_SOLVER
+        return EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -173,10 +173,13 @@ def simulate_incompressible(
     t_mid = 0.5 * (times[1:] + times[:-1])
     h01, div, residuals = np.empty(n), np.empty(n), np.empty(n - 1)
     # The blocks start at multiples of STEP_CHUNK, where a BLAS product tiles
-    # their rows as it tiles the whole series, so their values are those of
-    # whole-series products except where OpenBLAS splits a whole product
-    # between threads off the tile grid (the last bits of the final 6 of
-    # 1,006 nodes for configs/simulate.cfg on 2 threads).
+    # their rows as it tiles the whole series, so on one BLAS thread their
+    # values are those of whole-series products.  On more threads OpenBLAS
+    # splits a product between them off the tile grid, which moves the last
+    # bits of some nodes (the final 6 of 1,006 for configs/simulate.cfg on 2
+    # threads).  The CLI runs systems of fewer than cli.ONE_BLAS_THREAD_BELOW
+    # unknowns on one thread, so there these columns do not depend on
+    # OPENBLAS_NUM_THREADS; above it they match only at a fixed setting.
     for lo in range(0, n, STEP_CHUNK):
         nodes = slice(lo, lo + STEP_CHUNK)
         c_k = c[nodes]

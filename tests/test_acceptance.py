@@ -8,7 +8,9 @@ underdamped regime where the half-order rate is visible (the default grid's
 top decade sits in the damping crossover and flattens the fit).
 """
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from complim.config import realize_scalar_field
 from complim.csvio import read_csv_columns
 from complim.presets import velocity_preset
 
+from test_blas_threads import run_command
 from test_compressible import exp_reference
 from test_inequalities import equality_case_instance
 
 SEED = 1312
 RATE_ALPHAS = tuple(10.0**e for e in (-1.5, -2.0, -2.5, -3.0, -3.5, -4.0))
 GENERIC_P0 = "0.1 + 0.4*cos(pi*x) + 0.3*cos(pi*y)"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(num, name, ok, detail=""):
@@ -372,12 +376,20 @@ def test_criterion_10_reproducibility(tmp_path):
     first_meta = (out / "sweep_meta.json").read_bytes()
 
     assert run_cli(["sweep", "--config", str(cfg)]) == 0
-    same_seed = (out / "sweep.csv").read_bytes() == first_csv
-
-    assert run_cli(["sweep", "--config", str(cfg)]) == 0
-    same_threads = (
+    same_seed = (
         (out / "sweep.csv").read_bytes() == first_csv
         and (out / "sweep_meta.json").read_bytes() == first_meta
     )
-    report(10, "byte-identical sweeps across reruns and thread counts",
-           same_seed and same_threads, f"rerun: {same_seed}, threads: {same_threads}")
+
+    # a short configs/pressure_strong.cfg (n=8) in fresh processes at 1 and 2 BLAS threads
+    strong = tmp_path / "pressure_strong.cfg"
+    text = (CONFIGS / "pressure_strong.cfg").read_text().replace("T = 1.0", "T = 0.25")
+    strong.write_text(re.sub(r"(?m)^alphas = .*$", "alphas = 1e-2 1e-3 1e-4", text))
+    files = ("sweep.csv", "sweep_meta.json", "probe_deltas.csv")
+    outputs = []
+    for threads in (1, 2):
+        run_command(["sweep", "--config", str(strong)], threads, tmp_path)
+        outputs.append([(tmp_path / "out" / "pressure_strong" / name).read_bytes() for name in files])
+    same_threads = outputs[0] == outputs[1]
+    report(10, "byte-identical sweeps across reruns and BLAS thread counts",
+           same_seed and same_threads, f"rerun: {same_seed}, 1 vs 2 threads: {same_threads}")

@@ -1,0 +1,143 @@
+"""The CLI runs small step systems on one BLAS thread and restores the counts after.
+
+These tests set every OpenBLAS copy to 2 threads first, so that pinning shows
+whatever OPENBLAS_NUM_THREADS the suite runs under.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from complim import cli
+from complim.cli import run_cli
+
+from test_cli import SIM_CFG, SWEEP_CFG, write_cfg
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
+
+
+@pytest.fixture
+def two_threads():
+    """Every loaded OpenBLAS copy's get_num_threads, with each copy set to 2 threads."""
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS copy is loaded")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield [get for get, _ in controls]
+    for (_, put), threads in zip(controls, saved):
+        put(threads)
+
+
+@pytest.fixture
+def seen_inside(monkeypatch, two_threads):
+    """The thread counts of every copy while each `assemble` of a command runs."""
+    seen = []
+    assemble = cli.assemble
+
+    def recording(spec):
+        seen.append(counts(two_threads))
+        return assemble(spec)
+
+    monkeypatch.setattr(cli, "assemble", recording)
+    return seen
+
+
+def counts(getters):
+    return [get() for get in getters]
+
+
+def test_both_openblas_copies_are_found():
+    with open("/proc/self/maps") as handle:
+        mapped = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    assert len(cli._openblas_thread_controls()) == len(mapped)
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
+def test_small_command_runs_on_one_thread_and_restores(tmp_path, two_threads, seen_inside, command):
+    cfg, _ = write_cfg(tmp_path, SWEEP_CFG if command == "sweep" else SIM_CFG)
+    assert run_cli([command, "--config", cfg]) == 0
+    assert seen_inside == [[1] * len(two_threads)]
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_counts_restored_after_a_config_error(tmp_path, capsys, two_threads, seen_inside):
+    # compatible_p0 of a non-solenoidal u0 is refused after the operators are built
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("p0 = 0.3*cos(pi*x)", "p0 = compatible_p0"))
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    assert "compatible_p0" in capsys.readouterr().err
+    assert seen_inside == [[1] * len(two_threads)]
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_counts_restored_after_a_failing_step(tmp_path, capsys, two_threads, seen_inside):
+    overflow = SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", "u0 = 1e308*1e308*sin(pi*x) ; 0")
+    cfg, _ = write_cfg(tmp_path, overflow)
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "step 1 at t = " in capsys.readouterr().err
+    assert seen_inside == [[1] * len(two_threads)]
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_counts_restored_after_an_exception(tmp_path, monkeypatch, two_threads):
+    def broken(spec):
+        raise RuntimeError(counts(two_threads))
+
+    monkeypatch.setattr(cli, "assemble", broken)
+    cfg, _ = write_cfg(tmp_path, SIM_CFG)
+    with pytest.raises(RuntimeError) as raised:
+        run_cli(["simulate", "--config", cfg])
+    assert raised.value.args[0] == [1] * len(two_threads)
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_system_at_the_cut_off_keeps_the_thread_counts(tmp_path, two_threads, seen_inside):
+    n = 16  # m = 2 n^2 + (n + 1)^2 = 801, the cut-off itself
+    assert 2 * n**2 + (n + 1) ** 2 >= cli.ONE_BLAS_THREAD_BELOW
+    cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("n_u = 3\nn_p = 3", f"n_u = {n}\nn_p = {n}"))
+    assert run_cli(["decompose", "--config", cfg]) == 0
+    assert seen_inside == [[2] * len(two_threads)]
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_no_openblas_found_is_a_no_op(tmp_path, monkeypatch, two_threads, seen_inside):
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: [])
+    cfg, _ = write_cfg(tmp_path, SIM_CFG)
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert seen_inside == [[2] * len(two_threads)]
+
+
+def test_no_proc_maps_finds_nothing(monkeypatch):
+    def missing(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", missing, raising=False)
+    assert cli._openblas_thread_controls() == []
+
+
+def run_command(args, threads, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("OMP_NUM_THREADS", None)
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-m", "complim.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_simulate_incompressible_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # configs/simulate.cfg (n=8) with its coefficients dumped
+    text = open(os.path.join(CONFIGS, "simulate.cfg")).read()
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text(text.replace("dump_coefficients = false", "dump_coefficients = true"))
+    outputs = []
+    for threads in (1, 2):
+        run_command(["simulate-incompressible", "--config", str(cfg)], threads, tmp_path)
+        out = tmp_path / "out" / "simulate"
+        outputs.append([(out / name).read_bytes() for name in ("trajectory.csv", "coefficients.csv")])
+    assert outputs[0] == outputs[1]
