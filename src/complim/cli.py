@@ -10,8 +10,6 @@ configured output directory.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import os
 import sys
@@ -20,6 +18,7 @@ import numpy as np
 
 from . import csvio, presets
 from .basis import PressureCoeffs, VelocityCoeffs, build_basis, norms
+from .blas import one_blas_thread
 from .compressible import (
     STEP_CHUNK,
     CompressibleParams,
@@ -39,7 +38,7 @@ from .config import (
 )
 from .incompressible import EmptyKernel, initial_pressure, nullspace_basis, simulate_incompressible
 from .inequalities import GridMismatch, ScalarTrajectory, verify_mixed
-from .limits import sweep_alpha
+from .limits import sweep_alpha, sweep_workers
 from .operators import assemble, leray_project
 
 __all__ = ["run_cli", "main"]
@@ -55,8 +54,12 @@ EXIT_CERTIFICATE = 3
 # small to split, and the workers that the few per-chunk products wake spin
 # through the steps that follow: on 2 vCPUs a second thread doubled a sweep's
 # CPU time up to m = 706 (n_u = n_p = 15) and gave back no wall time beyond
-# the spread between runs, while at m = 801 (n = 16) it cut a sweep's wall
-# time by 12%.
+# the spread between runs, while at m = 801 (n = 16) it cut the wall time of
+# a sweep marched in one process by 12%, and from m = 1,241 (n = 20) a single
+# run's by 17-18%.  `sweep` runs on one thread at every size: its rows march in
+# worker processes that pin themselves, and the few products left in the
+# calling process (the operators, Z, compatible_p0) cost the same on one
+# thread (assemble at n = 24: 0.46 s on one, 0.45 s on two).
 ONE_BLAS_THREAD_BELOW = 801
 
 
@@ -76,10 +79,13 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
     builds, and, per Crank-Nicolson system (m = m_u + m_p), its 2 dense m x m
     matrices (the right-hand matrix and the LU factor of the step matrix) and
     its chunk buffers.  A single run also stores its (N+1) m states.  A sweep
-    marches its n_alpha rows and the Stokes reference in lockstep and stores
-    no states: it counts n_alpha row systems, the chunk buffers of the rows
-    and the reference, and each row's (N+1)(probes + 4) series, on the grid
-    of its smallest alpha.
+    stores no states: its n_alpha rows march in sweep_workers(n_alpha) worker
+    processes, each in lockstep with its own Stokes reference.  It counts
+    n_alpha row systems with their chunk buffers and each row's
+    (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
+    worker one reference: its 2 dense m_V x m_V matrices (m_V, the dimension
+    of the discrete solenoidal space, taken at its bound m_u) and its chunk
+    buffers.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
@@ -91,7 +97,8 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
         if sweep:
             rows = len(cfg.alphas)
-            need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0)) + chunk
+            need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0))
+            need += sweep_workers(rows) * (2.0 * m_u * m_u + chunk)
         elif march:
             need += 2.0 * m * m + chunk + nodes * m
         need *= 8.0
@@ -105,49 +112,9 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         )
 
 
-def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of each OpenBLAS copy already loaded in the process."""
-    try:
-        with open("/proc/self/maps") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # already mapped, so this binds the loaded copy
-        except OSError:
-            continue
-        # numpy's copy is scipy_openblas_*64_, scipy's scipy_openblas_*, others openblas_*
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _blas_threads(cfg: RunConfig):
-    """Run the command on one BLAS thread when its step systems are small.
-
-    Restores every copy's previous thread count on the way out, whether the
-    command returns or raises.  Never raises a count, and does nothing when
-    the system is large or no OpenBLAS copy is found.
-    """
-    small = 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
-    controls = _openblas_thread_controls() if small else []
-    saved = [(put, threads) for get, put in controls if (threads := get()) > 1]
-    for put, _ in saved:
-        put(1)
-    try:
-        yield
-    finally:
-        for put, threads in saved:
-            put(threads)
+def _small(cfg: RunConfig) -> bool:
+    """Whether the command's step systems have fewer unknowns than ONE_BLAS_THREAD_BELOW."""
+    return 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
 
 
 def _initial_data(text: str):
@@ -190,7 +157,7 @@ def _build_params(cfg: RunConfig, operator_set) -> CompressibleParams:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg)
-    with _blas_threads(cfg):
+    with one_blas_thread(_small(cfg)):
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)
@@ -218,7 +185,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_simulate_incompressible(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg)
-    with _blas_threads(cfg):
+    with one_blas_thread(_small(cfg)):
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)
@@ -234,7 +201,7 @@ def _cmd_simulate_incompressible(args) -> int:
 def _cmd_decompose(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg, march=False)
-    with _blas_threads(cfg):
+    with one_blas_thread(_small(cfg)):
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         source = args.field if args.field is not None else cfg.u0
@@ -279,7 +246,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _check_memory(cfg, sweep=True)
-    with _blas_threads(cfg):
+    with one_blas_thread():
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)

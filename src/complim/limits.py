@@ -18,23 +18,35 @@ strong.  Log-log slope fits of the error columns give the empirical rates.
 Which statement the rows test follows from the data alone: whether u0 is
 solenoidal, and whether p0 is then its compatible Stokes pressure.
 
-No trajectory is stored.  The reference and every row march in lockstep,
-one chunk of Crank-Nicolson steps at a time on the shared grid: each
-reference chunk is reduced into every live row's per-node scalar series of
-its deviation from the reference and then dropped.  A sweep therefore holds
-probes + 3 numbers per node and row (one more when eta > 0) plus a chunk of
-states per system instead of (N+1) x m trajectories.
+The rows are independent marches that share only the reference, so they
+are split into runs of consecutive alphas, one per usable CPU, and each run
+marches in a forked worker process on one BLAS thread.  A worker marches its
+own copy of the reference and its rows in lockstep, one chunk of
+Crank-Nicolson steps at a time on the shared grid: each reference chunk is
+reduced into every live row's per-node scalar series of its deviation from
+the reference and then dropped.  No trajectory is stored.  A worker holds
+the reference's two m_V x m_V step matrices, each row's two m x m step
+matrices and probes + 3 numbers per node (one more when eta > 0), and a
+chunk of states per system, instead of (N+1) x m trajectories.  It reads
+the caller's operators through copy-on-write pages and sends back only its
+finished rows; the caller holds the operators and waits.  A row's bits
+therefore depend neither on the number of workers nor on the caller's BLAS
+threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
 from .basis import PressureCoeffs, VelocityCoeffs, coefficients_of
+from .blas import one_blas_thread
 from .compressible import (
     CompressibleParams,
     InvalidParams,
@@ -57,6 +69,7 @@ __all__ = [
     "weak_probe",
     "probe_dictionary",
     "sweep_alpha",
+    "sweep_workers",
     "fit_rate",
 ]
 
@@ -263,49 +276,28 @@ def _recording_failure(row: SweepRow):
         row.error = f"{type(exc).__name__}: {exc}"
 
 
-def sweep_alpha(
+def sweep_workers(rows: int) -> int:
+    """The worker processes a sweep of ``rows`` alphas forks: one per usable CPU, at most one per row."""
+    return min(rows, len(os.sched_getaffinity(0)))
+
+
+def _march_rows(
     operator_set: OperatorSet,
     params: CompressibleParams,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    *,
-    probes: int = 8,
-    seed: int = 0,
-) -> SweepResult:
-    """Run the sweep: one incompressible reference plus one compressible run per alpha.
+    alphas: Sequence[float],
+    directions: np.ndarray,
+) -> list[SweepRow]:
+    """The finished rows at ``alphas``, marched in lockstep with their own Stokes reference.
 
-    ``params`` is the problem, the same one a single run takes; only its
-    alpha is swept.  Every row and the reference share one time step:
-    ``params.dt``, or the default policy of the smallest alpha, so that row
-    differences are not stepping artifacts.
-
-    The reference and the rows march in lockstep, one chunk of steps at a
-    time: each reference chunk has its pressure mean aligned with p0 and is
-    reduced into every live row's series, then dropped.  A row that fails
-    leaves the lockstep and is recorded with its message instead of
-    aborting the sweep; a failure of the reference aborts it.
+    ``params`` carries the sweep's explicit dt, so every row and the
+    reference share one time grid, whichever alphas they hold.  Each
+    reference chunk has its pressure mean aligned with p0 and is reduced
+    into every live row's series, then dropped.  A row that fails leaves the
+    lockstep and is recorded with its message; a failure of the reference
+    raises.
     """
-    a = np.asarray(alphas, dtype=float)
-    if len(a) < 3:
-        raise InvalidParams("a sweep needs at least 3 alpha values for rate fitting")
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
-        raise InvalidParams("alpha values must lie in (0, 1)")
-    if np.any(np.diff(a) >= 0.0):
-        raise InvalidParams("alpha values must be strictly decreasing")
-    spec = operator_set.spec
-    directions = probe_dictionary(operator_set, probes, seed)
-
-    c0 = coefficients_of(spec, params.u0)
-    q0 = coefficients_of(spec, params.p0, pressure=True)
-
-    alphas = [float(alpha) for alpha in alphas]
-    dt = params.dt if params.dt is not None else default_dt(min(alphas), spec.n_u, params.T)
-    params = replace(params, dt=dt, u0=VelocityCoeffs(spec, c0), p0=PressureCoeffs(spec, q0))
     _, times, reference = stokes_chunks(operator_set, replace(params, alpha=alphas[0]))
-
-    sol_part = leray_project(operator_set, params.u0).solenoidal.values
-    u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
-    x_limit = params.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
-
+    q0 = params.p0.values
     rows = [SweepRow(alpha=alpha) for alpha in alphas]
     live = []  # (row, row_params, series, chunks) of every row still marching
     for row in rows:
@@ -331,6 +323,135 @@ def sweep_alpha(
             row.err_pres_linf_l2 = float(np.max(series.pres))
             row.x_alpha = series.x_alpha(row_params)
             row.probe_deltas = _probe_deltas(times, series.signals)
+    return rows
+
+
+def _picklable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError with its message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # any exception can fail to pickle or to rebuild, each in its own way
+        return RuntimeError(str(exc))
+    return exc
+
+
+def _worker(march: Callable[[Sequence[float]], list[SweepRow]], group, write: int) -> NoReturn:
+    """Body of a forked worker: march the group on one BLAS thread, send its rows or error, leave."""
+    code = 1
+    try:
+        with one_blas_thread():
+            try:
+                outcome = march(group)
+            except Exception as exc:  # the reference failed; the caller raises it
+                outcome = _picklable(exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)  # never return into the caller's stack, nor run its exit handlers
+
+
+def _march_in_workers(
+    march: Callable[[Sequence[float]], list[SweepRow]], groups: list[Sequence[float]]
+) -> list[list[SweepRow]]:
+    """``[march(group) for group in groups]``, each call in its own forked worker process.
+
+    The workers inherit everything march reads and send back only their
+    finished rows.  A reference failure in a worker is raised here, the
+    lowest group's first.  A worker that ends without a result, killed by a
+    signal say, gives each of its rows that cause as its error.  No worker
+    outlives the call: on any way out the ones still running are killed and
+    every one is reaped.
+    """
+    running = {}  # pid -> read end of the worker's pipe, for every worker not yet reaped
+    outcomes = []
+    try:
+        for group in groups:
+            read, write = os.pipe()
+            # no thread runs across the fork: OpenBLAS joins its own in a
+            # pthread_atfork handler and starts them again when next needed
+            pid = os.fork()
+            if pid == 0:
+                _worker(march, group, write)
+            os.close(write)
+            running[pid] = open(read, "rb")
+        for group, (pid, pipe) in zip(groups, list(running.items())):
+            payload = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del running[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                cause = (
+                    f"killed by signal {-code} ({signal.strsignal(-code)})"
+                    if code < 0
+                    else f"exited with status {code}"
+                )
+                outcomes.append([SweepRow(alpha=a, error=f"worker process {cause}") for a in group])
+                continue
+            outcome = pickle.loads(payload)  # written by the worker forked above
+            if isinstance(outcome, Exception):
+                raise outcome
+            outcomes.append(outcome)
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            # an interrupt between a worker's reaping and its removal from running leaves a stale pid
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return outcomes
+
+
+def sweep_alpha(
+    operator_set: OperatorSet,
+    params: CompressibleParams,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
+    *,
+    probes: int = 8,
+    seed: int = 0,
+) -> SweepResult:
+    """Run the sweep: one incompressible reference plus one compressible run per alpha.
+
+    ``params`` is the problem, the same one a single run takes; only its
+    alpha is swept.  Every row and the reference share one time step:
+    ``params.dt``, or the default policy of the smallest alpha, so that row
+    differences are not stepping artifacts.
+
+    The rows are split into sweep_workers(len(alphas)) runs of consecutive
+    alphas, each marched in a forked worker process on one BLAS thread with
+    its own copy of the reference.  A row that fails, or whose worker ends
+    without a result, is recorded with its message instead of aborting the
+    sweep; a failure of the reference aborts it.
+    """
+    a = np.asarray(alphas, dtype=float)
+    if len(a) < 3:
+        raise InvalidParams("a sweep needs at least 3 alpha values for rate fitting")
+    if np.any(a <= 0.0) or np.any(a >= 1.0):
+        raise InvalidParams("alpha values must lie in (0, 1)")
+    if np.any(np.diff(a) >= 0.0):
+        raise InvalidParams("alpha values must be strictly decreasing")
+    spec = operator_set.spec
+    directions = probe_dictionary(operator_set, probes, seed)
+
+    c0 = coefficients_of(spec, params.u0)
+    q0 = coefficients_of(spec, params.p0, pressure=True)
+
+    alphas = [float(alpha) for alpha in alphas]
+    dt = params.dt if params.dt is not None else default_dt(min(alphas), spec.n_u, params.T)
+    params = replace(params, dt=dt, u0=VelocityCoeffs(spec, c0), p0=PressureCoeffs(spec, q0))
+
+    sol_part = leray_project(operator_set, params.u0).solenoidal.values
+    u0_l2_sq = c0 @ (operator_set.mass_diag * c0)
+    x_limit = params.rho0 * float(u0_l2_sq - sol_part @ (operator_set.mass_diag * sol_part))
+
+    k = sweep_workers(len(alphas))
+    groups = [alphas[len(alphas) * i // k : len(alphas) * (i + 1) // k] for i in range(k)]
+
+    def march(group: Sequence[float]) -> list[SweepRow]:
+        return _march_rows(operator_set, params, group, directions)
+
+    rows = [row for group_rows in _march_in_workers(march, groups) for row in group_rows]
 
     fits: dict[str, RateFit] = {}
     ok = [r for r in rows if not r.failed]

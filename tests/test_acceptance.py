@@ -381,15 +381,18 @@ def test_criterion_10_reproducibility(tmp_path):
         and (out / "sweep_meta.json").read_bytes() == first_meta
     )
 
-    # a short configs/pressure_strong.cfg (n=8) in fresh processes at 1 and 2 BLAS threads
+    # a short configs/pressure_strong.cfg (n=8) in fresh processes at 1 and 2 BLAS
+    # threads, and on one usable CPU, where its rows march in one worker process
     strong = tmp_path / "pressure_strong.cfg"
     text = (CONFIGS / "pressure_strong.cfg").read_text().replace("T = 1.0", "T = 0.25")
     strong.write_text(re.sub(r"(?m)^alphas = .*$", "alphas = 1e-2 1e-3 1e-4", text))
     files = ("sweep.csv", "sweep_meta.json", "probe_deltas.csv")
     outputs = []
-    for threads in (1, 2):
-        run_command(["sweep", "--config", str(strong)], threads, tmp_path)
+    for threads, one_cpu in ((1, False), (2, False), (2, True)):
+        run_command(["sweep", "--config", str(strong)], threads, tmp_path, one_cpu)
         outputs.append([(tmp_path / "out" / "pressure_strong" / name).read_bytes() for name in files])
     same_threads = outputs[0] == outputs[1]
-    report(10, "byte-identical sweeps across reruns and BLAS thread counts",
-           same_seed and same_threads, f"rerun: {same_seed}, 1 vs 2 threads: {same_threads}")
+    same_cpus = outputs[1] == outputs[2]
+    report(10, "byte-identical sweeps across reruns, BLAS thread counts and usable CPUs",
+           same_seed and same_threads and same_cpus,
+           f"rerun: {same_seed}, 1 vs 2 threads: {same_threads}, one CPU vs all: {same_cpus}")

@@ -1,4 +1,4 @@
-"""The CLI runs small step systems on one BLAS thread and restores the counts after.
+"""The CLI runs sweeps and small step systems on one BLAS thread and restores the counts after.
 
 These tests set every OpenBLAS copy to 2 threads first, so that pinning shows
 whatever OPENBLAS_NUM_THREADS the suite runs under.
@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from complim import cli
+from complim import CompressibleParams, assemble, blas, build_basis, cli, limits, sweep_alpha
 from complim.cli import run_cli
 
 from test_cli import SIM_CFG, SWEEP_CFG, write_cfg
@@ -22,7 +22,7 @@ CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
 @pytest.fixture
 def two_threads():
     """Every loaded OpenBLAS copy's get_num_threads, with each copy set to 2 threads."""
-    controls = cli._openblas_thread_controls()
+    controls = blas.openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS copy is loaded")
     saved = [get() for get, _ in controls]
@@ -54,7 +54,7 @@ def counts(getters):
 def test_both_openblas_copies_are_found():
     with open("/proc/self/maps") as handle:
         mapped = {line.split()[-1] for line in handle if "openblas" in line.lower()}
-    assert len(cli._openblas_thread_controls()) == len(mapped)
+    assert len(blas.openblas_thread_controls()) == len(mapped)
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
@@ -104,8 +104,30 @@ def test_system_at_the_cut_off_keeps_the_thread_counts(tmp_path, two_threads, se
     assert counts(two_threads) == [2] * len(two_threads)
 
 
+def test_sweep_above_the_cut_off_runs_on_one_thread(tmp_path, two_threads, seen_inside):
+    # a sweep's rows march in worker processes that pin themselves, so its caller is pinned at every size
+    n = 16
+    assert 2 * n**2 + (n + 1) ** 2 >= cli.ONE_BLAS_THREAD_BELOW
+    text = SWEEP_CFG.replace("n_u = 3\nn_p = 3", f"n_u = {n}\nn_p = {n}").replace("T = 0.4", "T = 0.01")
+    cfg, _ = write_cfg(tmp_path, text)
+    assert run_cli(["sweep", "--config", cfg]) == 0
+    assert seen_inside == [[1] * len(two_threads)]
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_sweep_workers_run_on_one_thread_and_leave_the_caller_alone(monkeypatch, two_threads):
+    def report_counts(ops, params):  # runs in the worker; its rows carry what it saw
+        raise RuntimeError(counts(two_threads))
+
+    monkeypatch.setattr(limits, "compressible_chunks", report_counts)
+    ops = assemble(build_basis(3, 3))
+    res = sweep_alpha(ops, CompressibleParams(T=0.1), (1e-1, 1e-2, 1e-3), probes=2)
+    assert [r.error for r in res.rows] == [f"RuntimeError: {[1] * len(two_threads)}"] * 3
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
 def test_no_openblas_found_is_a_no_op(tmp_path, monkeypatch, two_threads, seen_inside):
-    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: [])
+    monkeypatch.setattr(blas, "openblas_thread_controls", lambda: [])
     cfg, _ = write_cfg(tmp_path, SIM_CFG)
     assert run_cli(["simulate", "--config", cfg]) == 0
     assert seen_inside == [[2] * len(two_threads)]
@@ -115,17 +137,23 @@ def test_no_proc_maps_finds_nothing(monkeypatch):
     def missing(path, *args, **kwargs):
         raise FileNotFoundError(path)
 
-    monkeypatch.setattr(cli, "open", missing, raising=False)
-    assert cli._openblas_thread_controls() == []
+    monkeypatch.setattr(blas, "open", missing, raising=False)
+    assert blas.openblas_thread_controls() == []
 
 
-def run_command(args, threads, cwd):
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_command(args, threads, cwd, one_cpu=False):
+    """Run the CLI in a fresh process at `threads` BLAS threads, on one usable CPU if one_cpu."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("OMP_NUM_THREADS", None)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     done = subprocess.run(
         [sys.executable, "-m", "complim.cli", *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        preexec_fn=_one_cpu if one_cpu else None,
     )
     assert done.returncode == 0, done.stderr
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,11 +26,25 @@ from complim import (
     weak_probe,
     x_alpha,
 )
-from complim.compressible import STEP_CHUNK
+from complim.cli import run_cli
+from complim.compressible import STEP_CHUNK, StepFailure
+from complim.config import realize_scalar_field
 from complim.presets import velocity_preset
+
+from test_cli import SWEEP_CFG, write_cfg
 
 
 SMALL = dict(alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
+
+
+def _in_the_caller(march, groups):
+    return [march(group) for group in groups]
+
+
+@pytest.fixture
+def marched_here(monkeypatch):
+    """Each group of rows marches in the calling process, where a test's recorders and traces see it."""
+    monkeypatch.setattr(limits, "_march_in_workers", _in_the_caller)
 
 
 def _problem(u0, n=3, **physics):
@@ -173,7 +190,7 @@ def test_failed_row_recorded_not_fatal(monkeypatch):
     assert np.isnan(res.rows[1].x_alpha)
 
 
-def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch):
+def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch, marched_here):
     ops, params = _problem("solenoidal_u0", T=1.0, dt=1e-3)
     clean = sweep_alpha(ops, params, **SMALL)
     original = limits.compressible_chunks
@@ -257,7 +274,7 @@ def _weak_probe_full(traj, ref, probes):
         pytest.param("solenoidal_u0", "compatible_p0", 0.0, id="pressure_strong-solenoidal_u0-0.0"),
     ],
 )
-def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, u0, p0, eta):
+def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, marched_here, u0, p0, eta):
     original_rows, original_reference = limits.compressible_chunks, limits.stokes_chunks
     runs, reference_args = [], []
 
@@ -316,7 +333,7 @@ def _traced_peak(ops, params, alphas, probes):
     return peak
 
 
-def test_streamed_rows_hold_no_trajectory():
+def test_streamed_rows_hold_no_trajectory(marched_here):
     """A sweep holds its rows' series and a few chunks of states per system, not (N+1) m doubles."""
     alphas, probes = (1e-1, 1e-2, 1e-3), 4
     ops, params = _problem("mixed_u0", n=4, T=1.0, dt=2e-4)  # assembled outside the trace
@@ -334,7 +351,7 @@ def test_streamed_rows_hold_no_trajectory():
     assert peak < rows * (series + 3 * chunk) + 10 * chunk, (peak - rows * series) / chunk
 
 
-def test_sweep_memory_does_not_grow_with_the_step_count():
+def test_sweep_memory_does_not_grow_with_the_step_count(marched_here):
     """Doubling T doubles the rows' per-node series and nothing else."""
     alphas, probes = (1e-1, 1e-2, 1e-3), 4
     ops, short = _problem("mixed_u0", n=4, T=0.5, dt=2e-4)  # assembled outside the trace
@@ -347,3 +364,148 @@ def test_sweep_memory_does_not_grow_with_the_step_count():
     # a stored reference would add 8 (m_V + m_u + m_p) per node, about 1.9 MB here
     slack = 8 * (STEP_CHUNK + 1) * (spec.m_u + spec.m_p)
     assert growth <= series + slack, (growth, series, slack)
+
+
+# the worker processes
+
+
+def _usable_cpus(monkeypatch, k):
+    """Make sweep_workers see k usable CPUs."""
+    monkeypatch.setattr(limits.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, eta):
+    ops, params = _problem("mixed_u0", n=4, T=0.3, eta=eta)
+    alphas = (1e-1, 1e-2, 1e-3, 1e-4)  # at k = 3 the groups hold 1, 1 and 2 rows
+    results = []
+    for k in (1, 2, 3):
+        _usable_cpus(monkeypatch, k)
+        assert limits.sweep_workers(len(alphas)) == k
+        results.append(sweep_alpha(ops, params, alphas, probes=4, seed=3))
+    _assert_no_child_left()
+    first = results[0]
+    assert not any(r.failed for r in first.rows)
+    for other in results[1:]:
+        assert other.x_limit == first.x_limit and other.fits == first.fits
+        for a, b in zip(first.rows, other.rows):
+            assert dataclasses.replace(a, probe_deltas=None) == dataclasses.replace(b, probe_deltas=None)
+            assert np.array_equal(a.probe_deltas, b.probe_deltas)
+
+
+KILLED = f"worker process killed by signal {int(signal.SIGKILL)} ({signal.strsignal(signal.SIGKILL)})"
+
+
+def _kill_worker_at(monkeypatch, alpha):
+    """Make the worker that sets up the row at alpha SIGKILL itself."""
+    caller, original = os.getpid(), limits.compressible_chunks
+
+    def killing(ops, params):
+        if params.alpha == alpha:
+            assert os.getpid() != caller, "the row marches in the calling process"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(ops, params)
+
+    monkeypatch.setattr(limits, "compressible_chunks", killing)
+
+
+def test_killed_worker_fails_its_rows_only(monkeypatch):
+    ops, params = _problem("solenoidal_u0")
+    _usable_cpus(monkeypatch, 2)  # groups (1e-1,) and (1e-2, 1e-3)
+    clean = sweep_alpha(ops, params, **SMALL)
+    _kill_worker_at(monkeypatch, 1e-2)
+    res = sweep_alpha(ops, params, **SMALL)
+    _assert_no_child_left()
+    assert [r.failed for r in res.rows] == [False, True, True]
+    for row in res.rows[1:]:
+        assert row.error == KILLED
+        assert np.isnan(row.x_alpha) and row.probe_deltas.size == 0
+    assert res.rows[0].x_alpha == clean.rows[0].x_alpha
+    assert np.array_equal(res.rows[0].probe_deltas, clean.rows[0].probe_deltas)
+    assert res.fits == {}
+
+
+def test_killed_worker_is_a_solver_failure_of_the_cli(tmp_path, capsys, monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+    _kill_worker_at(monkeypatch, 1e-2)
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"complim: 1 of 3 rows failed; first alpha=0.01: {KILLED}"]
+    assert (out / "sweep.csv").exists()
+    _assert_no_child_left()
+
+
+class _Unpicklable(RuntimeError):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def _failing_reference(kind):
+    """A problem whose Stokes reference fails, and the stokes_chunks that makes it fail."""
+    ops, params = _problem("solenoidal_u0", T=0.5, dt=1e-3)
+    original = limits.stokes_chunks
+    if kind == "mass source":  # refused when the reference is set up
+        return ops, dataclasses.replace(params, sigma=realize_scalar_field("cos(pi*x)")), original
+
+    def failing(ops, params):
+        dt, times, chunks = original(ops, params)
+
+        def march():
+            yield next(chunks)
+            raise (StepFailure if kind == "step" else _Unpicklable)("step 300: synthetic failure")
+
+        return dt, times, march()
+
+    return ops, params, failing
+
+
+@pytest.mark.parametrize("kind", ["mass source", "step", "unpicklable"])
+def test_failing_reference_raises_as_in_the_calling_process(monkeypatch, kind):
+    ops, params, stokes_chunks = _failing_reference(kind)
+    monkeypatch.setattr(limits, "stokes_chunks", stokes_chunks)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(Exception) as forked:
+        sweep_alpha(ops, params, **SMALL)
+    _assert_no_child_left()
+    with monkeypatch.context() as here:
+        here.setattr(limits, "_march_in_workers", _in_the_caller)
+        with pytest.raises(Exception) as serial:
+            sweep_alpha(ops, params, **SMALL)
+    if kind == "unpicklable":  # the message crosses the pipe, not the type
+        assert type(serial.value) is _Unpicklable and type(forked.value) is RuntimeError
+    else:
+        assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+
+
+def test_interrupted_sweep_leaves_no_worker(monkeypatch):
+    ops, params = _problem("solenoidal_u0")
+    original = limits.compressible_chunks
+
+    def stalling(ops, params):
+        if params.alpha == 1e-3:
+            time.sleep(60)
+        return original(ops, params)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(limits, "compressible_chunks", stalling)
+    _usable_cpus(monkeypatch, 3)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            sweep_alpha(ops, params, **SMALL)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_left()
