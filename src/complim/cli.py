@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import csvio, presets
-from .basis import PressureCoeffs, VelocityCoeffs, build_basis, norms
+from .basis import PressureCoeffs, VelocityCoeffs, build_basis, coefficients_of, norms
 from .blas import one_blas_thread
 from .compressible import (
     STEP_CHUNK,
@@ -62,6 +62,12 @@ EXIT_CERTIFICATE = 3
 # thread (assemble at n = 24: 0.46 s on one, 0.45 s on two).
 ONE_BLAS_THREAD_BELOW = 801
 
+# Peak memory of writing a CSV file, per value in it: csvio holds the row
+# strings, the joined text and the final text at once.  Writing the 2.1
+# million values of simulate.cfg's coefficients.csv at dt = 1e-4 (23 B of
+# text each) raised peak RSS by 56 B per value; 64 B covers the widest cells.
+CSV_BYTES_PER_VALUE = 64
+
 
 def _err(message: str) -> None:
     print(f"complim: {message}", file=sys.stderr)
@@ -85,7 +91,10 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
     worker one reference: its 2 dense m_V x m_V matrices (m_V, the dimension
     of the discrete solenoidal space, taken at its bound m_u) and its chunk
-    buffers.
+    buffers.  It also counts the text of the largest CSV file the command
+    writes, at CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
+    trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
+    decompose.csv (7 m_u) for decompose.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
@@ -99,16 +108,21 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
             rows = len(cfg.alphas)
             need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0))
             need += sweep_workers(rows) * (2.0 * m_u * m_u + chunk)
+            csv = rows * cfg.probes * 4.0
         elif march:
             need += 2.0 * m * m + chunk + nodes * m
-        need *= 8.0
+            csv = nodes * (m + 1.0 if cfg.dump_coefficients else 6.0)
+        else:
+            csv = 7.0 * m_u
+        need = 8.0 * need + CSV_BYTES_PER_VALUE * csv
     except OverflowError:  # a basis size beyond the float range
         need = float("inf")
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise InvalidParams(
             f"n_u = {cfg.n_u}, n_p = {cfg.n_p} needs about {need / 2**30:.3g} GiB for its dense "
-            f"matrices and stored states, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"matrices, stored states and CSV text, more than the {have / 2**30:.3g} GiB of "
+            "physical memory"
         )
 
 
@@ -117,25 +131,26 @@ def _small(cfg: RunConfig) -> bool:
     return 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
 
 
-def _initial_data(text: str):
-    """A u0 entry as a preset name, a sampled field, or None for zero."""
-    return text if text in presets.VELOCITY_PRESETS else realize_vector_field(text)
+def _velocity(text: str, operator_set) -> VelocityCoeffs:
+    """A u0 entry as coefficients: a preset by name, else its projected field (zeros for a zero)."""
+    if text in presets.VELOCITY_PRESETS:
+        return presets.velocity_preset(text, operator_set)
+    spec = operator_set.spec
+    return VelocityCoeffs(spec, coefficients_of(spec, realize_vector_field(text)))
 
 
 def _build_params(cfg: RunConfig, operator_set) -> CompressibleParams:
-    """The problem a config states, with u0 and p0 as coefficients.
+    """The problem a config states, with u0 (read by _velocity) and p0 as coefficients.
 
-    An empty or absent ``s`` is unset, and the homogeneous problem's momentum
+    ``p0 = compatible_p0`` is the Stokes initial pressure of the problem.  An
+    empty or absent ``s`` is unset, and the homogeneous problem's momentum
     source s = rho0 f applies; a written zero ``s`` is the zero source.
-    ``p0 = compatible_p0`` is the Stokes initial pressure of the problem.
     """
     spec = operator_set.spec
     f = realize_vector_field(cfg.f)
     s = realize_vector_field(cfg.s, cfg.s_time)
     if not cfg.s.strip() and f is not None:
         s = f.scaled(cfg.rho0)
-    compatible = cfg.p0 in presets.PRESSURE_PRESETS
-    p0 = None if compatible else realize_scalar_field(cfg.p0)  # compatible_p0 needs the problem
     params = CompressibleParams(
         rho0=cfg.rho0,
         mu=cfg.mu,
@@ -146,12 +161,12 @@ def _build_params(cfg: RunConfig, operator_set) -> CompressibleParams:
         f=f,
         sigma=realize_scalar_field(cfg.sigma, cfg.sigma_time),
         s=s,
-        u0=VelocityCoeffs(spec, presets.resolve(_initial_data(cfg.u0), operator_set)),
-        p0=PressureCoeffs(spec, presets.resolve(p0, operator_set, pressure=True)),
+        u0=_velocity(cfg.u0, operator_set),
     )
-    if compatible:
-        params = dataclasses.replace(params, p0=initial_pressure(operator_set, params))
-    return params
+    if cfg.p0 == "compatible_p0":  # initial_pressure reads no p0
+        return dataclasses.replace(params, p0=initial_pressure(operator_set, params))
+    p0 = coefficients_of(spec, realize_scalar_field(cfg.p0), pressure=True)
+    return dataclasses.replace(params, p0=PressureCoeffs(spec, p0))
 
 
 def _cmd_simulate(args) -> int:
@@ -163,21 +178,17 @@ def _cmd_simulate(args) -> int:
         params = _build_params(cfg, operator_set)
         traj = simulate_compressible(spec, operator_set, params)
         ledger = energy_ledger(operator_set, params, traj)
-        out = cfg.directory
-        csvio.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj, ledger.per_step)
-        csvio.write_csv(
-            os.path.join(out, "ledger.csv"),
-            ["t_mid", "per_step", "cumulative", "dissipation", "work"],
-            zip(
-                ledger.interval_midpoints,
-                ledger.per_step,
-                ledger.cumulative,
-                ledger.dissipation,
-                ledger.work,
-            ),
-        )
+        ledger_header = ["t_mid", "per_step", "cumulative", "dissipation", "work"]
+        ledger_columns = [ledger.interval_midpoints, ledger.per_step, ledger.cumulative]
+        ledger_columns += [ledger.dissipation, ledger.work]
+        tables = {
+            "trajectory.csv": csvio.trajectory_table(traj, ledger.per_step),
+            "ledger.csv": (ledger_header, ledger_columns),
+        }
         if cfg.dump_coefficients:
-            csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
+            tables["coefficients.csv"] = csvio.coefficients_table(traj)
+        out = cfg.directory
+        csvio.write_tables(out, tables)
         print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
         return EXIT_OK
 
@@ -190,10 +201,11 @@ def _cmd_simulate_incompressible(args) -> int:
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)
         traj = simulate_incompressible(spec, operator_set, nullspace_basis(operator_set), params)
-        out = cfg.directory
-        csvio.write_incompressible_csv(os.path.join(out, "trajectory.csv"), traj)
+        tables = {"trajectory.csv": csvio.incompressible_table(traj)}
         if cfg.dump_coefficients:
-            csvio.write_coefficients_csv(os.path.join(out, "coefficients.csv"), traj)
+            tables["coefficients.csv"] = csvio.coefficients_table(traj)
+        out = cfg.directory
+        csvio.write_tables(out, tables)
         print(f"wrote {out}/trajectory.csv ({traj.n_steps} steps, dt={traj.dt:.6g})")
         return EXIT_OK
 
@@ -204,29 +216,8 @@ def _cmd_decompose(args) -> int:
     with one_blas_thread(_small(cfg)):
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
-        source = args.field if args.field is not None else cfg.u0
-        coeffs = VelocityCoeffs(spec, presets.resolve(_initial_data(source), operator_set))
+        coeffs = _velocity(args.field if args.field is not None else cfg.u0, operator_set)
         parts = leray_project(operator_set, coeffs)
-        out = cfg.directory
-        rows = []
-        for flat in range(spec.m_u):
-            comp, i, j = spec.velocity_mode(flat)
-            rows.append(
-                [
-                    str(flat),
-                    str(comp),
-                    str(i),
-                    str(j),
-                    coeffs.values[flat],
-                    parts.solenoidal.values[flat],
-                    parts.gradient.values[flat],
-                ]
-            )
-        csvio.write_csv(
-            os.path.join(out, "decompose.csv"),
-            ["flat", "component", "i", "j", "input", "solenoidal", "gradient"],
-            rows,
-        )
         summary = {
             name: norms(operator_set, VelocityCoeffs(spec, vec))
             for name, vec in (
@@ -235,7 +226,18 @@ def _cmd_decompose(args) -> int:
                 ("gradient", parts.gradient.values),
             )
         }
-        csvio.write_json(os.path.join(out, "decompose_norms.json"), summary)
+        out = cfg.directory
+        norms_path = os.path.join(out, "decompose_norms.json")
+        for name, vals in summary.items():  # checked, like decompose.csv, before either is written
+            for key, value in vals.items():
+                if not np.isfinite(value):
+                    raise ValueError(f"{norms_path}: {name} {key} is {csvio.fmt17(value)}")
+        modes = [spec.velocity_mode(flat) for flat in range(spec.m_u)]
+        columns = [np.arange(spec.m_u), np.array(modes), coeffs.values]
+        columns += [parts.solenoidal.values, parts.gradient.values]
+        header = ["flat", "component", "i", "j", "input", "solenoidal", "gradient"]
+        csvio.write_tables(out, {"decompose.csv": (header, columns)})
+        csvio.write_json(norms_path, summary)
         for name, vals in summary.items():
             print(
                 f"{name}: l2={vals['l2']:.12g} h01={vals['h01']:.12g} div_l2={vals['div_l2']:.12g}"
@@ -366,15 +368,9 @@ def run_cli(argv) -> int:
         # certificates, each in one line, so numpy's warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (ConfigError, ExpressionError, OSError, EmptyKernel) as exc:
-        if isinstance(exc, ConfigError):
-            for issue in exc.issues:
-                _err(issue)
-        else:
-            _err(str(exc))
-        return EXIT_CONFIG
-    except (InvalidParams,) as exc:
-        _err(str(exc))
+    except (ConfigError, ExpressionError, OSError, EmptyKernel, InvalidParams) as exc:
+        for issue in exc.issues if isinstance(exc, ConfigError) else [str(exc)]:
+            _err(issue)
         return EXIT_CONFIG
     except (StepFailure, GridMismatch, ValueError) as exc:
         _err(str(exc))

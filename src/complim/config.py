@@ -30,17 +30,18 @@ Example document::
     directory = out
     dump_coefficients = false
 
-Data entries are either preset names (gradient_u0, solenoidal_u0, mixed_u0,
-compatible_p0) or expressions over x, y; vector fields take two
-expressions separated by ';'.  ``0``, ``zero`` and an empty entry are the
-zero field, and so is a vector of two of them (``0 ; 0``).  An absent or
-empty ``s`` is the exception: it is unset, and the run's momentum source is
-then rho0 f; a written zero ``s`` is the zero source.  Optional keys
-``sigma_time`` and ``s_time`` hold separable time factors (expressions over
-t): empty means none, and 0 switches the source off.  A time factor
-multiplies its field, so a nonempty ``s_time`` (``sigma_time``) with a zero
-or unset ``s`` (``sigma``) is an error.  Unknown keys are rejected and all
-problems are reported together with their line numbers.
+Data entries stay text: expressions over x, y, vector fields as two
+expressions separated by ';', a velocity preset name for u0 (gradient_u0,
+solenoidal_u0, mixed_u0) or compatible_p0 for p0; the CLI builds the data.
+``0``, ``zero`` and an empty entry are the zero field, and so is a vector of
+two of them (``0 ; 0``).  An absent or empty ``s`` is the exception: it is
+unset, and the run's momentum source is then rho0 f; a written zero ``s``
+is the zero source.  Optional keys ``sigma_time`` and ``s_time`` hold
+separable time factors (expressions over t): empty means none, and 0
+switches the source off.  A time factor multiplies its field, so a nonempty
+``s_time`` (``sigma_time``) with a zero or unset ``s`` (``sigma``) is an
+error.  Unknown keys are rejected and all problems are reported together
+with their line numbers.
 
 An expression is exactly: decimal literals, the names x y t pi, binary
 + - * /, unary + -, parentheses, and sin()/cos() of one argument.  Python's
@@ -380,7 +381,7 @@ def parse_config(text: str) -> RunConfig:
     convert("directory", str)
     convert("dump_coefficients", _parse_bool)
 
-    preset_keys = {"u0": presets.VELOCITY_PRESETS, "p0": presets.PRESSURE_PRESETS}
+    preset_keys = {"u0": presets.VELOCITY_PRESETS, "p0": ("compatible_p0",)}
     for key in _VECTOR_DATA + _SCALAR_DATA:
         realize = realize_vector_field if key in _VECTOR_DATA else realize_scalar_field
         names = preset_keys.get(key, ()) + _ZERO_NAMES

@@ -1,9 +1,15 @@
 """CSV and JSON emission. Numbers carry 17 significant digits so files
 round-trip doubles exactly; files are written to a temp name and renamed,
-so readers never observe partial output."""
+so readers never observe partial output.
+
+A table is a header and its columns, each with one value per node (the
+file's data rows, counted from 0); a 2-D array is a block of consecutive
+columns.  write_tables writes a command's tables only once every value in
+them is finite."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -14,6 +20,7 @@ __all__ = [
     "fmt17",
     "atomic_write_text",
     "write_csv",
+    "write_tables",
     "read_csv_columns",
     "read_numeric_columns",
     "write_series_csv",
@@ -21,6 +28,10 @@ __all__ = [
     "write_trajectory_csv",
     "write_incompressible_csv",
     "write_coefficients_csv",
+    "trajectory_table",
+    "incompressible_table",
+    "coefficients_table",
+    "sweep_line",
     "write_sweep_csv",
     "write_json",
 ]
@@ -60,6 +71,44 @@ def write_csv(path: str, header, rows) -> None:
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt17(cell) for cell in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _blocks(columns) -> list:
+    """A table's columns as 2-D blocks, one row per node."""
+    return [np.asarray(column).reshape(len(column), -1) for column in columns]
+
+
+def _check_finite(path: str, header, columns) -> None:
+    """Raise ValueError at the table's first value that is not finite, naming path, column and node.
+
+    First means in reading order: the lowest node, then the leftmost column.
+    """
+    first = None  # (node, column index, value)
+    start = 0
+    for block in _blocks(columns):
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size and (first is None or bad[0, 0] < first[0]):
+            node, k = bad[0]
+            first = (node, start + k, block[node, k])
+        start += block.shape[1]
+    if first is not None:
+        node, k, value = first
+        raise ValueError(f"{path}: {header[k]} is {fmt17(value)} at node {node}")
+
+
+def _write_table(path: str, header, columns) -> None:
+    write_csv(path, header, (itertools.chain(*cells) for cells in zip(*_blocks(columns))))
+
+
+def write_tables(directory: str, tables: dict) -> None:
+    """Write each ``name: (header, columns)`` table as directory/name, or none if a value is not finite.
+
+    Every value of every table is checked (_check_finite) before the first file is written.
+    """
+    for name, (header, columns) in tables.items():
+        _check_finite(os.path.join(directory, name), header, columns)
+    for name, (header, columns) in tables.items():
+        _write_table(os.path.join(directory, name), header, columns)
 
 
 def read_csv_columns(path: str) -> dict:
@@ -105,44 +154,51 @@ def _node_residuals(per_step: np.ndarray, n_nodes: int) -> np.ndarray:
     return out
 
 
-def write_trajectory_csv(path: str, traj, per_step_residual) -> None:
+def trajectory_table(traj, per_step_residual) -> tuple:
     res = _node_residuals(np.asarray(per_step_residual), len(traj.times))
-    rows = zip(traj.times, traj.energy, traj.h01, traj.div, traj.mass, res)
-    write_csv(path, TRAJECTORY_HEADER, rows)
+    return TRAJECTORY_HEADER, [traj.times, traj.energy, traj.h01, traj.div, traj.mass, res]
 
 
-def write_incompressible_csv(path: str, traj) -> None:
+def incompressible_table(traj) -> tuple:
     res = _node_residuals(np.asarray(traj.energy_residual), len(traj.times))
     header = [name for name in TRAJECTORY_HEADER if name != "mass"]
-    rows = zip(traj.times, traj.energy, traj.h01, traj.div, res)
-    write_csv(path, header, rows)
+    return header, [traj.times, traj.energy, traj.h01, traj.div, res]
 
 
-def write_coefficients_csv(path: str, traj) -> None:
+def coefficients_table(traj) -> tuple:
     m_u = traj.c.shape[1]
     m_p = traj.q.shape[1]
     header = ["t"] + [f"c_{i}" for i in range(m_u)] + [f"q_{k}" for k in range(m_p)]
-    rows = (
-        [t] + list(c) + list(q) for t, c, q in zip(traj.times, traj.c, traj.q)
-    )
-    write_csv(path, header, rows)
+    return header, [traj.times, traj.c, traj.q]
+
+
+def write_trajectory_csv(path: str, traj, per_step_residual) -> None:
+    _write_table(path, *trajectory_table(traj, per_step_residual))
+
+
+def write_incompressible_csv(path: str, traj) -> None:
+    _write_table(path, *incompressible_table(traj))
+
+
+def write_coefficients_csv(path: str, traj) -> None:
+    _write_table(path, *coefficients_table(traj))
+
+
+def sweep_line(row, x_limit: float) -> list:
+    """A sweep row's values in sweep.csv, in SWEEP_HEADER order."""
+    return [
+        row.alpha,
+        row.err_vel_l2h1,
+        row.err_vel_linf_l2,
+        row.err_pres_linf_l2,
+        row.x_alpha,
+        x_limit,
+        row.probe_max,
+    ]
 
 
 def write_sweep_csv(path: str, result) -> None:
-    rows = []
-    for row in result.rows:
-        rows.append(
-            [
-                row.alpha,
-                row.err_vel_l2h1,
-                row.err_vel_linf_l2,
-                row.err_pres_linf_l2,
-                row.x_alpha,
-                result.x_limit,
-                row.probe_max,
-            ]
-        )
-    write_csv(path, SWEEP_HEADER, rows)
+    write_csv(path, SWEEP_HEADER, [sweep_line(row, result.x_limit) for row in result.rows])
 
 
 def write_json(path: str, payload) -> None:

@@ -45,6 +45,7 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
+from . import csvio
 from .basis import PressureCoeffs, VelocityCoeffs, coefficients_of
 from .blas import one_blas_thread
 from .compressible import (
@@ -276,6 +277,16 @@ def _recording_failure(row: SweepRow):
         row.error = f"{type(exc).__name__}: {exc}"
 
 
+def _require_finite(row: SweepRow, x_limit: float) -> None:
+    """Raise ValueError at the first value of the row's sweep.csv line or probe deltas not finite."""
+    line = zip(csvio.SWEEP_HEADER, csvio.sweep_line(row, x_limit))
+    named = [(f"sweep.csv: {column}", value) for column, value in line]
+    named += [(f"probe_deltas.csv: probe {k}", delta) for k, delta in enumerate(row.probe_deltas)]
+    for name, value in named:
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is {csvio.fmt17(value)}")
+
+
 def sweep_workers(rows: int) -> int:
     """The worker processes a sweep of ``rows`` alphas forks: one per usable CPU, at most one per row."""
     return min(rows, len(os.sched_getaffinity(0)))
@@ -420,9 +431,11 @@ def sweep_alpha(
 
     The rows are split into sweep_workers(len(alphas)) runs of consecutive
     alphas, each marched in a forked worker process on one BLAS thread with
-    its own copy of the reference.  A row that fails, or whose worker ends
-    without a result, is recorded with its message instead of aborting the
-    sweep; a failure of the reference aborts it.
+    its own copy of the reference.  A row that fails, whose worker ends
+    without a result, or one of whose reported values (its sweep.csv line,
+    x_limit included, and its probe deltas) is not finite, is recorded with
+    its message instead of aborting the sweep, and left out of the fits; a
+    failure of the reference aborts it.
     """
     a = np.asarray(alphas, dtype=float)
     if len(a) < 3:
@@ -452,6 +465,10 @@ def sweep_alpha(
         return _march_rows(operator_set, params, group, directions)
 
     rows = [row for group_rows in _march_in_workers(march, groups) for row in group_rows]
+    for row in rows:
+        if not row.failed:
+            with _recording_failure(row):
+                _require_finite(row, x_limit)
 
     fits: dict[str, RateFit] = {}
     ok = [r for r in rows if not r.failed]

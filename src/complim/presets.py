@@ -4,24 +4,23 @@ The strong-limit dichotomy needs initial velocities with a prescribed split
 between the discrete solenoidal space and its M-orthogonal complement.
 These cannot be written down as closed-form fields (the discrete gradient
 space is not spanned by elementary expressions), so they are constructed
-from the assembled operators.  The one named pressure, compatible_p0, is
-the Stokes initial pressure of the whole problem, so it is not resolved
-here: it is ``incompressible.initial_pressure(operator_set, params)``.
+from the assembled operators.  Only velocities are named here: the
+config word ``p0 = compatible_p0`` is the Stokes initial pressure of the
+whole problem, ``incompressible.initial_pressure(operator_set, params)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import VelocityCoeffs, coefficients_of
+from .basis import VelocityCoeffs
 from .compressible import InvalidParams
 from .incompressible import nullspace_basis
 from .operators import OperatorSet
 
-__all__ = ["VELOCITY_PRESETS", "PRESSURE_PRESETS", "velocity_preset", "resolve"]
+__all__ = ["VELOCITY_PRESETS", "velocity_preset"]
 
 VELOCITY_PRESETS = ("gradient_u0", "solenoidal_u0", "mixed_u0")
-PRESSURE_PRESETS = ("compatible_p0",)
 
 
 def _gradient_unit(name: str, operator_set: OperatorSet) -> np.ndarray:
@@ -60,17 +59,3 @@ def velocity_preset(name: str, operator_set: OperatorSet) -> VelocityCoeffs:
         z = nullspace_basis(operator_set)
         return VelocityCoeffs(spec, _gradient_unit(name, operator_set) + z[:, 0])
     raise KeyError(f"unknown velocity preset {name!r}; known: {VELOCITY_PRESETS}")
-
-
-def resolve(data, operator_set: OperatorSet, *, pressure: bool = False) -> np.ndarray:
-    """Coefficient vector of velocity (or pressure) initial data.
-
-    ``data`` is a velocity preset name, a sampled field, a coefficient object
-    or None; everything but a name goes through basis.coefficients_of.  No
-    name is pressure data: compatible_p0 depends on the whole problem.
-    """
-    if not isinstance(data, str):
-        return coefficients_of(operator_set.spec, data, pressure=pressure)
-    if pressure:
-        raise KeyError(f"{data!r} is not pressure data; compatible_p0 is initial_pressure()")
-    return velocity_preset(data, operator_set).values

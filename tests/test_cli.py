@@ -16,9 +16,11 @@ from complim import (
     initial_pressure,
     simulate_compressible,
 )
+from complim.basis import coefficients_of
 from complim.cli import _build_params, run_cli
-from complim.config import parse_config, realize_scalar_field, realize_vector_field
+from complim.config import ConfigError, parse_config, realize_scalar_field, realize_vector_field
 from complim.csvio import read_csv_columns, write_series_csv, write_trajectory_csv
+from complim.presets import VELOCITY_PRESETS, velocity_preset
 
 SIM_CFG = """
 [basis]
@@ -531,3 +533,90 @@ def test_s_absent_or_empty_is_rho0_f_and_every_written_zero_is_the_zero_source(
     assert outputs["absent"] == outputs["empty"] == outputs["rho0_f"]
     assert outputs["0"] == outputs["zero"] == outputs["0_0"] == outputs["zero_0"]
     assert outputs["0"] != outputs["absent"]
+
+
+HUGE_U0 = "u0 = 1e160*sin(pi*x)*sin(pi*y) ; 0"  # finite, but its energy overflows
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible"])
+def test_nonfinite_results_exit_2_before_any_file_is_written(tmp_path, capsys, command):
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", HUGE_U0))
+    assert run_cli([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"complim: {out / 'trajectory.csv'}: I is inf at node 0"]
+    assert not out.exists()
+
+
+def test_sweep_rows_with_nonfinite_values_fail(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("u0 = mixed_u0", HUGE_U0))
+    assert run_cli(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("complim: 3 of 3 rows failed; first alpha=0.1: ")
+    assert err[0].endswith("ValueError: sweep.csv: err_vel_L2H1 is inf")
+    meta = json.loads((out / "sweep_meta.json").read_text())
+    assert meta["fits"] == {} and len(meta["row_errors"]) == 3
+
+
+@pytest.mark.parametrize(
+    "u0, field, message",
+    [
+        ("1e308*1e308*sin(pi*x) ; 0", None, "decompose_norms.json: input l2 is nan"),
+        ("sin(pi*x)*sin(pi*y) ; 0", "1e200*sin(pi*x) ; 0", "decompose_norms.json: input l2 is inf"),
+    ],
+    ids=["u0", "field"],
+)
+def test_decompose_with_nonfinite_results_exits_2_without_output(tmp_path, capsys, u0, field, message):
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("sin(pi*x)*sin(pi*y) ; 0", u0))
+    assert run_cli(["decompose", "--config", cfg] + (["--field", field] if field else [])) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(message)
+    assert not out.exists()
+
+
+def test_memory_preflight_counts_the_csv_text(tmp_path, capsys, monkeypatch):
+    # 20,001 nodes at n = 3: the stored states take 5.4 MB, coefficients.csv
+    # (35 values a node) about 45 MB at CSV_BYTES_PER_VALUE, trajectory.csv 7.7 MB
+    from complim import cli
+
+    text = SIM_CFG.replace("dt = 0.004", "dt = 2e-5")
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**25 // 4096}  # 32 MiB
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "CSV text" in err[0] and "physical memory" in err[0]
+    assert not out.exists()
+    cfg, out = write_cfg(tmp_path, text.replace("dump_coefficients = true", "dump_coefficients = false"))
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ledger.csv", "trajectory.csv"]
+
+
+@pytest.mark.parametrize(
+    "u0",
+    list(VELOCITY_PRESETS) + ["x*(1-x)*y ; sin(pi*x)*y", "0", "zero", "0 ; 0", ""],
+)
+def test_u0_entry_and_decompose_field_read_through_one_door(tmp_path, u0):
+    # _build_params and `decompose --field` give the preset, or the projected field, bit for bit
+    text = SWEEP_CFG.format(out=tmp_path / "out").replace("u0 = mixed_u0", f"u0 = {u0}")
+    cfg = parse_config(text)
+    ops = assemble(build_basis(cfg.n_u, cfg.n_p))
+    if u0 in VELOCITY_PRESETS:
+        expected = velocity_preset(u0, ops).values
+    else:
+        expected = coefficients_of(ops.spec, realize_vector_field(u0))
+    assert _build_params(cfg, ops).u0.values.tobytes() == expected.tobytes()
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert run_cli(["decompose", "--config", str(path), "--field", u0]) == 0
+    assert read_csv_columns(tmp_path / "out" / "decompose.csv")["input"].tobytes() == expected.tobytes()
+
+
+def test_unknown_p0_name_is_a_config_error(tmp_path, capsys):
+    text = SIM_CFG.replace("p0 = 0.3*cos(pi*x)", "p0 = nope_p0")
+    with pytest.raises(ConfigError, match="'p0'"):
+        parse_config(text.format(out=tmp_path / "out"))
+    cfg, out = write_cfg(tmp_path, text)
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'p0'" in err[0]
+    assert not out.exists()

@@ -1,9 +1,12 @@
 """simulate, sweep and decompose on small generated configs: every run ends in
-a documented exit code, and a failing one says why in one stderr line (a
-config error in one line per problem found)."""
+a documented exit code, a failing one says why in one stderr line (a config
+error in one line per problem found), and a successful one writes only
+finite numbers."""
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from complim.cli import run_cli
 from complim.config import ConfigError, parse_config
+from complim.csvio import read_csv_columns
 
 # mostly valid values, with a few of each kind of bad one
 _ENTRIES = {
@@ -34,6 +38,7 @@ _ENTRIES = {
             "sin(pi*x)*sin(pi*y) ; 0",
             "x*y ; 1",
             "1e308*1e308*sin(pi*x) ; 0",
+            "1e160*sin(pi*x)*sin(pi*y) ; 0",
             "1/(1-1) ; 0",
             "nope_u0",
         ]
@@ -57,6 +62,12 @@ _SECTIONS = {
 _CONFIG = st.fixed_dictionaries({key: st.none() | value for key, value in _ENTRIES.items()})
 # a run that overflows: numpy's warnings once came before its one-line message
 _OVERFLOW = {**dict.fromkeys(_ENTRIES), "u0": "1e308*1e308*sin(pi*x) ; 0"}
+# finite data whose energy overflows: every command once wrote inf and nan and exited 0
+_HUGE = {
+    **dict.fromkeys(_ENTRIES),
+    **{"n_u": "3", "n_p": "3", "T": "0.1", "probes": "2", "alphas": "0.5 0.1 0.05"},
+    "u0": "1e160*sin(pi*x)*sin(pi*y) ; 0",
+}
 
 
 def _render(values: dict, out: Path) -> str:
@@ -65,6 +76,25 @@ def _render(values: dict, out: Path) -> str:
         lines.append(f"[{section}]")
         lines += [f"{key} = {values[key]}" for key in keys if values[key] is not None]
     return "\n".join(lines + ["[output]", f"directory = {out}"]) + "\n"
+
+
+def _numbers(payload):
+    """Every number in a parsed JSON document."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [x for item in payload for x in _numbers(item)]
+    return [payload] if isinstance(payload, (int, float)) and not isinstance(payload, bool) else []
+
+
+def _assert_written_numbers_finite(out: Path) -> None:
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            numbers = _numbers(json.loads(path.read_text()))
+        else:
+            columns = read_csv_columns(path).values()
+            numbers = [x for column in columns if column.dtype.kind == "f" for x in column]
+        assert all(math.isfinite(x) for x in numbers), path.name
 
 
 def _error_lines(text: str) -> int:
@@ -80,6 +110,7 @@ def _error_lines(text: str) -> int:
 @settings(max_examples=40, deadline=None)
 @given(values=_CONFIG)
 @example(values=_OVERFLOW)
+@example(values=_HUGE)
 def test_generated_configs_end_in_a_documented_exit(command, values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
@@ -91,6 +122,8 @@ def test_generated_configs_end_in_a_documented_exit(command, values):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = run_cli([command, "--config", str(path)])
+        if code == 0:
+            _assert_written_numbers_finite(Path(tmp) / "out")
     assert code in (0, 1, 2, 3)
     assert not caught, [str(w.message) for w in caught]
     if code:

@@ -18,7 +18,8 @@ from complim import (
     project_velocity,
     simulate_incompressible,
 )
-from complim.presets import VELOCITY_PRESETS, resolve, velocity_preset
+from complim.basis import coefficients_of
+from complim.presets import VELOCITY_PRESETS, velocity_preset
 
 FORCE = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
 
@@ -28,9 +29,11 @@ def bitwise(a, b):
 
 
 @pytest.mark.parametrize("name", VELOCITY_PRESETS)
-def test_resolve_velocity_preset(spec4, ops4, name):
-    expected = velocity_preset(name, ops4).values
-    assert bitwise(resolve(name, ops4), expected)
+def test_velocity_preset_passes_through_coefficients_of(spec4, ops4, name):
+    preset = velocity_preset(name, ops4)
+    got = coefficients_of(spec4, preset)
+    assert bitwise(got, preset.values) and got is not preset.values
+    assert bitwise(velocity_preset(name, ops4).values, preset.values)
 
 
 def test_initial_pressure_reads_source_and_constants_from_params(ops4):
@@ -47,33 +50,27 @@ def test_initial_pressure_reads_source_and_constants_from_params(ops4):
         assert np.abs(moved - expected).max() > 1e-3 * np.abs(expected).max()
 
 
-def test_resolve_fields_coefficients_and_none(spec4, ops4):
+def test_coefficients_of_fields_coefficients_and_none(spec4):
     u = SampledField.of_vector(lambda x, y: x * (1 - x) * y, lambda x, y: np.sin(np.pi * x) * y)
     p = SampledField.scalar(lambda x, y: 0.3 * np.cos(np.pi * x) + x * y)
-    assert bitwise(resolve(u, ops4), project_velocity(spec4, u).values)
-    assert bitwise(resolve(p, ops4, pressure=True), project_pressure(spec4, p).values)
+    assert bitwise(coefficients_of(spec4, u), project_velocity(spec4, u).values)
+    assert bitwise(coefficients_of(spec4, p, pressure=True), project_pressure(spec4, p).values)
 
     c = VelocityCoeffs(spec4, np.arange(spec4.m_u, dtype=float))
     q = PressureCoeffs(spec4, np.arange(spec4.m_p, dtype=float))
-    got_c, got_q = resolve(c, ops4), resolve(q, ops4, pressure=True)
+    got_c, got_q = coefficients_of(spec4, c), coefficients_of(spec4, q, pressure=True)
     assert bitwise(got_c, c.values) and got_c is not c.values
     assert bitwise(got_q, q.values) and got_q is not q.values
 
-    assert bitwise(resolve(None, ops4), np.zeros(spec4.m_u))
-    assert bitwise(resolve(None, ops4, pressure=True), np.zeros(spec4.m_p))
+    assert bitwise(coefficients_of(spec4, None), np.zeros(spec4.m_u))
+    assert bitwise(coefficients_of(spec4, None, pressure=True), np.zeros(spec4.m_p))
 
 
-def test_resolve_rejects_unknown_names(ops4):
-    with pytest.raises(KeyError):
-        resolve("compatible_p0", ops4)
-    with pytest.raises(KeyError):
-        resolve("mixed_u0", ops4, pressure=True)
-    # the zero field is spelled as a field ("0", "zero"), not as a preset
+def test_velocity_preset_rejects_unknown_names(ops4):
+    # the zero field is spelled as a field ("0", "zero"), not as a preset; no pressure is a preset
     for name in ("zero", "compatible_p0"):
         with pytest.raises(KeyError):
-            resolve(name, ops4, pressure=True)
-    with pytest.raises(KeyError):
-        velocity_preset("zero", ops4)
+            velocity_preset(name, ops4)
 
 
 def test_scaled_field_keeps_time_factor_and_kind():
