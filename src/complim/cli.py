@@ -262,7 +262,7 @@ def _cmd_sweep(args) -> int:
             "dt": result.params.dt,
             "n_u": cfg.n_u,
             "n_p": cfg.n_p,
-            "x_limit": result.x_limit,
+            "x_limit": result.x_limit if np.isfinite(result.x_limit) else None,  # JSON has no NaN
             "probe_labels": result.probe_labels,
             "fits": {
                 name: {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual}

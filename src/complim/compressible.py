@@ -18,10 +18,13 @@ order, and exactly dissipative on the unforced system.  One stepper,
 of the step matrix and the right-hand matrix, marches with one LAPACK
 ``getrs`` solve per step, checks the step residuals as one matrix product
 per chunk of steps and hands each chunk of states to its caller.  The
-caller pulls the chunks: :func:`simulate_compressible` stores them, and a
-sweep row (:func:`compressible_chunks`) reduces them on the fly in
-lockstep with the Stokes reference.  The discretization is the
-``OperatorSet`` alone: its ``spec`` is the basis of every function here.
+caller pulls the chunks: :func:`simulate_compressible` stores them and feeds
+them to :class:`RunSeries`, which reduces each one, as it comes, to the
+per-node and per-interval series that trajectory.csv, the energy ledger and
+the a-priori check read; a sweep row (:func:`compressible_chunks`) reduces
+them on the fly in lockstep with the Stokes reference.  The discretization
+is the ``OperatorSet`` alone: its ``spec`` is the basis of every function
+here.
 """
 
 from __future__ import annotations
@@ -190,11 +193,12 @@ class CompressibleParams:
 
 @dataclass
 class Trajectory:
-    """Coefficient time series of one compressible run with per-node diagnostics.
+    """Coefficient time series of one compressible run with the series reduced during its march.
 
     ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, ``mass`` holds
     M(t) = rho0 + alpha q_0 (the domain has unit area), and the density
     field rho = rho0 + alpha p is available through :meth:`density`.
+    ``series`` holds them and the other series that the audits read.
     """
 
     spec: BasisSpec
@@ -207,7 +211,8 @@ class Trajectory:
     h01: np.ndarray  # (N+1,)
     div: np.ndarray  # (N+1,)
     mass: np.ndarray  # (N+1,)
-    coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p), if computed
+    coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p)
+    series: Optional[RunSeries] = None
 
     @property
     def n_steps(self) -> int:
@@ -296,47 +301,90 @@ def compressible_chunks(
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
+class RunSeries:
+    """The series of one run, reduced from the ``(start, c, q)`` chunks of its march.
+
+    Per node: c'Mc and q'q (the kinetic and acoustic parts of I), I, |c|,
+    sqrt(c'Ec), the mass and the dual norm |M dc/dt| of the momentum equation
+    that est2 reads.  Per interval: the energy identity's dissipation and
+    work by midpoint quadrature (averaged coefficients, sources at
+    mid-interval times).  c E is formed once per chunk for c'Ec, the momentum
+    and, averaged, the midpoint E term; averaged q G' gives the body force's
+    work.  The chunks tile nodes 0..N in order, and each one's last node is
+    carried into the next for the interval that starts there.
+    """
+
+    def __init__(self, operator_set: OperatorSet, params: CompressibleParams, dt: float, times, G):
+        n = len(times)
+        self.operator_set, self.params, self.dt, self.times, self.G = operator_set, params, dt, times, G
+        self.kinetic, self.acoustic, self.energy = np.empty(n), np.empty(n), np.empty(n)
+        self.h01, self.div, self.mass, self.momentum = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+        self.dissipation, self.work = np.empty(n - 1), np.empty(n - 1)
+        self.forcing = _forcing_terms(operator_set.spec, params)
+        self.last = None  # (t, c, q, c E, q G') at the last node reduced
+
+    def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
+        """Reduce the coefficients (c, q) at nodes start, start + 1, ..."""
+        ops, p = self.operator_set, self.params
+        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
+        nodes = slice(start, start + len(c))
+        cE, qG = c @ ops.div_gram, q @ self.G.T
+        self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
+        self.acoustic[nodes] = np.einsum("nk,nk->n", q, q)
+        self.energy[nodes] = 0.5 * (p.rho0 * self.kinetic[nodes] + p.alpha / p.rho0 * self.acoustic[nodes])
+        self.h01[nodes] = np.linalg.norm(c, axis=1)
+        self.div[nodes] = np.sqrt(np.maximum(np.einsum("ni,ni->n", cE, c), 0.0))
+        self.mass[nodes] = p.rho0 + p.alpha * q[:, 0]
+        momentum = q @ ops.div_coupling - p.mu * c - p.eta * cE + p.alpha * qG
+        momentum += np.outer(_time_values(s_fac, self.times[nodes]), s_vec)
+        self.momentum[nodes] = np.linalg.norm(momentum / p.rho0, axis=1)
+
+        rows = (self.times[nodes], c, q, cE, qG)
+        if self.last is not None:  # the interval from the previous chunk's last node
+            rows = tuple(np.concatenate([last[None], row]) for last, row in zip(self.last, rows))
+        self.last = tuple(row[-1].copy() for row in rows)
+        t_mid, c_mid, q_mid, cE_mid, qG_mid = (0.5 * (row[1:] + row[:-1]) for row in rows)
+        steps = slice(nodes.stop - len(rows[0]), nodes.stop - 1)
+        h01_sq, div_sq = np.einsum("ni,ni->n", c_mid, c_mid), np.einsum("ni,ni->n", c_mid, cE_mid)
+        self.dissipation[steps] = self.dt * (p.mu * h01_sq + p.eta * div_sq)
+        # a source that is absent contributes 0, which leaves a nonzero work unchanged
+        self.work[steps] = self.dt * (
+            p.alpha * np.einsum("ni,ni->n", c_mid, qG_mid)
+            + (c_mid @ s_vec) * _time_values(s_fac, t_mid)
+            + (q_mid @ sigma_vec) * _time_values(sigma_fac, t_mid) / p.rho0
+        )
+
+
 def simulate_compressible(
     spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
 ) -> Trajectory:
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
-    The whole march of :func:`compressible_chunks`, stored, with its per-node
-    diagnostics.  ``spec`` is not read; it goes away once the benchmark's
-    workload process stops passing it.
+    The whole march of :func:`compressible_chunks`, stored, with the
+    :class:`RunSeries` reduced from the same chunks.  ``spec`` is not read;
+    it goes away once the benchmark's workload process stops passing it.
     """
     spec = operator_set.spec
     dt, times, G, chunks = compressible_chunks(operator_set, params)
+    series = RunSeries(operator_set, params, dt, times, G)
     states = np.empty((len(times), spec.m_u + spec.m_p))
     c, q = states[:, : spec.m_u], states[:, spec.m_u :]
     for start, c_k, q_k in chunks:
         c[start : start + len(c_k)] = c_k
         q[start : start + len(q_k)] = q_k
-
-    kinetic = np.einsum("ni,i,ni->n", c, operator_set.mass_diag, c)
-    acoustic = np.einsum("nk,nk->n", q, q)
+        series(start, c_k, q_k)
     return Trajectory(
-        spec=spec,
-        params=params,
-        dt=dt,
-        times=times,
-        c=c,
-        q=q,
-        energy=0.5 * (params.rho0 * kinetic + params.alpha / params.rho0 * acoustic),
-        h01=np.linalg.norm(c, axis=1),
-        div=np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", c, operator_set.div_gram, c, optimize=True), 0.0)),
-        mass=params.rho0 + params.alpha * q[:, 0],
-        coupling=G,
+        spec, params, dt, times, c, q, series.energy, series.h01, series.div, series.mass, G, series
     )
 
 
-def _coupling(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> np.ndarray:
-    """G of params.f, reused from the trajectory when it was computed for the same force."""
-    if traj.coupling is not None and params.f is traj.params.f:
-        return traj.coupling
-    if params.f is None:
-        return np.zeros((operator_set.spec.m_u, operator_set.spec.m_p))
-    return coupling_matrix(operator_set, params.f)
+def _series(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> RunSeries:
+    """The RunSeries of traj; ValueError unless traj is a run of operator_set's basis with params."""
+    if traj.c.shape[1] != operator_set.spec.m_u or traj.q.shape[1] != operator_set.spec.m_p:
+        raise ValueError("trajectory does not match the operator set")
+    if params is not traj.params:
+        raise ValueError("params are not the ones the trajectory was run with")
+    return traj.series
 
 
 @dataclass
@@ -355,46 +403,19 @@ class EnergyLedger:
     dissipation: np.ndarray  # (N,)
     work: np.ndarray  # (N,)
 
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[-1]) if len(self.cumulative) else 0.0
-
 
 def energy_ledger(
     operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory
 ) -> EnergyLedger:
     """Audit the energy identity of a compressible trajectory of ``operator_set``, per interval."""
-    spec = operator_set.spec
-    if traj.c.shape[1] != spec.m_u or traj.q.shape[1] != spec.m_p:
-        raise ValueError("trajectory does not match the operator set")
-    dt = traj.dt
-    c_mid = 0.5 * (traj.c[1:] + traj.c[:-1])
-    q_mid = 0.5 * (traj.q[1:] + traj.q[:-1])
-    t_mid = 0.5 * (traj.times[1:] + traj.times[:-1])
-
-    delta_energy = np.diff(traj.energy)
-    h01_sq = np.einsum("ni,ni->n", c_mid, c_mid)
-    div_sq = np.einsum("ni,ij,nj->n", c_mid, operator_set.div_gram, c_mid, optimize=True)
-    dissipation = dt * (params.mu * h01_sq + params.eta * div_sq)
-
-    work = np.zeros(len(t_mid))
-    if params.f is not None:
-        G = _coupling(operator_set, params, traj)
-        work += params.alpha * np.einsum("nk,nk->n", c_mid @ G, q_mid)
-    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
-    if s_vec.any():
-        work += (c_mid @ s_vec) * _time_values(s_fac, t_mid)
-    if sigma_vec.any():
-        work += (q_mid @ sigma_vec) * _time_values(sigma_fac, t_mid) / params.rho0
-    work *= dt
-
-    per_step = delta_energy + dissipation - work
+    series = _series(operator_set, params, traj)
+    per_step = np.diff(traj.energy) + series.dissipation - series.work
     return EnergyLedger(
-        interval_midpoints=t_mid,
+        interval_midpoints=0.5 * (traj.times[1:] + traj.times[:-1]),
         per_step=per_step,
         cumulative=np.cumsum(per_step),
-        dissipation=dissipation,
-        work=work,
+        dissipation=series.dissipation,
+        work=series.work,
     )
 
 
@@ -448,15 +469,13 @@ def apriori_check(
     c = |sigma|^2/(2 rho0 alpha) satisfy I' + J^2 <= aI + bJ + c; the bounds
     follow with C_a = 1 + A e^A, A = aT.
     """
+    series = _series(operator_set, params, traj)
     spec = operator_set.spec
-    if traj.c.shape[1] != spec.m_u or traj.q.shape[1] != spec.m_p:
-        raise ValueError("trajectory does not match the operator set")
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 
     s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
-    s_factors = _time_values(s_fac, times)
-    s_dual = np.linalg.norm(s_vec) * np.abs(s_factors)  # |<s(t), .>| in the dual norm
+    s_dual = np.linalg.norm(s_vec) * np.abs(_time_values(s_fac, times))  # |<s(t), .>| in the dual norm
     sigma_l2 = np.linalg.norm(sigma_vec) * np.abs(_time_values(sigma_fac, times))
 
     f_sup = _sup_norm_on_grid(spec, params.f)
@@ -479,10 +498,8 @@ def apriori_check(
 
     # (est1): |u|_{L2 H10} + |u|_{Linf L2} + sqrt(alpha) |p|_{Linf L2} <= C E
     u_l2h1 = np.sqrt(np.trapezoid(traj.h01**2, times))
-    u_linf = np.sqrt(
-        np.max(np.einsum("ni,i,ni->n", traj.c, operator_set.mass_diag, traj.c))
-    )
-    p_linf = np.max(np.linalg.norm(traj.q, axis=1))
+    u_linf = np.sqrt(np.max(series.kinetic))
+    p_linf = np.sqrt(np.max(series.acoustic))
     est1_lhs = u_l2h1 + u_linf + np.sqrt(alpha) * p_linf
     k1 = max(np.sqrt(rho0 / 2.0), np.sqrt(1.0 / (2.0 * rho0)), 1.0 / np.sqrt(mu))
     k2 = max(rho0 / 2.0, 1.0 / (2.0 * rho0), 1.0 / mu)
@@ -494,19 +511,10 @@ def apriori_check(
 
     # (est2): |u|_{L2 H10} + |du/dt|_{L2 H-1} <= (1/sqrt(alpha)) C~ E,
     # with M dc/dt read off the momentum equation at the nodes.
-    G = _coupling(operator_set, params, traj)
-    momentum = (
-        traj.q @ operator_set.div_coupling
-        - mu * traj.c
-        - eta * (traj.c @ operator_set.div_gram)
-        + alpha * (traj.q @ G.T)
-        + np.outer(s_factors, s_vec)
-    ) / rho0
-    ut_dual = np.linalg.norm(momentum, axis=1)
-    est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(ut_dual**2, times))
+    est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(series.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
     e_norm = float(np.linalg.eigvalsh(operator_set.div_gram)[-1])  # E is symmetric PSD
-    g_norm = float(np.linalg.norm(G, 2)) if G.any() else 0.0
+    g_norm = float(np.linalg.norm(traj.coupling, 2)) if traj.coupling.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E
     bi = constants.c_a_tilde * k2  # bound on |I|_{Linf} / E^2
     est2_constant = (

@@ -1,6 +1,7 @@
 """CSV and JSON emission. Numbers carry 17 significant digits so files
 round-trip doubles exactly; files are written to a temp name and renamed,
-so readers never observe partial output.
+so readers never observe partial output; each file gets the mode a plain
+open gives under the caller's umask.
 
 A table is a header and its columns, each with one value per node (the
 file's data rows, counted from 0); a 2-D array is a block of consecutive
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -55,9 +55,10 @@ def fmt17(x) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    # created by open, so it gets the caller's umask (mkstemp's files are 0600)
+    tmp = os.path.join(directory, f".tmp_{os.getpid()}_{os.path.basename(path)}.part")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        with open(tmp, "x", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -19,7 +19,9 @@ mean zero by construction and shiftable afterwards to any target mean; the
 initial pressure is the same recovery at t = 0.  The march is a chunk
 source, :func:`stokes_chunks`, which yields each chunk of steps with its
 velocity and recovered pressure: :func:`simulate_incompressible` stores the
-chunks, and an alpha sweep reduces each one against its rows and drops it.
+chunks and reduces each one, in the same loop, to the per-node columns and
+the per-interval energy-identity defect of its trajectory.csv, and an alpha
+sweep reduces each one against its rows and drops it.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
@@ -33,7 +35,6 @@ import numpy as np
 
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import (
-    STEP_CHUNK,
     CompressibleParams,
     InvalidParams,
     _forcing_terms,
@@ -86,7 +87,7 @@ class IncompressibleTrajectory:
     energy: np.ndarray  # (N+1,), rho0 |u|^2 / 2
     h01: np.ndarray
     div: np.ndarray
-    energy_residual: np.ndarray  # (N,), per-interval identity defect
+    energy_residual: np.ndarray  # (N,), per-interval defect of the energy identity
 
     @property
     def n_steps(self) -> int:
@@ -152,46 +153,31 @@ def simulate_incompressible(
 ) -> IncompressibleTrajectory:
     """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, stored.
 
-    The per-node diagnostics and the energy-identity audit are computed
-    block by block over the stored series, so they add no whole-trajectory
-    temporaries.  ``spec`` and ``kernel`` are not read; both go away once the
-    benchmark's workload process stops passing them.
+    Each chunk is reduced as it is stored: I = rho0 |u|^2 / 2, |u|_{H10},
+    |div u| and the defect of the energy identity
+    I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
+    the compressible ledger's identity without its pressure and eta terms.
+    ``spec`` and ``kernel`` are not read; both go away once the benchmark's
+    workload process stops passing them.
     """
     spec = operator_set.spec
     dt, times, chunks = stokes_chunks(operator_set, params)
-    Z = operator_set.kernel
     n = len(times)
-    y, c, q = np.empty((n, Z.shape[1])), np.empty((n, spec.m_u)), np.empty((n, spec.m_p))
+    y, c, q = (np.empty((n, m)) for m in (operator_set.kernel.shape[1], spec.m_u, spec.m_p))
+    energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
+    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
         y[rows], c[rows], q[rows] = y_k, c_k, q_k
-
-    # energy identity audit: rho0 d|u|^2/dt + 2 mu |u|^2_{H10} = 2 (s, u)
-    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
-    s_reduced, stiff = Z.T @ s_vec, Z.T @ Z
-    l2_sq = np.einsum("ni,ni->n", y, y)
-    t_mid = 0.5 * (times[1:] + times[:-1])
-    h01, div, residuals = np.empty(n), np.empty(n), np.empty(n - 1)
-    # The blocks start at multiples of STEP_CHUNK, where a BLAS product tiles
-    # their rows as it tiles the whole series, so on one BLAS thread their
-    # values are those of whole-series products.  On more threads OpenBLAS
-    # splits a product between them off the tile grid, which moves the last
-    # bits of some nodes (the final 6 of 1,006 for configs/simulate.cfg on 2
-    # threads).  The CLI runs systems of fewer than cli.ONE_BLAS_THREAD_BELOW
-    # unknowns on one thread, so there these columns do not depend on
-    # OPENBLAS_NUM_THREADS; above it they match only at a fixed setting.
-    for lo in range(0, n, STEP_CHUNK):
-        nodes = slice(lo, lo + STEP_CHUNK)
-        c_k = c[nodes]
-        h01[nodes] = np.linalg.norm(c_k, axis=1)
-        div[nodes] = np.sqrt(
-            np.maximum(np.einsum("ni,ij,nj->n", c_k, operator_set.div_gram, c_k, optimize=True), 0.0)
-        )
-        steps = slice(lo, min(lo + STEP_CHUNK, n - 1))
-        y_mid = 0.5 * (y[lo + 1 : steps.stop + 1] + y[steps])
-        diss = 2.0 * params.mu * dt * np.einsum("ni,ij,nj->n", y_mid, stiff, y_mid, optimize=True)
-        work = 2.0 * dt * (y_mid @ s_reduced) * _time_values(s_fac, t_mid[steps])
-        residuals[steps] = params.rho0 * np.diff(l2_sq[lo : steps.stop + 1]) + diss - work
+        energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
+        h01[rows] = np.linalg.norm(c_k, axis=1)
+        div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", c_k @ operator_set.div_gram, c_k), 0.0))
+        steps = slice(max(start - 1, 0), rows.stop - 1)  # the intervals ending in this chunk
+        c_mid = 0.5 * (c[steps.start + 1 : rows.stop] + c[steps])
+        t_mid = 0.5 * (times[steps.start + 1 : rows.stop] + times[steps])
+        work = dt * (c_mid @ s_vec) * _time_values(s_fac, t_mid)
+        dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
+        residuals[steps] = np.diff(energy[steps.start : rows.stop]) + dissipation - work
 
     return IncompressibleTrajectory(
         spec=spec,
@@ -201,7 +187,7 @@ def simulate_incompressible(
         y=y,
         c=c,
         q=q,
-        energy=0.5 * params.rho0 * l2_sq,
+        energy=energy,
         h01=h01,
         div=div,
         energy_residual=residuals,

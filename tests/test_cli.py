@@ -19,7 +19,7 @@ from complim import (
 from complim.basis import coefficients_of
 from complim.cli import _build_params, run_cli
 from complim.config import ConfigError, parse_config, realize_scalar_field, realize_vector_field
-from complim.csvio import read_csv_columns, write_series_csv, write_trajectory_csv
+from complim.csvio import read_csv_columns, write_series_csv, write_tables, write_trajectory_csv
 from complim.presets import VELOCITY_PRESETS, velocity_preset
 
 SIM_CFG = """
@@ -224,8 +224,13 @@ def test_body_force_source_is_rho0_f(tmp_path):
         p0=realize_scalar_field("0.3*cos(pi*x)"),
     )
     traj = simulate_compressible(spec, ops, params)
-    write_trajectory_csv(tmp_path / "library.csv", traj, energy_ledger(ops, params, traj).per_step)
+    ledger = energy_ledger(ops, params, traj)
+    write_trajectory_csv(tmp_path / "library.csv", traj, ledger.per_step)
     assert (tmp_path / "library.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+    header = ["t_mid", "per_step", "cumulative", "dissipation", "work"]
+    columns = [getattr(ledger, name) for name in ("interval_midpoints", *header[1:])]
+    write_tables(str(tmp_path / "library"), {"ledger.csv": (header, columns)})
+    assert (tmp_path / "library" / "ledger.csv").read_bytes() == (out / "ledger.csv").read_bytes()
 
 
 def test_decompose_gradient_preset(tmp_path):
@@ -555,6 +560,37 @@ def test_sweep_rows_with_nonfinite_values_fail(tmp_path, capsys):
     assert err[0].endswith("ValueError: sweep.csv: err_vel_L2H1 is inf")
     meta = json.loads((out / "sweep_meta.json").read_text())
     assert meta["fits"] == {} and len(meta["row_errors"]) == 3
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_sweep_meta_is_valid_json_when_x_limit_is_not_finite(tmp_path):
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG.replace("u0 = mixed_u0", HUGE_U0))
+    assert run_cli(["sweep", "--config", cfg]) == 2
+    text = (out / "sweep_meta.json").read_text()
+    assert json.loads(text, parse_constant=_refuse_constant)["x_limit"] is None
+    # a finite x_limit is written as before
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli(["sweep", "--config", cfg]) == 0
+    x_limit = json.loads((out / "sweep_meta.json").read_text(), parse_constant=_refuse_constant)["x_limit"]
+    assert isinstance(x_limit, float) and np.isfinite(x_limit)
+
+
+def test_result_files_get_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        cfg, out = write_cfg(tmp_path, SIM_CFG)
+        assert run_cli(["simulate", "--config", cfg]) == 0
+        assert run_cli(["decompose", "--config", cfg]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert set(modes) == {
+        "trajectory.csv", "ledger.csv", "coefficients.csv", "decompose.csv", "decompose_norms.json"
+    }
+    assert set(modes.values()) == {0o644}
 
 
 @pytest.mark.parametrize(

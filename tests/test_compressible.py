@@ -184,6 +184,9 @@ def test_ledger_and_apriori_refuse_a_trajectory_of_another_basis(spec4, ops4):
     for audit in (energy_ledger, apriori_check):
         with pytest.raises(ValueError, match="trajectory does not match the operator set"):
             audit(ops3, params, traj)
+        # the series were reduced with traj.params; an equal copy is another run's params
+        with pytest.raises(ValueError, match="params are not the ones the trajectory was run with"):
+            audit(ops4, dataclasses.replace(params), traj)
 
 
 def test_apriori_zero_data(spec2, ops2):
@@ -386,3 +389,58 @@ def test_nonfinite_row_recorded_as_failed_sweep_row(monkeypatch):
     res = sweep_alpha(*_sweep_problem(3, T=0.5), (1e-1, 1e-2, 1e-3), probes=4)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert res.rows[1].error.startswith("StepFailure: step 1 at t = ")
+
+
+def _whole_array_ledger(ops, params, traj):
+    """(per_step, dissipation, work) of the energy ledger, formed over the stored trajectory
+    as energy_ledger did before the march reduced its series (test oracle)."""
+    dt = traj.dt
+    c_mid = 0.5 * (traj.c[1:] + traj.c[:-1])
+    q_mid = 0.5 * (traj.q[1:] + traj.q[:-1])
+    t_mid = 0.5 * (traj.times[1:] + traj.times[:-1])
+    h01_sq = np.einsum("ni,ni->n", c_mid, c_mid)
+    div_sq = np.einsum("ni,ij,nj->n", c_mid, ops.div_gram, c_mid, optimize=True)
+    dissipation = dt * (params.mu * h01_sq + params.eta * div_sq)
+    G = coupling_matrix(ops, params.f)
+    work = params.alpha * np.einsum("nk,nk->n", c_mid @ G, q_mid)
+    work += (c_mid @ velocity_load_vector(ops.spec, params.s)) * np.array([params.s.at_time(t) for t in t_mid])
+    sigma_t = np.array([params.sigma.at_time(t) for t in t_mid])
+    work += (q_mid @ pressure_load_vector(ops.spec, params.sigma)) * sigma_t / params.rho0
+    work *= dt
+    return np.diff(traj.energy) + dissipation - work, dissipation, work
+
+
+def _whole_array_est2_lhs(ops, params, traj):
+    """est2's left-hand side with M dc/dt formed over the stored trajectory (test oracle)."""
+    G = coupling_matrix(ops, params.f)
+    s_factors = np.array([params.s.at_time(t) for t in traj.times])
+    momentum = (
+        traj.q @ ops.div_coupling
+        - params.mu * traj.c
+        - params.eta * (traj.c @ ops.div_gram)
+        + params.alpha * (traj.q @ G.T)
+        + np.outer(s_factors, velocity_load_vector(ops.spec, params.s))
+    ) / params.rho0
+    ut_dual = np.linalg.norm(momentum, axis=1)
+    u_l2h1 = np.sqrt(np.trapezoid(np.linalg.norm(traj.c, axis=1) ** 2, traj.times))
+    return u_l2h1 + np.sqrt(np.trapezoid(ut_dual**2, traj.times))
+
+
+def test_reduced_series_match_the_whole_array_audits(spec4, ops4):
+    # f, time-dependent s and sigma, eta > 0, and 549 steps: three chunks of the march.
+    # The march reduces the series chunk by chunk, so its products (c E, q G', q B,
+    # c s) are GEMMs over a chunk's rows, not over the whole trajectory: BLAS may
+    # order their sums differently, which moves the last bits, hence 1e-12 relative.
+    # per_step is a difference of terms of size |dI| + dissipation + |work| and is
+    # compared at that scale.
+    params, _ = stepper_params(spec4, time_dependent=True)
+    traj = simulate_compressible(spec4, ops4, params)
+    ledger = energy_ledger(ops4, params, traj)
+    per_step, dissipation, work = _whole_array_ledger(ops4, params, traj)
+    assert np.abs(per_step).min() > 1e-12  # O(dt^3) with time-dependent sources, not roundoff
+    scale = np.abs(np.diff(traj.energy)) + np.abs(dissipation) + np.abs(work)
+    assert np.all(np.abs(ledger.per_step - per_step) <= 1e-12 * scale)
+    assert np.all(np.abs(ledger.dissipation - dissipation) <= 1e-12 * np.abs(dissipation))
+    assert np.all(np.abs(ledger.work - work) <= 1e-12 * np.abs(work))
+    report = apriori_check(ops4, params, traj)
+    assert report.est2_lhs == pytest.approx(_whole_array_est2_lhs(ops4, params, traj), rel=1e-12, abs=0.0)

@@ -140,6 +140,25 @@ def test_energy_equality_exact_for_static_force(spec4, ops4, kernel4):
     assert np.abs(np.cumsum(traj.energy_residual)).max() <= 1e-12 * scale
 
 
+def test_energy_residual_is_the_compressible_ledger_identity(spec4, ops4, kernel4):
+    # I(t_{n+1}) - I(t_n) + dt mu |u_mid|^2_H10 - dt (s(t_mid), u_mid), recomputed from
+    # traj.c over 500 steps (two chunks of the march); the time-dependent source keeps
+    # the defect O(dt^3) above roundoff, so a multiple of it would not pass
+    params = forced_params(0.002, time_factor=lambda t: 1.0 + t * t)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    energy = 0.5 * params.rho0 * np.einsum("ni,i,ni->n", traj.c, ops4.mass_diag, traj.c)
+    c_mid = 0.5 * (traj.c[1:] + traj.c[:-1])
+    t_mid = 0.5 * (traj.times[1:] + traj.times[:-1])
+    dissipation = traj.dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
+    s_t = np.array([params.s.at_time(t) for t in t_mid])
+    work = traj.dt * (c_mid @ velocity_load_vector(spec4, params.s)) * s_t
+    defect = np.diff(energy) + dissipation - work
+    # I from c'Mc rounds otherwise than from y'y, by a few ulps of I itself
+    scale = np.abs(np.diff(energy)) + dissipation + np.abs(work) + energy[1:]
+    assert np.all(np.abs(defect) > 1e-12 * scale)
+    assert np.all(np.abs(traj.energy_residual - defect) <= 1e-12 * scale)
+
+
 def test_energy_equality_second_order(spec4, ops4, kernel4):
     cums = []
     for dt in (0.01, 0.005):
