@@ -102,7 +102,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         alpha = min(cfg.alphas) if sweep else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
         nodes = max(1.0, cfg.T / dt) + 1.0
-        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, right-hand sides, loads, residuals
+        chunk = 3.0 * (STEP_CHUNK + 1.0) * m  # states, right-hand sides, time-dependent loads
         need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
         if sweep:
             rows = len(cfg.alphas)

@@ -14,17 +14,15 @@ Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  One stepper,
 :func:`crank_nicolson`, serves this system and the reduced Stokes system of
-:mod:`complim.incompressible`: it holds two dense matrices, the LU factor
-of the step matrix and the right-hand matrix, marches with one LAPACK
-``getrs`` solve per step, checks the step residuals as one matrix product
-per chunk of steps and hands each chunk of states to its caller.  The
-caller pulls the chunks: :func:`simulate_compressible` stores them and feeds
-them to :class:`RunSeries`, which reduces each one, as it comes, to the
-per-node and per-interval series that trajectory.csv, the energy ledger and
-the a-priori check read; a sweep row (:func:`compressible_chunks`) reduces
-them on the fly in lockstep with the Stokes reference.  The discretization
-is the ``OperatorSet`` alone: its ``spec`` is the basis of every function
-here.
+:mod:`complim.incompressible`: it holds the LU factor of the step matrix,
+the right-hand matrix and two chunk buffers, marches with one matrix-vector
+product and one LAPACK ``getrs`` solve per step, checks each chunk's step
+residuals from the products the steps form and hands the chunk of states to
+its caller.  :func:`simulate_compressible` stores the chunks and feeds them
+to :class:`RunSeries`, which reduces each one to the series that
+trajectory.csv, the energy ledger and the a-priori check read; a sweep row
+(:func:`compressible_chunks`) reduces them in lockstep with the Stokes
+reference.  The discretization is the ``OperatorSet`` alone.
 """
 
 from __future__ import annotations
@@ -90,26 +88,28 @@ def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
 def crank_nicolson(
     a: np.ndarray, half_k: np.ndarray, y0: np.ndarray, times: np.ndarray, load
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """March diag(a) dy/dt = K y + g(t) with Crank-Nicolson steps over a uniform grid.
+    """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
     ``half_k`` is (dt/2) K, and the march takes it over: it becomes
     rhs_mat = diag(a) + (dt/2) K, and lhs = diag(a) - (dt/2) K is built
     once and LU-factored in place, so the march holds these two m x m
-    matrices and no others.  Each step solves
-    lhs y_{n+1} = rhs_mat y_n + dt/2 (g_n + g_{n+1}).  ``load`` is the
-    constant vector g or maps k times to the (k, m) loads at them.
+    matrices and no others.  Each step solves lhs y_{n+1} = rhs_n =
+    rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``load`` is the constant
+    vector g, whose w is one vector, or maps k times to a new (k, m) array
+    of the loads at them, which the march overwrites with w.
 
     A generator: it marches STEP_CHUNK steps at a time and yields
-    ``(start, states)`` per chunk, states[k] being y at node start + k, a
-    view of one chunk buffer that the next chunk overwrites.  The first
-    chunk begins with y0 at node 0 and each later one at the node after the
-    previous chunk's last, so the chunks tile nodes 0..N.  Before a chunk is
-    yielded its residuals are checked as one matrix product; as lhs =
-    2 diag(a) - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1}
-    - rhs_n.  StepFailure names the first step whose residual is not at most
-    STEP_RESIDUAL_RTOL |rhs_n|, which includes non-finite states.
+    ``(start, states)`` per chunk, states[k] being y at node start + k; the
+    chunks tile nodes 0..N.  states is a view of one of two chunk buffers,
+    allocated once, that the next chunk overwrites; the other holds the
+    products rhs_mat y_n, which each step turns into its rhs_n, and carries
+    the chunk's last product into the next chunk.  Before a chunk is yielded
+    its residuals are checked in place: as lhs = 2 diag(a) - rhs_mat, a
+    step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n, the product
+    read back as rhs_{n+1} - w_{n+1}.  StepFailure names the first step
+    whose residual is not at most STEP_RESIDUAL_RTOL |rhs_n|, which
+    includes non-finite states.
     """
-    m = len(y0)
     half_diag = half_k.diagonal().copy()
     # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
     # diag(a) -/+ (dt/2) K do off the diagonal
@@ -122,39 +122,42 @@ def crank_nicolson(
     (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
     n_steps = len(times) - 1
     dt = float(times[1] - times[0])
-    buf = np.empty((min(STEP_CHUNK, n_steps) + 1, m))
-    buf[0] = y0
-    rhs = np.empty((min(STEP_CHUNK, n_steps), m))
+    if not callable(load):  # the bits of a time-dependent load's trapezoid below
+        w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
+    states, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(y0)))
+    states[0] = y0
+    np.matmul(rhs_mat, y0, out=rhs[0])
     for start in range(0, n_steps, STEP_CHUNK):
-        stop = min(start + STEP_CHUNK, n_steps)
-        count = stop - start
-        states = buf[: count + 1]  # states[0] is the node the chunk starts from
-        nodes = times[start : stop + 1]
-        g = load(nodes) if callable(load) else np.broadcast_to(load, (nodes.size, m))
-        w = 0.5 * dt * (g[:-1] + g[1:])
-        for k, n in enumerate(range(start, stop)):
-            np.matmul(rhs_mat, states[k], out=rhs[k])
+        count = min(STEP_CHUNK, n_steps - start)
+        if callable(load):
+            w = load(times[start : start + count + 1])
+            w[:-1] += w[1:]
+            w[:-1] *= 0.5 * dt
+        for k in range(count):
             rhs[k] += w[k]
             states[k + 1], info = getrs(lu, piv, rhs[k])
             if info:
-                raise StepFailure(f"step {n + 1}: getrs returned info = {info}")
-        _check_residuals(two_a * states[1:] - states[1:] @ rhs_mat.T, rhs[:count], times, start)
-        del g, w  # a suspended march holds its two matrices and two chunk buffers only
-        yield (0, states) if start == 0 else (start + 1, states[1:])
-        buf[0] = states[count]
-
-
-def _check_residuals(lhs_y: np.ndarray, rhs: np.ndarray, times: np.ndarray, start: int) -> None:
-    """StepFailure for the first step of a chunk whose |lhs y - rhs| exceeds STEP_RESIDUAL_RTOL |rhs|."""
-    residual = np.linalg.norm(lhs_y - rhs, axis=1)
-    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-    bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
-    if bad.size:
-        k = bad[0]
-        raise StepFailure(
-            f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
-            f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
-        )
+                raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
+            np.matmul(rhs_mat, states[k + 1], out=rhs[k + 1])
+        # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
+        # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
+        scale = np.maximum(np.sqrt(np.vecdot(rhs[:count], rhs[:count])), 1e-300)
+        d = rhs[:count]
+        d += rhs[1 : count + 1]  # numpy reads the overlapping rows as they were before
+        d[:-1] -= w[1:count]  # the last product is rhs[count] itself
+        d /= two_a
+        d -= states[1 : count + 1]
+        d *= two_a
+        residual = np.sqrt(np.vecdot(d, d))
+        bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
+        if bad.size:
+            k = bad[0]
+            raise StepFailure(
+                f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
+                f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
+            )
+        yield (0, states[: count + 1]) if start == 0 else (start + 1, states[1 : count + 1])
+        states[0], rhs[0] = states[count], rhs[count]
 
 
 @dataclass(frozen=True)
@@ -230,17 +233,10 @@ class Trajectory:
 
 def _forcing_terms(spec: BasisSpec, params: CompressibleParams):
     """Static load vectors and time factors of s and sigma: (s_vec, s_fac, sigma_vec, sigma_fac)."""
-    if params.s is not None:
-        s_vec = velocity_load_vector(spec, params.s)
-        s_fac = params.s.time_factor
-    else:
-        s_vec, s_fac = np.zeros(spec.m_u), None
-    if params.sigma is not None:
-        sigma_vec = pressure_load_vector(spec, params.sigma)
-        sigma_fac = params.sigma.time_factor
-    else:
-        sigma_vec, sigma_fac = np.zeros(spec.m_p), None
-    return s_vec, s_fac, sigma_vec, sigma_fac
+    s, sigma = params.s, params.sigma
+    s_vec = np.zeros(spec.m_u) if s is None else velocity_load_vector(spec, s)
+    sigma_vec = np.zeros(spec.m_p) if sigma is None else pressure_load_vector(spec, sigma)
+    return s_vec, getattr(s, "time_factor", None), sigma_vec, getattr(sigma, "time_factor", None)
 
 
 def _time_values(fac: Optional[Callable[[float], float]], t) -> np.ndarray:
@@ -297,7 +293,9 @@ def compressible_chunks(
     y0 = np.concatenate(
         [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]
     )
-    states = crank_nicolson(a_diag, K, y0, times, load)
+    # a constant load goes to the march as one vector
+    g = np.concatenate([s_vec, sigma_vec]) if s_fac is None and sigma_fac is None else load
+    states = crank_nicolson(a_diag, K, y0, times, g)
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
@@ -514,7 +512,8 @@ def apriori_check(
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(series.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
     e_norm = float(np.linalg.eigvalsh(operator_set.div_gram)[-1])  # E is symmetric PSD
-    g_norm = float(np.linalg.norm(traj.coupling, 2)) if traj.coupling.any() else 0.0
+    G = traj.coupling  # |G|_2 from the largest eigenvalue of G'G, without G's full SVD
+    g_norm = float(np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1])) if G.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E
     bi = constants.c_a_tilde * k2  # bound on |I|_{Linf} / E^2
     est2_constant = (

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,15 +200,26 @@ def test_apriori_zero_data(spec2, ops2):
     assert report.ok
 
 
-def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
+def _simulate_cfg_audit():
+    """simulate.cfg's run (n = 8, eta > 0, a body force) with its a-priori report."""
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
     cfg = parse_config(path.read_text())
-    assert (cfg.n_u, cfg.n_p) == (8, 8) and cfg.eta > 0.0
+    assert (cfg.n_u, cfg.n_p) == (8, 8) and cfg.eta > 0.0 and cfg.f.strip() != "0"
     spec = build_basis(cfg.n_u, cfg.n_p)
     ops = assemble(spec)
     params = _build_params(cfg, ops)
     traj = simulate_compressible(spec, ops, params)
-    report = apriori_check(ops, params, traj)
+    return ops, params, traj, apriori_check(ops, params, traj)
+
+
+def _assert_same_report(report, svd):
+    assert report.est2_constant == pytest.approx(svd.est2_constant, rel=1e-12, abs=0.0)
+    flags = lambda r: (r.est1_ok, r.est2_ok, r.certificate.ok, r.ok)  # noqa: E731
+    assert flags(report) == flags(svd)
+
+
+def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
+    ops, params, traj, report = _simulate_cfg_audit()
     # |E| as the 2-norm through a full SVD, as it was taken before
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(
@@ -213,10 +227,22 @@ def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
         "eigvalsh",
         lambda a: np.array([np.linalg.norm(a, 2)]) if a is ops.div_gram else eigvalsh(a),
     )
-    svd = apriori_check(ops, params, traj)
-    assert report.est2_constant == pytest.approx(svd.est2_constant, rel=1e-12, abs=0.0)
-    flags = lambda r: (r.est1_ok, r.est2_ok, r.certificate.ok, r.ok)  # noqa: E731
-    assert flags(report) == flags(svd)
+    _assert_same_report(report, apriori_check(ops, params, traj))
+
+
+def test_apriori_g_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
+    ops, params, traj, report = _simulate_cfg_audit()
+    G = traj.coupling
+    svd_norm = np.linalg.norm(G, 2)  # |G| through a full SVD, as it was taken before
+    assert svd_norm > 0.0
+    assert np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1]) == pytest.approx(svd_norm, rel=1e-12, abs=0.0)
+    eigvalsh = np.linalg.eigvalsh  # G'G is the one (m_p, m_p) matrix it is called with
+    monkeypatch.setattr(
+        np.linalg,
+        "eigvalsh",
+        lambda a: np.array([svd_norm**2]) if a.shape == (G.shape[1],) * 2 else eigvalsh(a),
+    )
+    _assert_same_report(report, apriori_check(ops, params, traj))
 
 
 def test_apriori_homogeneity_degree_one(spec2, ops2):
@@ -367,6 +393,57 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
     u0.values[3] = np.nan
     with pytest.raises(StepFailure, match="step 1 at t = "):
         simulate_compressible(spec2, ops2, CompressibleParams(alpha=0.05, T=0.1, u0=u0, p0=p0))
+
+
+def corrupt_solve(monkeypatch, step, march=0, size=None, value=lambda x: x * (1.0 + 1e-6)):
+    """Make the getrs that crank_nicolson fetches return value(x) at the step-th solve (1-based)
+    of the march-th march (0-based) of a size x size system, of any size when size is None."""
+    fetch = scipy.linalg.get_lapack_funcs
+    marches = itertools.count()
+
+    def get_lapack_funcs(names, arrays):
+        (getrs,) = fetch(names, arrays)
+        if size not in (None, len(arrays[0])) or next(marches) != march:
+            return (getrs,)
+        solves = itertools.count(1)
+
+        def corrupted(lu, piv, b):
+            x, info = getrs(lu, piv, b)
+            return (value(x) if next(solves) == step else x), info
+
+        return (corrupted,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+# inside the first chunk, its last step, the second chunk's first and last, the march's last
+@pytest.mark.parametrize("step", [100, 256, 257, 512, 549])
+def test_step_residual_gate_names_a_corrupted_solve(spec2, ops2, monkeypatch, step, time_dependent):
+    """The last step of a chunk is gated on the product carried into the next chunk."""
+    params, dt = stepper_params(spec2, time_dependent)
+    corrupt_solve(monkeypatch, step)
+    message = f"step {step} at t = {step * dt:.6g}: relative residual "
+    with pytest.raises(StepFailure, match="^" + re.escape(message)):
+        simulate_compressible(spec2, ops2, params)
+
+
+def test_later_chunks_allocate_no_chunk_sized_array(spec4, ops4):
+    """The march allocates its chunk buffers once, with its first chunk."""
+    params, _ = stepper_params(spec4, time_dependent=False)
+    params = dataclasses.replace(params, dt=1.0 / (4 * compressible.STEP_CHUNK))
+    _, times, _, chunks = compressible.compressible_chunks(ops4, params)
+    assert len(times) == 4 * compressible.STEP_CHUNK + 1
+    next(chunks)
+    tracemalloc.start()
+    try:
+        pulled = sum(1 for _ in chunks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pulled == 3
+    chunk = 8 * compressible.STEP_CHUNK * (spec4.m_u + spec4.m_p)
+    assert peak < chunk, peak / chunk
 
 
 def _sweep_problem(n, **physics):

@@ -32,6 +32,7 @@ from complim.config import realize_scalar_field
 from complim.presets import velocity_preset
 
 from test_cli import SWEEP_CFG, write_cfg
+from test_compressible import corrupt_solve
 
 
 SMALL = dict(alphas=(1e-1, 1e-2, 1e-3), probes=4, seed=3)
@@ -215,6 +216,21 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch, marched_here):
     assert np.isnan(res.rows[1].x_alpha) and res.rows[1].probe_deltas.size == 0
     # the failed row is pulled no further; the others finish as in a sweep without it
     assert pulled.count(1e-2) == 2 and pulled.count(1e-1) == pulled.count(1e-3) == 4
+    for k in (0, 2):
+        assert res.rows[k].x_alpha == clean.rows[k].x_alpha
+        assert np.array_equal(res.rows[k].probe_deltas, clean.rows[k].probe_deltas)
+
+
+def test_row_turning_nan_mid_march_fails_alone(monkeypatch, marched_here):
+    ops, params = _problem("solenoidal_u0", T=1.0, dt=1e-3)
+    clean = sweep_alpha(ops, params, **SMALL)
+    _usable_cpus(monkeypatch, 1)  # one group: its reference marches first, then its rows in order
+    m = ops.spec.m_u + ops.spec.m_p
+    nan = lambda x: np.full_like(x, np.nan)  # noqa: E731
+    corrupt_solve(monkeypatch, 300, march=1, size=m, value=nan)  # the second row, in its second chunk
+    res = sweep_alpha(ops, params, **SMALL)
+    assert [r.failed for r in res.rows] == [False, True, False]
+    assert res.rows[1].error.startswith(f"StepFailure: step 300 at t = {0.3:.6g}: relative residual nan")
     for k in (0, 2):
         assert res.rows[k].x_alpha == clean.rows[k].x_alpha
         assert np.array_equal(res.rows[k].probe_deltas, clean.rows[k].probe_deltas)
