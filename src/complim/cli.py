@@ -89,10 +89,11 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
     processes, each in lockstep with its own Stokes reference.  It counts
     n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
-    worker one reference: its 2 dense m_V x m_V matrices (m_V, the dimension
-    of the discrete solenoidal space, taken at its bound m_u) and its chunk
-    buffers.  It also counts the text of the largest CSV file the command
-    writes, at CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
+    worker one reference, which holds no matrix of its own: 11 chunk-sized
+    arrays of width m_u for its states, velocities, pressures and the
+    pressure recovery's temporaries (9.5-10.5 measured at n = 8 and 16).
+    It also counts the text of the largest CSV file the command writes, at
+    CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
     trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
     decompose.csv (7 m_u) for decompose.
     """
@@ -107,7 +108,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         if sweep:
             rows = len(cfg.alphas)
             need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0))
-            need += sweep_workers(rows) * (2.0 * m_u * m_u + chunk)
+            need += sweep_workers(rows) * 11.0 * (STEP_CHUNK + 1.0) * m_u
             csv = rows * cfg.probes * 4.0
         elif march:
             need += 2.0 * m * m + chunk + nodes * m

@@ -12,14 +12,14 @@ homogeneous problem is recovered by sigma = 0, s = rho0 f.
 
 Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
-order, and exactly dissipative on the unforced system.  One stepper,
-:func:`crank_nicolson`, serves this system and the reduced Stokes system of
-:mod:`complim.incompressible`: it holds the LU factor of the step matrix,
-the right-hand matrix and two chunk buffers, marches with one matrix-vector
+order, and exactly dissipative on the unforced system.  The stepper,
+:func:`crank_nicolson`, holds the LU factor of the step matrix, the
+right-hand matrix and its chunk buffers, marches with one matrix-vector
 product and one LAPACK ``getrs`` solve per step, checks each chunk's step
-residuals from the products the steps form and hands the chunk of states to
-its caller.  :func:`simulate_compressible` stores the chunks and feeds them
-to :class:`RunSeries`, which reduces each one to the series that
+residuals from the products the steps form (:func:`_check_steps` gates the
+Stokes march too) and hands the chunk of states to its caller.
+:func:`simulate_compressible` stores the chunks and feeds them to
+:class:`RunSeries`, which reduces each one to the series that
 trajectory.csv, the energy ledger and the a-priori check read; a sweep row
 (:func:`compressible_chunks`) reduces them in lockstep with the Stokes
 reference.  The discretization is the ``OperatorSet`` alone.
@@ -85,6 +85,19 @@ def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
     return dt, dt * np.arange(n_steps + 1)
 
 
+def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.ndarray) -> None:
+    """Raise StepFailure at the first step of the chunk from node ``start`` whose residual norm
+    exceeds STEP_RESIDUAL_RTOL times its scale |rhs|, or is not finite: both marches' gate."""
+    scale = np.maximum(scale, 1e-300)
+    bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
+    if bad.size:
+        k = bad[0]
+        raise StepFailure(
+            f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
+            f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
+        )
+
+
 def crank_nicolson(
     a: np.ndarray, half_k: np.ndarray, y0: np.ndarray, times: np.ndarray, load
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -95,20 +108,18 @@ def crank_nicolson(
     once and LU-factored in place, so the march holds these two m x m
     matrices and no others.  Each step solves lhs y_{n+1} = rhs_n =
     rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``load`` is the constant
-    vector g, whose w is one vector, or maps k times to a new (k, m) array
-    of the loads at them, which the march overwrites with w.
+    vector g, whose w is one vector, or ``load(t, out)`` fills the (k, m)
+    chunk buffer out with the loads at k times, and the march turns it into w.
 
     A generator: it marches STEP_CHUNK steps at a time and yields
     ``(start, states)`` per chunk, states[k] being y at node start + k; the
-    chunks tile nodes 0..N.  states is a view of one of two chunk buffers,
-    allocated once, that the next chunk overwrites; the other holds the
-    products rhs_mat y_n, which each step turns into its rhs_n, and carries
-    the chunk's last product into the next chunk.  Before a chunk is yielded
-    its residuals are checked in place: as lhs = 2 diag(a) - rhs_mat, a
-    step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n, the product
-    read back as rhs_{n+1} - w_{n+1}.  StepFailure names the first step
-    whose residual is not at most STEP_RESIDUAL_RTOL |rhs_n|, which
-    includes non-finite states.
+    chunks tile nodes 0..N.  states is a view of a chunk buffer that the
+    next chunk overwrites; another holds the products rhs_mat y_n, which
+    each step turns into its rhs_n, and carries the chunk's last product
+    into the next chunk.  Before a chunk is yielded its residuals are
+    checked in place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
+    2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n, the product read back as
+    rhs_{n+1} - w_{n+1}, and :func:`_check_steps` gates it on |rhs_n|.
     """
     half_diag = half_k.diagonal().copy()
     # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
@@ -124,13 +135,15 @@ def crank_nicolson(
     dt = float(times[1] - times[0])
     if not callable(load):  # the bits of a time-dependent load's trapezoid below
         w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
-    states, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(y0)))
+    # the states, the right-hand sides and a time-dependent load's w, allocated once
+    states, rhs, *loads = np.empty((2 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
     states[0] = y0
     np.matmul(rhs_mat, y0, out=rhs[0])
     for start in range(0, n_steps, STEP_CHUNK):
         count = min(STEP_CHUNK, n_steps - start)
-        if callable(load):
-            w = load(times[start : start + count + 1])
+        if loads:
+            w = loads[0][: count + 1]
+            load(times[start : start + count + 1], w)
             w[:-1] += w[1:]
             w[:-1] *= 0.5 * dt
         for k in range(count):
@@ -141,21 +154,14 @@ def crank_nicolson(
             np.matmul(rhs_mat, states[k + 1], out=rhs[k + 1])
         # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
         # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
-        scale = np.maximum(np.sqrt(np.vecdot(rhs[:count], rhs[:count])), 1e-300)
+        scale = np.sqrt(np.vecdot(rhs[:count], rhs[:count]))
         d = rhs[:count]
         d += rhs[1 : count + 1]  # numpy reads the overlapping rows as they were before
         d[:-1] -= w[1:count]  # the last product is rhs[count] itself
         d /= two_a
         d -= states[1 : count + 1]
         d *= two_a
-        residual = np.sqrt(np.vecdot(d, d))
-        bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
-        if bad.size:
-            k = bad[0]
-            raise StepFailure(
-                f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
-                f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
-            )
+        _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
         yield (0, states[: count + 1]) if start == 0 else (start + 1, states[1 : count + 1])
         states[0], rhs[0] = states[count], rhs[count]
 
@@ -284,11 +290,9 @@ def compressible_chunks(
 
     s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
 
-    def load(t: np.ndarray) -> np.ndarray:
-        g = np.empty((t.size, m))
+    def load(t: np.ndarray, g: np.ndarray) -> None:
         np.multiply.outer(_time_values(s_fac, t), s_vec, out=g[:, :m_u])
         np.multiply.outer(_time_values(sigma_fac, t), sigma_vec, out=g[:, m_u:])
-        return g
 
     y0 = np.concatenate(
         [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]

@@ -8,10 +8,13 @@ and are M-orthonormal, so the evolution is simply
 
 with s the momentum source of the compressible runs (rho0 f for the
 homogeneous problem): the Stokes limit keeps s and drops the alpha p f
-coupling.  Solenoidality therefore holds exactly at every step.  The
-pressure is recovered in chunks of nodes from the momentum residual through
-the inverse of the pressure gradient: with dc/dt read off the reduced
-equation (not from finite differences, which would lose an order),
+coupling.  Solenoidality therefore holds exactly at every step.  As
+``assemble`` orders Z by eigh(Z'Z), Z'Z is diagonal up to roundoff, so each
+mode evolves on its own and the march steps them elementwise, with no
+matrix factor and no matrix-vector product.  The pressure is recovered in
+chunks of nodes from the momentum residual through the inverse of the
+pressure gradient: with dc/dt read off the reduced equation (not from
+finite differences, which would lose an order),
 
     q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c),
 
@@ -34,14 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
-from .compressible import (
-    CompressibleParams,
-    InvalidParams,
-    _forcing_terms,
-    _time_values,
-    crank_nicolson,
-    time_grid,
-)
+from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, _check_steps, time_grid
+from .compressible import _forcing_terms, _time_values
 from .operators import ANNIHILATION_TOL, AnnihilationError, OperatorSet, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
@@ -99,11 +96,15 @@ def stokes_chunks(
 ) -> tuple[float, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
     """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
 
-    Returns (dt, times, chunks).  ``chunks`` is the crank_nicolson march of
-    the reduced system: pulled chunk by chunk, it yields ``(start, y, c, q)``
-    at nodes start, start + 1, ...: the reduced coordinates (a view that the
-    next chunk overwrites), the velocity c = Z y and the pressure recovered
-    from the momentum residual, mean zero.
+    Returns (dt, times, chunks).  ``chunks`` is the march of the reduced
+    system: pulled chunk by chunk, it yields ``(start, y, c, q)`` at nodes
+    start, start + 1, ...: the reduced coordinates (a view of a chunk buffer
+    that the next chunk overwrites), the velocity c = Z y and the pressure
+    recovered from the momentum residual, mean zero.
+
+    With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), a step is
+    den y_{n+1} = rhs_n = num y_n + dt/2 (fac(t_n) + fac(t_{n+1})) Z's with
+    den, num = rho0 +- dt mu lam / 2, gated on |den y_{n+1} - rhs_n| / |rhs_n|.
 
     The initial velocity is projected onto the span and then Leray-projected,
     so an initial condition with a gradient part starts from its solenoidal
@@ -120,27 +121,31 @@ def stokes_chunks(
 
     c0 = coefficients_of(spec, params.u0)
     c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
-    y0 = Z.T @ (operator_set.mass_diag * c0)
-
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
-
-    def loads(t: np.ndarray) -> np.ndarray:  # F at k times, (k, m_u)
-        return np.outer(_time_values(s_fac, t), s_vec)
-
-    stiff = Z.T @ Z  # ((Zy, Zy')) in reduced coordinates
-    states = crank_nicolson(
-        np.full(Z.shape[1], params.rho0),
-        (-0.5 * dt * params.mu) * stiff,
-        y0,
-        times,
-        Z.T @ s_vec if s_fac is None else lambda t: loads(t) @ Z,
-    )
+    lam = np.einsum("ij,ij->j", Z, Z)
+    half = 0.5 * dt * params.mu * lam
+    den, num = params.rho0 + half, params.rho0 - half
+    w = dt * (Z.T @ s_vec)  # w_n of a load without a time factor
+    n_steps = len(times) - 1
+    y, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(lam)))
+    y[0] = Z.T @ (operator_set.mass_diag * c0)
 
     def chunks():
-        for start, y in states:
-            c = y @ Z.T
-            F = s_vec if s_fac is None else loads(times[start : start + len(y)])
-            yield start, y, c, _recover_pressure(operator_set, stiff, params, F, y, c)
+        for start in range(0, n_steps, STEP_CHUNK):
+            count = min(STEP_CHUNK, n_steps - start)
+            fac = _time_values(s_fac, times[start : start + count + 1])
+            for k in range(count):
+                np.multiply(num, y[k], out=rhs[k])
+                rhs[k] += w if s_fac is None else 0.5 * (fac[k] + fac[k + 1]) * w
+                np.divide(rhs[k], den, out=y[k + 1])
+            d, r = den * y[1 : count + 1] - rhs[:count], rhs[:count]
+            _check_steps(start, times, np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(r, r)))
+            nodes = slice(0 if start == 0 else 1, count + 1)
+            F = s_vec if s_fac is None else np.outer(fac[nodes], s_vec)
+            c = y[nodes] @ Z.T
+            q = _recover_pressure(operator_set, lam, params, F, y[nodes], c)
+            yield start + nodes.start, y[nodes], c, q
+            y[0] = y[count]
 
     return dt, times, chunks()
 
@@ -166,12 +171,14 @@ def simulate_incompressible(
     y, c, q = (np.empty((n, m)) for m in (operator_set.kernel.shape[1], spec.m_u, spec.m_p))
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    Z = operator_set.kernel
+    zez = Z.T @ operator_set.div_gram @ Z  # c'Ec = y'(Z'EZ)y, formed once
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
         y[rows], c[rows], q[rows] = y_k, c_k, q_k
         energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
         h01[rows] = np.linalg.norm(c_k, axis=1)
-        div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", c_k @ operator_set.div_gram, c_k), 0.0))
+        div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", y_k @ zez, y_k), 0.0))
         steps = slice(max(start - 1, 0), rows.stop - 1)  # the intervals ending in this chunk
         c_mid = 0.5 * (c[steps.start + 1 : rows.stop] + c[steps])
         t_mid = 0.5 * (times[steps.start + 1 : rows.stop] + times[steps])
@@ -179,22 +186,10 @@ def simulate_incompressible(
         dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
         residuals[steps] = np.diff(energy[steps.start : rows.stop]) + dissipation - work
 
-    return IncompressibleTrajectory(
-        spec=spec,
-        params=params,
-        dt=dt,
-        times=times,
-        y=y,
-        c=c,
-        q=q,
-        energy=energy,
-        h01=h01,
-        div=div,
-        energy_residual=residuals,
-    )
+    return IncompressibleTrajectory(spec, params, dt, times, y, c, q, energy, h01, div, residuals)
 
 
-def _recover_pressure(operator_set, stiff, params, F, y, c) -> np.ndarray:
+def _recover_pressure(operator_set, lam, params, F, y, c) -> np.ndarray:
     """Pressure at the nodes of the rows of y and c, from the momentum residual.
 
     The residual annihilates the kernel by Galerkin orthogonality, so its
@@ -202,7 +197,7 @@ def _recover_pressure(operator_set, stiff, params, F, y, c) -> np.ndarray:
     its terms stay zero, the others get grad_inverse's annihilation check.
     """
     Z, rho0, mu, mass = operator_set.kernel, params.rho0, params.mu, operator_set.mass_diag
-    ydot = (F @ Z - mu * (y @ stiff.T)) / rho0
+    ydot = (F @ Z - mu * (lam * y)) / rho0
     terms = (np.broadcast_to(F, c.shape), rho0 * mass * (ydot @ Z.T), mu * c)
     g = terms[0] - terms[1] - terms[2]
     g -= mass * ((g @ Z) @ Z.T)
@@ -241,7 +236,7 @@ def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> P
     Z = nullspace_basis(operator_set)
     y0 = Z.T @ (operator_set.mass_diag * c0)
     F0 = np.outer(_time_values(s_fac, [0.0]), s_vec)
-    q0 = _recover_pressure(operator_set, Z.T @ Z, params, F0, y0[None], c0[None])
+    q0 = _recover_pressure(operator_set, np.einsum("ij,ij->j", Z, Z), params, F0, y0[None], c0[None])
     return PressureCoeffs(spec, q0[0])
 
 

@@ -25,9 +25,9 @@ own copy of the reference and its rows in lockstep, one chunk of
 Crank-Nicolson steps at a time on the shared grid: each reference chunk is
 reduced into every live row's per-node scalar series of its deviation from
 the reference and then dropped.  No trajectory is stored.  A worker holds
-the reference's two m_V x m_V step matrices, each row's two m x m step
-matrices and probes + 3 numbers per node (one more when eta > 0), and a
-chunk of states per system, instead of (N+1) x m trajectories.  It reads
+each row's two m x m step matrices and probes + 3 numbers per node (one
+more when eta > 0), and a chunk of states per system; the reference steps
+its modes elementwise and holds no matrix of its own.  It reads
 the caller's operators through copy-on-write pages and sends back only its
 finished rows; the caller holds the operators and waits.  A row's bits
 therefore depend neither on the number of workers nor on the caller's BLAS

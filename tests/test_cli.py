@@ -427,14 +427,14 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
         cli._check_memory(cfg)
 
     # n = 40, 6 rows: 2.4 GiB for the rows, and each worker process holds its
-    # own Stokes reference, about 0.18 GiB
+    # own Stokes reference, about 0.067 GiB
     big = text.replace("n_u = 8", "n_u = 40").replace("n_p = 8", "n_p = 40")
     cfg = parse_config(big.replace("T = 100\ndt = 1e-4", "T = 0.4"))
-    pages["SC_PHYS_PAGES"] = int(3.25 * 2**30) // 4096
+    pages["SC_PHYS_PAGES"] = int(2.85 * 2**30) // 4096
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    cli._check_memory(cfg, sweep=True)  # one worker: under 3 GiB
+    cli._check_memory(cfg, sweep=True)  # one worker: 2.69 GiB
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)))
-    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.7 GiB"):  # six workers
+    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.02 GiB"):  # six workers
         cli._check_memory(cfg, sweep=True)
 
 
