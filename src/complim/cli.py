@@ -78,20 +78,22 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> None:
+def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stokes: bool = False):
     """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
 
     Counts E, B and B's SVD factors, which is all that march=False (decompose)
-    builds, and, per Crank-Nicolson system (m = m_u + m_p), its 2 dense m x m
-    matrices (the right-hand matrix and the LU factor of the step matrix) and
-    its chunk buffers.  A single run also stores its (N+1) m states.  A sweep
-    stores no states: its n_alpha rows march in sweep_workers(n_alpha) worker
-    processes, each in lockstep with its own Stokes reference.  It counts
+    builds, and, per Crank-Nicolson system (m = m_u + m_p), at most 2 dense
+    m x m matrices (the right-hand matrices and LU factors of its blocks) and
+    its 4 chunk buffers.  A single run also stores its (N+1) m states.  A
+    sweep stores no states: its n_alpha rows march in sweep_workers(n_alpha)
+    worker processes, each in lockstep with its own Stokes reference.  It counts
     n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
     worker one reference, which holds no matrix of its own: 11 chunk-sized
     arrays of width m_u for its states, velocities, pressures and the
     pressure recovery's temporaries (9.5-10.5 measured at n = 8 and 16).
+    A Stokes run (stokes=True) counts one such reference, Z'E and Z'EZ (at
+    most 2 m_u^2) and its (N+1)(m_V + m_u + m_p) stored values, m_V <= m_u.
     It also counts the text of the largest CSV file the command writes, at
     CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
     trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
@@ -103,15 +105,17 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True) -> No
         alpha = min(cfg.alphas) if sweep else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
         nodes = max(1.0, cfg.T / dt) + 1.0
-        chunk = 3.0 * (STEP_CHUNK + 1.0) * m  # states, right-hand sides, time-dependent loads
+        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, rhs, loads, a split march's un-permuted
+        reference = 11.0 * (STEP_CHUNK + 1.0) * m_u
         need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
         if sweep:
             rows = len(cfg.alphas)
             need += rows * (2.0 * m * m + chunk + nodes * (cfg.probes + 4.0))
-            need += sweep_workers(rows) * 11.0 * (STEP_CHUNK + 1.0) * m_u
+            need += sweep_workers(rows) * reference
             csv = rows * cfg.probes * 4.0
-        elif march:
-            need += 2.0 * m * m + chunk + nodes * m
+        elif march:  # a Stokes run builds no step matrix
+            stokes_need = reference + 2.0 * m_u * m_u + nodes * (2.0 * m_u + m_p)
+            need += stokes_need if stokes else 2.0 * m * m + chunk + nodes * m
             csv = nodes * (m + 1.0 if cfg.dump_coefficients else 6.0)
         else:
             csv = 7.0 * m_u
@@ -196,7 +200,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_simulate_incompressible(args) -> int:
     cfg = _load_config(args.config)
-    _check_memory(cfg)
+    _check_memory(cfg, stokes=True)
     with one_blas_thread(_small(cfg)):
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)

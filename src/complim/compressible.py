@@ -13,16 +13,15 @@ homogeneous problem is recovered by sigma = 0, s = rho0 f.
 Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  The stepper,
-:func:`crank_nicolson`, holds the LU factor of the step matrix, the
-right-hand matrix and its chunk buffers, marches with one matrix-vector
-product and one LAPACK ``getrs`` solve per step, checks each chunk's step
-residuals from the products the steps form (:func:`_check_steps` gates the
-Stokes march too) and hands the chunk of states to its caller.
-:func:`simulate_compressible` stores the chunks and feeds them to
-:class:`RunSeries`, which reduces each one to the series that
-trajectory.csv, the energy ledger and the a-priori check read; a sweep row
-(:func:`compressible_chunks`) reduces them in lockstep with the Stokes
-reference.  The discretization is the ``OperatorSet`` alone.
+:func:`crank_nicolson`, marches each block of the step system (modes of
+matching parity) with one matrix-vector product and one LAPACK ``getrs``
+solve per step, checks each chunk's step residuals from the products the
+steps form (:func:`_check_steps` gates the Stokes march too) and hands the
+chunk of states to its caller.  :func:`simulate_compressible` stores the
+chunks and feeds them to :class:`RunSeries`, which reduces each one to the
+series that trajectory.csv, the energy ledger and the a-priori check read; a
+sweep row (:func:`compressible_chunks`) reduces them in lockstep with the
+Stokes reference.  The discretization is the ``OperatorSet`` alone.
 """
 
 from __future__ import annotations
@@ -63,6 +62,9 @@ __all__ = [
 STEP_RESIDUAL_RTOL = 1e-9
 # steps per block of the residual gate and of the time-dependent loads
 STEP_CHUNK = 256
+# smaller blocks of the step system are merged into one: at n = 8 two blocks of 104-105 step
+# faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
+STEP_BLOCK_MIN = 64
 
 
 class InvalidParams(ValueError):
@@ -98,60 +100,96 @@ def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.
         )
 
 
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """The components of the square boolean ``pattern | pattern.T`` as ascending index arrays,
+    those under STEP_BLOCK_MIN merged into one last array: a single one is arange(m)."""
+    pattern = pattern | pattern.T
+    blocks, small, unseen = [], [], np.ones(len(pattern), dtype=bool)
+    while unseen.any():
+        reach = front = np.arange(len(pattern)) == unseen.argmax()
+        while front.any():
+            front = pattern[front].any(axis=0) & ~reach
+            reach |= front
+        unseen &= ~reach
+        (blocks if reach.sum() >= STEP_BLOCK_MIN else small).append(reach)
+    return [np.flatnonzero(b) for b in blocks + [np.logical_or.reduce(small)] * bool(small)]
+
+
 def crank_nicolson(
     a: np.ndarray, half_k: np.ndarray, y0: np.ndarray, times: np.ndarray, load
 ) -> Iterator[tuple[int, np.ndarray]]:
     """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
-    ``half_k`` is (dt/2) K, and the march takes it over: it becomes
-    rhs_mat = diag(a) + (dt/2) K, and lhs = diag(a) - (dt/2) K is built
-    once and LU-factored in place, so the march holds these two m x m
-    matrices and no others.  Each step solves lhs y_{n+1} = rhs_n =
-    rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``load`` is the constant
-    vector g, whose w is one vector, or ``load(t, out)`` fills the (k, m)
-    chunk buffer out with the loads at k times, and the march turns it into w.
+    ``half_k`` is (dt/2) K, and the march takes it over: per block of
+    :func:`_blocks` on K's pattern it becomes rhs_mat = diag(a) + (dt/2) K,
+    and lhs = diag(a) - (dt/2) K is built once and LU-factored in place, so
+    the march holds at most two m x m matrices.  Each step solves, block by
+    block, lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).
+    ``load`` is the constant vector g, whose w is one vector, or
+    ``load(t, out)`` fills the (k, m) chunk buffer out with the loads at k
+    times, and the march turns it into w.
 
     A generator: it marches STEP_CHUNK steps at a time and yields
     ``(start, states)`` per chunk, states[k] being y at node start + k; the
     chunks tile nodes 0..N.  states is a view of a chunk buffer that the
     next chunk overwrites; another holds the products rhs_mat y_n, which
     each step turns into its rhs_n, and carries the chunk's last product
-    into the next chunk.  Before a chunk is yielded its residuals are
-    checked in place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
-    2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n, the product read back as
-    rhs_{n+1} - w_{n+1}, and :func:`_check_steps` gates it on |rhs_n|.
+    into the next chunk.  Several blocks march with each one's unknowns
+    contiguous, and their chunk is un-permuted into one more buffer.  Before
+    a chunk is yielded its residuals are checked in place: as lhs = 2 diag(a)
+    - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
+    the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
+    gates it on |rhs_n|.
     """
-    half_diag = half_k.diagonal().copy()
-    # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
-    # diag(a) -/+ (dt/2) K do off the diagonal
-    lhs = np.subtract(0.0, half_k, order="F")  # Fortran order: getrf factors it in place
-    np.fill_diagonal(lhs, a - half_diag)
-    lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
-    rhs_mat = np.add(half_k, 0.0, out=half_k)
-    np.fill_diagonal(rhs_mat, a + half_diag)
+    blocks = _blocks(half_k != 0)
+    split, perm = len(blocks) > 1, np.concatenate(blocks)  # one block: perm = arange(m)
+    halves = [half_k[np.ix_(b, b)] for b in blocks] if split else [half_k]
+    del half_k
+    a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
+    systems = []  # per block: its columns, the LU factor of lhs and rhs_mat
+    for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
+        cols = slice(stop - len(half), stop)
+        half_diag = half.diagonal().copy()
+        # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
+        # diag(a) -/+ (dt/2) K do off the diagonal
+        lhs = np.subtract(0.0, half, order="F")  # Fortran order: getrf factors it in place
+        np.fill_diagonal(lhs, a[cols] - half_diag)
+        lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
+        rhs_mat = np.add(half, 0.0, out=half)
+        np.fill_diagonal(rhs_mat, a[cols] + half_diag)
+        systems.append((cols, lu, piv, rhs_mat))
     two_a = 2.0 * a
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (systems[0][1],))
     n_steps = len(times) - 1
     dt = float(times[1] - times[0])
     if not callable(load):  # the bits of a time-dependent load's trapezoid below
         w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
-    # the states, the right-hand sides and a time-dependent load's w, allocated once
-    states, rhs, *loads = np.empty((2 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
+    # the states, the right-hand sides, a time-dependent load's w and, for several blocks,
+    # the un-permuted states, allocated once
+    states, rhs, *loads = np.empty((2 + callable(load) + split, min(STEP_CHUNK, n_steps) + 1, len(y0)))
+    unpermuted, inverse = loads.pop() if split else None, np.argsort(perm)
     states[0] = y0
-    np.matmul(rhs_mat, y0, out=rhs[0])
+    for cols, _, _, rhs_mat in systems:
+        np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
     for start in range(0, n_steps, STEP_CHUNK):
         count = min(STEP_CHUNK, n_steps - start)
         if loads:
             w = loads[0][: count + 1]
-            load(times[start : start + count + 1], w)
+            # several blocks load in the original order into the free un-permuted buffer
+            load(times[start : start + count + 1], unpermuted[: count + 1] if split else w)
+            if split:
+                np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
             w[:-1] += w[1:]
             w[:-1] *= 0.5 * dt
-        for k in range(count):
-            rhs[k] += w[k]
-            states[k + 1], info = getrs(lu, piv, rhs[k])
-            if info:
-                raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
-            np.matmul(rhs_mat, states[k + 1], out=rhs[k + 1])
+        # the blocks outside the step loop: a single block steps as the whole system
+        for cols, lu, piv, rhs_mat in systems:
+            y, r, w_b = states[:, cols], rhs[:, cols], w[:, cols]
+            for k in range(count):
+                r[k] += w_b[k]
+                y[k + 1], info = getrs(lu, piv, r[k])
+                if info:
+                    raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
+                np.matmul(rhs_mat, y[k + 1], out=r[k + 1])
         # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
         # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
         scale = np.sqrt(np.vecdot(rhs[:count], rhs[:count]))
@@ -162,7 +200,10 @@ def crank_nicolson(
         d -= states[1 : count + 1]
         d *= two_a
         _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
-        yield (0, states[: count + 1]) if start == 0 else (start + 1, states[1 : count + 1])
+        if split:  # mode="clip": "raise" would buffer out
+            np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
+        ys = unpermuted if split else states
+        yield (0, ys[: count + 1]) if start == 0 else (start + 1, ys[1 : count + 1])
         states[0], rhs[0] = states[count], rhs[count]
 
 
@@ -515,7 +556,8 @@ def apriori_check(
     # with M dc/dt read off the momentum equation at the nodes.
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(series.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
-    e_norm = float(np.linalg.eigvalsh(operator_set.div_gram)[-1])  # E is symmetric PSD
+    E, blocks = operator_set.div_gram, _blocks(operator_set.div_gram != 0)  # symmetric PSD
+    e_norm = max(np.linalg.eigvalsh(E[np.ix_(b, b)] if len(blocks) > 1 else E)[-1] for b in blocks)
     G = traj.coupling  # |G|_2 from the largest eigenvalue of G'G, without G's full SVD
     g_norm = float(np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1])) if G.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E

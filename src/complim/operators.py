@@ -49,6 +49,8 @@ __all__ = [
 
 RANK_RTOL = 1e-11
 ANNIHILATION_TOL = 1e-8
+# G entries up to this times max|G| are quadrature roundoff (exact to ~1e-14) at parity zeros
+COUPLING_ZERO_RTOL = 1e-14
 
 
 class AnnihilationError(ValueError):
@@ -147,7 +149,8 @@ def assemble(spec: BasisSpec) -> OperatorSet:
 
 
 def coupling_matrix(operator_set: OperatorSet, f: SampledField) -> np.ndarray:
-    """Force coupling G with G_ik = int_D (pressure mode k) (f . velocity mode i) dx."""
+    """Force coupling G with G_ik = int_D (pressure mode k) (f . velocity mode i) dx, its
+    roundoff zeroed at COUPLING_ZERO_RTOL; a G with a non-finite entry is returned as is."""
     if not f.vector:
         raise ValueError("coupling_matrix expects a 2-vector force field")
     spec = operator_set.spec
@@ -163,6 +166,8 @@ def coupling_matrix(operator_set: OperatorSet, f: SampledField) -> np.ndarray:
         block = np.einsum("ia,Kab,jb->ijK", sin_w, pres * fvals[comp], sin_w, optimize=True)
         G[comp * half : (comp + 1) * half] = block.reshape(half, spec.m_p)
     G *= np.tile(spec.vel_norms.ravel(), 2)[:, None]
+    if np.isfinite(scale := np.abs(G).max()):
+        G[np.abs(G) <= COUPLING_ZERO_RTOL * scale] = 0.0
     return G
 
 

@@ -122,11 +122,13 @@ def test_sweep_reproducible_and_probe(tmp_path):
 
 
 def test_sweep_with_failing_rows_prints_one_line(tmp_path, capsys):
+    # a constant f of 1e307 overflows every row's first step, and the Stokes reference does
+    # not read f (1e307 (cos(pi y), cos(pi x)) splits the step system exactly and solves)
     cfg, out = write_cfg(
         tmp_path,
         SWEEP_CFG.replace("n_u = 3\nn_p = 3", "n_u = 2\nn_p = 2")
         .replace("T = 0.4", "T = 0.05")
-        .replace("u0 = mixed_u0", "u0 = mixed_u0\nf = 1e307*cos(pi*y) ; 1e307*cos(pi*x)\ns = 0")
+        .replace("u0 = mixed_u0", "u0 = mixed_u0\nf = 1e307 ; 1e307\ns = 0")
         .replace("probes = 4", "probes = 1"),
     )
     assert run_cli(["sweep", "--config", cfg]) == 2
@@ -432,10 +434,34 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     cfg = parse_config(big.replace("T = 100\ndt = 1e-4", "T = 0.4"))
     pages["SC_PHYS_PAGES"] = int(2.85 * 2**30) // 4096
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    cli._check_memory(cfg, sweep=True)  # one worker: 2.69 GiB
+    cli._check_memory(cfg, sweep=True)  # one worker: 2.74 GiB
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)))
-    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.02 GiB"):  # six workers
+    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.08 GiB"):  # six workers
         cli._check_memory(cfg, sweep=True)
+
+
+def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
+    # n = 40, 101 nodes: simulate needs about 0.61 GiB, 0.35 GiB of it for the compressible
+    # system's two m x m matrices; the Stokes run builds neither and needs about 0.44 GiB
+    from complim import cli
+
+    class Built(Exception):
+        pass
+
+    def build_basis(n_u, n_p):
+        raise Built
+
+    text = SIM_CFG.replace("n_u = 3", "n_u = 40").replace("n_p = 3", "n_p = 40")
+    text = text.replace("dump_coefficients = true", "dump_coefficients = false")
+    cfg, _ = write_cfg(tmp_path, text)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**29 // 4096}  # 0.5 GiB
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli, "build_basis", build_basis)
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "needs about 0.61 GiB" in err[0]
+    with pytest.raises(Built):
+        run_cli(["simulate-incompressible", "--config", cfg])
 
 
 @pytest.mark.parametrize(

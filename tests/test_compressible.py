@@ -366,18 +366,37 @@ def stepper_params(spec, time_dependent):
     return params, dt
 
 
-def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(spec2, ops2):
-    params, dt = stepper_params(spec2, time_dependent=False)
-    traj = simulate_compressible(spec2, ops2, params)
-    expected = lu_solve_march(spec2, ops2, params, dt)
-    assert traj.n_steps == 549
-    assert np.array_equal(np.hstack([traj.c, traj.q]), expected)
+def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(ops2, ops8):
+    """Also at n = 8 without a body force, whose four parity blocks (48-56 unknowns) and
+    constant pressure mode are merged back into one system below STEP_BLOCK_MIN."""
+    params2, dt = stepper_params(ops2.spec, time_dependent=False)
+    params8 = dataclasses.replace(stepper_params(ops8.spec, time_dependent=False)[0], f=None)
+    for ops, params in ((ops2, params2), (ops8, params8)):
+        traj = simulate_compressible(ops.spec, ops, params)
+        expected = lu_solve_march(ops.spec, ops, params, dt)
+        assert traj.n_steps == 549
+        assert np.array_equal(np.hstack([traj.c, traj.q]), expected)
 
 
 def test_stepper_matches_lu_solve_loop_for_time_dependent_loads(spec2, ops2):
     params, dt = stepper_params(spec2, time_dependent=True)
     traj = simulate_compressible(spec2, ops2, params)
     expected = lu_solve_march(spec2, ops2, params, dt)
+    assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
+    """stepper_params' force couples the n = 8 system's parity blocks into two of 104 and
+    105 unknowns, which the march factors and steps apart."""
+    params, dt = stepper_params(ops8.spec, time_dependent)
+    expected = lu_solve_march(ops8.spec, ops8, params, dt)
+    lu_factor, factored = scipy.linalg.lu_factor, []
+    monkeypatch.setattr(
+        scipy.linalg, "lu_factor", lambda a, **kw: factored.append(len(a)) or lu_factor(a, **kw)
+    )
+    traj = simulate_compressible(ops8.spec, ops8, params)
+    assert factored == [104, 105]
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -395,9 +414,12 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
         simulate_compressible(spec2, ops2, CompressibleParams(alpha=0.05, T=0.1, u0=u0, p0=p0))
 
 
-def corrupt_solve(monkeypatch, step, march=0, size=None, value=lambda x: x * (1.0 + 1e-6)):
+def corrupt_solve(
+    monkeypatch, step, march=0, size=None, block=0, value=lambda x: x * (1.0 + 1e-6)
+):
     """Make the getrs that crank_nicolson fetches return value(x) at the step-th solve (1-based)
-    of the march-th march (0-based) of a size x size system, of any size when size is None."""
+    with the block-th LU factor (0-based, in the order of their first solves) of the march-th
+    march (0-based) whose first factor is size x size, of any size when size is None."""
     fetch = scipy.linalg.get_lapack_funcs
     marches = itertools.count()
 
@@ -405,11 +427,12 @@ def corrupt_solve(monkeypatch, step, march=0, size=None, value=lambda x: x * (1.
         (getrs,) = fetch(names, arrays)
         if size not in (None, len(arrays[0])) or next(marches) != march:
             return (getrs,)
-        solves = itertools.count(1)
+        solves = {}  # id of a factor: (its block, its solve counter)
 
         def corrupted(lu, piv, b):
             x, info = getrs(lu, piv, b)
-            return (value(x) if next(solves) == step else x), info
+            factor, count = solves.setdefault(id(lu), (len(solves), itertools.count(1)))
+            return (value(x) if next(count) == step and factor == block else x), info
 
         return (corrupted,)
 
@@ -419,13 +442,17 @@ def corrupt_solve(monkeypatch, step, march=0, size=None, value=lambda x: x * (1.
 @pytest.mark.parametrize("time_dependent", [False, True])
 # inside the first chunk, its last step, the second chunk's first and last, the march's last
 @pytest.mark.parametrize("step", [100, 256, 257, 512, 549])
-def test_step_residual_gate_names_a_corrupted_solve(spec2, ops2, monkeypatch, step, time_dependent):
-    """The last step of a chunk is gated on the product carried into the next chunk."""
-    params, dt = stepper_params(spec2, time_dependent)
-    corrupt_solve(monkeypatch, step)
-    message = f"step {step} at t = {step * dt:.6g}: relative residual "
-    with pytest.raises(StepFailure, match="^" + re.escape(message)):
-        simulate_compressible(spec2, ops2, params)
+def test_step_residual_gate_names_a_corrupted_solve(ops2, ops8, monkeypatch, step, time_dependent):
+    """The last step of a chunk is gated on the product carried into the next chunk.  At
+    n = 8 stepper_params' force splits the system in two blocks, and the solve is corrupted
+    in the second, which marches each chunk after the first block's steps."""
+    for ops, block in ((ops2, 0), (ops8, 1)):
+        params, dt = stepper_params(ops.spec, time_dependent)
+        message = f"step {step} at t = {step * dt:.6g}: relative residual "
+        with monkeypatch.context() as patch:
+            corrupt_solve(patch, step, block=block)
+            with pytest.raises(StepFailure, match="^" + re.escape(message)):
+                simulate_compressible(ops.spec, ops, params)
 
 
 def test_later_chunks_allocate_no_chunk_sized_array(spec4, ops4, ops8):

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,7 @@ from complim import (
     leray_project,
     operator_norm_estimates,
 )
+from complim.config import parse_config, realize_vector_field
 
 from conftest import quad2d
 
@@ -258,3 +261,29 @@ def test_assembled_blocks_match_entrywise_closed_forms(n_u, n_p):
     # vanishing integrals are stored as +0.0
     assert not np.signbit(ops.div_gram[ops.div_gram == 0.0]).any()
     assert not np.signbit(ops.div_coupling[ops.div_coupling == 0.0]).any()
+
+
+def test_coupling_matrix_stores_parity_zeros_exactly_and_keeps_a_nonfinite_g(ops8):
+    """simulate.cfg's f = (cos(pi y), cos(pi x) / 2) couples velocity mode (comp, i, j) to
+    pressure mode (k, l) only where i + k + comp is odd and j + l + comp is even.  Its
+    quadrature leaves roundoff of ~1e-16 max|G| at the other entries, which must be exact
+    zeros for the step system to split; an overflowing f must keep its non-finite G."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
+    f = realize_vector_field(parse_config(path.read_text()).f)
+    spec = ops8.spec
+    G = coupling_matrix(ops8, f)
+    pressure_modes = [spec.pressure_mode(k) for k in range(spec.m_p)]
+    allowed = np.array(
+        [
+            [(i + k + comp) % 2 == 1 and (j + l + comp) % 2 == 0 for k, l in pressure_modes]
+            for comp, i, j in map(spec.velocity_mode, range(spec.m_u))
+        ]
+    )
+    assert np.all(G[~allowed] == 0.0)
+    assert np.all(G[allowed] != 0.0)
+    big = SampledField.of_vector(
+        lambda x, y: 1e308 * np.cos(np.pi * y), lambda x, y: 1e308 * np.cos(np.pi * x)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = coupling_matrix(ops8, big)
+    assert np.isinf(G).any() and np.isnan(G).any()
