@@ -3,8 +3,7 @@
 numpy and scipy each load their own OpenBLAS copy (numpy's ILP64
 ``scipy_openblas_*64_``, scipy's ``scipy_openblas_*``), and each keeps its
 own worker threads.  :func:`one_blas_thread` sets every copy to one thread
-for the length of a block; the CLI runs small step systems under it, and so
-does every sweep worker process.
+for the length of a block: small CLI commands, sweep workers and threaded marches.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 
-__all__ = ["openblas_thread_controls", "one_blas_thread"]
+__all__ = ["openblas_thread_controls", "blas_threads", "one_blas_thread"]
 
 
 def openblas_thread_controls() -> list:
@@ -38,6 +37,11 @@ def openblas_thread_controls() -> list:
                 controls.append((get, put))
                 break
     return controls
+
+
+def blas_threads() -> int:
+    """The largest thread count of the OpenBLAS copies loaded in the process; 1 if none is found."""
+    return max((get() for get, _ in openblas_thread_controls()), default=1)
 
 
 @contextlib.contextmanager

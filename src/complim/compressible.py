@@ -15,9 +15,10 @@ with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  The stepper,
 :func:`crank_nicolson`, marches each block of the step system (modes of
 matching parity) with one matrix-vector product and one LAPACK ``getrs``
-solve per step, checks each chunk's step residuals from the products the
-steps form (:func:`_check_steps` gates the Stokes march too) and hands the
-chunk of states to its caller.  :func:`simulate_compressible` stores the
+solve per step, the blocks of a large system on threads of their own,
+checks each chunk's step residuals from the products the steps form
+(:func:`_check_steps` gates the Stokes march too) and hands the chunk of
+states to its caller.  :func:`simulate_compressible` stores the
 chunks and feeds them to :class:`RunSeries`, which reduces each one to the
 series that trajectory.csv, the energy ledger and the a-priori check read; a
 sweep row (:func:`compressible_chunks`) reduces them in lockstep with the
@@ -26,6 +27,7 @@ Stokes reference.  The discretization is the ``OperatorSet`` alone.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
@@ -41,6 +43,7 @@ from .basis import (
     pressure_load_vector,
     velocity_load_vector,
 )
+from .blas import blas_threads, one_blas_thread
 from .inequalities import MixedConstants, ScalarTrajectory, mixed_bounds, verify_mixed
 from .operators import OperatorSet, coupling_matrix
 
@@ -62,9 +65,21 @@ __all__ = [
 STEP_RESIDUAL_RTOL = 1e-9
 # steps per block of the residual gate and of the time-dependent loads
 STEP_CHUNK = 256
-# smaller blocks of the step system are merged into one: at n = 8 two blocks of 104-105 step
-# faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
+# smaller blocks of the step system join a larger one, or merge into one: at n = 8 two blocks
+# of 104-105 step faster apart than as one system, four of 48-56 slower (README, "Library")
 STEP_BLOCK_MIN = 64
+# A command whose step systems have fewer unknowns than this (m = m_u + m_p) runs
+# every OpenBLAS copy on one thread (cli._small), so its outputs do not depend on
+# OPENBLAS_NUM_THREADS.  Below it the per-step products are too small to split, and
+# the workers that the few per-chunk products wake spin through the steps that
+# follow: on 2 vCPUs a second thread doubled a sweep's CPU time up to m = 706
+# (n = 15) and gave back no wall time beyond the spread between runs, while at
+# m = 801 (n = 16) it cut the wall time of a sweep marched in one process by 12%,
+# and from m = 1,241 (n = 20) a single run's by 17-18%.  `sweep` runs on one thread
+# at every size (its rows march in worker processes that pin themselves; assemble
+# at n = 24 takes 0.46 s on one, 0.45 s on two).  From this size on a split march
+# (crank_nicolson) runs its blocks on threads of its own, one BLAS thread each.
+ONE_BLAS_THREAD_BELOW = 801
 
 
 class InvalidParams(ValueError):
@@ -102,7 +117,8 @@ def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     """The components of the square boolean ``pattern | pattern.T`` as ascending index arrays,
-    those under STEP_BLOCK_MIN merged into one last array: a single one is arange(m)."""
+    those under STEP_BLOCK_MIN merged into the smallest larger one, or into one array if there
+    is none: a single one is arange(m)."""
     pattern = pattern | pattern.T
     blocks, small, unseen = [], [], np.ones(len(pattern), dtype=bool)
     while unseen.any():
@@ -112,7 +128,9 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
             reach |= front
         unseen &= ~reach
         (blocks if reach.sum() >= STEP_BLOCK_MIN else small).append(reach)
-    return [np.flatnonzero(b) for b in blocks + [np.logical_or.reduce(small)] * bool(small)]
+    if small and blocks:  # no step loop of its own for, say, the constant pressure mode
+        min(blocks, key=np.count_nonzero)[...] |= np.logical_or.reduce(small)
+    return [np.flatnonzero(b) for b in blocks or [np.logical_or.reduce(small)]]
 
 
 def crank_nicolson(
@@ -140,49 +158,48 @@ def crank_nicolson(
     - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
     the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
     gates it on |rhs_n|.
+
+    Several blocks of ONE_BLAS_THREAD_BELOW unknowns or more, with more than
+    one OpenBLAS thread in force, step each chunk at once on a thread per block,
+    up to that many, that ends with the chunk; every OpenBLAS copy stays on one
+    thread from before the factors until the generator finishes, the caller's
+    work between chunks included.  The states are the in-line march's, bit for bit.
     """
     blocks = _blocks(half_k != 0)
     split, perm = len(blocks) > 1, np.concatenate(blocks)  # one block: perm = arange(m)
-    halves = [half_k[np.ix_(b, b)] for b in blocks] if split else [half_k]
-    del half_k
-    a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
-    systems = []  # per block: its columns, the LU factor of lhs and rhs_mat
-    for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
-        cols = slice(stop - len(half), stop)
-        half_diag = half.diagonal().copy()
-        # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
-        # diag(a) -/+ (dt/2) K do off the diagonal
-        lhs = np.subtract(0.0, half, order="F")  # Fortran order: getrf factors it in place
-        np.fill_diagonal(lhs, a[cols] - half_diag)
-        lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
-        rhs_mat = np.add(half, 0.0, out=half)
-        np.fill_diagonal(rhs_mat, a[cols] + half_diag)
-        systems.append((cols, lu, piv, rhs_mat))
-    two_a = 2.0 * a
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (systems[0][1],))
-    n_steps = len(times) - 1
-    dt = float(times[1] - times[0])
-    if not callable(load):  # the bits of a time-dependent load's trapezoid below
-        w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
-    # the states, the right-hand sides, a time-dependent load's w and, for several blocks,
-    # the un-permuted states, allocated once
-    states, rhs, *loads = np.empty((2 + callable(load) + split, min(STEP_CHUNK, n_steps) + 1, len(y0)))
-    unpermuted, inverse = loads.pop() if split else None, np.argsort(perm)
-    states[0] = y0
-    for cols, _, _, rhs_mat in systems:
-        np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
-    for start in range(0, n_steps, STEP_CHUNK):
-        count = min(STEP_CHUNK, n_steps - start)
-        if loads:
-            w = loads[0][: count + 1]
-            # several blocks load in the original order into the free un-permuted buffer
-            load(times[start : start + count + 1], unpermuted[: count + 1] if split else w)
-            if split:
-                np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
-            w[:-1] += w[1:]
-            w[:-1] *= 0.5 * dt
-        # the blocks outside the step loop: a single block steps as the whole system
-        for cols, lu, piv, rhs_mat in systems:
+    workers = min(len(blocks), blas_threads()) if split and len(perm) >= ONE_BLAS_THREAD_BELOW else 1
+    with one_blas_thread(workers > 1):  # from before the factors until the generator finishes
+        halves = [half_k[np.ix_(b, b)] for b in blocks] if split else [half_k]
+        del half_k
+        a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
+        systems = []  # per block: its columns, the LU factor of lhs and rhs_mat
+        for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
+            cols = slice(stop - len(half), stop)
+            half_diag = half.diagonal().copy()
+            # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
+            # diag(a) -/+ (dt/2) K do off the diagonal
+            lhs = np.subtract(0.0, half, order="F")  # Fortran order: getrf factors it in place
+            np.fill_diagonal(lhs, a[cols] - half_diag)
+            lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
+            rhs_mat = np.add(half, 0.0, out=half)
+            np.fill_diagonal(rhs_mat, a[cols] + half_diag)
+            systems.append((cols, lu, piv, rhs_mat))
+        two_a = 2.0 * a
+        (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (systems[0][1],))
+        n_steps = len(times) - 1
+        dt = float(times[1] - times[0])
+        if not callable(load):  # the bits of a time-dependent load's trapezoid below
+            w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
+        # the states, the right-hand sides, a time-dependent load's w and, for several blocks,
+        # the un-permuted states, allocated once
+        states, rhs, *loads = np.empty((2 + callable(load) + split, min(STEP_CHUNK, n_steps) + 1, len(y0)))
+        unpermuted, inverse = loads.pop() if split else None, np.argsort(perm)
+        states[0] = y0
+        for cols, _, _, rhs_mat in systems:
+            np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
+
+        def march(system):  # the chunk's steps of one block
+            cols, lu, piv, rhs_mat = system
             y, r, w_b = states[:, cols], rhs[:, cols], w[:, cols]
             for k in range(count):
                 r[k] += w_b[k]
@@ -190,21 +207,38 @@ def crank_nicolson(
                 if info:
                     raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
                 np.matmul(rhs_mat, y[k + 1], out=r[k + 1])
-        # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
-        # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
-        scale = np.sqrt(np.vecdot(rhs[:count], rhs[:count]))
-        d = rhs[:count]
-        d += rhs[1 : count + 1]  # numpy reads the overlapping rows as they were before
-        d[:-1] -= w[1:count]  # the last product is rhs[count] itself
-        d /= two_a
-        d -= states[1 : count + 1]
-        d *= two_a
-        _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
-        if split:  # mode="clip": "raise" would buffer out
-            np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
-        ys = unpermuted if split else states
-        yield (0, ys[: count + 1]) if start == 0 else (start + 1, ys[1 : count + 1])
-        states[0], rhs[0] = states[count], rhs[count]
+
+        for start in range(0, n_steps, STEP_CHUNK):
+            count = min(STEP_CHUNK, n_steps - start)
+            if loads:
+                w = loads[0][: count + 1]
+                # several blocks load in the original order into the free un-permuted buffer
+                load(times[start : start + count + 1], unpermuted[: count + 1] if split else w)
+                if split:
+                    np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
+                w[:-1] += w[1:]
+                w[:-1] *= 0.5 * dt
+            if workers > 1:  # its threads end with the chunk; map raises the lowest block's failure
+                with ThreadPoolExecutor(workers) as pool:
+                    list(pool.map(march, systems))
+            else:  # the blocks one after another: a single block steps as the whole system
+                for system in systems:
+                    march(system)
+            # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
+            # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
+            scale = np.sqrt(np.vecdot(rhs[:count], rhs[:count]))
+            d = rhs[:count]
+            d += rhs[1 : count + 1]  # numpy reads the overlapping rows as they were before
+            d[:-1] -= w[1:count]  # the last product is rhs[count] itself
+            d /= two_a
+            d -= states[1 : count + 1]
+            d *= two_a
+            _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
+            if split:  # mode="clip": "raise" would buffer out
+                np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
+            ys = unpermuted if split else states
+            yield (0, ys[: count + 1]) if start == 0 else (start + 1, ys[1 : count + 1])
+            states[0], rhs[0] = states[count], rhs[count]
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,39 @@
-"""The CLI runs sweeps and small step systems on one BLAS thread and restores the counts after.
+"""The CLI runs sweeps and small step systems on one BLAS thread and restores the counts after;
+a split march of ONE_BLAS_THREAD_BELOW unknowns or more steps its blocks on threads of their own.
 
 These tests set every OpenBLAS copy to 2 threads first, so that pinning shows
 whatever OPENBLAS_NUM_THREADS the suite runs under.
 """
 
+import dataclasses
+import itertools
 import os
+import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from complim import CompressibleParams, assemble, blas, build_basis, cli, limits, sweep_alpha
+import complim.compressible as compressible
+from complim import (
+    CompressibleParams,
+    StepFailure,
+    assemble,
+    blas,
+    build_basis,
+    cli,
+    limits,
+    simulate_compressible,
+    sweep_alpha,
+)
 from complim.cli import run_cli
 
 from test_cli import SIM_CFG, SWEEP_CFG, write_cfg
+from test_compressible import corrupt_solve, stepper_params
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
@@ -169,3 +189,122 @@ def test_simulate_incompressible_bytes_do_not_depend_on_blas_threads(tmp_path):
         out = tmp_path / "out" / "simulate"
         outputs.append([(out / name).read_bytes() for name in ("trajectory.csv", "coefficients.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def ops16():
+    """n = 16, m = 801: stepper_params' force, that of configs/simulate.cfg, splits its step
+    system into blocks of 400 and 401 unknowns, so a march on 2 BLAS threads steps them on
+    threads of their own."""
+    return assemble(build_basis(16, 16))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the thread pools that crank_nicolson starts, one pool a chunk."""
+    started = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(compressible, "ThreadPoolExecutor", Recording)
+    return started
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_concurrent_march_bitwise_equal_to_the_in_line_march(
+    ops16, monkeypatch, two_threads, pools, time_dependent
+):
+    """549 steps, three chunks; under one_blas_thread the march steps its blocks in line."""
+    params, _ = stepper_params(ops16.spec, time_dependent)
+    lu_factor, factored = scipy.linalg.lu_factor, []
+    monkeypatch.setattr(
+        scipy.linalg, "lu_factor", lambda a, **kw: factored.append(len(a)) or lu_factor(a, **kw)
+    )
+    concurrent = simulate_compressible(ops16.spec, ops16, params)
+    assert factored == [400, 401] and pools == [2, 2, 2]
+    assert counts(two_threads) == [2] * len(two_threads)
+    with blas.one_blas_thread():
+        in_line = simulate_compressible(ops16.spec, ops16, params)
+    assert factored == [400, 401] * 2 and pools == [2, 2, 2]
+    for name in ("c", "q", "energy", "h01", "div"):
+        assert np.array_equal(getattr(concurrent, name), getattr(in_line, name)), name
+
+
+def test_more_block_threads_than_cpus_keep_the_in_line_bits(ops16, two_threads, pools):
+    """Without a force the n = 16 system splits into four blocks; at 4 OpenBLAS threads they
+    step on four threads, twice the CPUs of a 2-vCPU machine, with the interpreter switching
+    threads every microsecond."""
+    params = dataclasses.replace(stepper_params(ops16.spec, time_dependent=True)[0], f=None)
+    for _, put in blas.openblas_thread_controls():
+        put(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = simulate_compressible(ops16.spec, ops16, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [4, 4, 4] and counts(two_threads) == [4] * len(two_threads)
+    with blas.one_blas_thread():
+        in_line = simulate_compressible(ops16.spec, ops16, params)
+    assert pools == [4, 4, 4]
+    assert np.array_equal(concurrent.c, in_line.c) and np.array_equal(concurrent.q, in_line.q)
+
+
+@pytest.mark.parametrize("block", [400, 401])
+def test_concurrent_march_fails_as_the_in_line_march(ops16, monkeypatch, two_threads, pools, block):
+    params, dt = stepper_params(ops16.spec, time_dependent=False)
+    message = f"step 300 at t = {300 * dt:.6g}: relative residual "
+    for pin in (False, True):
+        threads = threading.active_count()
+        with monkeypatch.context() as patch, blas.one_blas_thread(pin):
+            corrupt_solve(patch, 300, block=block)  # in the second chunk
+            with pytest.raises(StepFailure, match="^" + re.escape(message)):
+                simulate_compressible(ops16.spec, ops16, params)
+        assert threading.active_count() == threads
+        assert counts(two_threads) == [2] * len(two_threads)
+    assert pools == [2, 2]
+
+
+def test_getrs_failure_in_a_block_thread_is_raised_lowest_block_first(
+    ops16, monkeypatch, two_threads, pools
+):
+    """Both blocks fail at their 300th solve; the 400-unknown block is the first."""
+    fetch = scipy.linalg.get_lapack_funcs
+    solves = {}
+
+    def get_lapack_funcs(names, arrays):
+        (getrs,) = fetch(names, arrays)
+
+        def failing(lu, piv, b):
+            x, info = getrs(lu, piv, b)
+            return x, len(lu) if next(solves.setdefault(id(lu), itertools.count(1))) == 300 else info
+
+        return (failing,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    params, _ = stepper_params(ops16.spec, time_dependent=False)
+    threads = threading.active_count()
+    with pytest.raises(StepFailure, match="^step 300: getrs returned info = 400$"):
+        simulate_compressible(ops16.spec, ops16, params)
+    assert pools == [2, 2] and threading.active_count() == threads
+    assert counts(two_threads) == [2] * len(two_threads)
+
+
+def test_concurrent_march_leaves_no_thread_between_chunks_and_restores_the_counts(
+    ops16, two_threads, pools
+):
+    """The march holds every copy on one thread until it is closed or exhausted."""
+    params, _ = stepper_params(ops16.spec, time_dependent=True)
+    threads = threading.active_count()
+    chunks = compressible.compressible_chunks(ops16, params)[3]
+    next(chunks)
+    assert threading.active_count() == threads
+    assert counts(two_threads) == [1] * len(two_threads)
+    chunks.close()
+    assert counts(two_threads) == [2] * len(two_threads)
+    assert sum(1 for _ in compressible.compressible_chunks(ops16, params)[3]) == 3
+    assert pools == [2, 2, 2, 2] and threading.active_count() == threads
+    assert counts(two_threads) == [2] * len(two_threads)

@@ -400,6 +400,24 @@ def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_force_free_march_folds_the_constant_pressure_mode_into_a_block(ops8, monkeypatch):
+    """Without a body force K couples the constant pressure mode to nothing.  At n = 12 it joins
+    the smallest of the four parity blocks; at n = 8, whose parity blocks are all under
+    STEP_BLOCK_MIN, the blocks and the mode still merge into one system of 209."""
+    ops12 = assemble(build_basis(12, 12))
+    blocks, found = compressible._blocks, []
+    monkeypatch.setattr(compressible, "_blocks", lambda pattern: found.append(blocks(pattern)) or found[-1])
+    for ops in (ops12, ops8):
+        params = dataclasses.replace(stepper_params(ops.spec, time_dependent=False)[0], f=None)
+        next(compressible.compressible_chunks(ops, params)[3])
+    twelve, eight = found
+    m = ops12.spec.m_u + ops12.spec.m_p
+    assert np.array_equal(np.sort(np.concatenate(twelve)), np.arange(m))
+    assert sorted(len(b) for b in twelve) == [109, 114, 114, 120]
+    assert [len(b) for b in twelve if ops12.spec.m_u in b] == [109]
+    assert [len(b) for b in eight] == [209]
+
+
 def test_step_residual_gate_reports_first_step(spec2, ops2, monkeypatch):
     params, _ = stepper_params(spec2, time_dependent=False)
     monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", 0.0)
@@ -415,11 +433,12 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
 
 
 def corrupt_solve(
-    monkeypatch, step, march=0, size=None, block=0, value=lambda x: x * (1.0 + 1e-6)
+    monkeypatch, step, march=0, size=None, block=None, value=lambda x: x * (1.0 + 1e-6)
 ):
     """Make the getrs that crank_nicolson fetches return value(x) at the step-th solve (1-based)
-    with the block-th LU factor (0-based, in the order of their first solves) of the march-th
-    march (0-based) whose first factor is size x size, of any size when size is None."""
+    with each LU factor of block x block, of any size when block is None, of the march-th march
+    (0-based) whose first factor is size x size, of any size when size is None.  The factor is
+    picked by its size: blocks marched on threads of their own race for their first solves."""
     fetch = scipy.linalg.get_lapack_funcs
     marches = itertools.count()
 
@@ -427,12 +446,12 @@ def corrupt_solve(
         (getrs,) = fetch(names, arrays)
         if size not in (None, len(arrays[0])) or next(marches) != march:
             return (getrs,)
-        solves = {}  # id of a factor: (its block, its solve counter)
+        solves = {}  # id of a factor: its solve counter
 
         def corrupted(lu, piv, b):
             x, info = getrs(lu, piv, b)
-            factor, count = solves.setdefault(id(lu), (len(solves), itertools.count(1)))
-            return (value(x) if next(count) == step and factor == block else x), info
+            count = solves.setdefault(id(lu), itertools.count(1))
+            return (value(x) if next(count) == step and block in (None, len(lu)) else x), info
 
         return (corrupted,)
 
@@ -445,8 +464,8 @@ def corrupt_solve(
 def test_step_residual_gate_names_a_corrupted_solve(ops2, ops8, monkeypatch, step, time_dependent):
     """The last step of a chunk is gated on the product carried into the next chunk.  At
     n = 8 stepper_params' force splits the system in two blocks, and the solve is corrupted
-    in the second, which marches each chunk after the first block's steps."""
-    for ops, block in ((ops2, 0), (ops8, 1)):
+    in the second (105 unknowns), which marches each chunk after the first block's steps."""
+    for ops, block in ((ops2, None), (ops8, 105)):
         params, dt = stepper_params(ops.spec, time_dependent)
         message = f"step {step} at t = {step * dt:.6g}: relative residual "
         with monkeypatch.context() as patch:
