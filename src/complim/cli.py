@@ -20,7 +20,6 @@ from . import csvio, presets
 from .basis import PressureCoeffs, VelocityCoeffs, build_basis, coefficients_of, norms
 from .blas import one_blas_thread
 from .compressible import (
-    ONE_BLAS_THREAD_BELOW,
     STEP_CHUNK,
     CompressibleParams,
     InvalidParams,
@@ -48,6 +47,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CERTIFICATE = 3
+
+# A command whose step systems have fewer unknowns than this (m = m_u + m_p)
+# runs every OpenBLAS copy in the process on one thread, so its outputs do
+# not depend on OPENBLAS_NUM_THREADS.  Below it the per-step products are too
+# small to split, and the workers that the few per-chunk products wake spin
+# through the steps that follow: on 2 vCPUs a second thread doubled a sweep's
+# CPU time up to m = 706 (n_u = n_p = 15) and gave back no wall time beyond
+# the spread between runs, while at m = 801 (n = 16) it cut the wall time of
+# a sweep marched in one process by 12%, and from m = 1,241 (n = 20) a single
+# run's by 17-18%.  `sweep` runs on one thread at every size: its rows march in
+# worker processes that pin themselves, and the few products left in the
+# calling process (the operators, Z, compatible_p0) cost the same on one
+# thread (assemble at n = 24: 0.46 s on one, 0.45 s on two).
+ONE_BLAS_THREAD_BELOW = 801
 
 # Peak memory of writing a CSV file, per value in it: csvio holds the row
 # strings, the joined text and the final text at once.  Writing the 2.1

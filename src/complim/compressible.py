@@ -15,14 +15,14 @@ with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  The stepper,
 :func:`crank_nicolson`, marches each block of the step system (modes of
 matching parity) with one matrix-vector product and one LAPACK ``getrs``
-solve per step, the blocks of a large system on threads of their own,
-checks each chunk's step residuals from the products the steps form
+solve per step, on threads of their own when OpenBLAS has several, checks
+each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
-states to its caller.  :func:`simulate_compressible` stores the
-chunks and feeds them to :class:`RunSeries`, which reduces each one to the
-series that trajectory.csv, the energy ledger and the a-priori check read; a
-sweep row (:func:`compressible_chunks`) reduces them in lockstep with the
-Stokes reference.  The discretization is the ``OperatorSet`` alone.
+states to its caller.  :func:`simulate_compressible` stores the chunks and
+feeds them to :class:`RunSeries`, which reduces each one to the series that
+trajectory.csv, the energy ledger and the a-priori check read; a sweep row
+(:func:`compressible_chunks`) reduces them in lockstep with the Stokes
+reference.  The discretization is the ``OperatorSet`` alone.
 """
 
 from __future__ import annotations
@@ -65,21 +65,9 @@ __all__ = [
 STEP_RESIDUAL_RTOL = 1e-9
 # steps per block of the residual gate and of the time-dependent loads
 STEP_CHUNK = 256
-# smaller blocks of the step system join a larger one, or merge into one: at n = 8 two blocks
-# of 104-105 step faster apart than as one system, four of 48-56 slower (README, "Library")
+# smaller blocks of the step system are merged into one: at n = 8 two blocks of 104-105 step
+# faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
 STEP_BLOCK_MIN = 64
-# A command whose step systems have fewer unknowns than this (m = m_u + m_p) runs
-# every OpenBLAS copy on one thread (cli._small), so its outputs do not depend on
-# OPENBLAS_NUM_THREADS.  Below it the per-step products are too small to split, and
-# the workers that the few per-chunk products wake spin through the steps that
-# follow: on 2 vCPUs a second thread doubled a sweep's CPU time up to m = 706
-# (n = 15) and gave back no wall time beyond the spread between runs, while at
-# m = 801 (n = 16) it cut the wall time of a sweep marched in one process by 12%,
-# and from m = 1,241 (n = 20) a single run's by 17-18%.  `sweep` runs on one thread
-# at every size (its rows march in worker processes that pin themselves; assemble
-# at n = 24 takes 0.46 s on one, 0.45 s on two).  From this size on a split march
-# (crank_nicolson) runs its blocks on threads of its own, one BLAS thread each.
-ONE_BLAS_THREAD_BELOW = 801
 
 
 class InvalidParams(ValueError):
@@ -117,8 +105,7 @@ def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     """The components of the square boolean ``pattern | pattern.T`` as ascending index arrays,
-    those under STEP_BLOCK_MIN merged into the smallest larger one, or into one array if there
-    is none: a single one is arange(m)."""
+    those under STEP_BLOCK_MIN merged into one last array: a single one is arange(m)."""
     pattern = pattern | pattern.T
     blocks, small, unseen = [], [], np.ones(len(pattern), dtype=bool)
     while unseen.any():
@@ -128,9 +115,7 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
             reach |= front
         unseen &= ~reach
         (blocks if reach.sum() >= STEP_BLOCK_MIN else small).append(reach)
-    if small and blocks:  # no step loop of its own for, say, the constant pressure mode
-        min(blocks, key=np.count_nonzero)[...] |= np.logical_or.reduce(small)
-    return [np.flatnonzero(b) for b in blocks or [np.logical_or.reduce(small)]]
+    return [np.flatnonzero(b) for b in blocks + [np.logical_or.reduce(small)] * bool(small)]
 
 
 def crank_nicolson(
@@ -159,15 +144,16 @@ def crank_nicolson(
     the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
     gates it on |rhs_n|.
 
-    Several blocks of ONE_BLAS_THREAD_BELOW unknowns or more, with more than
-    one OpenBLAS thread in force, step each chunk at once on a thread per block,
-    up to that many, that ends with the chunk; every OpenBLAS copy stays on one
-    thread from before the factors until the generator finishes, the caller's
-    work between chunks included.  The states are the in-line march's, bit for bit.
+    Several blocks, with more than one OpenBLAS thread in force, step each chunk at
+    once on a thread per block, up to that many, that ends with the chunk; every
+    OpenBLAS copy stays on one thread from before the factors until the generator is
+    exhausted, closed or raises, the caller's work between chunks included: exhaust
+    or ``close()`` it, and enter or leave no ``one_blas_thread`` block while it is
+    suspended.  The states are the in-line march's, bit for bit.
     """
     blocks = _blocks(half_k != 0)
     split, perm = len(blocks) > 1, np.concatenate(blocks)  # one block: perm = arange(m)
-    workers = min(len(blocks), blas_threads()) if split and len(perm) >= ONE_BLAS_THREAD_BELOW else 1
+    workers = min(len(blocks), blas_threads()) if split else 1
     with one_blas_thread(workers > 1):  # from before the factors until the generator finishes
         halves = [half_k[np.ix_(b, b)] for b in blocks] if split else [half_k]
         del half_k
@@ -337,6 +323,7 @@ def compressible_chunks(
     ``(start, c, q)``, the velocity and pressure coefficients at nodes
     start, start + 1, ... (views that the next chunk overwrites), and raises
     StepFailure when the relative residual of a step solve exceeds 1e-9.
+    Exhaust or ``close()`` a march that steps its blocks on threads (:func:`crank_nicolson`).
     """
     spec = operator_set.spec
     dt, times = time_grid(params.validate(spec.n_u), params.T)

@@ -1,5 +1,5 @@
 """The CLI runs sweeps and small step systems on one BLAS thread and restores the counts after;
-a split march of ONE_BLAS_THREAD_BELOW unknowns or more steps its blocks on threads of their own.
+a march split into blocks steps them on threads of their own while OpenBLAS has several.
 
 These tests set every OpenBLAS copy to 2 threads first, so that pinning shows
 whatever OPENBLAS_NUM_THREADS the suite runs under.
@@ -234,8 +234,8 @@ def test_concurrent_march_bitwise_equal_to_the_in_line_march(
 
 
 def test_more_block_threads_than_cpus_keep_the_in_line_bits(ops16, two_threads, pools):
-    """Without a force the n = 16 system splits into four blocks; at 4 OpenBLAS threads they
-    step on four threads, twice the CPUs of a 2-vCPU machine, with the interpreter switching
+    """Without a force the n = 16 system splits into four parity blocks and the constant
+    pressure mode; at 4 OpenBLAS threads they step on four threads, twice the CPUs of a 2-vCPU machine, with the interpreter switching
     threads every microsecond."""
     params = dataclasses.replace(stepper_params(ops16.spec, time_dependent=True)[0], f=None)
     for _, put in blas.openblas_thread_controls():

@@ -400,24 +400,6 @@ def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_force_free_march_folds_the_constant_pressure_mode_into_a_block(ops8, monkeypatch):
-    """Without a body force K couples the constant pressure mode to nothing.  At n = 12 it joins
-    the smallest of the four parity blocks; at n = 8, whose parity blocks are all under
-    STEP_BLOCK_MIN, the blocks and the mode still merge into one system of 209."""
-    ops12 = assemble(build_basis(12, 12))
-    blocks, found = compressible._blocks, []
-    monkeypatch.setattr(compressible, "_blocks", lambda pattern: found.append(blocks(pattern)) or found[-1])
-    for ops in (ops12, ops8):
-        params = dataclasses.replace(stepper_params(ops.spec, time_dependent=False)[0], f=None)
-        next(compressible.compressible_chunks(ops, params)[3])
-    twelve, eight = found
-    m = ops12.spec.m_u + ops12.spec.m_p
-    assert np.array_equal(np.sort(np.concatenate(twelve)), np.arange(m))
-    assert sorted(len(b) for b in twelve) == [109, 114, 114, 120]
-    assert [len(b) for b in twelve if ops12.spec.m_u in b] == [109]
-    assert [len(b) for b in eight] == [209]
-
-
 def test_step_residual_gate_reports_first_step(spec2, ops2, monkeypatch):
     params, _ = stepper_params(spec2, time_dependent=False)
     monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", 0.0)
@@ -464,7 +446,7 @@ def corrupt_solve(
 def test_step_residual_gate_names_a_corrupted_solve(ops2, ops8, monkeypatch, step, time_dependent):
     """The last step of a chunk is gated on the product carried into the next chunk.  At
     n = 8 stepper_params' force splits the system in two blocks, and the solve is corrupted
-    in the second (105 unknowns), which marches each chunk after the first block's steps."""
+    in the second (105 unknowns), in line or on a thread of its own."""
     for ops, block in ((ops2, None), (ops8, 105)):
         params, dt = stepper_params(ops.spec, time_dependent)
         message = f"step {step} at t = {step * dt:.6g}: relative residual "
