@@ -89,11 +89,10 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     worker processes, each in lockstep with its own Stokes reference.  It counts
     n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
-    worker one reference, which holds no matrix of its own: 11 chunk-sized
-    arrays of width m_u for its states, velocities, pressures and the
-    pressure recovery's temporaries (9.5-10.5 measured at n = 8 and 16).
-    A Stokes run (stokes=True) counts one such reference, Z'E and Z'EZ (at
-    most 2 m_u^2) and its (N+1)(m_V + m_u + m_p) stored values, m_V <= m_u.
+    worker one reference: its pressure map (m_u m_p at most, built in chunks)
+    and 6 chunk-sized arrays of width m_u (5.2-5.7 measured in all at n = 8,
+    16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E
+    and Z'EZ (at most 2 m_u^2) and its (N+1)(m_V + m_u + m_p) stored values.
     It also counts the text of the largest CSV file the command writes, at
     CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
     trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
@@ -105,8 +104,8 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
         alpha = min(cfg.alphas) if sweep else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
         nodes = max(1.0, cfg.T / dt) + 1.0
-        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, rhs, loads, a split march's un-permuted
-        reference = 11.0 * (STEP_CHUNK + 1.0) * m_u
+        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, rhs, un-permuted states, loads
+        reference = _reference_values(m_u, m_p)
         need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
         if sweep:
             rows = len(cfg.alphas)
@@ -129,6 +128,11 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
             f"matrices, stored states and CSV text, more than the {have / 2**30:.3g} GiB of "
             "physical memory"
         )
+
+
+def _reference_values(m_u: float, m_p: float) -> float:
+    """The values one Stokes reference holds at its peak beyond the operators (_check_memory)."""
+    return 6.0 * (STEP_CHUNK + 1.0) * m_u + m_u * m_p
 
 
 def _small(cfg: RunConfig) -> bool:

@@ -134,12 +134,11 @@ def crank_nicolson(
 
     A generator: it marches STEP_CHUNK steps at a time and yields
     ``(start, states)`` per chunk, states[k] being y at node start + k; the
-    chunks tile nodes 0..N.  states is a view of a chunk buffer that the
-    next chunk overwrites; another holds the products rhs_mat y_n, which
-    each step turns into its rhs_n, and carries the chunk's last product
-    into the next chunk.  Several blocks march with each one's unknowns
-    contiguous, and their chunk is un-permuted into one more buffer.  Before
-    a chunk is yielded its residuals are checked in place: as lhs = 2 diag(a)
+    chunks tile nodes 0..N.  The blocks march in one chunk buffer, each
+    one's unknowns contiguous, and each step turns the products rhs_mat y_n
+    of another into its rhs_n (the last is carried into the next chunk);
+    states views a third, into which the chunk is un-permuted and which the
+    next chunk overwrites.  Before a chunk is yielded its residuals are checked in place: as lhs = 2 diag(a)
     - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
     the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
     gates it on |rhs_n|.
@@ -152,11 +151,11 @@ def crank_nicolson(
     suspended.  The states are the in-line march's, bit for bit.
     """
     blocks = _blocks(half_k != 0)
-    split, perm = len(blocks) > 1, np.concatenate(blocks)  # one block: perm = arange(m)
-    workers = min(len(blocks), blas_threads()) if split else 1
+    perm = np.concatenate(blocks)  # one block: perm = arange(m)
+    workers = min(len(blocks), blas_threads())
     with one_blas_thread(workers > 1):  # from before the factors until the generator finishes
-        halves = [half_k[np.ix_(b, b)] for b in blocks] if split else [half_k]
-        del half_k
+        halves = [half_k[np.ix_(b, b)] for b in blocks]
+        del half_k  # before any lhs exists: at most two m x m matrices at once
         a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
         systems = []  # per block: its columns, the LU factor of lhs and rhs_mat
         for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
@@ -176,10 +175,9 @@ def crank_nicolson(
         dt = float(times[1] - times[0])
         if not callable(load):  # the bits of a time-dependent load's trapezoid below
             w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
-        # the states, the right-hand sides, a time-dependent load's w and, for several blocks,
-        # the un-permuted states, allocated once
-        states, rhs, *loads = np.empty((2 + callable(load) + split, min(STEP_CHUNK, n_steps) + 1, len(y0)))
-        unpermuted, inverse = loads.pop() if split else None, np.argsort(perm)
+        # the states, right-hand sides, un-permuted states and a time-dependent load's w, allocated once
+        states, rhs, unpermuted, *loads = np.empty((3 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
+        inverse = np.argsort(perm)
         states[0] = y0
         for cols, _, _, rhs_mat in systems:
             np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
@@ -198,16 +196,15 @@ def crank_nicolson(
             count = min(STEP_CHUNK, n_steps - start)
             if loads:
                 w = loads[0][: count + 1]
-                # several blocks load in the original order into the free un-permuted buffer
-                load(times[start : start + count + 1], unpermuted[: count + 1] if split else w)
-                if split:
-                    np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
+                # the load comes in the original order, into the free un-permuted buffer
+                load(times[start : start + count + 1], unpermuted[: count + 1])
+                np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
                 w[:-1] += w[1:]
                 w[:-1] *= 0.5 * dt
             if workers > 1:  # its threads end with the chunk; map raises the lowest block's failure
                 with ThreadPoolExecutor(workers) as pool:
                     list(pool.map(march, systems))
-            else:  # the blocks one after another: a single block steps as the whole system
+            else:
                 for system in systems:
                     march(system)
             # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
@@ -220,10 +217,9 @@ def crank_nicolson(
             d -= states[1 : count + 1]
             d *= two_a
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
-            if split:  # mode="clip": "raise" would buffer out
-                np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
-            ys = unpermuted if split else states
-            yield (0, ys[: count + 1]) if start == 0 else (start + 1, ys[1 : count + 1])
+            # mode="clip": "raise" would buffer out
+            np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
+            yield (0, unpermuted[: count + 1]) if start == 0 else (start + 1, unpermuted[1 : count + 1])
             states[0], rhs[0] = states[count], rhs[count]
 
 

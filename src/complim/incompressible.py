@@ -11,15 +11,14 @@ homogeneous problem): the Stokes limit keeps s and drops the alpha p f
 coupling.  Solenoidality therefore holds exactly at every step.  As
 ``assemble`` orders Z by eigh(Z'Z), Z'Z is diagonal up to roundoff, so each
 mode evolves on its own and the march steps them elementwise, with no
-matrix factor and no matrix-vector product.  The pressure is recovered in
-chunks of nodes from the momentum residual through the inverse of the
-pressure gradient: with dc/dt read off the reduced equation (not from
-finite differences, which would lose an order),
-
-    q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c),
-
-mean zero by construction and shiftable afterwards to any target mean; the
-initial pressure is the same recovery at t = 0.  The march is a chunk
+matrix factor and no matrix-vector product.  The pressure is recovered from
+the momentum residual through the inverse of the pressure gradient: with
+dc/dt read off the reduced equation (not from finite differences, which
+would lose an order), q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c).
+That is linear in y and the load's time factor: one map, built once per run
+(:func:`_pressure_map`), gives q(t_n) = y_n Q + fac(t_n) q_s, one product per
+chunk, mean zero and shiftable afterwards to any target mean; the initial
+pressure is the same map at t = 0.  The march is a chunk
 source, :func:`stokes_chunks`, which yields each chunk of steps with its
 velocity and recovered pressure: :func:`simulate_incompressible` stores the
 chunks and reduces each one, in the same loop, to the per-node columns and
@@ -39,7 +38,7 @@ import numpy as np
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, _check_steps, time_grid
 from .compressible import _forcing_terms, _time_values
-from .operators import ANNIHILATION_TOL, AnnihilationError, OperatorSet, leray_project
+from .operators import OperatorSet, grad_inverse_rows, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
@@ -100,7 +99,8 @@ def stokes_chunks(
     system: pulled chunk by chunk, it yields ``(start, y, c, q)`` at nodes
     start, start + 1, ...: the reduced coordinates (a view of a chunk buffer
     that the next chunk overwrites), the velocity c = Z y and the pressure
-    recovered from the momentum residual, mean zero.
+    y Q + fac(t) q_s of :func:`_pressure_map`, mean zero: one product per
+    chunk over its new nodes, node 0's being :func:`initial_pressure`'s.
 
     With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), a step is
     den y_{n+1} = rhs_n = num y_n + dt/2 (fac(t_n) + fac(t_{n+1})) Z's with
@@ -119,16 +119,17 @@ def stokes_chunks(
     if params.sigma is not None:
         raise InvalidParams("the incompressible limit has no mass source; leave sigma unset")
 
-    c0 = coefficients_of(spec, params.u0)
-    c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
     lam = np.einsum("ij,ij->j", Z, Z)
     half = 0.5 * dt * params.mu * lam
     den, num = params.rho0 + half, params.rho0 - half
     w = dt * (Z.T @ s_vec)  # w_n of a load without a time factor
+    Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec)
     n_steps = len(times) - 1
     y, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(lam)))
-    y[0] = Z.T @ (operator_set.mass_diag * c0)
+    c0 = leray_project(operator_set, VelocityCoeffs(spec, coefficients_of(spec, params.u0)))
+    y[0] = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
+    q0 = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s  # initial_pressure's product, bit for bit
 
     def chunks():
         for start in range(0, n_steps, STEP_CHUNK):
@@ -141,10 +142,8 @@ def stokes_chunks(
             d, r = den * y[1 : count + 1] - rhs[:count], rhs[:count]
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(r, r)))
             nodes = slice(0 if start == 0 else 1, count + 1)
-            F = s_vec if s_fac is None else np.outer(fac[nodes], s_vec)
-            c = y[nodes] @ Z.T
-            q = _recover_pressure(operator_set, lam, params, F, y[nodes], c)
-            yield start + nodes.start, y[nodes], c, q
+            q = y[1 : count + 1] @ Q + fac[1:, None] * q_s  # column 0: BLAS sums y_j * +0.0 from +0.0
+            yield start + nodes.start, y[nodes], y[nodes] @ Z.T, np.vstack([q0, q]) if start == 0 else q
             y[0] = y[count]
 
     return dt, times, chunks()
@@ -189,38 +188,35 @@ def simulate_incompressible(
     return IncompressibleTrajectory(spec, params, dt, times, y, c, q, energy, h01, div, residuals)
 
 
-def _recover_pressure(operator_set, lam, params, F, y, c) -> np.ndarray:
-    """Pressure at the nodes of the rows of y and c, from the momentum residual.
-
-    The residual annihilates the kernel by Galerkin orthogonality, so its
-    roundoff kernel component is removed; rows whose residual is roundoff of
-    its terms stay zero, the others get grad_inverse's annihilation check.
+def _pressure_map(operator_set: OperatorSet, lam: np.ndarray, mu: float, s_vec: np.ndarray):
+    """The map (Q, q_s) from a node's kernel coordinates y and load factor fac(t) to its pressure
+    y Q + fac(t) q_s, mean zero (rho0 cancels).  The momentum residual is y R + fac(t) r_s, row j
+    of R being mu (lam_j M - I) Z_j and r_s = s - M Z Z's.  Each row loses its roundoff kernel
+    component, becomes exact zeros if it is roundoff of its terms (1e-13 of the larger), and goes
+    through grad_inverse_rows, STEP_CHUNK rows at a time so that the temporaries are chunk-sized.
     """
-    Z, rho0, mu, mass = operator_set.kernel, params.rho0, params.mu, operator_set.mass_diag
-    ydot = (F @ Z - mu * (lam * y)) / rho0
-    terms = (np.broadcast_to(F, c.shape), rho0 * mass * (ydot @ Z.T), mu * c)
-    g = terms[0] - terms[1] - terms[2]
-    g -= mass * ((g @ Z) @ Z.T)
-    norm_g = np.linalg.norm(g, axis=1)
-    keep = norm_g > 1e-13 * np.max([np.linalg.norm(t, axis=1) for t in terms], axis=0)
-    defect = np.linalg.norm(g @ Z, axis=1)
-    bad = np.flatnonzero(keep & (defect > ANNIHILATION_TOL * norm_g))
-    if bad.size:
-        raise AnnihilationError(
-            f"functional has a solenoidal component ({defect[bad[0]]:.3e} > "
-            f"{ANNIHILATION_TOL:.0e} * |g|)"
-        )
-    q = np.zeros((len(c), operator_set.spec.m_p))
-    q[keep, 1:] = ((-g[keep] @ operator_set.b_vt.T) / operator_set.b_s) @ operator_set.b_u.T
-    return q
+    Z, mass = operator_set.kernel, operator_set.mass_diag
+
+    def solve(g, terms):
+        g -= mass * ((g @ Z) @ Z.T)
+        g[np.linalg.norm(g, axis=1) <= 1e-13 * terms] = 0.0
+        return grad_inverse_rows(operator_set, g)  # column 0, the mean, is +0.0
+
+    Q = np.empty((len(lam), operator_set.spec.m_p))
+    for rows in (slice(j, j + STEP_CHUNK) for j in range(0, len(lam), STEP_CHUNK)):
+        mz = Z.T[rows] * mass
+        terms = np.maximum(lam[rows] * np.linalg.norm(mz, axis=1), np.linalg.norm(Z[:, rows], axis=0))
+        Q[rows] = solve(mu * (lam[rows, None] * mz - Z.T[rows]), mu * terms)
+    zs = mass * (Z @ (Z.T @ s_vec))
+    return Q, solve((s_vec - zs)[None], max(np.linalg.norm(s_vec), np.linalg.norm(zs)))[0]
 
 
 def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> PressureCoeffs:
     """The Stokes initial pressure p'(0) of the problem: the ``compatible_p0`` of a config.
 
-    The node-0 pressure recovery of simulate_incompressible for the problem's
-    ``u0``, momentum source ``s``, ``rho0`` and ``mu``; the rest of
-    ``params`` (``sigma`` included) is not read.  ``u0`` must be discretely
+    The node-0 pressure of simulate_incompressible, bit for bit, for the
+    problem's ``u0``, momentum source ``s`` and ``mu`` (``rho0`` cancels);
+    the rest of ``params`` (``sigma`` included) is not read.  ``u0`` must be discretely
     solenoidal (InvalidParams otherwise) and the solenoidal space nontrivial
     (EmptyKernel otherwise); the result is mean zero.
     """
@@ -234,10 +230,10 @@ def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> P
         )
     s_vec, s_fac, _, _ = _forcing_terms(spec, replace(params, sigma=None))
     Z = nullspace_basis(operator_set)
+    Q, q_s = _pressure_map(operator_set, np.einsum("ij,ij->j", Z, Z), params.mu, s_vec)
+    c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values  # as stokes_chunks
     y0 = Z.T @ (operator_set.mass_diag * c0)
-    F0 = np.outer(_time_values(s_fac, [0.0]), s_vec)
-    q0 = _recover_pressure(operator_set, np.einsum("ij,ij->j", Z, Z), params, F0, y0[None], c0[None])
-    return PressureCoeffs(spec, q0[0])
+    return PressureCoeffs(spec, y0 @ Q + _time_values(s_fac, [0.0]) * q_s)
 
 
 def shift_pressure_mean(traj: IncompressibleTrajectory, A: float) -> IncompressibleTrajectory:

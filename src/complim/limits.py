@@ -27,7 +27,7 @@ reduced into every live row's per-node scalar series of its deviation from
 the reference and then dropped.  No trajectory is stored.  A worker holds
 each row's two m x m step matrices and probes + 3 numbers per node (one
 more when eta > 0), and a chunk of states per system; the reference steps
-its modes elementwise and holds no matrix of its own.  It reads
+its modes elementwise and holds only its pressure map.  It reads
 the caller's operators through copy-on-write pages and sends back only its
 finished rows; the caller holds the operators and waits.  A row's bits
 therefore depend neither on the number of workers nor on the caller's BLAS

@@ -43,6 +43,7 @@ __all__ = [
     "coupling_matrix",
     "leray_project",
     "grad_inverse",
+    "grad_inverse_rows",
     "bogovskii",
     "operator_norm_estimates",
 ]
@@ -206,21 +207,23 @@ def grad_inverse(operator_set: OperatorSet, g: np.ndarray) -> PressureCoeffs:
     pressure gradient can represent it and AnnihilationError is raised.
     """
     g = np.asarray(g, dtype=float)
-    spec = operator_set.spec
-    if g.shape != (spec.m_u,):
+    if g.shape != (operator_set.spec.m_u,):
         raise ValueError("functional vector length does not match the velocity span")
-    norm_g = np.linalg.norm(g)
-    if norm_g > 0.0:
-        defect = np.linalg.norm(operator_set.kernel.T @ g)
-        if defect > ANNIHILATION_TOL * norm_g:
-            raise AnnihilationError(
-                f"functional has a solenoidal component ({defect:.3e} > {ANNIHILATION_TOL:.0e} * |g|)"
-            )
+    return PressureCoeffs(operator_set.spec, grad_inverse_rows(operator_set, g[None])[0])
+
+
+def grad_inverse_rows(operator_set: OperatorSet, g: np.ndarray) -> np.ndarray:
+    """grad_inverse of each row of the (k, m_u) array g, as a (k, m_p) array; zero rows give zeros."""
+    defect = np.linalg.norm(g @ operator_set.kernel, axis=1)
+    bad = np.flatnonzero(defect > ANNIHILATION_TOL * np.linalg.norm(g, axis=1))
+    if bad.size:  # the first row with a solenoidal component
+        raise AnnihilationError(
+            f"functional has a solenoidal component ({defect[bad[0]]:.3e} > {ANNIHILATION_TOL:.0e} * |g|)"
+        )
     # min-norm least squares for B[1:]' q = -g via the cached SVD
-    q_reduced = operator_set.b_u @ ((operator_set.b_vt @ -g) / operator_set.b_s)
-    q = np.zeros(spec.m_p)
-    q[1:] = q_reduced
-    return PressureCoeffs(spec, q)
+    q = np.zeros((len(g), operator_set.spec.m_p))
+    np.matmul((g @ operator_set.b_vt.T) / -operator_set.b_s, operator_set.b_u.T, out=q[:, 1:])
+    return q
 
 
 def bogovskii(operator_set: OperatorSet, fq: PressureCoeffs) -> tuple[VelocityCoeffs, float]:

@@ -180,7 +180,8 @@ def run_command(args, threads, cwd, one_cpu=False):
 
 def test_simulate_incompressible_bytes_do_not_depend_on_blas_threads(tmp_path):
     # configs/simulate.cfg (n=8) with its coefficients dumped
-    text = open(os.path.join(CONFIGS, "simulate.cfg")).read()
+    with open(os.path.join(CONFIGS, "simulate.cfg")) as handle:
+        text = handle.read()
     cfg = tmp_path / "simulate.cfg"
     cfg.write_text(text.replace("dump_coefficients = false", "dump_coefficients = true"))
     outputs = []

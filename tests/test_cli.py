@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,20 +430,20 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
         cli._check_memory(cfg)
 
     # n = 40, 6 rows: 2.4 GiB for the rows, and each worker process holds its
-    # own Stokes reference, about 0.067 GiB
+    # own Stokes reference, about 0.077 GiB
     big = text.replace("n_u = 8", "n_u = 40").replace("n_p = 8", "n_p = 40")
     cfg = parse_config(big.replace("T = 100\ndt = 1e-4", "T = 0.4"))
     pages["SC_PHYS_PAGES"] = int(2.85 * 2**30) // 4096
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    cli._check_memory(cfg, sweep=True)  # one worker: 2.74 GiB
+    cli._check_memory(cfg, sweep=True)  # one worker: 2.75 GiB
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)))
-    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.08 GiB"):  # six workers
+    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.14 GiB"):  # six workers
         cli._check_memory(cfg, sweep=True)
 
 
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
     # n = 40, 101 nodes: simulate needs about 0.61 GiB, 0.35 GiB of it for the compressible
-    # system's two m x m matrices; the Stokes run builds neither and needs about 0.44 GiB
+    # system's two m x m matrices; the Stokes run builds neither and needs about 0.45 GiB
     from complim import cli
 
     class Built(Exception):
@@ -462,6 +463,29 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     assert len(err) == 1 and "needs about 0.61 GiB" in err[0]
     with pytest.raises(Built):
         run_cli(["simulate-incompressible", "--config", cfg])
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_memory_preflight_counts_the_stokes_reference_at_its_peak(n):
+    # the reference's march under a time-dependent source, its pressure map built inside the
+    # trace and the operators outside it: the pre-flight's count covers what tracemalloc sees
+    from complim import cli
+    from complim.compressible import STEP_CHUNK
+    from complim.incompressible import stokes_chunks
+
+    ops = assemble(build_basis(n, n))
+    s = realize_vector_field("cos(pi*y) ; 0.5*cos(pi*x)", "1.5 + t")
+    params = CompressibleParams(T=0.3, dt=0.3 / 600, s=s, u0=velocity_preset("solenoidal_u0", ops))
+    tracemalloc.start()
+    try:
+        _, _, chunks = stokes_chunks(ops, params)
+        assert sum(1 for _ in chunks) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m_u, m_p = ops.spec.m_u, ops.spec.m_p
+    assert peak > 8 * 4 * (STEP_CHUNK + 1) * m_u  # the march's own chunks are traced
+    assert peak <= 8 * cli._reference_values(m_u, m_p)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import complim.compressible as compressible
+import complim.incompressible as incompressible
 from complim import (
     CompressibleParams,
     EmptyKernel,
@@ -218,6 +219,44 @@ def test_initial_pressure_trivial_and_constructed(spec4, ops4):
     u0 = VelocityCoeffs(spec4, np.zeros(spec4.m_u))
     q0 = initial_pressure(ops4, CompressibleParams(rho0=1.0, mu=1.0, s=f, u0=u0))
     assert np.abs(q0.values - qstar).max() <= 1e-8 * max(1.0, np.abs(qstar).max())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("timed", [False, True], ids=["s_constant", "s_timed"])
+def test_initial_pressure_is_the_node0_pressure_bit_for_bit(n, timed):
+    ops = assemble(build_basis(n, n))
+    force = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
+    s = SampledField(spatial=force.spatial, vector=True, time_factor=(lambda t: 1.5 + t) if timed else None)
+    u0 = velocity_preset("solenoidal_u0", ops)
+    params = CompressibleParams(rho0=2.0, mu=0.5, T=0.3, dt=0.001, s=s, u0=u0)
+    traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
+    assert traj.n_steps > incompressible.STEP_CHUNK
+    assert np.array_equal(initial_pressure(ops, params).values, traj.q[0])
+    assert not np.signbit(traj.q[:, 0]).any() and np.all(traj.q[:, 0] == 0.0)  # the mean prints as 0
+
+
+def test_load_in_the_span_of_m_z_has_no_pressure(spec4, ops4, kernel4):
+    # s = M Z a (built as in test_initial_pressure_trivial_and_constructed) is a solenoidal load:
+    # its residual s - M Z Z's is roundoff, which the map keeps at exact zeros
+    rng = np.random.default_rng(5)
+    coeffs = VelocityCoeffs(spec4, kernel4 @ rng.standard_normal(kernel4.shape[1]))
+
+    def component(k):
+        def fn(x, y):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            pts = np.stack([np.broadcast_to(x, shape), np.broadcast_to(y, shape)], axis=-1)
+            return eval_field(spec4, coeffs, pts)[..., k]
+
+        return fn
+
+    s = SampledField.of_vector(component(0), component(1))
+    s_vec = velocity_load_vector(spec4, s)
+    assert np.abs(kernel4.T @ s_vec).max() > 0.1
+    lam = np.einsum("ij,ij->j", kernel4, kernel4)
+    _, q_s = incompressible._pressure_map(ops4, lam, 0.7, s_vec)
+    assert np.all(q_s == 0.0)
+    u0 = VelocityCoeffs(spec4, np.zeros(spec4.m_u))
+    assert np.all(initial_pressure(ops4, CompressibleParams(mu=0.7, s=s, u0=u0)).values == 0.0)
 
 
 def test_initial_pressure_matches_short_time_limit(spec4, ops4, kernel4):

@@ -19,6 +19,7 @@ from complim import (
     operator_norm_estimates,
 )
 from complim.config import parse_config, realize_vector_field
+from complim.operators import grad_inverse_rows
 
 from conftest import quad2d
 
@@ -172,6 +173,16 @@ def test_grad_inverse_zero_and_annihilation(ops4):
     g = ops4.kernel[:, 0].copy()  # purely solenoidal functional
     with pytest.raises(AnnihilationError):
         grad_inverse(ops4, g)
+    # the row-wise form: zero rows map to zeros, and one solenoidal row among gradients raises
+    rng = np.random.default_rng(3)
+    qstar = np.zeros((2, ops4.spec.m_p))
+    qstar[:, 1:] = rng.standard_normal((2, ops4.spec.m_u)) @ ops4.div_coupling[1:].T
+    gradients = -(qstar @ ops4.div_coupling)
+    assert np.all(grad_inverse_rows(ops4, np.zeros((3, ops4.spec.m_u))) == 0.0)
+    q = grad_inverse_rows(ops4, gradients)
+    assert np.abs(q - qstar).max() <= 1e-10 * np.abs(qstar).max()
+    with pytest.raises(AnnihilationError):
+        grad_inverse_rows(ops4, np.vstack([gradients, g]))
 
 
 def test_bogovskii_zero_and_mean_check(ops4):
