@@ -49,7 +49,7 @@ EXIT_SOLVER = 2
 EXIT_CERTIFICATE = 3
 
 # A command whose step systems have fewer unknowns than this (m = m_u + m_p)
-# runs every OpenBLAS copy in the process on one thread, so its outputs do
+# runs numpy's OpenBLAS, complim's only BLAS, on one thread, so its outputs do
 # not depend on OPENBLAS_NUM_THREADS.  Below it the per-step products are too
 # small to split, and the workers that the few per-chunk products wake spin
 # through the steps that follow: on 2 vCPUs a second thread doubled a sweep's

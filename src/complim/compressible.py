@@ -14,9 +14,9 @@ Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  The stepper,
 :func:`crank_nicolson`, marches each block of the step system (modes of
-matching parity) with one matrix-vector product and one LAPACK ``getrs``
-solve per step, on threads of their own when OpenBLAS has several, checks
-each chunk's step residuals from the products the steps form
+matching parity) with one matrix-vector product and one ``getrs`` solve in
+numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
+has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
 states to its caller.  :func:`simulate_compressible` stores the chunks and
 feeds them to :class:`RunSeries`, which reduces each one to the series that
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
+from . import blas
 from .basis import (
     BasisSpec,
     PressureCoeffs,
@@ -43,7 +43,6 @@ from .basis import (
     pressure_load_vector,
     velocity_load_vector,
 )
-from .blas import blas_threads, one_blas_thread
 from .inequalities import MixedConstants, ScalarTrajectory, mixed_bounds, verify_mixed
 from .operators import OperatorSet, coupling_matrix
 
@@ -144,20 +143,23 @@ def crank_nicolson(
     gates it on |rhs_n|.
 
     Several blocks, with more than one OpenBLAS thread in force, step each chunk at
-    once on a thread per block, up to that many, that ends with the chunk; every
-    OpenBLAS copy stays on one thread from before the factors until the generator is
+    once on a thread per block, up to that many, that ends with the chunk; numpy's
+    OpenBLAS stays on one thread from before the factors until the generator is
     exhausted, closed or raises, the caller's work between chunks included: exhaust
     or ``close()`` it, and enter or leave no ``one_blas_thread`` block while it is
     suspended.  The states are the in-line march's, bit for bit.
     """
     blocks = _blocks(half_k != 0)
     perm = np.concatenate(blocks)  # one block: perm = arange(m)
-    workers = min(len(blocks), blas_threads())
-    with one_blas_thread(workers > 1):  # from before the factors until the generator finishes
+    workers = min(len(blocks), blas.blas_threads())
+    with blas.one_blas_thread(workers > 1):  # from before the factors until the generator finishes
         halves = [half_k[np.ix_(b, b)] for b in blocks]
         del half_k  # before any lhs exists: at most two m x m matrices at once
         a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
-        systems = []  # per block: its columns, the LU factor of lhs and rhs_mat
+        n_steps = len(times) - 1
+        # the states, right-hand sides, un-permuted states and a time-dependent load's w, allocated once
+        states, rhs, unpermuted, *loads = np.empty((3 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
+        systems = []  # per block: its columns, rhs_mat and the solver of lhs in its rows of states
         for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
             cols = slice(stop - len(half), stop)
             half_diag = half.diagonal().copy()
@@ -165,30 +167,26 @@ def crank_nicolson(
             # diag(a) -/+ (dt/2) K do off the diagonal
             lhs = np.subtract(0.0, half, order="F")  # Fortran order: getrf factors it in place
             np.fill_diagonal(lhs, a[cols] - half_diag)
-            lu, piv = scipy.linalg.lu_factor(lhs, overwrite_a=True)
+            piv, _ = blas.getrf(lhs)  # an exactly singular factor (info > 0) fails step 1's gate
             rhs_mat = np.add(half, 0.0, out=half)
             np.fill_diagonal(rhs_mat, a[cols] + half_diag)
-            systems.append((cols, lu, piv, rhs_mat))
+            systems.append((cols, rhs_mat, blas.getrs(lhs, piv, states[:, cols])))
         two_a = 2.0 * a
-        (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (systems[0][1],))
-        n_steps = len(times) - 1
         dt = float(times[1] - times[0])
         if not callable(load):  # the bits of a time-dependent load's trapezoid below
             w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
-        # the states, right-hand sides, un-permuted states and a time-dependent load's w, allocated once
-        states, rhs, unpermuted, *loads = np.empty((3 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
         inverse = np.argsort(perm)
         states[0] = y0
-        for cols, _, _, rhs_mat in systems:
+        for cols, rhs_mat, _ in systems:
             np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
 
         def march(system):  # the chunk's steps of one block
-            cols, lu, piv, rhs_mat = system
+            cols, rhs_mat, solve = system
             y, r, w_b = states[:, cols], rhs[:, cols], w[:, cols]
             for k in range(count):
                 r[k] += w_b[k]
-                y[k + 1], info = getrs(lu, piv, r[k])
-                if info:
+                y[k + 1] = r[k]  # solved in place
+                if info := solve(k + 1):
                     raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
                 np.matmul(rhs_mat, y[k + 1], out=r[k + 1])
 

@@ -44,6 +44,14 @@ def kernel8(ops8):
     return nullspace_basis(ops8)
 
 
+@pytest.fixture(scope="session")
+def ops16():
+    """n = 16, m = 801: the force of configs/simulate.cfg (and of test_compressible's
+    stepper_params) splits its step system into blocks of 400 and 401 unknowns, so a march
+    on 2 BLAS threads steps them on threads of their own."""
+    return assemble(build_basis(16, 16))
+
+
 def gauss_grid(order):
     """Independent tensor Gauss-Legendre rule on [0,1]^2 for test oracles."""
     nodes, weights = np.polynomial.legendre.leggauss(order)

@@ -1,10 +1,12 @@
 """The CLI runs sweeps and small step systems on one BLAS thread and restores the counts after;
 a march split into blocks steps them on threads of their own while OpenBLAS has several.
 
-These tests set every OpenBLAS copy to 2 threads first, so that pinning shows
-whatever OPENBLAS_NUM_THREADS the suite runs under.
+These tests set numpy's OpenBLAS, which complim binds, to 2 threads first, so
+that pinning shows whatever OPENBLAS_NUM_THREADS the suite runs under.  They
+read and set its thread count through a binding of their own.
 """
 
+import ctypes
 import dataclasses
 import itertools
 import os
@@ -15,8 +17,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import numpy._core._multiarray_umath
 import pytest
-import scipy.linalg
 
 import complim.compressible as compressible
 from complim import (
@@ -39,50 +41,59 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
 
 
+NUMPY_OPENBLAS = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+
+
+def openblas_threads():
+    return NUMPY_OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+def set_openblas_threads(count):
+    NUMPY_OPENBLAS.scipy_openblas_set_num_threads64_(count)
+
+
 @pytest.fixture
 def two_threads():
-    """Every loaded OpenBLAS copy's get_num_threads, with each copy set to 2 threads."""
-    controls = blas.openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS copy is loaded")
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(2)
-    yield [get for get, _ in controls]
-    for (_, put), threads in zip(controls, saved):
-        put(threads)
+    """numpy's OpenBLAS set to 2 threads, and its count restored after the test."""
+    saved = openblas_threads()
+    set_openblas_threads(2)
+    yield
+    set_openblas_threads(saved)
 
 
 @pytest.fixture
 def seen_inside(monkeypatch, two_threads):
-    """The thread counts of every copy while each `assemble` of a command runs."""
+    """The thread count while each `assemble` of a command runs."""
     seen = []
     assemble = cli.assemble
 
     def recording(spec):
-        seen.append(counts(two_threads))
+        seen.append(openblas_threads())
         return assemble(spec)
 
     monkeypatch.setattr(cli, "assemble", recording)
     return seen
 
 
-def counts(getters):
-    return [get() for get in getters]
-
-
-def test_both_openblas_copies_are_found():
-    with open("/proc/self/maps") as handle:
-        mapped = {line.split()[-1] for line in handle if "openblas" in line.lower()}
-    assert len(blas.openblas_thread_controls()) == len(mapped)
+def test_blas_reads_and_pins_numpys_openblas(two_threads):
+    set_openblas_threads(3)
+    assert blas.blas_threads() == 3
+    with blas.one_blas_thread(pin=False):
+        assert openblas_threads() == 3
+    with blas.one_blas_thread():
+        assert openblas_threads() == blas.blas_threads() == 1
+        with blas.one_blas_thread():  # never raises a count
+            assert openblas_threads() == 1
+        assert openblas_threads() == 1
+    assert openblas_threads() == 3
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
 def test_small_command_runs_on_one_thread_and_restores(tmp_path, two_threads, seen_inside, command):
     cfg, _ = write_cfg(tmp_path, SWEEP_CFG if command == "sweep" else SIM_CFG)
     assert run_cli([command, "--config", cfg]) == 0
-    assert seen_inside == [[1] * len(two_threads)]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert seen_inside == [1]
+    assert openblas_threads() == 2
 
 
 def test_counts_restored_after_a_config_error(tmp_path, capsys, two_threads, seen_inside):
@@ -90,8 +101,8 @@ def test_counts_restored_after_a_config_error(tmp_path, capsys, two_threads, see
     cfg, out = write_cfg(tmp_path, SIM_CFG.replace("p0 = 0.3*cos(pi*x)", "p0 = compatible_p0"))
     assert run_cli(["simulate", "--config", cfg]) == 1
     assert "compatible_p0" in capsys.readouterr().err
-    assert seen_inside == [[1] * len(two_threads)]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert seen_inside == [1]
+    assert openblas_threads() == 2
 
 
 def test_counts_restored_after_a_failing_step(tmp_path, capsys, two_threads, seen_inside):
@@ -99,20 +110,20 @@ def test_counts_restored_after_a_failing_step(tmp_path, capsys, two_threads, see
     cfg, _ = write_cfg(tmp_path, overflow)
     assert run_cli(["simulate", "--config", cfg]) == 2
     assert "step 1 at t = " in capsys.readouterr().err
-    assert seen_inside == [[1] * len(two_threads)]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert seen_inside == [1]
+    assert openblas_threads() == 2
 
 
 def test_counts_restored_after_an_exception(tmp_path, monkeypatch, two_threads):
     def broken(spec):
-        raise RuntimeError(counts(two_threads))
+        raise RuntimeError(openblas_threads())
 
     monkeypatch.setattr(cli, "assemble", broken)
     cfg, _ = write_cfg(tmp_path, SIM_CFG)
     with pytest.raises(RuntimeError) as raised:
         run_cli(["simulate", "--config", cfg])
-    assert raised.value.args[0] == [1] * len(two_threads)
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert raised.value.args[0] == 1
+    assert openblas_threads() == 2
 
 
 def test_system_at_the_cut_off_keeps_the_thread_counts(tmp_path, two_threads, seen_inside):
@@ -120,8 +131,8 @@ def test_system_at_the_cut_off_keeps_the_thread_counts(tmp_path, two_threads, se
     assert 2 * n**2 + (n + 1) ** 2 >= cli.ONE_BLAS_THREAD_BELOW
     cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("n_u = 3\nn_p = 3", f"n_u = {n}\nn_p = {n}"))
     assert run_cli(["decompose", "--config", cfg]) == 0
-    assert seen_inside == [[2] * len(two_threads)]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert seen_inside == [2]
+    assert openblas_threads() == 2
 
 
 def test_sweep_above_the_cut_off_runs_on_one_thread(tmp_path, two_threads, seen_inside):
@@ -131,34 +142,19 @@ def test_sweep_above_the_cut_off_runs_on_one_thread(tmp_path, two_threads, seen_
     text = SWEEP_CFG.replace("n_u = 3\nn_p = 3", f"n_u = {n}\nn_p = {n}").replace("T = 0.4", "T = 0.01")
     cfg, _ = write_cfg(tmp_path, text)
     assert run_cli(["sweep", "--config", cfg]) == 0
-    assert seen_inside == [[1] * len(two_threads)]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert seen_inside == [1]
+    assert openblas_threads() == 2
 
 
 def test_sweep_workers_run_on_one_thread_and_leave_the_caller_alone(monkeypatch, two_threads):
     def report_counts(ops, params):  # runs in the worker; its rows carry what it saw
-        raise RuntimeError(counts(two_threads))
+        raise RuntimeError(openblas_threads())
 
     monkeypatch.setattr(limits, "compressible_chunks", report_counts)
     ops = assemble(build_basis(3, 3))
     res = sweep_alpha(ops, CompressibleParams(T=0.1), (1e-1, 1e-2, 1e-3), probes=2)
-    assert [r.error for r in res.rows] == [f"RuntimeError: {[1] * len(two_threads)}"] * 3
-    assert counts(two_threads) == [2] * len(two_threads)
-
-
-def test_no_openblas_found_is_a_no_op(tmp_path, monkeypatch, two_threads, seen_inside):
-    monkeypatch.setattr(blas, "openblas_thread_controls", lambda: [])
-    cfg, _ = write_cfg(tmp_path, SIM_CFG)
-    assert run_cli(["simulate", "--config", cfg]) == 0
-    assert seen_inside == [[2] * len(two_threads)]
-
-
-def test_no_proc_maps_finds_nothing(monkeypatch):
-    def missing(path, *args, **kwargs):
-        raise FileNotFoundError(path)
-
-    monkeypatch.setattr(blas, "open", missing, raising=False)
-    assert blas.openblas_thread_controls() == []
+    assert [r.error for r in res.rows] == ["RuntimeError: 1"] * 3
+    assert openblas_threads() == 2
 
 
 def _one_cpu():
@@ -192,14 +188,6 @@ def test_simulate_incompressible_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.fixture(scope="module")
-def ops16():
-    """n = 16, m = 801: stepper_params' force, that of configs/simulate.cfg, splits its step
-    system into blocks of 400 and 401 unknowns, so a march on 2 BLAS threads steps them on
-    threads of their own."""
-    return assemble(build_basis(16, 16))
-
-
 @pytest.fixture
 def pools(monkeypatch):
     """The worker counts of the thread pools that crank_nicolson starts, one pool a chunk."""
@@ -220,13 +208,11 @@ def test_concurrent_march_bitwise_equal_to_the_in_line_march(
 ):
     """549 steps, three chunks; under one_blas_thread the march steps its blocks in line."""
     params, _ = stepper_params(ops16.spec, time_dependent)
-    lu_factor, factored = scipy.linalg.lu_factor, []
-    monkeypatch.setattr(
-        scipy.linalg, "lu_factor", lambda a, **kw: factored.append(len(a)) or lu_factor(a, **kw)
-    )
+    getrf, factored = blas.getrf, []
+    monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
     concurrent = simulate_compressible(ops16.spec, ops16, params)
     assert factored == [400, 401] and pools == [2, 2, 2]
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert openblas_threads() == 2
     with blas.one_blas_thread():
         in_line = simulate_compressible(ops16.spec, ops16, params)
     assert factored == [400, 401] * 2 and pools == [2, 2, 2]
@@ -239,15 +225,14 @@ def test_more_block_threads_than_cpus_keep_the_in_line_bits(ops16, two_threads, 
     pressure mode; at 4 OpenBLAS threads they step on four threads, twice the CPUs of a 2-vCPU machine, with the interpreter switching
     threads every microsecond."""
     params = dataclasses.replace(stepper_params(ops16.spec, time_dependent=True)[0], f=None)
-    for _, put in blas.openblas_thread_controls():
-        put(4)
+    set_openblas_threads(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         concurrent = simulate_compressible(ops16.spec, ops16, params)
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [4, 4, 4] and counts(two_threads) == [4] * len(two_threads)
+    assert pools == [4, 4, 4] and openblas_threads() == 4
     with blas.one_blas_thread():
         in_line = simulate_compressible(ops16.spec, ops16, params)
     assert pools == [4, 4, 4]
@@ -261,11 +246,11 @@ def test_concurrent_march_fails_as_the_in_line_march(ops16, monkeypatch, two_thr
     for pin in (False, True):
         threads = threading.active_count()
         with monkeypatch.context() as patch, blas.one_blas_thread(pin):
-            corrupt_solve(patch, 300, block=block)  # in the second chunk
+            corrupt_solve(patch, 300, size=block)  # in the second chunk
             with pytest.raises(StepFailure, match="^" + re.escape(message)):
                 simulate_compressible(ops16.spec, ops16, params)
         assert threading.active_count() == threads
-        assert counts(two_threads) == [2] * len(two_threads)
+        assert openblas_threads() == 2
     assert pools == [2, 2]
 
 
@@ -273,25 +258,24 @@ def test_getrs_failure_in_a_block_thread_is_raised_lowest_block_first(
     ops16, monkeypatch, two_threads, pools
 ):
     """Both blocks fail at their 300th solve; the 400-unknown block is the first."""
-    fetch = scipy.linalg.get_lapack_funcs
-    solves = {}
+    bind = blas.getrs
 
-    def get_lapack_funcs(names, arrays):
-        (getrs,) = fetch(names, arrays)
+    def getrs(lu, piv, rows):
+        solve, solves = bind(lu, piv, rows), itertools.count(1)
 
-        def failing(lu, piv, b):
-            x, info = getrs(lu, piv, b)
-            return x, len(lu) if next(solves.setdefault(id(lu), itertools.count(1))) == 300 else info
+        def failing(k):
+            info = solve(k)
+            return len(lu) if next(solves) == 300 else info
 
-        return (failing,)
+        return failing
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(blas, "getrs", getrs)
     params, _ = stepper_params(ops16.spec, time_dependent=False)
     threads = threading.active_count()
     with pytest.raises(StepFailure, match="^step 300: getrs returned info = 400$"):
         simulate_compressible(ops16.spec, ops16, params)
     assert pools == [2, 2] and threading.active_count() == threads
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert openblas_threads() == 2
 
 
 def test_concurrent_march_leaves_no_thread_between_chunks_and_restores_the_counts(
@@ -303,9 +287,9 @@ def test_concurrent_march_leaves_no_thread_between_chunks_and_restores_the_count
     chunks = compressible.compressible_chunks(ops16, params)[3]
     next(chunks)
     assert threading.active_count() == threads
-    assert counts(two_threads) == [1] * len(two_threads)
+    assert openblas_threads() == 1
     chunks.close()
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert openblas_threads() == 2
     assert sum(1 for _ in compressible.compressible_chunks(ops16, params)[3]) == 3
     assert pools == [2, 2, 2, 2] and threading.active_count() == threads
-    assert counts(two_threads) == [2] * len(two_threads)
+    assert openblas_threads() == 2

@@ -207,6 +207,21 @@ def test_nonfinite_initial_data_exits_2(tmp_path, capsys):
         assert "step 1 at t = " in capsys.readouterr().err
 
 
+def test_nonfinite_body_force_exits_2_with_one_line(tmp_path):
+    """An infinite f makes the step matrix non-finite; the step gate refuses the first step."""
+    force = SIM_CFG.replace("f = cos(pi*y) ; 0.5*cos(pi*x)", "f = 1e308*1e308*cos(pi*y) ; 0")
+    cfg, out = write_cfg(tmp_path, force)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "complim.cli", "simulate", "--config", cfg],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("complim: step 1 at t = ") and done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_body_force_source_is_rho0_f(tmp_path):
     # with no s the momentum source of `complim simulate` is rho0 * f
     cfg, out = write_cfg(tmp_path, SIM_CFG.replace("[physics]\n", "[physics]\nrho0 = 2\n"))

@@ -19,6 +19,7 @@ from complim import (
     VelocityCoeffs,
     apriori_check,
     assemble,
+    blas,
     build_basis,
     default_dt,
     energy_ledger,
@@ -391,10 +392,8 @@ def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
     105 unknowns, which the march factors and steps apart."""
     params, dt = stepper_params(ops8.spec, time_dependent)
     expected = lu_solve_march(ops8.spec, ops8, params, dt)
-    lu_factor, factored = scipy.linalg.lu_factor, []
-    monkeypatch.setattr(
-        scipy.linalg, "lu_factor", lambda a, **kw: factored.append(len(a)) or lu_factor(a, **kw)
-    )
+    getrf, factored = blas.getrf, []
+    monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
     traj = simulate_compressible(ops8.spec, ops8, params)
     assert factored == [104, 105]
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -414,30 +413,28 @@ def test_nonfinite_state_raises_step_failure(spec2, ops2):
         simulate_compressible(spec2, ops2, CompressibleParams(alpha=0.05, T=0.1, u0=u0, p0=p0))
 
 
-def corrupt_solve(
-    monkeypatch, step, march=0, size=None, block=None, value=lambda x: x * (1.0 + 1e-6)
-):
-    """Make the getrs that crank_nicolson fetches return value(x) at the step-th solve (1-based)
-    with each LU factor of block x block, of any size when block is None, of the march-th march
-    (0-based) whose first factor is size x size, of any size when size is None.  The factor is
-    picked by its size: blocks marched on threads of their own race for their first solves."""
-    fetch = scipy.linalg.get_lapack_funcs
-    marches = itertools.count()
+def corrupt_solve(monkeypatch, step, size=None, nth=None, value=lambda x: x * (1.0 + 1e-6)):
+    """Make the solvers that blas.getrs binds leave value(x) in the row at their step-th solve
+    (1-based): the solver of each LU factor of size x size, of any size when size is None, or
+    only of the nth (0-based) of those factors when nth is given.  The factor is picked by its
+    size: blocks marched on threads of their own race for their first solves."""
+    bind, bound = blas.getrs, itertools.count()
 
-    def get_lapack_funcs(names, arrays):
-        (getrs,) = fetch(names, arrays)
-        if size not in (None, len(arrays[0])) or next(marches) != march:
-            return (getrs,)
-        solves = {}  # id of a factor: its solve counter
+    def getrs(lu, piv, rows):
+        solve = bind(lu, piv, rows)
+        if size not in (None, len(lu)) or (nth is not None and next(bound) != nth):
+            return solve
+        solves = itertools.count(1)
 
-        def corrupted(lu, piv, b):
-            x, info = getrs(lu, piv, b)
-            count = solves.setdefault(id(lu), itertools.count(1))
-            return (value(x) if next(count) == step and block in (None, len(lu)) else x), info
+        def corrupted(k):
+            info = solve(k)
+            if next(solves) == step:
+                rows[k] = value(rows[k])
+            return info
 
-        return (corrupted,)
+        return corrupted
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(blas, "getrs", getrs)
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])
@@ -451,7 +448,7 @@ def test_step_residual_gate_names_a_corrupted_solve(ops2, ops8, monkeypatch, ste
         params, dt = stepper_params(ops.spec, time_dependent)
         message = f"step {step} at t = {step * dt:.6g}: relative residual "
         with monkeypatch.context() as patch:
-            corrupt_solve(patch, step, block=block)
+            corrupt_solve(patch, step, size=block)
             with pytest.raises(StepFailure, match="^" + re.escape(message)):
                 simulate_compressible(ops.spec, ops, params)
 

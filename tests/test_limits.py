@@ -227,7 +227,7 @@ def test_row_turning_nan_mid_march_fails_alone(monkeypatch, marched_here):
     _usable_cpus(monkeypatch, 1)  # one group: its reference marches first, then its rows in order
     m = ops.spec.m_u + ops.spec.m_p
     nan = lambda x: np.full_like(x, np.nan)  # noqa: E731
-    corrupt_solve(monkeypatch, 300, march=1, size=m, value=nan)  # the second row, in its second chunk
+    corrupt_solve(monkeypatch, 300, size=m, nth=1, value=nan)  # the second row, in its second chunk
     res = sweep_alpha(ops, params, **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert res.rows[1].error.startswith(f"StepFailure: step 300 at t = {0.3:.6g}: relative residual nan")
