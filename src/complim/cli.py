@@ -92,7 +92,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     worker one reference: its pressure map (m_u m_p at most, built in chunks)
     and 6 chunk-sized arrays of width m_u (5.2-5.7 measured in all at n = 8,
     16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E
-    and Z'EZ (at most 2 m_u^2) and its (N+1)(m_V + m_u + m_p) stored values.
+    and Z'EZ (at most 2 m_u^2) and its (N+1)(m_V + m_p) stored values (c = Z y is derived).
     It also counts the text of the largest CSV file the command writes, at
     CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
     trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
@@ -113,7 +113,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
             need += sweep_workers(rows) * reference
             csv = rows * cfg.probes * 4.0
         elif march:  # a Stokes run builds no step matrix
-            stokes_need = reference + 2.0 * m_u * m_u + nodes * (2.0 * m_u + m_p)
+            stokes_need = reference + 2.0 * m_u * m_u + nodes * (m_u + m_p)
             need += stokes_need if stokes else 2.0 * m * m + chunk + nodes * m
             csv = nodes * (m + 1.0 if cfg.dump_coefficients else 6.0)
         else:

@@ -167,10 +167,9 @@ def incompressible_table(traj) -> tuple:
 
 
 def coefficients_table(traj) -> tuple:
-    m_u = traj.c.shape[1]
-    m_p = traj.q.shape[1]
-    header = ["t"] + [f"c_{i}" for i in range(m_u)] + [f"q_{k}" for k in range(m_p)]
-    return header, [traj.times, traj.c, traj.q]
+    c = traj.c  # a Stokes trajectory forms it on each access
+    header = ["t"] + [f"c_{i}" for i in range(c.shape[1])] + [f"q_{k}" for k in range(traj.q.shape[1])]
+    return header, [traj.times, c, traj.q]
 
 
 def write_trajectory_csv(path: str, traj, per_step_residual) -> None:

@@ -20,10 +20,11 @@ That is linear in y and the load's time factor: one map, built once per run
 chunk, mean zero and shiftable afterwards to any target mean; the initial
 pressure is the same map at t = 0.  The march is a chunk
 source, :func:`stokes_chunks`, which yields each chunk of steps with its
-velocity and recovered pressure: :func:`simulate_incompressible` stores the
-chunks and reduces each one, in the same loop, to the per-node columns and
-the per-interval energy-identity defect of its trajectory.csv, and an alpha
-sweep reduces each one against its rows and drops it.
+velocity and recovered pressure: :func:`simulate_incompressible` stores each
+chunk's y and q (its trajectory derives c = Z y when read) and reduces the
+chunk's c, in the same loop, to the per-node columns and the per-interval
+energy-identity defect of its trajectory.csv, and an alpha sweep reduces each
+chunk against its rows and drops it.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
@@ -71,14 +72,14 @@ def nullspace_basis(operator_set: OperatorSet) -> np.ndarray:
 
 @dataclass
 class IncompressibleTrajectory:
-    """Reduced coefficients, reconstructed velocity and recovered pressure per node."""
+    """Reduced coefficients y and recovered pressure per node; the velocity c = Z y is derived."""
 
     spec: BasisSpec
     params: CompressibleParams
     dt: float
     times: np.ndarray  # (N+1,)
     y: np.ndarray  # (N+1, m_V)
-    c: np.ndarray  # (N+1, m_u), c = Z y
+    kernel: np.ndarray  # Z, (m_u, m_V): operator_set.kernel itself, not a copy
     q: np.ndarray  # (N+1, m_p), mean zero before shifting
     energy: np.ndarray  # (N+1,), rho0 |u|^2 / 2
     h01: np.ndarray
@@ -88,6 +89,11 @@ class IncompressibleTrajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def c(self) -> np.ndarray:
+        """c = Z y, (N+1, m_u), formed on each access: the chunks' c of stokes_chunks, bit for bit."""
+        return self.y @ self.kernel.T
 
 
 def stokes_chunks(
@@ -155,37 +161,39 @@ def simulate_incompressible(
     kernel: np.ndarray,
     params: CompressibleParams,
 ) -> IncompressibleTrajectory:
-    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, stored.
+    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, its y and q stored.
 
-    Each chunk is reduced as it is stored: I = rho0 |u|^2 / 2, |u|_{H10},
-    |div u| and the defect of the energy identity
+    Each chunk is reduced from its c as it is stored: I = rho0 |u|^2 / 2,
+    |u|_{H10}, |div u| and the defect of the energy identity
     I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
-    the compressible ledger's identity without its pressure and eta terms.
+    the compressible ledger's identity without its pressure and eta terms; the
+    interval that crosses into a chunk takes the previous chunk's last c.
     ``spec`` and ``kernel`` are not read; both go away once the benchmark's
     workload process stops passing them.
     """
     spec = operator_set.spec
     dt, times, chunks = stokes_chunks(operator_set, params)
     n = len(times)
-    y, c, q = (np.empty((n, m)) for m in (operator_set.kernel.shape[1], spec.m_u, spec.m_p))
+    y, q = np.empty((n, operator_set.kernel.shape[1])), np.empty((n, spec.m_p))
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
     Z = operator_set.kernel
     zez = Z.T @ operator_set.div_gram @ Z  # c'Ec = y'(Z'EZ)y, formed once
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
-        y[rows], c[rows], q[rows] = y_k, c_k, q_k
+        y[rows], q[rows] = y_k, q_k
         energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
         h01[rows] = np.linalg.norm(c_k, axis=1)
         div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", y_k @ zez, y_k), 0.0))
         steps = slice(max(start - 1, 0), rows.stop - 1)  # the intervals ending in this chunk
-        c_mid = 0.5 * (c[steps.start + 1 : rows.stop] + c[steps])
+        c_k = c_k if start == 0 else np.vstack([c_last, c_k])  # nodes steps.start, ...
+        c_mid, c_last = 0.5 * (c_k[1:] + c_k[:-1]), c_k[-1].copy()
         t_mid = 0.5 * (times[steps.start + 1 : rows.stop] + times[steps])
         work = dt * (c_mid @ s_vec) * _time_values(s_fac, t_mid)
         dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
         residuals[steps] = np.diff(energy[steps.start : rows.stop]) + dissipation - work
 
-    return IncompressibleTrajectory(spec, params, dt, times, y, c, q, energy, h01, div, residuals)
+    return IncompressibleTrajectory(spec, params, dt, times, y, Z, q, energy, h01, div, residuals)
 
 
 def _pressure_map(operator_set: OperatorSet, lam: np.ndarray, mu: float, s_vec: np.ndarray):

@@ -151,22 +151,22 @@ def assemble(spec: BasisSpec) -> OperatorSet:
 
 def coupling_matrix(operator_set: OperatorSet, f: SampledField) -> np.ndarray:
     """Force coupling G with G_ik = int_D (pressure mode k) (f . velocity mode i) dx, its
-    roundoff zeroed at COUPLING_ZERO_RTOL; a G with a non-finite entry is returned as is."""
+    roundoff zeroed at COUPLING_ZERO_RTOL; a G with a non-finite entry is returned as is.  The
+    quadrature factors through the 1-D table sc[(i, k), a] = w_a sin(i pi x_a) cos(k pi x_a):
+    a component's block is sc F sc', two GEMMs, moved from (i, k), (j, l) to (i, j), (k, l)."""
     if not f.vector:
         raise ValueError("coupling_matrix expects a 2-vector force field")
     spec = operator_set.spec
     x, w = spec.quad_rule()
     fvals = f(x[:, None], x[None, :])  # (2, Q, Q), spatial part
     sin_w = spec.velocity_sine_table(x) * w  # (N_u, Q)
-    cos_t = spec.pressure_cosine_table(x)  # (N_p+1, Q)
-    pres = np.einsum("ka,lb->klab", cos_t, cos_t).reshape(spec.m_p, x.size, x.size)
-    pres *= spec.pres_norms.reshape(-1, 1, 1)
-    G = np.empty((spec.m_u, spec.m_p))
-    half = spec.n_u**2
+    sc = (sin_w[:, None] * spec.pressure_cosine_table(x)).reshape(-1, x.size)  # (N_u (N_p+1), Q)
+    ik = (spec.n_u, spec.n_p + 1)
+    G = np.empty((2, spec.n_u, spec.n_u, spec.n_p + 1, spec.n_p + 1))
     for comp in (0, 1):
-        block = np.einsum("ia,Kab,jb->ijK", sin_w, pres * fvals[comp], sin_w, optimize=True)
-        G[comp * half : (comp + 1) * half] = block.reshape(half, spec.m_p)
-    G *= np.tile(spec.vel_norms.ravel(), 2)[:, None]
+        G[comp] = ((sc @ fvals[comp]) @ sc.T).reshape(ik + ik).transpose(0, 2, 1, 3)
+    G *= np.multiply.outer(spec.vel_norms, spec.pres_norms)
+    G = G.reshape(spec.m_u, spec.m_p)
     if np.isfinite(scale := np.abs(G).max()):
         G[np.abs(G) <= COUPLING_ZERO_RTOL * scale] = 0.0
     return G

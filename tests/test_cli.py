@@ -458,7 +458,8 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
 
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
     # n = 40, 101 nodes: simulate needs about 0.61 GiB, 0.35 GiB of it for the compressible
-    # system's two m x m matrices; the Stokes run builds neither and needs about 0.45 GiB
+    # system's two m x m matrices; the Stokes run builds neither and needs about 0.447 GiB,
+    # its stored y and q counted as (N+1)(m_u + m_p) values
     from complim import cli
 
     class Built(Exception):

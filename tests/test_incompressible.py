@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,3 +393,32 @@ def test_batched_pressure_recovery_matches_nodewise_grad_inverse(spec4, ops4, ke
         g -= ops4.mass_diag * (z @ (z.T @ g))
         expected = grad_inverse(ops4, g).values
         assert np.abs(traj.q[n] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["default_threads", "one_thread"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_trajectory_c_is_the_chunks_c_bit_for_bit(n, pinned, request):
+    """The trajectory stores y and forms c = y Z' on access; over 549 steps (three chunks)
+    that is the stacked c of stokes_chunks, bit for bit, which the CSVs were written from."""
+    ops = request.getfixturevalue(f"ops{n}")
+    params = long_forced_params(ops.spec, time_factor=np.cos)
+    with blas.one_blas_thread() if pinned else contextlib.nullcontext():
+        traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
+        _, _, chunks = incompressible.stokes_chunks(ops, params)
+        stacked = np.vstack([c for _, _, c, _ in chunks])
+    assert traj.kernel is ops.kernel and traj.c.shape == (550, ops.spec.m_u)
+    assert np.array_equal(traj.c, stacked)
+
+
+def test_simulate_incompressible_holds_no_velocity_history(spec8, ops8):
+    """10,001 nodes at n = 8: beyond the stored y and q the run's peak stays below one
+    (N+1) x m_u array, the c it no longer stores (10.2 MB)."""
+    params = forced_params(1e-4, time_factor=lambda t: 1.0 + t)
+    tracemalloc.start()
+    try:
+        traj = simulate_incompressible(spec8, ops8, ops8.kernel, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history = len(traj.times) * spec8.m_u * 8
+    assert len(traj.times) == 10001 and peak < traj.y.nbytes + traj.q.nbytes + history

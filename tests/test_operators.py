@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,46 @@ def test_coupling_matrix_linearity_and_errors(spec2, ops2):
     assert np.allclose(coupling_matrix(ops2, f2), 2 * coupling_matrix(ops2, f), atol=1e-14)
     with pytest.raises(ValueError):
         coupling_matrix(ops2, SampledField.zero(vector=False))
+
+
+@pytest.mark.parametrize(
+    "fx, fy",
+    [
+        (lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x)),
+        (lambda x, y: np.exp(x * y), lambda x, y: np.sin(2.0 * x + y * y)),
+    ],
+    ids=["simulate_cfg", "non_separable"],
+)
+def test_coupling_matrix_matches_entrywise_2d_quadrature(ops4, fx, fy):
+    """Each G_ik against its own 40 x 40 Gauss rule of p_k (f . e_i) on the unit square."""
+    spec = ops4.spec
+    G = coupling_matrix(ops4, SampledField.of_vector(fx, fy))
+    oracle = np.empty_like(G)
+    for i in range(spec.m_u):
+        comp, a, b = spec.velocity_mode(i)
+        n_ab = spec.vel_norms[a - 1, b - 1]
+        f_i = fx if comp == 0 else fy
+        for k in range(spec.m_p):
+            kx, ky = spec.pressure_mode(k)
+            oracle[i, k] = quad2d(
+                lambda x, y: n_ab * np.sin(a * np.pi * x) * np.sin(b * np.pi * y) * f_i(x, y)
+                * spec.pres_norms[kx, ky] * np.cos(kx * np.pi * x) * np.cos(ky * np.pi * y)
+            )
+    assert np.abs(G - oracle).max() <= 1e-13 * np.abs(G).max()
+
+
+def test_coupling_matrix_builds_no_per_mode_table(ops16):
+    """At n = 16 the contraction peaks below one (m_p, Q, Q) table (4.5 MB), the per-pressure-mode
+    samples a 2-D quadrature would hold."""
+    spec = ops16.spec
+    f = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
+    tracemalloc.start()
+    try:
+        G = coupling_matrix(ops16, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (spec.m_u, spec.m_p) and peak < spec.m_p * spec.quad_order**2 * 8
 
 
 def test_leray_fixed_point_on_kernel(ops4):
@@ -278,7 +319,8 @@ def test_coupling_matrix_stores_parity_zeros_exactly_and_keeps_a_nonfinite_g(ops
     """simulate.cfg's f = (cos(pi y), cos(pi x) / 2) couples velocity mode (comp, i, j) to
     pressure mode (k, l) only where i + k + comp is odd and j + l + comp is even.  Its
     quadrature leaves roundoff of ~1e-16 max|G| at the other entries, which must be exact
-    zeros for the step system to split; an overflowing f must keep its non-finite G."""
+    zeros for the step system to split; a force whose samples overflow must keep its
+    non-finite G, and a force near the float range whose G is representable gets it finite."""
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
     f = realize_vector_field(parse_config(path.read_text()).f)
     spec = ops8.spec
@@ -292,9 +334,19 @@ def test_coupling_matrix_stores_parity_zeros_exactly_and_keeps_a_nonfinite_g(ops
     )
     assert np.all(G[~allowed] == 0.0)
     assert np.all(G[allowed] != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = SampledField.of_vector(
+            lambda x, y: 1e308 * 1e308 * np.cos(np.pi * y),
+            lambda x, y: 1e308 * 1e308 * np.cos(np.pi * x),
+        )
+        G = coupling_matrix(ops8, overflow)
+    assert np.isinf(G).any() and np.isnan(G).any()
+    # entries near 8.6e306: the 1-D contraction sums weights of total 1 per axis, so no partial
+    # sum overflows and G is 1e308 times the unit force's, parity zeros included
+    unit = SampledField.of_vector(lambda x, y: np.cos(np.pi * y), lambda x, y: np.cos(np.pi * x))
     big = SampledField.of_vector(
         lambda x, y: 1e308 * np.cos(np.pi * y), lambda x, y: 1e308 * np.cos(np.pi * x)
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = coupling_matrix(ops8, big)
-    assert np.isinf(G).any() and np.isnan(G).any()
+    G, G_unit = coupling_matrix(ops8, big), coupling_matrix(ops8, unit)
+    assert np.isfinite(G).all() and np.array_equal(G == 0.0, G_unit == 0.0)
+    assert np.abs(G - 1e308 * G_unit).max() <= 2e-15 * np.abs(G).max()
