@@ -84,9 +84,11 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     Counts E, B and B's SVD factors, which is all that march=False (decompose)
     builds, and, per Crank-Nicolson system (m = m_u + m_p), at most 2 dense
     m x m matrices (the right-hand matrices and LU factors of its blocks) and
-    its 4 chunk buffers.  A single run also stores its (N+1) m states.  A
-    sweep stores no states: its n_alpha rows march in sweep_workers(n_alpha)
-    worker processes, each in lockstep with its own Stokes reference.  It counts
+    its 4 chunk buffers.  A single run holds the 9 series of its RunSeries,
+    (N+1) values each, and stores its (N+1) m states only to write
+    coefficients.csv (dump_coefficients).  A sweep stores no states: its
+    n_alpha rows march in sweep_workers(n_alpha) worker processes, each in
+    lockstep with its own Stokes reference.  It counts
     n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
     worker one reference: its pressure map (m_u m_p at most, built in chunks)
@@ -114,7 +116,8 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
             csv = rows * cfg.probes * 4.0
         elif march:  # a Stokes run builds no step matrix
             stokes_need = reference + 2.0 * m_u * m_u + nodes * (m_u + m_p)
-            need += stokes_need if stokes else 2.0 * m * m + chunk + nodes * m
+            single = 2.0 * m * m + chunk + nodes * (9.0 + m * cfg.dump_coefficients)
+            need += stokes_need if stokes else single
             csv = nodes * (m + 1.0 if cfg.dump_coefficients else 6.0)
         else:
             csv = 7.0 * m_u
@@ -185,7 +188,7 @@ def _cmd_simulate(args) -> int:
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)
-        traj = simulate_compressible(spec, operator_set, params)
+        traj = simulate_compressible(spec, operator_set, params, store_states=cfg.dump_coefficients)
         ledger = energy_ledger(operator_set, params, traj)
         ledger_header = ["t_mid", "per_step", "cumulative", "dissipation", "work"]
         ledger_columns = [ledger.interval_midpoints, ledger.per_step, ledger.cumulative]

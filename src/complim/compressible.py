@@ -18,8 +18,8 @@ matching parity) with one matrix-vector product and one ``getrs`` solve in
 numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
 has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
-states to its caller.  :func:`simulate_compressible` stores the chunks and
-feeds them to :class:`RunSeries`, which reduces each one to the series that
+states to its caller.  :func:`simulate_compressible` stores the chunks only if
+asked and feeds them to :class:`RunSeries`, which reduces each one to the series that
 trajectory.csv, the energy ledger and the a-priori check read; a sweep row
 (:func:`compressible_chunks`) reduces them in lockstep with the Stokes
 reference.  The discretization is the ``OperatorSet`` alone.
@@ -257,20 +257,21 @@ class CompressibleParams:
 
 @dataclass
 class Trajectory:
-    """Coefficient time series of one compressible run with the series reduced during its march.
+    """The series of one compressible run, reduced during its march, and its states if stored.
 
-    ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, ``mass`` holds
-    M(t) = rho0 + alpha q_0 (the domain has unit area), and the density
-    field rho = rho0 + alpha p is available through :meth:`density`.
-    ``series`` holds them and the other series that the audits read.
+    ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2 and ``mass`` holds
+    M(t) = rho0 + alpha q_0 (the domain has unit area); ``series`` holds them and
+    the other series that the audits read.  The states ``c`` and ``q`` are None
+    unless the run stored them, and the density field rho = rho0 + alpha p
+    (:meth:`density`) reads them.
     """
 
     spec: BasisSpec
     params: CompressibleParams
     dt: float
     times: np.ndarray  # (N+1,)
-    c: np.ndarray  # (N+1, m_u)
-    q: np.ndarray  # (N+1, m_p)
+    c: Optional[np.ndarray]  # (N+1, m_u), None unless stored
+    q: Optional[np.ndarray]  # (N+1, m_p), None unless stored
     energy: np.ndarray  # (N+1,)
     h01: np.ndarray  # (N+1,)
     div: np.ndarray  # (N+1,)
@@ -369,7 +370,7 @@ class RunSeries:
     mid-interval times).  c E is formed once per chunk for c'Ec, the momentum
     and, averaged, the midpoint E term; averaged q G' gives the body force's
     work.  The chunks tile nodes 0..N in order, and each one's last node is
-    carried into the next for the interval that starts there.
+    carried into the next and paired with its first row for the interval between.
     """
 
     def __init__(self, operator_set: OperatorSet, params: CompressibleParams, dt: float, times, G):
@@ -384,7 +385,7 @@ class RunSeries:
     def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
         """Reduce the coefficients (c, q) at nodes start, start + 1, ..."""
         ops, p = self.operator_set, self.params
-        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
+        s_vec, s_fac, _, _ = self.forcing
         nodes = slice(start, start + len(c))
         cE, qG = c @ ops.div_gram, q @ self.G.T
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
@@ -399,10 +400,16 @@ class RunSeries:
 
         rows = (self.times[nodes], c, q, cE, qG)
         if self.last is not None:  # the interval from the previous chunk's last node
-            rows = tuple(np.concatenate([last[None], row]) for last, row in zip(self.last, rows))
+            self._intervals(start - 1, [np.stack([last, row[0]]) for last, row in zip(self.last, rows)])
         self.last = tuple(row[-1].copy() for row in rows)
+        self._intervals(start, rows)
+
+    def _intervals(self, first: int, rows) -> None:
+        """Reduce the intervals between consecutive rows (t, c, q, c E, q G') from node ``first``."""
+        p = self.params
+        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
         t_mid, c_mid, q_mid, cE_mid, qG_mid = (0.5 * (row[1:] + row[:-1]) for row in rows)
-        steps = slice(nodes.stop - len(rows[0]), nodes.stop - 1)
+        steps = slice(first, first + len(c_mid))
         h01_sq, div_sq = np.einsum("ni,ni->n", c_mid, c_mid), np.einsum("ni,ni->n", c_mid, cE_mid)
         self.dissipation[steps] = self.dt * (p.mu * h01_sq + p.eta * div_sq)
         # a source that is absent contributes 0, which leaves a nonzero work unchanged
@@ -414,23 +421,26 @@ class RunSeries:
 
 
 def simulate_compressible(
-    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams
+    spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams, *, store_states: bool = False
 ) -> Trajectory:
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
-    The whole march of :func:`compressible_chunks`, stored, with the
-    :class:`RunSeries` reduced from the same chunks.  ``spec`` is not read;
-    it goes away once the benchmark's workload process stops passing it.
+    The whole march of :func:`compressible_chunks`, reduced chunk by chunk
+    to its :class:`RunSeries`.  Its states are stored, as the trajectory's
+    ``c`` and ``q``, only with ``store_states``; otherwise both are None and
+    the run holds no (N+1) x m array.  ``spec`` is not read; it goes away
+    once the benchmark's workload process stops passing it.
     """
     spec = operator_set.spec
     dt, times, G, chunks = compressible_chunks(operator_set, params)
     series = RunSeries(operator_set, params, dt, times, G)
-    states = np.empty((len(times), spec.m_u + spec.m_p))
-    c, q = states[:, : spec.m_u], states[:, spec.m_u :]
+    states = np.empty((len(times), spec.m_u + spec.m_p)) if store_states else None
     for start, c_k, q_k in chunks:
-        c[start : start + len(c_k)] = c_k
-        q[start : start + len(q_k)] = q_k
+        if store_states:
+            states[start : start + len(c_k), : spec.m_u] = c_k
+            states[start : start + len(q_k), spec.m_u :] = q_k
         series(start, c_k, q_k)
+    c, q = (states[:, : spec.m_u], states[:, spec.m_u :]) if store_states else (None, None)
     return Trajectory(
         spec, params, dt, times, c, q, series.energy, series.h01, series.div, series.mass, G, series
     )
@@ -438,7 +448,7 @@ def simulate_compressible(
 
 def _series(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> RunSeries:
     """The RunSeries of traj; ValueError unless traj is a run of operator_set's basis with params."""
-    if traj.c.shape[1] != operator_set.spec.m_u or traj.q.shape[1] != operator_set.spec.m_p:
+    if (traj.spec.m_u, traj.spec.m_p) != (operator_set.spec.m_u, operator_set.spec.m_p):
         raise ValueError("trajectory does not match the operator set")
     if params is not traj.params:
         raise ValueError("params are not the ones the trajectory was run with")
@@ -545,8 +555,7 @@ def apriori_check(
     c_series = ScalarTrajectory(times, sigma_l2**2 / (2.0 * rho0 * alpha), label="c")
     certificate = verify_mixed(i_series, j_series, a_series, b_series, c_series)
 
-    u0_l2 = np.sqrt(traj.c[0] @ (operator_set.mass_diag * traj.c[0]))
-    p0_l2 = np.linalg.norm(traj.q[0])
+    u0_l2, p0_l2 = np.sqrt(series.kinetic[0]), np.sqrt(series.acoustic[0])
     sigma_l2l2 = np.sqrt(np.trapezoid(sigma_l2**2, times))
     s_l2h = np.sqrt(np.trapezoid(s_dual**2, times))
     e_data = u0_l2 + np.sqrt(alpha) * p0_l2 + sigma_l2l2 / np.sqrt(alpha) + s_l2h

@@ -126,7 +126,7 @@ def test_criterion_02_matrix_exponential_oracles():
             params = cl.CompressibleParams(
                 rho0=1.0, mu=1.0, eta=0.5, alpha=0.05, T=1.0, dt=dt, u0=u0, p0=p0
             )
-            traj = cl.simulate_compressible(spec, ops, params)
+            traj = cl.simulate_compressible(spec, ops, params, store_states=True)
             ref = exp_reference(spec, ops, params, traj.times)
             errs.append(np.abs(np.hstack([traj.c, traj.q]) - ref).max())
         ratio = errs[0] / errs[1]

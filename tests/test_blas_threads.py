@@ -210,11 +210,11 @@ def test_concurrent_march_bitwise_equal_to_the_in_line_march(
     params, _ = stepper_params(ops16.spec, time_dependent)
     getrf, factored = blas.getrf, []
     monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
-    concurrent = simulate_compressible(ops16.spec, ops16, params)
+    concurrent = simulate_compressible(ops16.spec, ops16, params, store_states=True)
     assert factored == [400, 401] and pools == [2, 2, 2]
     assert openblas_threads() == 2
     with blas.one_blas_thread():
-        in_line = simulate_compressible(ops16.spec, ops16, params)
+        in_line = simulate_compressible(ops16.spec, ops16, params, store_states=True)
     assert factored == [400, 401] * 2 and pools == [2, 2, 2]
     for name in ("c", "q", "energy", "h01", "div"):
         assert np.array_equal(getattr(concurrent, name), getattr(in_line, name)), name
@@ -229,12 +229,12 @@ def test_more_block_threads_than_cpus_keep_the_in_line_bits(ops16, two_threads, 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        concurrent = simulate_compressible(ops16.spec, ops16, params)
+        concurrent = simulate_compressible(ops16.spec, ops16, params, store_states=True)
     finally:
         sys.setswitchinterval(interval)
     assert pools == [4, 4, 4] and openblas_threads() == 4
     with blas.one_blas_thread():
-        in_line = simulate_compressible(ops16.spec, ops16, params)
+        in_line = simulate_compressible(ops16.spec, ops16, params, store_states=True)
     assert pools == [4, 4, 4]
     assert np.array_equal(concurrent.c, in_line.c) and np.array_equal(concurrent.q, in_line.q)
 

@@ -431,7 +431,8 @@ def test_compatible_p0_needs_a_solenoidal_u0(tmp_path, capsys, command):
 
 def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     # a million nodes at n = 8: the stored states of one run take 1.6 GB, the
-    # series of a 6-row sweep with 8 probes 0.58 GB
+    # series of a 6-row sweep with 8 probes 0.58 GB; a single run stores its
+    # states only when it dumps them, and its series take 72 MB
     from complim import cli
 
     text = SWEEP_CFG.format(out="out").replace("n_u = 3", "n_u = 8").replace("n_p = 3", "n_p = 8")
@@ -441,8 +442,9 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**30 // 4096}  # 1 GiB
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     cli._check_memory(cfg, sweep=True)
+    cli._check_memory(cfg)
     with pytest.raises(cli.InvalidParams, match="physical memory"):
-        cli._check_memory(cfg)
+        cli._check_memory(dataclasses.replace(cfg, dump_coefficients=True))
 
     # n = 40, 6 rows: 2.4 GiB for the rows, and each worker process holds its
     # own Stokes reference, about 0.077 GiB
@@ -457,9 +459,9 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
 
 
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
-    # n = 40, 101 nodes: simulate needs about 0.61 GiB, 0.35 GiB of it for the compressible
-    # system's two m x m matrices; the Stokes run builds neither and needs about 0.447 GiB,
-    # its stored y and q counted as (N+1)(m_u + m_p) values
+    # n = 40, 101 nodes: simulate needs about 0.606 GiB, 0.35 GiB of it for the compressible
+    # system's two m x m matrices, and stores no states; the Stokes run builds neither and
+    # needs about 0.447 GiB, its stored y and q counted as (N+1)(m_u + m_p) values
     from complim import cli
 
     class Built(Exception):
@@ -476,7 +478,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "build_basis", build_basis)
     assert run_cli(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "needs about 0.61 GiB" in err[0]
+    assert len(err) == 1 and "needs about 0.606 GiB" in err[0]
     with pytest.raises(Built):
         run_cli(["simulate-incompressible", "--config", cfg])
 

@@ -58,7 +58,7 @@ def exp_reference(spec, ops, params, times):
 
 def test_zero_data_gives_zero_trajectory(spec2, ops2):
     params = CompressibleParams(alpha=0.05, T=0.5, dt=0.01)
-    traj = simulate_compressible(spec2, ops2, params)
+    traj = simulate_compressible(spec2, ops2, params, store_states=True)
     assert np.all(traj.c == 0.0)
     assert np.all(traj.q == 0.0)
     assert np.all(traj.energy == 0.0)
@@ -82,7 +82,7 @@ def test_matrix_exponential_oracle(n):
         params = CompressibleParams(
             rho0=1.2, mu=0.8, eta=0.3, alpha=0.05, T=1.0, dt=dt, u0=u0, p0=p0
         )
-        traj = simulate_compressible(spec, ops, params)
+        traj = simulate_compressible(spec, ops, params, store_states=True)
         ref = exp_reference(spec, ops, params, traj.times)
         errs.append(np.abs(np.hstack([traj.c, traj.q]) - ref).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -92,7 +92,9 @@ def test_trajectory_is_linear_in_data(spec2, ops2):
     u0, p0 = random_state(spec2, seed=2)
     s = SampledField.of_vector(lambda x, y: np.cos(np.pi * x), lambda x, y: 0.2 * np.ones_like(x))
     base = dict(alpha=0.03, eta=0.1, T=0.4, dt=0.005, s=s)
-    traj1 = simulate_compressible(spec2, ops2, CompressibleParams(u0=u0, p0=p0, **base))
+    traj1 = simulate_compressible(
+        spec2, ops2, CompressibleParams(u0=u0, p0=p0, **base), store_states=True
+    )
     s2 = SampledField.of_vector(lambda x, y: 2 * np.cos(np.pi * x), lambda x, y: 0.4 * np.ones_like(x))
     traj2 = simulate_compressible(
         spec2,
@@ -106,6 +108,7 @@ def test_trajectory_is_linear_in_data(spec2, ops2):
             dt=0.005,
             s=s2,
         ),
+        store_states=True,
     )
     scale = np.abs(traj2.c).max()
     assert np.abs(traj2.c - 2 * traj1.c).max() <= 1e-10 * scale
@@ -115,15 +118,15 @@ def test_trajectory_is_linear_in_data(spec2, ops2):
 def test_determinism_bitwise(spec2, ops2):
     u0, p0 = random_state(spec2, seed=3)
     params = CompressibleParams(alpha=0.02, T=0.5, dt=0.01, u0=u0, p0=p0)
-    t1 = simulate_compressible(spec2, ops2, params)
-    t2 = simulate_compressible(spec2, ops2, params)
+    t1 = simulate_compressible(spec2, ops2, params, store_states=True)
+    t2 = simulate_compressible(spec2, ops2, params, store_states=True)
     assert np.array_equal(t1.c, t2.c) and np.array_equal(t1.q, t2.q)
 
 
 def test_constant_pressure_mode_conservation(spec2, ops2):
     u0, p0 = random_state(spec2, seed=4)
     params = CompressibleParams(alpha=0.05, T=1.0, dt=0.01, u0=u0, p0=p0)
-    traj = simulate_compressible(spec2, ops2, params)
+    traj = simulate_compressible(spec2, ops2, params, store_states=True)
     assert np.abs(np.diff(traj.q[:, 0])).max() <= 1e-12
 
 
@@ -299,7 +302,7 @@ def test_density_diagnostic(spec2, ops2):
     p0 = PressureCoeffs(spec2, np.zeros(spec2.m_p))
     p0.values[0] = 2.0
     params = CompressibleParams(rho0=1.5, alpha=0.1, T=0.1, dt=0.01, p0=p0)
-    traj = simulate_compressible(spec2, ops2, params)
+    traj = simulate_compressible(spec2, ops2, params, store_states=True)
     rho = traj.density(0, np.array([[0.25, 0.5]]))
     assert rho[0] == pytest.approx(1.5 + 0.1 * 2.0, abs=1e-12)
 
@@ -310,7 +313,7 @@ def test_initial_node_is_projection_of_data(spec2, ops2):
     )
     p0 = SampledField.scalar(lambda x, y: 0.4 * np.cos(np.pi * y))
     params = CompressibleParams(alpha=0.05, T=0.1, dt=0.01, u0=u0, p0=p0)
-    traj = simulate_compressible(spec2, ops2, params)
+    traj = simulate_compressible(spec2, ops2, params, store_states=True)
     from complim import project_pressure, project_velocity
 
     assert np.array_equal(traj.c[0], project_velocity(spec2, u0).values)
@@ -373,7 +376,7 @@ def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(ops2, ops8):
     params2, dt = stepper_params(ops2.spec, time_dependent=False)
     params8 = dataclasses.replace(stepper_params(ops8.spec, time_dependent=False)[0], f=None)
     for ops, params in ((ops2, params2), (ops8, params8)):
-        traj = simulate_compressible(ops.spec, ops, params)
+        traj = simulate_compressible(ops.spec, ops, params, store_states=True)
         expected = lu_solve_march(ops.spec, ops, params, dt)
         assert traj.n_steps == 549
         assert np.array_equal(np.hstack([traj.c, traj.q]), expected)
@@ -381,7 +384,7 @@ def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(ops2, ops8):
 
 def test_stepper_matches_lu_solve_loop_for_time_dependent_loads(spec2, ops2):
     params, dt = stepper_params(spec2, time_dependent=True)
-    traj = simulate_compressible(spec2, ops2, params)
+    traj = simulate_compressible(spec2, ops2, params, store_states=True)
     expected = lu_solve_march(spec2, ops2, params, dt)
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -394,7 +397,7 @@ def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
     expected = lu_solve_march(ops8.spec, ops8, params, dt)
     getrf, factored = blas.getrf, []
     monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
-    traj = simulate_compressible(ops8.spec, ops8, params)
+    traj = simulate_compressible(ops8.spec, ops8, params, store_states=True)
     assert factored == [104, 105]
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -540,7 +543,7 @@ def test_reduced_series_match_the_whole_array_audits(spec4, ops4):
     # per_step is a difference of terms of size |dI| + dissipation + |work| and is
     # compared at that scale.
     params, _ = stepper_params(spec4, time_dependent=True)
-    traj = simulate_compressible(spec4, ops4, params)
+    traj = simulate_compressible(spec4, ops4, params, store_states=True)
     ledger = energy_ledger(ops4, params, traj)
     per_step, dissipation, work = _whole_array_ledger(ops4, params, traj)
     assert np.abs(per_step).min() > 1e-12  # O(dt^3) with time-dependent sources, not roundoff
@@ -550,3 +553,48 @@ def test_reduced_series_match_the_whole_array_audits(spec4, ops4):
     assert np.all(np.abs(ledger.work - work) <= 1e-12 * np.abs(work))
     report = apriori_check(ops4, params, traj)
     assert report.est2_lhs == pytest.approx(_whole_array_est2_lhs(ops4, params, traj), rel=1e-12, abs=0.0)
+
+
+def test_simulate_compressible_holds_no_state_history(ops8):
+    """10,001 nodes at n = 8: unless it stores its states the run's peak stays below one
+    (N+1) x m array, the states it no longer stores (16.7 MB)."""
+    params = dataclasses.replace(stepper_params(ops8.spec, time_dependent=True)[0], dt=1e-4)
+    tracemalloc.start()
+    try:
+        traj = simulate_compressible(ops8.spec, ops8, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history = len(traj.times) * (ops8.spec.m_u + ops8.spec.m_p) * 8
+    assert len(traj.times) == 10001 and traj.c is None and traj.q is None
+    assert peak < history, peak / history
+
+
+def test_stored_states_are_the_chunks_of_the_march(ops8):
+    params, _ = stepper_params(ops8.spec, time_dependent=True)
+    traj = simulate_compressible(ops8.spec, ops8, params, store_states=True)
+    _, times, _, chunks = compressible.compressible_chunks(ops8, params)
+    starts, states = zip(*((start, np.hstack([c, q])) for start, c, q in chunks))
+    assert starts == (0, 257, 513)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.hstack([traj.c, traj.q]), np.vstack(states))
+
+
+def test_storing_the_states_changes_no_series_ledger_or_verdict(ops8):
+    params, _ = stepper_params(ops8.spec, time_dependent=True)
+    stored = simulate_compressible(ops8.spec, ops8, params, store_states=True)
+    reduced = simulate_compressible(ops8.spec, ops8, params)
+    assert reduced.c is None and reduced.q is None
+    for name in ("energy", "h01", "div", "mass"):
+        assert np.array_equal(getattr(stored, name), getattr(reduced, name)), name
+    ledgers = [energy_ledger(ops8, params, traj) for traj in (stored, reduced)]
+    for name in ("interval_midpoints", "per_step", "cumulative", "dissipation", "work"):
+        assert np.array_equal(getattr(ledgers[0], name), getattr(ledgers[1], name)), name
+    reports = [apriori_check(ops8, params, traj) for traj in (stored, reduced)]
+    verdicts = [(r.est1_ok, r.est2_ok, r.certificate.ok, r.e_data) for r in reports]
+    assert verdicts[0] == verdicts[1] and reports[0].ok
+    # e_data's initial norms come from the series, at roundoff from the stored node 0
+    c0, q0 = stored.c[0], stored.q[0]
+    u0_l2, p0_l2 = np.sqrt(c0 @ (ops8.mass_diag * c0)), np.linalg.norm(q0)
+    assert np.sqrt(reduced.series.kinetic[0]) == pytest.approx(u0_l2, rel=1e-15)
+    assert np.sqrt(reduced.series.acoustic[0]) == pytest.approx(p0_l2, rel=1e-15)

@@ -131,7 +131,7 @@ def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
     )
     from complim import simulate_compressible
 
-    traj = simulate_compressible(spec4, ops4, params_c)
+    traj = simulate_compressible(spec4, ops4, params_c, store_states=True)
     one = weak_probe(traj, ref, probes, ops4)
     two = weak_probe(traj, ref, 2 * probes, ops4)
     assert np.allclose(two, 2 * one, rtol=1e-12)
@@ -295,7 +295,7 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, marched_her
     runs, reference_args = [], []
 
     def record(ops, params):
-        runs.append((ops, params, simulate_compressible(ops.spec, ops, params)))
+        runs.append((ops, params, simulate_compressible(ops.spec, ops, params, store_states=True)))
         return original_rows(ops, params)
 
     def record_reference(*args):
