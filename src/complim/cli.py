@@ -62,11 +62,11 @@ EXIT_CERTIFICATE = 3
 # thread (assemble at n = 24: 0.46 s on one, 0.45 s on two).
 ONE_BLAS_THREAD_BELOW = 801
 
-# Peak memory of writing a CSV file, per value in it: csvio holds the row
-# strings, the joined text and the final text at once.  Writing the 2.1
-# million values of simulate.cfg's coefficients.csv at dt = 1e-4 (23 B of
-# text each) raised peak RSS by 56 B per value; 64 B covers the widest cells.
-CSV_BYTES_PER_VALUE = 64
+# Peak memory of writing a CSV file, per value in it: csvio holds the row strings, the
+# joined text and the final text at once.  Writing the 2.1 million values (23.1 B of text
+# each) of simulate.cfg's coefficients.csv at dt = 1e-4 raised peak RSS by 69 B per value
+# beyond its 16.7 MB of stored states; 80 B covers the widest cells (25 B) at that ratio.
+CSV_BYTES_PER_VALUE = 80
 
 
 def _err(message: str) -> None:
@@ -92,7 +92,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
     worker one reference: its pressure map (m_u m_p at most, built in chunks)
-    and 6 chunk-sized arrays of width m_u (5.2-5.7 measured in all at n = 8,
+    and 6 chunk-sized arrays of width m_u (4.1-5.2 measured in all at n = 8,
     16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E
     and Z'EZ (at most 2 m_u^2) and its (N+1)(m_V + m_p) stored values (c = Z y is derived).
     It also counts the text of the largest CSV file the command writes, at

@@ -18,8 +18,9 @@ matching parity) with one matrix-vector product and one ``getrs`` solve in
 numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
 has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
-states to its caller.  :func:`simulate_compressible` stores the chunks only if
-asked and feeds them to :class:`RunSeries`, which reduces each one to the series that
+states to its caller, its first row the node the previous chunk ended on.
+:func:`simulate_compressible` stores the chunks only if asked and feeds them
+to :class:`RunSeries`, which reduces each one alone to the series that
 trajectory.csv, the energy ledger and the a-priori check read; a sweep row
 (:func:`compressible_chunks`) reduces them in lockstep with the Stokes
 reference.  The discretization is the ``OperatorSet`` alone.
@@ -131,14 +132,15 @@ def crank_nicolson(
     ``load(t, out)`` fills the (k, m) chunk buffer out with the loads at k
     times, and the march turns it into w.
 
-    A generator: it marches STEP_CHUNK steps at a time and yields
-    ``(start, states)`` per chunk, states[k] being y at node start + k; the
-    chunks tile nodes 0..N.  The blocks march in one chunk buffer, each
-    one's unknowns contiguous, and each step turns the products rhs_mat y_n
-    of another into its rhs_n (the last is carried into the next chunk);
-    states views a third, into which the chunk is un-permuted and which the
-    next chunk overwrites.  Before a chunk is yielded its residuals are checked in place: as lhs = 2 diag(a)
-    - rhs_mat, a step's residual is 2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
+    A generator: it marches STEP_CHUNK steps at a time and yields ``(start, states)``
+    per chunk, start = 0, STEP_CHUNK, ..., states[k] being y at node start + k: a
+    chunk's row 0 is the node the previous one ended on, bit for bit.  The blocks
+    march in one chunk buffer, each one's unknowns contiguous, and each step turns
+    the products rhs_mat y_n of another into its rhs_n; the last row of both becomes
+    the next chunk's row 0.  states views a third, into which the chunk is un-permuted
+    and which the next chunk overwrites.  Before a chunk is yielded its residuals
+    are checked in place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
+    2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
     the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
     gates it on |rhs_n|.
 
@@ -217,7 +219,7 @@ def crank_nicolson(
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
             # mode="clip": "raise" would buffer out
             np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
-            yield (0, unpermuted[: count + 1]) if start == 0 else (start + 1, unpermuted[1 : count + 1])
+            yield start, unpermuted[: count + 1]
             states[0], rhs[0] = states[count], rhs[count]
 
 
@@ -369,8 +371,9 @@ class RunSeries:
     work by midpoint quadrature (averaged coefficients, sources at
     mid-interval times).  c E is formed once per chunk for c'Ec, the momentum
     and, averaged, the midpoint E term; averaged q G' gives the body force's
-    work.  The chunks tile nodes 0..N in order, and each one's last node is
-    carried into the next and paired with its first row for the interval between.
+    work.  A chunk's row 0 is the node the previous chunk ended on, so each
+    chunk is reduced alone: it rewrites that node's series with the same bits
+    and holds every interval it covers.
     """
 
     def __init__(self, operator_set: OperatorSet, params: CompressibleParams, dt: float, times, G):
@@ -380,12 +383,11 @@ class RunSeries:
         self.h01, self.div, self.mass, self.momentum = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         self.dissipation, self.work = np.empty(n - 1), np.empty(n - 1)
         self.forcing = _forcing_terms(operator_set.spec, params)
-        self.last = None  # (t, c, q, c E, q G') at the last node reduced
 
     def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
-        """Reduce the coefficients (c, q) at nodes start, start + 1, ..."""
+        """Reduce the coefficients (c, q) at nodes start, start + 1, ... and the intervals between."""
         ops, p = self.operator_set, self.params
-        s_vec, s_fac, _, _ = self.forcing
+        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
         nodes = slice(start, start + len(c))
         cE, qG = c @ ops.div_gram, q @ self.G.T
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
@@ -398,18 +400,8 @@ class RunSeries:
         momentum += np.outer(_time_values(s_fac, self.times[nodes]), s_vec)
         self.momentum[nodes] = np.linalg.norm(momentum / p.rho0, axis=1)
 
-        rows = (self.times[nodes], c, q, cE, qG)
-        if self.last is not None:  # the interval from the previous chunk's last node
-            self._intervals(start - 1, [np.stack([last, row[0]]) for last, row in zip(self.last, rows)])
-        self.last = tuple(row[-1].copy() for row in rows)
-        self._intervals(start, rows)
-
-    def _intervals(self, first: int, rows) -> None:
-        """Reduce the intervals between consecutive rows (t, c, q, c E, q G') from node ``first``."""
-        p = self.params
-        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
-        t_mid, c_mid, q_mid, cE_mid, qG_mid = (0.5 * (row[1:] + row[:-1]) for row in rows)
-        steps = slice(first, first + len(c_mid))
+        t_mid, c_mid, q_mid, cE_mid, qG_mid = (0.5 * (r[1:] + r[:-1]) for r in (self.times[nodes], c, q, cE, qG))
+        steps = slice(start, nodes.stop - 1)
         h01_sq, div_sq = np.einsum("ni,ni->n", c_mid, c_mid), np.einsum("ni,ni->n", c_mid, cE_mid)
         self.dissipation[steps] = self.dt * (p.mu * h01_sq + p.eta * div_sq)
         # a source that is absent contributes 0, which leaves a nonzero work unchanged
@@ -538,15 +530,14 @@ def apriori_check(
     follow with C_a = 1 + A e^A, A = aT.
     """
     series = _series(operator_set, params, traj)
-    spec = operator_set.spec
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 
-    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
+    s_vec, s_fac, sigma_vec, sigma_fac = series.forcing
     s_dual = np.linalg.norm(s_vec) * np.abs(_time_values(s_fac, times))  # |<s(t), .>| in the dual norm
     sigma_l2 = np.linalg.norm(sigma_vec) * np.abs(_time_values(sigma_fac, times))
 
-    f_sup = _sup_norm_on_grid(spec, params.f)
+    f_sup = _sup_norm_on_grid(operator_set.spec, params.f)
     a_const = 1.0 + np.sqrt(alpha) * f_sup
     i_series = ScalarTrajectory(times, traj.energy, label="I")
     j_series = ScalarTrajectory(times, np.sqrt(mu) * traj.h01, label="J")

@@ -17,14 +17,14 @@ dc/dt read off the reduced equation (not from finite differences, which
 would lose an order), q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c).
 That is linear in y and the load's time factor: one map, built once per run
 (:func:`_pressure_map`), gives q(t_n) = y_n Q + fac(t_n) q_s, one product per
-chunk, mean zero and shiftable afterwards to any target mean; the initial
-pressure is the same map at t = 0.  The march is a chunk
-source, :func:`stokes_chunks`, which yields each chunk of steps with its
-velocity and recovered pressure: :func:`simulate_incompressible` stores each
-chunk's y and q (its trajectory derives c = Z y when read) and reduces the
-chunk's c, in the same loop, to the per-node columns and the per-interval
-energy-identity defect of its trajectory.csv, and an alpha sweep reduces each
-chunk against its rows and drops it.
+chunk, mean zero and shiftable afterwards to any target mean.  The march is a
+chunk source, :func:`stokes_chunks`, which yields each chunk of steps with its
+velocity and recovered pressure, its first row the node the previous chunk
+ended on: :func:`simulate_incompressible` stores each chunk's y and q (its
+trajectory derives c = Z y when read) and reduces the chunk alone to the
+per-node columns and per-interval energy-identity defect of its trajectory.csv,
+an alpha sweep reduces each chunk against its rows and drops it, and
+:func:`initial_pressure` is node 0 of a one-step march.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
@@ -102,11 +102,12 @@ def stokes_chunks(
     """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
 
     Returns (dt, times, chunks).  ``chunks`` is the march of the reduced
-    system: pulled chunk by chunk, it yields ``(start, y, c, q)`` at nodes
-    start, start + 1, ...: the reduced coordinates (a view of a chunk buffer
-    that the next chunk overwrites), the velocity c = Z y and the pressure
-    y Q + fac(t) q_s of :func:`_pressure_map`, mean zero: one product per
-    chunk over its new nodes, node 0's being :func:`initial_pressure`'s.
+    system: pulled chunk by chunk, it yields ``(start, y, c, q)`` at nodes start,
+    start + 1, ..., with :func:`crank_nicolson`'s starts and its row 0 the previous
+    chunk's last row, bit for bit: the reduced coordinates, the velocity c = Z y and
+    the pressure y Q + fac(t) q_s of :func:`_pressure_map`, mean zero, one product
+    per chunk over its new nodes.  y and q view chunk buffers that the next chunk
+    overwrites; node 0's pressure is :func:`initial_pressure`.
 
     With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), a step is
     den y_{n+1} = rhs_n = num y_n + dt/2 (fac(t_n) + fac(t_{n+1})) Z's with
@@ -133,9 +134,10 @@ def stokes_chunks(
     Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec)
     n_steps = len(times) - 1
     y, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(lam)))
+    q = np.empty((len(y), spec.m_p))
     c0 = leray_project(operator_set, VelocityCoeffs(spec, coefficients_of(spec, params.u0)))
     y[0] = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
-    q0 = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s  # initial_pressure's product, bit for bit
+    q[0] = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s
 
     def chunks():
         for start in range(0, n_steps, STEP_CHUNK):
@@ -147,10 +149,10 @@ def stokes_chunks(
                 np.divide(rhs[k], den, out=y[k + 1])
             d, r = den * y[1 : count + 1] - rhs[:count], rhs[:count]
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(r, r)))
-            nodes = slice(0 if start == 0 else 1, count + 1)
-            q = y[1 : count + 1] @ Q + fac[1:, None] * q_s  # column 0: BLAS sums y_j * +0.0 from +0.0
-            yield start + nodes.start, y[nodes], y[nodes] @ Z.T, np.vstack([q0, q]) if start == 0 else q
-            y[0] = y[count]
+            np.matmul(y[1 : count + 1], Q, out=q[1 : count + 1])  # column 0: BLAS sums y_j * +0.0 from +0.0
+            q[1 : count + 1] += fac[1:, None] * q_s
+            yield start, y[: count + 1], y[: count + 1] @ Z.T, q[: count + 1]
+            y[0], q[0] = y[count], q[count]
 
     return dt, times, chunks()
 
@@ -166,8 +168,9 @@ def simulate_incompressible(
     Each chunk is reduced from its c as it is stored: I = rho0 |u|^2 / 2,
     |u|_{H10}, |div u| and the defect of the energy identity
     I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
-    the compressible ledger's identity without its pressure and eta terms; the
-    interval that crosses into a chunk takes the previous chunk's last c.
+    the compressible ledger's identity without its pressure and eta terms.  A
+    chunk's row 0 is the node the previous chunk ended on, so each chunk is
+    reduced alone: it rewrites that node with the same bits.
     ``spec`` and ``kernel`` are not read; both go away once the benchmark's
     workload process stops passing them.
     """
@@ -185,13 +188,10 @@ def simulate_incompressible(
         energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
         h01[rows] = np.linalg.norm(c_k, axis=1)
         div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", y_k @ zez, y_k), 0.0))
-        steps = slice(max(start - 1, 0), rows.stop - 1)  # the intervals ending in this chunk
-        c_k = c_k if start == 0 else np.vstack([c_last, c_k])  # nodes steps.start, ...
-        c_mid, c_last = 0.5 * (c_k[1:] + c_k[:-1]), c_k[-1].copy()
-        t_mid = 0.5 * (times[steps.start + 1 : rows.stop] + times[steps])
+        c_mid, t_mid = (0.5 * (row[1:] + row[:-1]) for row in (c_k, times[rows]))
         work = dt * (c_mid @ s_vec) * _time_values(s_fac, t_mid)
         dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
-        residuals[steps] = np.diff(energy[steps.start : rows.stop]) + dissipation - work
+        residuals[start : rows.stop - 1] = np.diff(energy[rows]) + dissipation - work
 
     return IncompressibleTrajectory(spec, params, dt, times, y, Z, q, energy, h01, div, residuals)
 
@@ -222,26 +222,22 @@ def _pressure_map(operator_set: OperatorSet, lam: np.ndarray, mu: float, s_vec: 
 def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> PressureCoeffs:
     """The Stokes initial pressure p'(0) of the problem: the ``compatible_p0`` of a config.
 
-    The node-0 pressure of simulate_incompressible, bit for bit, for the
-    problem's ``u0``, momentum source ``s`` and ``mu`` (``rho0`` cancels);
-    the rest of ``params`` (``sigma`` included) is not read.  ``u0`` must be discretely
+    Node 0's pressure of a one-step :func:`stokes_chunks` march (dt = T), which
+    no other dt changes: the node-0 pressure of simulate_incompressible, bit for
+    bit, for the problem's ``u0``, momentum source ``s`` and ``mu`` (``rho0``
+    cancels).  ``sigma`` and ``dt`` are not read.  ``u0`` must be discretely
     solenoidal (InvalidParams otherwise) and the solenoidal space nontrivial
     (EmptyKernel otherwise); the result is mean zero.
     """
-    spec = operator_set.spec
-    c0 = coefficients_of(spec, params.u0)
+    c0 = coefficients_of(operator_set.spec, params.u0)
     kernel_defect = np.linalg.norm(operator_set.div_coupling[1:] @ c0)
     if kernel_defect > 1e-8 * max(1.0, np.linalg.norm(c0)):
         raise InvalidParams(
             "the Stokes initial pressure (compatible_p0) needs a discretely solenoidal u0 "
             f"(|B u0| = {kernel_defect:.3e})"
         )
-    s_vec, s_fac, _, _ = _forcing_terms(spec, replace(params, sigma=None))
-    Z = nullspace_basis(operator_set)
-    Q, q_s = _pressure_map(operator_set, np.einsum("ij,ij->j", Z, Z), params.mu, s_vec)
-    c0 = leray_project(operator_set, VelocityCoeffs(spec, c0)).solenoidal.values  # as stokes_chunks
-    y0 = Z.T @ (operator_set.mass_diag * c0)
-    return PressureCoeffs(spec, y0 @ Q + _time_values(s_fac, [0.0]) * q_s)
+    _, _, chunks = stokes_chunks(operator_set, replace(params, sigma=None, dt=params.T))
+    return PressureCoeffs(operator_set.spec, next(chunks)[3][0].copy())
 
 
 def shift_pressure_mean(traj: IncompressibleTrajectory, A: float) -> IncompressibleTrajectory:

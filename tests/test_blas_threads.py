@@ -35,7 +35,7 @@ from complim import (
 from complim.cli import run_cli
 
 from test_cli import SIM_CFG, SWEEP_CFG, write_cfg
-from test_compressible import corrupt_solve, stepper_params
+from test_compressible import assert_chunks_share_their_boundary_node, corrupt_solve, stepper_params
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
@@ -276,6 +276,13 @@ def test_getrs_failure_in_a_block_thread_is_raised_lowest_block_first(
         simulate_compressible(ops16.spec, ops16, params)
     assert pools == [2, 2] and threading.active_count() == threads
     assert openblas_threads() == 2
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_concurrent_chunks_share_their_boundary_node(ops16, two_threads, pools, time_dependent):
+    params, _ = stepper_params(ops16.spec, time_dependent)
+    assert_chunks_share_their_boundary_node(compressible.compressible_chunks(ops16, params)[3])
+    assert pools == [2, 2, 2]
 
 
 def test_concurrent_march_leaves_no_thread_between_chunks_and_restores_the_counts(

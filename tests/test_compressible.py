@@ -574,10 +574,31 @@ def test_stored_states_are_the_chunks_of_the_march(ops8):
     params, _ = stepper_params(ops8.spec, time_dependent=True)
     traj = simulate_compressible(ops8.spec, ops8, params, store_states=True)
     _, times, _, chunks = compressible.compressible_chunks(ops8, params)
-    starts, states = zip(*((start, np.hstack([c, q])) for start, c, q in chunks))
-    assert starts == (0, 257, 513)
+    # each later chunk's row 0 is the previous chunk's last node
+    starts, states = zip(*((start, np.hstack([c, q])[min(start, 1) :]) for start, c, q in chunks))
+    assert starts == (0, 256, 512)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(np.hstack([traj.c, traj.q]), np.vstack(states))
+
+
+def assert_chunks_share_their_boundary_node(chunks):
+    """A 549-step march's chunks start at nodes 0, 256 and 512, and each later chunk's row 0
+    is the previous chunk's last row, bit for bit, in every array that the chunk yields."""
+    starts, last = [], None
+    for start, *arrays in chunks:
+        if last is not None:
+            assert [array[0].tobytes() for array in arrays] == last, start
+        starts.append(start)
+        last = [array[-1].tobytes() for array in arrays]
+    assert starts == [0, compressible.STEP_CHUNK, 2 * compressible.STEP_CHUNK]
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_chunks_share_their_boundary_node(ops4, ops8, time_dependent):
+    """At n = 4 the step system is one block; at n = 8 stepper_params' force splits it in two."""
+    for ops in (ops4, ops8):
+        params, _ = stepper_params(ops.spec, time_dependent)
+        assert_chunks_share_their_boundary_node(compressible.compressible_chunks(ops, params)[3])
 
 
 def test_storing_the_states_changes_no_series_ledger_or_verdict(ops8):

@@ -28,6 +28,8 @@ from complim import (
 from complim.basis import eval_field, velocity_load_vector
 from complim.presets import velocity_preset
 
+from test_compressible import assert_chunks_share_their_boundary_node
+
 
 def test_nullspace_invariants(ops4, kernel4):
     z = kernel4
@@ -238,6 +240,15 @@ def test_initial_pressure_is_the_node0_pressure_bit_for_bit(n, timed):
     assert not np.signbit(traj.q[:, 0]).any() and np.all(traj.q[:, 0] == 0.0)  # the mean prints as 0
 
 
+def test_initial_pressure_does_not_read_dt(ops8):
+    """Node 0 of the one-step march that initial_pressure takes does not depend on dt."""
+    params = long_forced_params(ops8.spec, time_factor=lambda t: 1.5 + t)
+    params = dataclasses.replace(params, u0=velocity_preset("solenoidal_u0", ops8))
+    bits = [initial_pressure(ops8, dataclasses.replace(params, dt=dt)).values.tobytes() for dt in (None, 1e-3, 0.37)]
+    assert bits[0] == bits[1] == bits[2]
+    assert np.any(np.frombuffer(bits[0]) != 0.0)
+
+
 def test_load_in_the_span_of_m_z_has_no_pressure(spec4, ops4, kernel4):
     # s = M Z a (built as in test_initial_pressure_trivial_and_constructed) is a solenoidal load:
     # its residual s - M Z Z's is roundoff, which the map keeps at exact zeros
@@ -405,9 +416,16 @@ def test_trajectory_c_is_the_chunks_c_bit_for_bit(n, pinned, request):
     with blas.one_blas_thread() if pinned else contextlib.nullcontext():
         traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
         _, _, chunks = incompressible.stokes_chunks(ops, params)
-        stacked = np.vstack([c for _, _, c, _ in chunks])
+        stacked = np.vstack([c[min(start, 1) :] for start, _, c, _ in chunks])  # row 0 repeats a node
     assert traj.kernel is ops.kernel and traj.c.shape == (550, ops.spec.m_u)
     assert np.array_equal(traj.c, stacked)
+
+
+@pytest.mark.parametrize("time_factor", [None, np.cos], ids=["s_constant", "s_timed"])
+def test_stokes_chunks_share_their_boundary_node(ops8, time_factor):
+    """In y, c = Z y and q alike."""
+    _, _, chunks = incompressible.stokes_chunks(ops8, long_forced_params(ops8.spec, time_factor))
+    assert_chunks_share_their_boundary_node(chunks)
 
 
 def test_simulate_incompressible_holds_no_velocity_history(spec8, ops8):
