@@ -31,6 +31,14 @@ _get_threads.argtypes, _get_threads.restype = [], ctypes.c_int
 _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
 
 
+def _pointer(array: np.ndarray, ctype):
+    """``array.ctypes.data_as(ctype)``, which keeps array alive, without its cast of a c_void_p: that
+    cast's reference cycle (CPython bpo-12836) is garbage that only the cyclic collector frees."""
+    ptr = ctypes.cast(array.ctypes.data, ctype)
+    ptr._arr = array
+    return ptr
+
+
 def _square(a: np.ndarray) -> bool:
     return a.dtype == np.float64 and a.flags.f_contiguous and a.shape == (len(a), len(a))
 
@@ -40,7 +48,7 @@ def getrf(a: np.ndarray) -> tuple[np.ndarray, int]:
     if not _square(a):
         raise ValueError("getrf factors a square, Fortran-ordered float64 array")
     n_ref, info, piv = ctypes.byref(ctypes.c_int64(len(a))), ctypes.c_int64(), np.empty(len(a), np.int64)
-    _dgetrf(n_ref, n_ref, a.ctypes.data_as(_DOUBLE), n_ref, piv.ctypes.data_as(_INT), ctypes.byref(info))
+    _dgetrf(n_ref, n_ref, _pointer(a, _DOUBLE), n_ref, _pointer(piv, _INT), ctypes.byref(info))
     return piv, info.value
 
 
@@ -55,9 +63,9 @@ def getrs(lu: np.ndarray, piv: np.ndarray, rows: np.ndarray) -> Callable[[int], 
     n, one, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64()
     n_ref, info_ref = ctypes.byref(n), ctypes.byref(info)
     head = functools.partial(
-        _dgetrs, b"N", n_ref, ctypes.byref(one), lu.ctypes.data_as(_DOUBLE), n_ref, piv.ctypes.data_as(_INT)
+        _dgetrs, b"N", n_ref, ctypes.byref(one), _pointer(lu, _DOUBLE), n_ref, _pointer(piv, _INT)
     )
-    addresses = [row.ctypes.data_as(_DOUBLE) for row in rows]  # each keeps its row alive
+    addresses = [_pointer(row, _DOUBLE) for row in rows]  # each keeps its row alive
 
     def solve(k: int) -> int:
         head(addresses[k], n_ref, info_ref)

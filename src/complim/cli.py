@@ -84,7 +84,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     Counts E, B and B's SVD factors, which is all that march=False (decompose)
     builds, and, per Crank-Nicolson system (m = m_u + m_p), at most 2 dense
     m x m matrices (the right-hand matrices and LU factors of its blocks) and
-    its 4 chunk buffers.  A single run holds the 9 series of its RunSeries,
+    its 4 chunk buffers.  A single run holds the 9 series of its Trajectory,
     (N+1) values each, and stores its (N+1) m states only to write
     coefficients.csv (dump_coefficients).  A sweep stores no states: its
     n_alpha rows march in sweep_workers(n_alpha) worker processes, each in

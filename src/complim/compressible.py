@@ -19,8 +19,8 @@ numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
 has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
 states to its caller, its first row the node the previous chunk ended on.
-:func:`simulate_compressible` stores the chunks only if asked and feeds them
-to :class:`RunSeries`, which reduces each one alone to the series that
+:func:`simulate_compressible` hands the chunks to the run's :class:`Trajectory`,
+which stores them only if asked and reduces each one alone to the series that
 trajectory.csv, the energy ledger and the a-priori check read; a sweep row
 (:func:`compressible_chunks`) reduces them in lockstep with the Stokes
 reference.  The discretization is the ``OperatorSet`` alone.
@@ -41,6 +41,7 @@ from .basis import (
     SampledField,
     VelocityCoeffs,
     coefficients_of,
+    eval_field,
     pressure_load_vector,
     velocity_load_vector,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "crank_nicolson",
     "compressible_chunks",
     "simulate_compressible",
+    "stored_states",
     "energy_ledger",
     "apriori_check",
 ]
@@ -257,44 +259,6 @@ class CompressibleParams:
         return dt
 
 
-@dataclass
-class Trajectory:
-    """The series of one compressible run, reduced during its march, and its states if stored.
-
-    ``energy`` holds I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2 and ``mass`` holds
-    M(t) = rho0 + alpha q_0 (the domain has unit area); ``series`` holds them and
-    the other series that the audits read.  The states ``c`` and ``q`` are None
-    unless the run stored them, and the density field rho = rho0 + alpha p
-    (:meth:`density`) reads them.
-    """
-
-    spec: BasisSpec
-    params: CompressibleParams
-    dt: float
-    times: np.ndarray  # (N+1,)
-    c: Optional[np.ndarray]  # (N+1, m_u), None unless stored
-    q: Optional[np.ndarray]  # (N+1, m_p), None unless stored
-    energy: np.ndarray  # (N+1,)
-    h01: np.ndarray  # (N+1,)
-    div: np.ndarray  # (N+1,)
-    mass: np.ndarray  # (N+1,)
-    coupling: Optional[np.ndarray] = None  # G of params.f, (m_u, m_p)
-    series: Optional[RunSeries] = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    def pressure_at(self, node: int) -> PressureCoeffs:
-        return PressureCoeffs(self.spec, self.q[node].copy())
-
-    def density(self, node: int, points) -> np.ndarray:
-        from .basis import eval_field
-
-        p = eval_field(self.spec, self.pressure_at(node), points)
-        return self.params.rho0 + self.params.alpha * p
-
-
 def _forcing_terms(spec: BasisSpec, params: CompressibleParams):
     """Static load vectors and time factors of s and sigma: (s_vec, s_fac, sigma_vec, sigma_fac)."""
     s, sigma = params.s, params.sigma
@@ -362,34 +326,52 @@ def compressible_chunks(
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
-class RunSeries:
-    """The series of one run, reduced from the ``(start, c, q)`` chunks of its march.
+class Trajectory:
+    """One compressible run: the series reduced from its march's chunks, and its states if stored.
 
-    Per node: c'Mc and q'q (the kinetic and acoustic parts of I), I, |c|,
-    sqrt(c'Ec), the mass and the dual norm |M dc/dt| of the momentum equation
-    that est2 reads.  Per interval: the energy identity's dissipation and
-    work by midpoint quadrature (averaged coefficients, sources at
-    mid-interval times).  c E is formed once per chunk for c'Ec, the momentum
-    and, averaged, the midpoint E term; averaged q G' gives the body force's
-    work.  A chunk's row 0 is the node the previous chunk ended on, so each
-    chunk is reduced alone: it rewrites that node's series with the same bits
-    and holds every interval it covers.
+    Called with each ``(start, c, q)`` chunk, it stores the chunk as ``c`` and
+    ``q`` (with ``store_states``; otherwise both are None and the run holds no
+    (N+1) x m array) and reduces it.  Per node: c'Mc and q'q (the kinetic and
+    acoustic parts of I), I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, |c|,
+    sqrt(c'Ec), the mass M(t) = rho0 + alpha q_0 (the domain has unit area) and
+    the dual norm |M dc/dt| of the momentum equation that est2 reads.  Per
+    interval: the energy identity's dissipation and work by midpoint quadrature
+    (averaged coefficients, sources at mid-interval times).  c E is formed once
+    per chunk for c'Ec, the momentum and, averaged, the midpoint E term;
+    averaged q G' gives the body force's work.  A chunk's row 0 is the node the
+    previous chunk ended on, so each chunk is reduced alone: it rewrites that
+    node's series with the same bits and holds every interval it covers.  The
+    density field rho = rho0 + alpha p (:meth:`density`) reads the stored
+    states.
     """
 
-    def __init__(self, operator_set: OperatorSet, params: CompressibleParams, dt: float, times, G):
-        n = len(times)
-        self.operator_set, self.params, self.dt, self.times, self.G = operator_set, params, dt, times, G
+    def __init__(
+        self, operator_set: OperatorSet, params: CompressibleParams, dt: float, times, G,
+        store_states: bool = False,
+    ):
+        n, spec = len(times), operator_set.spec
+        self.operator_set, self.spec, self.params, self.dt, self.times = operator_set, spec, params, dt, times
+        self.coupling = G  # of params.f, (m_u, m_p)
         self.kinetic, self.acoustic, self.energy = np.empty(n), np.empty(n), np.empty(n)
         self.h01, self.div, self.mass, self.momentum = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         self.dissipation, self.work = np.empty(n - 1), np.empty(n - 1)
-        self.forcing = _forcing_terms(operator_set.spec, params)
+        self.forcing = _forcing_terms(spec, params)
+        states = np.empty((n, spec.m_u + spec.m_p)) if store_states else None
+        self.c, self.q = (states[:, : spec.m_u], states[:, spec.m_u :]) if store_states else (None, None)
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.times) - 1
 
     def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
-        """Reduce the coefficients (c, q) at nodes start, start + 1, ... and the intervals between."""
+        """Store (if asked) and reduce the coefficients (c, q) at nodes start, start + 1, ...
+        and the intervals between."""
         ops, p = self.operator_set, self.params
         s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
         nodes = slice(start, start + len(c))
-        cE, qG = c @ ops.div_gram, q @ self.G.T
+        if self.c is not None:
+            self.c[nodes], self.q[nodes] = c, q
+        cE, qG = c @ ops.div_gram, q @ self.coupling.T
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
         self.acoustic[nodes] = np.einsum("nk,nk->n", q, q)
         self.energy[nodes] = 0.5 * (p.rho0 * self.kinetic[nodes] + p.alpha / p.rho0 * self.acoustic[nodes])
@@ -411,40 +393,46 @@ class RunSeries:
             + (q_mid @ sigma_vec) * _time_values(sigma_fac, t_mid) / p.rho0
         )
 
+    def pressure_at(self, node: int) -> PressureCoeffs:
+        return PressureCoeffs(self.spec, stored_states(self)[1][node].copy())
+
+    def density(self, node: int, points) -> np.ndarray:
+        p = eval_field(self.spec, self.pressure_at(node), points)
+        return self.params.rho0 + self.params.alpha * p
+
+
+def stored_states(traj) -> tuple[np.ndarray, np.ndarray]:
+    """The states (c, q) of a run; ValueError for a compressible run that stored none."""
+    c, q = traj.c, traj.q  # a Stokes trajectory forms c on each access
+    if c is None:
+        raise ValueError("the run stored no states; simulate it with store_states=True to read them")
+    return c, q
+
 
 def simulate_compressible(
     spec: BasisSpec, operator_set: OperatorSet, params: CompressibleParams, *, store_states: bool = False
 ) -> Trajectory:
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
-    The whole march of :func:`compressible_chunks`, reduced chunk by chunk
-    to its :class:`RunSeries`.  Its states are stored, as the trajectory's
-    ``c`` and ``q``, only with ``store_states``; otherwise both are None and
-    the run holds no (N+1) x m array.  ``spec`` is not read; it goes away
-    once the benchmark's workload process stops passing it.
+    The whole march of :func:`compressible_chunks`, each chunk handed to the
+    run's :class:`Trajectory`, which stores it only with ``store_states`` and
+    reduces it.  ``spec`` is not read; it goes away once the benchmark's
+    workload process stops passing it.
     """
-    spec = operator_set.spec
     dt, times, G, chunks = compressible_chunks(operator_set, params)
-    series = RunSeries(operator_set, params, dt, times, G)
-    states = np.empty((len(times), spec.m_u + spec.m_p)) if store_states else None
-    for start, c_k, q_k in chunks:
-        if store_states:
-            states[start : start + len(c_k), : spec.m_u] = c_k
-            states[start : start + len(q_k), spec.m_u :] = q_k
-        series(start, c_k, q_k)
-    c, q = (states[:, : spec.m_u], states[:, spec.m_u :]) if store_states else (None, None)
-    return Trajectory(
-        spec, params, dt, times, c, q, series.energy, series.h01, series.div, series.mass, G, series
-    )
+    traj = Trajectory(operator_set, params, dt, times, G, store_states)
+    for chunk in chunks:
+        traj(*chunk)
+    return traj
 
 
-def _series(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> RunSeries:
-    """The RunSeries of traj; ValueError unless traj is a run of operator_set's basis with params."""
+def _series(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> Trajectory:
+    """traj itself; ValueError unless it is a run of operator_set's basis with params."""
     if (traj.spec.m_u, traj.spec.m_p) != (operator_set.spec.m_u, operator_set.spec.m_p):
         raise ValueError("trajectory does not match the operator set")
     if params is not traj.params:
         raise ValueError("params are not the ones the trajectory was run with")
-    return traj.series
+    return traj
 
 
 @dataclass
@@ -468,14 +456,14 @@ def energy_ledger(
     operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory
 ) -> EnergyLedger:
     """Audit the energy identity of a compressible trajectory of ``operator_set``, per interval."""
-    series = _series(operator_set, params, traj)
-    per_step = np.diff(traj.energy) + series.dissipation - series.work
+    traj = _series(operator_set, params, traj)
+    per_step = np.diff(traj.energy) + traj.dissipation - traj.work
     return EnergyLedger(
         interval_midpoints=0.5 * (traj.times[1:] + traj.times[:-1]),
         per_step=per_step,
         cumulative=np.cumsum(per_step),
-        dissipation=series.dissipation,
-        work=series.work,
+        dissipation=traj.dissipation,
+        work=traj.work,
     )
 
 
@@ -529,11 +517,11 @@ def apriori_check(
     c = |sigma|^2/(2 rho0 alpha) satisfy I' + J^2 <= aI + bJ + c; the bounds
     follow with C_a = 1 + A e^A, A = aT.
     """
-    series = _series(operator_set, params, traj)
+    traj = _series(operator_set, params, traj)
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 
-    s_vec, s_fac, sigma_vec, sigma_fac = series.forcing
+    s_vec, s_fac, sigma_vec, sigma_fac = traj.forcing
     s_dual = np.linalg.norm(s_vec) * np.abs(_time_values(s_fac, times))  # |<s(t), .>| in the dual norm
     sigma_l2 = np.linalg.norm(sigma_vec) * np.abs(_time_values(sigma_fac, times))
 
@@ -546,7 +534,7 @@ def apriori_check(
     c_series = ScalarTrajectory(times, sigma_l2**2 / (2.0 * rho0 * alpha), label="c")
     certificate = verify_mixed(i_series, j_series, a_series, b_series, c_series)
 
-    u0_l2, p0_l2 = np.sqrt(series.kinetic[0]), np.sqrt(series.acoustic[0])
+    u0_l2, p0_l2 = np.sqrt(traj.kinetic[0]), np.sqrt(traj.acoustic[0])
     sigma_l2l2 = np.sqrt(np.trapezoid(sigma_l2**2, times))
     s_l2h = np.sqrt(np.trapezoid(s_dual**2, times))
     e_data = u0_l2 + np.sqrt(alpha) * p0_l2 + sigma_l2l2 / np.sqrt(alpha) + s_l2h
@@ -556,8 +544,8 @@ def apriori_check(
 
     # (est1): |u|_{L2 H10} + |u|_{Linf L2} + sqrt(alpha) |p|_{Linf L2} <= C E
     u_l2h1 = np.sqrt(np.trapezoid(traj.h01**2, times))
-    u_linf = np.sqrt(np.max(series.kinetic))
-    p_linf = np.sqrt(np.max(series.acoustic))
+    u_linf = np.sqrt(np.max(traj.kinetic))
+    p_linf = np.sqrt(np.max(traj.acoustic))
     est1_lhs = u_l2h1 + u_linf + np.sqrt(alpha) * p_linf
     k1 = max(np.sqrt(rho0 / 2.0), np.sqrt(1.0 / (2.0 * rho0)), 1.0 / np.sqrt(mu))
     k2 = max(rho0 / 2.0, 1.0 / (2.0 * rho0), 1.0 / mu)
@@ -569,7 +557,7 @@ def apriori_check(
 
     # (est2): |u|_{L2 H10} + |du/dt|_{L2 H-1} <= (1/sqrt(alpha)) C~ E,
     # with M dc/dt read off the momentum equation at the nodes.
-    est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(series.momentum**2, times))
+    est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(traj.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
     E, blocks = operator_set.div_gram, _blocks(operator_set.div_gram != 0)  # symmetric PSD
     e_norm = max(np.linalg.eigvalsh(E[np.ix_(b, b)] if len(blocks) > 1 else E)[-1] for b in blocks)

@@ -16,6 +16,8 @@ import os
 
 import numpy as np
 
+from .compressible import stored_states
+
 __all__ = [
     "fmt17",
     "atomic_write_text",
@@ -167,9 +169,9 @@ def incompressible_table(traj) -> tuple:
 
 
 def coefficients_table(traj) -> tuple:
-    c = traj.c  # a Stokes trajectory forms it on each access
-    header = ["t"] + [f"c_{i}" for i in range(c.shape[1])] + [f"q_{k}" for k in range(traj.q.shape[1])]
-    return header, [traj.times, c, traj.q]
+    c, q = stored_states(traj)
+    header = ["t"] + [f"c_{i}" for i in range(c.shape[1])] + [f"q_{k}" for k in range(q.shape[1])]
+    return header, [traj.times, c, q]
 
 
 def write_trajectory_csv(path: str, traj, per_step_residual) -> None:

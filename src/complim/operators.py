@@ -29,7 +29,6 @@ from .basis import (
     SampledField,
     VelocityCoeffs,
     cos_cos_integral,
-    pressure_normalization,
     sin_cos_integral,
     velocity_mass_diagonal,
 )
@@ -103,7 +102,6 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     ks = range(spec.n_p + 1)
     s_tab = np.array([[sin_cos_integral(a, b) for b in range(max(n, spec.n_p) + 1)] for a in idx])
     c_tab = np.array([[cos_cos_integral(a, k) for k in ks] for a in idx])
-    c_kl = np.array([[pressure_normalization(k, l) for l in ks] for k in ks])
     # cross block: (div e_(1,i,j), div e_(2,i',j')) = n_ij n_i'j' pi^2 i j' S(i',i) S(j,j'),
     # on axes (i, j, i', j')
     s_sq = s_tab[:, 1 : n + 1]
@@ -114,7 +112,7 @@ def assemble(spec: BasisSpec) -> OperatorSet:
 
     # B on axes (k, l, i, j): component 1 pairs C(i, k) S(j, l), component 2 S(i, k) C(j, l)
     c_p, s_p = c_tab.T, s_tab[:, : spec.n_p + 1].T  # at [k, i-1]
-    lead = norms * c_kl[:, :, None, None]
+    lead = norms * spec.pres_norms[:, :, None, None]  # c_kl at [k, l]
     v1 = lead * idx[:, None] * np.pi * c_p[:, None, :, None] * s_p[:, None, :] + 0.0
     v2 = lead * idx * np.pi * s_p[:, None, :, None] * c_p[:, None, :] + 0.0
     B = np.concatenate([v1.reshape(spec.m_p, half), v2.reshape(spec.m_p, half)], axis=1)

@@ -6,9 +6,11 @@ hands to getrf match them bit for bit at n = 8 and to 1e-13 at n = 16.
 complim's runtime imports no scipy.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +100,30 @@ def test_binding_refuses_arrays_it_cannot_pass():
     for rows in (np.zeros((2, 4)), np.zeros((2, 3), dtype=np.float32), np.zeros((3, 2)).T, np.zeros(3)):
         with pytest.raises(ValueError, match="contiguous"):
             blas.getrs(lu, piv, rows)
+
+
+def test_the_solver_keeps_its_rows_alive_and_a_march_leaves_no_garbage(ops8):
+    """The binding's pointers hold their arrays and sit in no reference cycle, so a march's
+    buffers are freed when it ends rather than when the cyclic collector next runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        lu = np.asfortranarray(2.0 * np.eye(3))
+        piv, _ = blas.getrf(lu)
+        rows = np.ones((2, 3))
+        held = weakref.ref(rows)
+        solve = blas.getrs(lu, piv, rows)
+        del rows
+        assert held() is not None and solve(1) == 0
+        assert np.array_equal(held(), [[1.0] * 3, [0.5] * 3])
+        del solve
+        assert held() is None
+        params = stepper_params(ops8.spec, time_dependent=True)[0]
+        with blas.one_blas_thread():  # in line: the count is of the binding's objects, not a pool's
+            compressible.simulate_compressible(ops8.spec, ops8, params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def run_python(code, cwd):

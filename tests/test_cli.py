@@ -312,6 +312,7 @@ def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     assert message in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
 def test_run_beyond_physical_memory_refused_before_building(tmp_path, capsys, command):
     template = SWEEP_CFG.replace("n_u = 3", "n_u = 200000")
@@ -429,6 +430,7 @@ def test_compatible_p0_needs_a_solenoidal_u0(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.memory
 def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     # a million nodes at n = 8: the stored states of one run take 1.6 GB, the
     # series of a 6-row sweep with 8 probes 0.58 GB; a single run stores its
@@ -458,6 +460,7 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
         cli._check_memory(cfg, sweep=True)
 
 
+@pytest.mark.memory
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
     # n = 40, 101 nodes: simulate needs about 0.606 GiB, 0.35 GiB of it for the compressible
     # system's two m x m matrices, and stores no states; the Stokes run builds neither and
@@ -483,6 +486,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
         run_cli(["simulate-incompressible", "--config", cfg])
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_memory_preflight_counts_the_stokes_reference_at_its_peak(n):
     # the reference's march under a time-dependent source, its pressure map built inside the
@@ -678,6 +682,7 @@ def test_decompose_with_nonfinite_results_exits_2_without_output(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.memory
 def test_memory_preflight_counts_the_csv_text(tmp_path, capsys, monkeypatch):
     # 20,001 nodes at n = 3: the stored states take 5.4 MB, coefficients.csv
     # (35 values a node) about 56 MB at CSV_BYTES_PER_VALUE, trajectory.csv 9.6 MB

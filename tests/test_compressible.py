@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import complim.compressible as compressible
+import complim.csvio as csvio
 import complim.limits as limits
 from complim import (
     CompressibleParams,
@@ -24,6 +25,7 @@ from complim import (
     default_dt,
     energy_ledger,
     simulate_compressible,
+    simulate_incompressible,
     sweep_alpha,
 )
 from complim.basis import pressure_load_vector, velocity_load_vector
@@ -456,6 +458,7 @@ def test_step_residual_gate_names_a_corrupted_solve(ops2, ops8, monkeypatch, ste
                 simulate_compressible(ops.spec, ops, params)
 
 
+@pytest.mark.memory
 def test_later_chunks_allocate_no_chunk_sized_array(spec4, ops4, ops8):
     """The march allocates its chunk buffers once, with its first chunk, under constant and
     time-dependent loads.  The latter run at n = 8: numpy's ufuncs writing a time-dependent
@@ -555,6 +558,7 @@ def test_reduced_series_match_the_whole_array_audits(spec4, ops4):
     assert report.est2_lhs == pytest.approx(_whole_array_est2_lhs(ops4, params, traj), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.memory
 def test_simulate_compressible_holds_no_state_history(ops8):
     """10,001 nodes at n = 8: unless it stores its states the run's peak stays below one
     (N+1) x m array, the states it no longer stores (16.7 MB)."""
@@ -617,5 +621,51 @@ def test_storing_the_states_changes_no_series_ledger_or_verdict(ops8):
     # e_data's initial norms come from the series, at roundoff from the stored node 0
     c0, q0 = stored.c[0], stored.q[0]
     u0_l2, p0_l2 = np.sqrt(c0 @ (ops8.mass_diag * c0)), np.linalg.norm(q0)
-    assert np.sqrt(reduced.series.kinetic[0]) == pytest.approx(u0_l2, rel=1e-15)
-    assert np.sqrt(reduced.series.acoustic[0]) == pytest.approx(p0_l2, rel=1e-15)
+    assert np.sqrt(reduced.kinetic[0]) == pytest.approx(u0_l2, rel=1e-15)
+    assert np.sqrt(reduced.acoustic[0]) == pytest.approx(p0_l2, rel=1e-15)
+
+
+def test_a_run_that_stored_no_states_refuses_its_state_readers_in_one_line(spec4, ops4):
+    kernel = ops4.kernel
+    params = CompressibleParams(alpha=0.05, T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel[:, 0].copy()))
+    traj = simulate_compressible(spec4, ops4, params)
+    ref = simulate_incompressible(spec4, ops4, kernel, params)
+    probes = limits.probe_dictionary(ops4, 2, seed=1)
+    readers = {
+        "pressure_at": lambda: traj.pressure_at(0),
+        "density": lambda: traj.density(0, np.array([[0.25, 0.5]])),
+        "x_alpha": lambda: limits.x_alpha(ops4, params, traj, ref),
+        "weak_probe": lambda: limits.weak_probe(traj, ref, probes, ops4),
+        "coefficients_table": lambda: csvio.coefficients_table(traj),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match="store_states=True") as raised:
+            read()
+        assert "\n" not in str(raised.value), name
+
+
+def test_a_time_factor_of_one_gives_the_bits_of_no_time_factor(ops4, ops8):
+    """A load whose time factor is 1 takes crank_nicolson's callable load path and the Stokes
+    march's trapezoid of factors; one without takes the constant vector and the plain w."""
+    one = lambda t: 1.0  # noqa: E731
+
+    def with_factors(params, s_fac, sigma_fac):
+        return dataclasses.replace(
+            params,
+            s=dataclasses.replace(params.s, time_factor=s_fac),
+            sigma=dataclasses.replace(params.sigma, time_factor=sigma_fac),
+        )
+
+    for ops in (ops4, ops8):
+        params = stepper_params(ops.spec, time_dependent=False)[0]
+        plain = simulate_compressible(ops.spec, ops, params, store_states=True)
+        for s_fac, sigma_fac in ((one, None), (None, one), (one, one)):
+            factored = with_factors(params, s_fac, sigma_fac)
+            traj = simulate_compressible(ops.spec, ops, factored, store_states=True)
+            for name in ("c", "q", "energy", "work"):
+                assert np.array_equal(getattr(traj, name), getattr(plain, name)), (ops.spec.n_u, name)
+        plain = simulate_incompressible(ops.spec, ops, ops.kernel, dataclasses.replace(params, sigma=None))
+        factored = dataclasses.replace(with_factors(params, one, None), sigma=None)  # the limit has no sigma
+        traj = simulate_incompressible(ops.spec, ops, ops.kernel, factored)
+        for name in ("y", "q", "energy_residual"):
+            assert np.array_equal(getattr(traj, name), getattr(plain, name)), (ops.spec.n_u, name)

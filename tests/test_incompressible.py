@@ -428,6 +428,7 @@ def test_stokes_chunks_share_their_boundary_node(ops8, time_factor):
     assert_chunks_share_their_boundary_node(chunks)
 
 
+@pytest.mark.memory
 def test_simulate_incompressible_holds_no_velocity_history(spec8, ops8):
     """10,001 nodes at n = 8: beyond the stored y and q the run's peak stays below one
     (N+1) x m_u array, the c it no longer stores (10.2 MB)."""

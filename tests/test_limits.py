@@ -116,11 +116,9 @@ def test_negative_seed_is_invalid(ops4):
 def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
     params = CompressibleParams(T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
     ref = simulate_incompressible(spec4, ops4, kernel4, params)
-    embedded = Trajectory(
-        spec=spec4, params=params, dt=ref.dt, times=ref.times, c=ref.c.copy(),
-        q=np.zeros((len(ref.times), spec4.m_p)), energy=ref.energy.copy(),
-        h01=ref.h01.copy(), div=ref.div.copy(), mass=np.ones(len(ref.times)),
-    )
+    no_force = np.zeros((spec4.m_u, spec4.m_p))
+    embedded = Trajectory(ops4, params, ref.dt, ref.times, no_force, store_states=True)
+    embedded(0, ref.c, np.zeros((len(ref.times), spec4.m_p)))
     probes = probe_dictionary(ops4, 3, seed=1)
     deltas = weak_probe(embedded, ref, probes, ops4)
     assert np.all(deltas == 0.0)
@@ -240,11 +238,9 @@ def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
     params = CompressibleParams(alpha=0.05, T=0.3, dt=0.01,
                                 u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
     ref = simulate_incompressible(spec4, ops4, kernel4, params)
-    embedded = Trajectory(
-        spec=spec4, params=params, dt=ref.dt, times=ref.times, c=ref.c.copy(),
-        q=np.zeros((len(ref.times), spec4.m_p)), energy=ref.energy.copy(),
-        h01=ref.h01.copy(), div=ref.div.copy(), mass=np.ones(len(ref.times)),
-    )
+    no_force = np.zeros((spec4.m_u, spec4.m_p))
+    embedded = Trajectory(ops4, params, ref.dt, ref.times, no_force, store_states=True)
+    embedded(0, ref.c, np.zeros((len(ref.times), spec4.m_p)))
     assert x_alpha(ops4, params, embedded, ref) == 0.0
 
 
@@ -349,6 +345,7 @@ def _traced_peak(ops, params, alphas, probes):
     return peak
 
 
+@pytest.mark.memory
 def test_streamed_rows_hold_no_trajectory(marched_here):
     """A sweep holds its rows' series and a few chunks of states per system, not (N+1) m doubles."""
     alphas, probes = (1e-1, 1e-2, 1e-3), 4
@@ -367,6 +364,7 @@ def test_streamed_rows_hold_no_trajectory(marched_here):
     assert peak < rows * (series + 3 * chunk) + 10 * chunk, (peak - rows * series) / chunk
 
 
+@pytest.mark.memory
 def test_sweep_memory_does_not_grow_with_the_step_count(marched_here):
     """Doubling T doubles the rows' per-node series and nothing else."""
     alphas, probes = (1e-1, 1e-2, 1e-3), 4

@@ -130,6 +130,7 @@ def test_coupling_matrix_matches_entrywise_2d_quadrature(ops4, fx, fy):
     assert np.abs(G - oracle).max() <= 1e-13 * np.abs(G).max()
 
 
+@pytest.mark.memory
 def test_coupling_matrix_builds_no_per_mode_table(ops16):
     """At n = 16 the contraction peaks below one (m_p, Q, Q) table (4.5 MB), the per-pressure-mode
     samples a 2-D quadrature would hold."""
