@@ -20,10 +20,11 @@ has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
 states to its caller, its first row the node the previous chunk ended on.
 :func:`simulate_compressible` hands the chunks to the run's :class:`Trajectory`,
-which stores them only if asked and reduces each one alone to the series that
-trajectory.csv, the energy ledger and the a-priori check read; a sweep row
-(:func:`compressible_chunks`) reduces them in lockstep with the Stokes
-reference.  The discretization is the ``OperatorSet`` alone.
+which stores them only if asked and reduces each one alone, E and B applied
+through their 1-D tables, to the series that trajectory.csv, the energy ledger
+and the a-priori check read; a sweep row (:func:`compressible_chunks`) reduces
+them in lockstep with the Stokes reference.  The discretization is the
+``OperatorSet`` alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .basis import (
     velocity_load_vector,
 )
 from .inequalities import MixedConstants, ScalarTrajectory, mixed_bounds, verify_mixed
-from .operators import OperatorSet, coupling_matrix
+from .operators import OperatorSet, apply_B, apply_E, coupling_matrix
 
 __all__ = [
     "CompressibleParams",
@@ -329,20 +330,18 @@ def compressible_chunks(
 class Trajectory:
     """One compressible run: the series reduced from its march's chunks, and its states if stored.
 
-    Called with each ``(start, c, q)`` chunk, it stores the chunk as ``c`` and
-    ``q`` (with ``store_states``; otherwise both are None and the run holds no
-    (N+1) x m array) and reduces it.  Per node: c'Mc and q'q (the kinetic and
-    acoustic parts of I), I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, |c|,
-    sqrt(c'Ec), the mass M(t) = rho0 + alpha q_0 (the domain has unit area) and
-    the dual norm |M dc/dt| of the momentum equation that est2 reads.  Per
-    interval: the energy identity's dissipation and work by midpoint quadrature
-    (averaged coefficients, sources at mid-interval times).  c E is formed once
-    per chunk for c'Ec, the momentum and, averaged, the midpoint E term;
-    averaged q G' gives the body force's work.  A chunk's row 0 is the node the
-    previous chunk ended on, so each chunk is reduced alone: it rewrites that
-    node's series with the same bits and holds every interval it covers.  The
-    density field rho = rho0 + alpha p (:meth:`density`) reads the stored
-    states.
+    Called with each ``(start, c, q)`` chunk, it stores the chunk as ``c`` and ``q`` (with
+    ``store_states``; otherwise both are None and the run holds no (N+1) x m array) and
+    reduces it.  Per node: c'Mc and q'q (the kinetic and acoustic parts of I),
+    I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, |c|, sqrt(c'Ec), the mass M(t) = rho0 + alpha q_0
+    (the domain has unit area) and the dual norm |M dc/dt| of the momentum equation that est2
+    reads.  Per interval: the energy identity's dissipation and work by midpoint quadrature
+    (averaged coefficients, sources at mid-interval times), from c_n + c_{n+1} against both
+    ends' c E and q G' (none if G = 0), with no midpoint copies.  c E and q B come from the
+    1-D tables (:func:`.operators.apply_E`, ``apply_B``).  A chunk's row 0 is the node the
+    previous chunk ended on, so each chunk is reduced alone: it rewrites that node's series
+    with the same bits and holds every interval it covers.  The density field
+    rho = rho0 + alpha p (:meth:`density`) reads the stored states.
     """
 
     def __init__(
@@ -351,7 +350,7 @@ class Trajectory:
     ):
         n, spec = len(times), operator_set.spec
         self.operator_set, self.spec, self.params, self.dt, self.times = operator_set, spec, params, dt, times
-        self.coupling = G  # of params.f, (m_u, m_p)
+        self.coupling, self.forced = G, bool(G.any())  # G of params.f, (m_u, m_p)
         self.kinetic, self.acoustic, self.energy = np.empty(n), np.empty(n), np.empty(n)
         self.h01, self.div, self.mass, self.momentum = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         self.dissipation, self.work = np.empty(n - 1), np.empty(n - 1)
@@ -371,27 +370,33 @@ class Trajectory:
         nodes = slice(start, start + len(c))
         if self.c is not None:
             self.c[nodes], self.q[nodes] = c, q
-        cE, qG = c @ ops.div_gram, q @ self.coupling.T
+        cE = apply_E(ops, c)
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
         self.acoustic[nodes] = np.einsum("nk,nk->n", q, q)
         self.energy[nodes] = 0.5 * (p.rho0 * self.kinetic[nodes] + p.alpha / p.rho0 * self.acoustic[nodes])
         self.h01[nodes] = np.linalg.norm(c, axis=1)
         self.div[nodes] = np.sqrt(np.maximum(np.einsum("ni,ni->n", cE, c), 0.0))
         self.mass[nodes] = p.rho0 + p.alpha * q[:, 0]
-        momentum = q @ ops.div_coupling - p.mu * c - p.eta * cE + p.alpha * qG
-        momentum += np.outer(_time_values(s_fac, self.times[nodes]), s_vec)
-        self.momentum[nodes] = np.linalg.norm(momentum / p.rho0, axis=1)
+        # M dc/dt = q B - mu c - eta c E + alpha q G' + s(t) in place, through one buffer; no q G' if G = 0
+        momentum, buf, qG = apply_B(ops, q), np.empty_like(c), q @ self.coupling.T if self.forced else None
+        for factor, term in ((-p.mu, c), (-p.eta, cE), (p.alpha, qG)):
+            if term is not None:
+                momentum += np.multiply(factor, term, out=buf)
+        momentum += np.multiply.outer(_time_values(s_fac, self.times[nodes]), s_vec, out=buf)
+        momentum /= p.rho0
+        self.momentum[nodes] = np.sqrt(np.square(momentum, out=momentum).sum(axis=1))  # np.linalg.norm's bits
 
-        t_mid, c_mid, q_mid, cE_mid, qG_mid = (0.5 * (r[1:] + r[:-1]) for r in (self.times[nodes], c, q, cE, qG))
-        steps = slice(start, nodes.stop - 1)
-        h01_sq, div_sq = np.einsum("ni,ni->n", c_mid, c_mid), np.einsum("ni,ni->n", c_mid, cE_mid)
-        self.dissipation[steps] = self.dt * (p.mu * h01_sq + p.eta * div_sq)
+        # per interval, from cs = 2 c_mid = c_n + c_{n+1}: c_mid x_mid = cs (x_n + x_{n+1}) / 4
+        t_mid, steps = 0.5 * (self.times[nodes][1:] + self.times[nodes][:-1]), slice(start, nodes.stop - 1)
+        cs = np.add(c[1:], c[:-1], out=buf[:-1])
+        def mid(x):  # c_mid x_mid for x at the nodes: c E or q G'
+            return 0.25 * (np.einsum("ni,ni->n", cs, x[:-1]) + np.einsum("ni,ni->n", cs, x[1:]))
+        self.dissipation[steps] = self.dt * (p.mu * 0.25 * np.einsum("ni,ni->n", cs, cs) + p.eta * mid(cE))
+        q_sigma = q @ sigma_vec
         # a source that is absent contributes 0, which leaves a nonzero work unchanged
-        self.work[steps] = self.dt * (
-            p.alpha * np.einsum("ni,ni->n", c_mid, qG_mid)
-            + (c_mid @ s_vec) * _time_values(s_fac, t_mid)
-            + (q_mid @ sigma_vec) * _time_values(sigma_fac, t_mid) / p.rho0
-        )
+        work = (cs @ s_vec) * _time_values(s_fac, t_mid)
+        work += (q_sigma[1:] + q_sigma[:-1]) * _time_values(sigma_fac, t_mid) / p.rho0
+        self.work[steps] = self.dt * (0.5 * work + (p.alpha * mid(qG) if self.forced else 0.0))
 
     def pressure_at(self, node: int) -> PressureCoeffs:
         return PressureCoeffs(self.spec, stored_states(self)[1][node].copy())

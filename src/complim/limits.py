@@ -59,7 +59,7 @@ from .compressible import (
 from .compressible import simulate_compressible  # noqa: F401  unused; perfbench traces it under this module
 from .incompressible import IncompressibleTrajectory, nullspace_basis, stokes_chunks
 from .incompressible import simulate_incompressible  # noqa: F401  unused; perfbench traces it under this module
-from .operators import OperatorSet, leray_project
+from .operators import OperatorSet, apply_E, leray_project
 from .operators import assemble  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
@@ -116,9 +116,7 @@ class _RowSeries:
         for signal, v in zip(self.signals, self.probes):
             signal[nodes] = d @ v
         if self.div_sq is not None:
-            self.div_sq[nodes] = np.einsum(
-                "ni,ij,nj->n", d, self.operator_set.div_gram, d, optimize=True
-            )
+            self.div_sq[nodes] = np.einsum("ni,ni->n", apply_E(self.operator_set, d), d)
         self.d_end, self.q_end = d[-1].copy(), q[-1].copy()
 
     def x_alpha(self, params: CompressibleParams) -> float:

@@ -6,6 +6,9 @@ Assembles, from closed-form 1-D integrals only:
     E  (m_u x m_u)  div-div Gram matrix, E_ij = (div e_i, div e_j),
     B  (m_p x m_u)  divergence coupling, B_kj = (div e_j, pressure mode k).
 
+Per-state products take :func:`apply_E` and :func:`apply_B`, O(n^3) a row against O(n^4),
+from the kept 1-D table S(a, b) = int_0^1 sin(a pi t) cos(b pi t) dt (dense E, B: steps, norms, SVD).
+
 The row of B belonging to the constant pressure mode vanishes identically
 (fields with zero trace have mean-zero divergence).  On top of these the
 module provides the Leray projector, the inverse of the pressure gradient,
@@ -39,6 +42,8 @@ __all__ = [
     "AnnihilationError",
     "MeanNotZero",
     "assemble",
+    "apply_E",
+    "apply_B",
     "coupling_matrix",
     "leray_project",
     "grad_inverse",
@@ -74,6 +79,8 @@ class OperatorSet:
     mass_diag: np.ndarray  # (m_u,)
     div_gram: np.ndarray  # E, (m_u, m_u)
     div_coupling: np.ndarray  # B, (m_p, m_u)
+    sin_cos: np.ndarray  # S(a, b) at [a - 1, b], a = 1..n_u, b = 0..max(n_u, n_p)
+    div_leads: np.ndarray  # (2, n_u, n_u): n_ij i pi and n_ij j pi, of div e_(1,i,j) and div e_(2,i,j)
     b_u: np.ndarray  # (m_p-1, r)
     b_s: np.ndarray  # (r,)
     b_vt: np.ndarray  # (r, m_u)
@@ -90,12 +97,10 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     # E: diagonal within each component block, sine/cosine cross terms between them.
     idx = np.arange(1, n + 1)
     norms = spec.vel_norms  # n_ij at [i-1, j-1]
-    diag_1 = (norms * idx[:, None] * np.pi) ** 2 / 4.0  # d/dx of component 1
-    diag_2 = (norms * idx[None, :] * np.pi) ** 2 / 4.0  # d/dy of component 2
+    leads = np.stack((norms * idx[:, None] * np.pi, norms * idx[None, :] * np.pi))
     E = np.zeros((spec.m_u, spec.m_u))
+    E[np.arange(spec.m_u), np.arange(spec.m_u)] = (leads**2 / 4.0).ravel()  # d/dx of component 1, d/dy of 2
     half = n * n
-    E[np.arange(half), np.arange(half)] = diag_1.ravel()
-    E[np.arange(half, 2 * half), np.arange(half, 2 * half)] = diag_2.ravel()
     # Broadcast products of the 1-D closed forms S(a, b) (a = 1..n), C(a, k) and
     # c_kl, in the factor order of the per-entry formulas; "+ 0.0" stores the
     # signed zeros of vanishing integrals as +0.0.
@@ -138,6 +143,8 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         mass_diag=mass_diag,
         div_gram=E,
         div_coupling=B,
+        sin_cos=s_tab,
+        div_leads=leads,
         b_u=np.ascontiguousarray(u[:, :rank]),
         b_s=s[:rank],
         b_vt=np.ascontiguousarray(vt[:rank]),
@@ -145,6 +152,34 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         kernel=kernel,
         full_row_rank=rank == spec.m_p - 1,
     )
+
+
+def apply_E(operator_set: OperatorSet, rows: np.ndarray) -> np.ndarray:
+    """rows @ E for a (k, m_u) array: per velocity component lead^2 / 4 on the diagonal, and from the
+    cross block lead_1 S'(lead_2 c_2)S' for component 1 and lead_2 S(lead_1 c_1)S for component 2."""
+    k, n = len(rows), operator_set.spec.n_u
+    s, leads, r = operator_set.sin_cos[:, 1 : n + 1], operator_set.div_leads, rows.reshape(k, 2, n, n)
+    out = np.empty((k, 2, n, n))
+    for comp, (w, m) in enumerate(((r[:, 1] * leads[1], s.T), (r[:, 0] * leads[0], s))):  # m w m, per row
+        y = (w.reshape(k * n, n) @ m).reshape(k, n, n).transpose(0, 2, 1).reshape(k * n, n)
+        out[:, comp] = (y @ m.T).reshape(k, n, n).transpose(0, 2, 1)
+    out *= leads
+    out += r * (leads**2 / 4.0)  # the diagonal
+    return out.reshape(rows.shape)
+
+
+def apply_B(operator_set: OperatorSet, q_rows: np.ndarray) -> np.ndarray:
+    """q_rows @ B for a (k, m_p) array.  With C(i, k) = delta_ik / 2 a velocity component's block
+    of B is n_ij i pi c_il S(j, l) / 2 (component 1; j pi and S(i, k) for 2), one product with S."""
+    spec, k = operator_set.spec, len(q_rows)
+    n, n_p, r = spec.n_u, spec.n_p, min(spec.n_u, spec.n_p)
+    s_t = operator_set.sin_cos[:, : n_p + 1].T  # S(a, b) at [b, a - 1]
+    p = q_rows.reshape(k, n_p + 1, n_p + 1) * (0.5 * spec.pres_norms)
+    out = np.zeros((k, 2, n, n))  # on (i, j): component 2 is filled on (j, i), from p on (l, k)
+    for o, p_c in zip((out[:, 0], out[:, 1].transpose(0, 2, 1)), (p, p.transpose(0, 2, 1))):
+        o[:, :r] = (p_c[:, 1 : r + 1].reshape(k * r, n_p + 1) @ s_t).reshape(k, r, n)
+    out *= operator_set.div_leads
+    return out.reshape(k, spec.m_u)
 
 
 def coupling_matrix(operator_set: OperatorSet, f: SampledField) -> np.ndarray:

@@ -538,24 +538,71 @@ def _whole_array_est2_lhs(ops, params, traj):
     return u_l2h1 + np.sqrt(np.trapezoid(ut_dual**2, traj.times))
 
 
-def test_reduced_series_match_the_whole_array_audits(spec4, ops4):
-    # f, time-dependent s and sigma, eta > 0, and 549 steps: three chunks of the march.
-    # The march reduces the series chunk by chunk, so its products (c E, q G', q B,
-    # c s) are GEMMs over a chunk's rows, not over the whole trajectory: BLAS may
-    # order their sums differently, which moves the last bits, hence 1e-12 relative.
+def test_reduced_series_match_the_whole_array_audits(ops4, ops8):
+    # f, time-dependent s and sigma, eta > 0, and 549 steps: three chunks of the march,
+    # which at n = 8 steps two blocks.  The march reduces the series chunk by chunk, its
+    # c E and q B through the 1-D tables and its intervals from c_n + c_{n+1} against both
+    # ends' c E and q G', not as the dense whole-trajectory products and midpoint averages
+    # below: the sums round differently, which moves the last bits, hence 1e-12 relative.
     # per_step is a difference of terms of size |dI| + dissipation + |work| and is
     # compared at that scale.
-    params, _ = stepper_params(spec4, time_dependent=True)
-    traj = simulate_compressible(spec4, ops4, params, store_states=True)
-    ledger = energy_ledger(ops4, params, traj)
-    per_step, dissipation, work = _whole_array_ledger(ops4, params, traj)
-    assert np.abs(per_step).min() > 1e-12  # O(dt^3) with time-dependent sources, not roundoff
-    scale = np.abs(np.diff(traj.energy)) + np.abs(dissipation) + np.abs(work)
-    assert np.all(np.abs(ledger.per_step - per_step) <= 1e-12 * scale)
-    assert np.all(np.abs(ledger.dissipation - dissipation) <= 1e-12 * np.abs(dissipation))
-    assert np.all(np.abs(ledger.work - work) <= 1e-12 * np.abs(work))
-    report = apriori_check(ops4, params, traj)
-    assert report.est2_lhs == pytest.approx(_whole_array_est2_lhs(ops4, params, traj), rel=1e-12, abs=0.0)
+    for ops in (ops4, ops8):
+        params, _ = stepper_params(ops.spec, time_dependent=True)
+        traj = simulate_compressible(ops.spec, ops, params, store_states=True)
+        ledger = energy_ledger(ops, params, traj)
+        per_step, dissipation, work = _whole_array_ledger(ops, params, traj)
+        assert np.abs(per_step).min() > 1e-12  # O(dt^3) with time-dependent sources, not roundoff
+        scale = np.abs(np.diff(traj.energy)) + np.abs(dissipation) + np.abs(work)
+        assert np.all(np.abs(ledger.per_step - per_step) <= 1e-12 * scale)
+        assert np.all(np.abs(ledger.dissipation - dissipation) <= 1e-12 * np.abs(dissipation))
+        assert np.all(np.abs(ledger.work - work) <= 1e-12 * np.abs(work))
+        report = apriori_check(ops, params, traj)
+        expected = _whole_array_est2_lhs(ops, params, traj)
+        assert report.est2_lhs == pytest.approx(expected, rel=1e-12, abs=0.0), ops.spec.n_u
+
+
+def test_a_force_free_run_forms_no_q_g_and_keeps_every_bit(ops8):
+    """With f unset G is all zeros, and the run's Trajectory skips q G' with its momentum and
+    work terms: every series has the bits of a reduction that forms them."""
+    params = dataclasses.replace(stepper_params(ops8.spec, time_dependent=True)[0], f=None)
+    dt, times, G, chunks = compressible.compressible_chunks(ops8, params)
+    skipping = compressible.Trajectory(ops8, params, dt, times, G)
+    forming = compressible.Trajectory(ops8, params, dt, times, G)
+    forming.forced = True
+    assert not G.any() and not skipping.forced
+    for chunk in chunks:
+        skipping(*chunk)
+        forming(*chunk)
+    for name in ("energy", "h01", "div", "mass", "momentum", "dissipation", "work"):
+        assert getattr(skipping, name).tobytes() == getattr(forming, name).tobytes(), name
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_a_chunk_reduction_peaks_below_five_chunk_arrays(n):
+    """Trajectory reduces a 257-node chunk of simulate.cfg's physics (f, eta > 0) with at
+    most c E, q B, q G' and one buffer live, each (257, m_u), and no midpoint copies: its traced
+    peak after a warm-up call stays below five such arrays."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
+    text = re.sub(r"(?m)^(n_[up]) = .*$", rf"\1 = {n}", path.read_text())
+    ops = assemble(build_basis(n, n))
+    params = _build_params(parse_config(text), ops)
+    dt, times, G, chunks = compressible.compressible_chunks(ops, params)
+    chunks.close()
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((compressible.STEP_CHUNK + 1, ops.spec.m_u))
+    q = rng.standard_normal((compressible.STEP_CHUNK + 1, ops.spec.m_p))
+    traj = compressible.Trajectory(ops, params, dt, times, G)
+    assert traj.forced and params.eta > 0
+    traj(0, c, q)
+    tracemalloc.start()
+    try:
+        traj(compressible.STEP_CHUNK, c, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = 8 * c.size
+    assert peak < 5 * chunk, peak / chunk
 
 
 @pytest.mark.memory
