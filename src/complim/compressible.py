@@ -337,7 +337,7 @@ class Trajectory:
     (the domain has unit area) and the dual norm |M dc/dt| of the momentum equation that est2
     reads.  Per interval: the energy identity's dissipation and work by midpoint quadrature
     (averaged coefficients, sources at mid-interval times), from c_n + c_{n+1} against both
-    ends' c E and q G' (none if G = 0), with no midpoint copies.  c E and q B come from the
+    ends' c E and q G', with no midpoint copies.  c E and q B come from the
     1-D tables (:func:`.operators.apply_E`, ``apply_B``).  A chunk's row 0 is the node the
     previous chunk ended on, so each chunk is reduced alone: it rewrites that node's series
     with the same bits and holds every interval it covers.  The density field
@@ -350,7 +350,7 @@ class Trajectory:
     ):
         n, spec = len(times), operator_set.spec
         self.operator_set, self.spec, self.params, self.dt, self.times = operator_set, spec, params, dt, times
-        self.coupling, self.forced = G, bool(G.any())  # G of params.f, (m_u, m_p)
+        self.coupling = G  # of params.f, (m_u, m_p)
         self.kinetic, self.acoustic, self.energy = np.empty(n), np.empty(n), np.empty(n)
         self.h01, self.div, self.mass, self.momentum = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         self.dissipation, self.work = np.empty(n - 1), np.empty(n - 1)
@@ -377,11 +377,10 @@ class Trajectory:
         self.h01[nodes] = np.linalg.norm(c, axis=1)
         self.div[nodes] = np.sqrt(np.maximum(np.einsum("ni,ni->n", cE, c), 0.0))
         self.mass[nodes] = p.rho0 + p.alpha * q[:, 0]
-        # M dc/dt = q B - mu c - eta c E + alpha q G' + s(t) in place, through one buffer; no q G' if G = 0
-        momentum, buf, qG = apply_B(ops, q), np.empty_like(c), q @ self.coupling.T if self.forced else None
+        # M dc/dt = q B - mu c - eta c E + alpha q G' + s(t) in place, through one buffer
+        momentum, buf, qG = apply_B(ops, q), np.empty_like(c), q @ self.coupling.T
         for factor, term in ((-p.mu, c), (-p.eta, cE), (p.alpha, qG)):
-            if term is not None:
-                momentum += np.multiply(factor, term, out=buf)
+            momentum += np.multiply(factor, term, out=buf)
         momentum += np.multiply.outer(_time_values(s_fac, self.times[nodes]), s_vec, out=buf)
         momentum /= p.rho0
         self.momentum[nodes] = np.sqrt(np.square(momentum, out=momentum).sum(axis=1))  # np.linalg.norm's bits
@@ -396,7 +395,7 @@ class Trajectory:
         # a source that is absent contributes 0, which leaves a nonzero work unchanged
         work = (cs @ s_vec) * _time_values(s_fac, t_mid)
         work += (q_sigma[1:] + q_sigma[:-1]) * _time_values(sigma_fac, t_mid) / p.rho0
-        self.work[steps] = self.dt * (0.5 * work + (p.alpha * mid(qG) if self.forced else 0.0))
+        self.work[steps] = self.dt * (0.5 * work + p.alpha * mid(qG))
 
     def pressure_at(self, node: int) -> PressureCoeffs:
         return PressureCoeffs(self.spec, stored_states(self)[1][node].copy())

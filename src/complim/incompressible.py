@@ -39,7 +39,7 @@ import numpy as np
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, _check_steps, time_grid
 from .compressible import _forcing_terms, _time_values
-from .operators import OperatorSet, apply_E, grad_inverse_rows, leray_project
+from .operators import OperatorSet, grad_inverse_rows, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
@@ -174,15 +174,14 @@ def simulate_incompressible(
     ``spec`` and ``kernel`` are not read; both go away once the benchmark's
     workload process stops passing them.
     """
-    spec, Z = operator_set.spec, operator_set.kernel
+    spec = operator_set.spec
     dt, times, chunks = stokes_chunks(operator_set, params)
-    zez = np.empty((Z.shape[1], Z.shape[1]))  # c'Ec = y'(Z'EZ)y, formed once with chunk-sized temporaries
-    for rows in (slice(j, j + STEP_CHUNK) for j in range(0, Z.shape[1], STEP_CHUNK)):
-        np.matmul(apply_E(operator_set, Z.T[rows]), Z, out=zez[rows])
     n = len(times)
-    y, q = np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))
+    y, q = np.empty((n, operator_set.kernel.shape[1])), np.empty((n, spec.m_p))
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    Z = operator_set.kernel
+    zez = Z.T @ operator_set.div_gram @ Z  # c'Ec = y'(Z'EZ)y, formed once
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
         y[rows], q[rows] = y_k, q_k

@@ -561,22 +561,6 @@ def test_reduced_series_match_the_whole_array_audits(ops4, ops8):
         assert report.est2_lhs == pytest.approx(expected, rel=1e-12, abs=0.0), ops.spec.n_u
 
 
-def test_a_force_free_run_forms_no_q_g_and_keeps_every_bit(ops8):
-    """With f unset G is all zeros, and the run's Trajectory skips q G' with its momentum and
-    work terms: every series has the bits of a reduction that forms them."""
-    params = dataclasses.replace(stepper_params(ops8.spec, time_dependent=True)[0], f=None)
-    dt, times, G, chunks = compressible.compressible_chunks(ops8, params)
-    skipping = compressible.Trajectory(ops8, params, dt, times, G)
-    forming = compressible.Trajectory(ops8, params, dt, times, G)
-    forming.forced = True
-    assert not G.any() and not skipping.forced
-    for chunk in chunks:
-        skipping(*chunk)
-        forming(*chunk)
-    for name in ("energy", "h01", "div", "mass", "momentum", "dissipation", "work"):
-        assert getattr(skipping, name).tobytes() == getattr(forming, name).tobytes(), name
-
-
 @pytest.mark.memory
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_a_chunk_reduction_peaks_below_five_chunk_arrays(n):
@@ -593,7 +577,7 @@ def test_a_chunk_reduction_peaks_below_five_chunk_arrays(n):
     c = rng.standard_normal((compressible.STEP_CHUNK + 1, ops.spec.m_u))
     q = rng.standard_normal((compressible.STEP_CHUNK + 1, ops.spec.m_p))
     traj = compressible.Trajectory(ops, params, dt, times, G)
-    assert traj.forced and params.eta > 0
+    assert G.any() and params.eta > 0
     traj(0, c, q)
     tracemalloc.start()
     try:
