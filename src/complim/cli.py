@@ -81,24 +81,23 @@ def _load_config(path: str) -> RunConfig:
 def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stokes: bool = False):
     """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
 
-    Counts E, B and B's SVD factors, which is all that march=False (decompose)
-    builds, and, per Crank-Nicolson system (m = m_u + m_p), at most 2 dense
-    m x m matrices (the right-hand matrices and LU factors of its blocks) and
-    its 4 chunk buffers.  A single run holds the 9 series of its Trajectory,
-    (N+1) values each, and stores its (N+1) m states only to write
-    coefficients.csv (dump_coefficients).  A sweep stores no states: its
-    n_alpha rows march in sweep_workers(n_alpha) worker processes, each in
-    lockstep with its own Stokes reference.  It counts
-    n_alpha row systems with their chunk buffers and each row's
-    (N+1)(probes + 4) series, on the grid of its smallest alpha, and per
-    worker one reference: its pressure map (m_u m_p at most, built in chunks)
-    and 6 chunk-sized arrays of width m_u (4.1-5.2 measured in all at n = 8,
-    16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E
-    and Z'EZ (at most 2 m_u^2) and its (N+1)(m_V + m_p) stored values (c = Z y is derived).
-    It also counts the text of the largest CSV file the command writes, at
-    CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or
-    trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for a sweep,
-    decompose.csv (7 m_u) for decompose.
+    Counts E, B, B's SVD factors and Z (b_vt r m_u values, Z m_V m_u, r + m_V = m_u),
+    which is all that march=False (decompose) builds, and, per Crank-Nicolson system
+    (m = m_u + m_p), at most 2 dense m x m matrices (the right-hand matrices and LU
+    factors of its blocks) and its chunk buffers, 2 for a constant load and 3 for a
+    time-dependent one.  A single run holds the 9 series of its Trajectory, (N+1) values
+    each, and stores its (N+1) m states only to write coefficients.csv (dump_coefficients).
+    A sweep stores no states: its n_alpha rows march in sweep_workers(n_alpha) worker
+    processes, each in lockstep with its own Stokes reference.  It counts n_alpha row
+    systems with their chunk buffers and each row's (N+1)(probes + 4) series, on the grid
+    of its smallest alpha, and per worker one reference: its pressure map (m_u m_p at
+    most, built in chunks) and 6 chunk-sized arrays of width m_u (4.1-5.2 measured in all
+    at n = 8, 16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E and
+    Z'EZ (at most 2 m_u^2), its 4 series and, with dump_coefficients, its stored y and q
+    and the c = Z y that coefficients.csv is written from.  It also counts the text of the
+    largest CSV file the command writes, at CSV_BYTES_PER_VALUE: coefficients.csv
+    ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for
+    a sweep, decompose.csv (7 m_u) for decompose.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
@@ -106,7 +105,7 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
         alpha = min(cfg.alphas) if sweep else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
         nodes = max(1.0, cfg.T / dt) + 1.0
-        chunk = 4.0 * (STEP_CHUNK + 1.0) * m  # states, rhs, un-permuted states, loads
+        chunk = (2.0 + bool(cfg.s_time or cfg.sigma_time)) * (STEP_CHUNK + 1.0) * m  # states, rhs, w
         reference = _reference_values(m_u, m_p)
         need = 2.0 * m_u * m_u + m_p * m_p + m_p * m_u
         if sweep:
@@ -115,7 +114,8 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
             need += sweep_workers(rows) * reference
             csv = rows * cfg.probes * 4.0
         elif march:  # a Stokes run builds no step matrix
-            stokes_need = reference + 2.0 * m_u * m_u + nodes * (m_u + m_p)
+            stored = (2.0 * m_u + m_p) * cfg.dump_coefficients  # y, q and c = Z y, m_V <= m_u
+            stokes_need = reference + 2.0 * m_u * m_u + nodes * (4.0 + stored)
             single = 2.0 * m * m + chunk + nodes * (9.0 + m * cfg.dump_coefficients)
             need += stokes_need if stokes else single
             csv = nodes * (m + 1.0 if cfg.dump_coefficients else 6.0)
@@ -212,7 +212,8 @@ def _cmd_simulate_incompressible(args) -> int:
         spec = build_basis(cfg.n_u, cfg.n_p)
         operator_set = assemble(spec)
         params = _build_params(cfg, operator_set)
-        traj = simulate_incompressible(spec, operator_set, nullspace_basis(operator_set), params)
+        kernel = nullspace_basis(operator_set)
+        traj = simulate_incompressible(spec, operator_set, kernel, params, store_states=cfg.dump_coefficients)
         tables = {"trajectory.csv": csvio.incompressible_table(traj)}
         if cfg.dump_coefficients:
             tables["coefficients.csv"] = csvio.coefficients_table(traj)

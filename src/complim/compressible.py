@@ -68,6 +68,8 @@ __all__ = [
 STEP_RESIDUAL_RTOL = 1e-9
 # steps per block of the residual gate and of the time-dependent loads
 STEP_CHUNK = 256
+# intervals per slab of a Trajectory's reductions: at n = 24 as fast as whole chunks (README, "Library")
+REDUCTION_SLAB = 64
 # smaller blocks of the step system are merged into one: at n = 8 two blocks of 104-105 step
 # faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
 STEP_BLOCK_MIN = 64
@@ -122,15 +124,15 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
 
 
 def crank_nicolson(
-    a: np.ndarray, half_k: np.ndarray, y0: np.ndarray, times: np.ndarray, load
+    a: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]], y0: np.ndarray, times: np.ndarray, load
 ) -> Iterator[tuple[int, np.ndarray]]:
     """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
-    ``half_k`` is (dt/2) K, and the march takes it over: per block of
-    :func:`_blocks` on K's pattern it becomes rhs_mat = diag(a) + (dt/2) K,
-    and lhs = diag(a) - (dt/2) K is built once and LU-factored in place, so
-    the march holds at most two m x m matrices.  Each step solves, block by
-    block, lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).
+    ``blocks`` holds K's diagonal blocks, off which K vanishes, as ``(indices, half)``
+    pairs: the ascending unknowns of one block of :func:`_blocks` and (dt/2) K on them.
+    The march takes each half over: it becomes rhs_mat = diag(a) + (dt/2) K_b, and
+    lhs = diag(a) - (dt/2) K_b is built once and LU-factored in place.  Each step solves,
+    block by block, lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).
     ``load`` is the constant vector g, whose w is one vector, or
     ``load(t, out)`` fills the (k, m) chunk buffer out with the loads at k
     times, and the march turns it into w.
@@ -140,12 +142,12 @@ def crank_nicolson(
     chunk's row 0 is the node the previous one ended on, bit for bit.  The blocks
     march in one chunk buffer, each one's unknowns contiguous, and each step turns
     the products rhs_mat y_n of another into its rhs_n; the last row of both becomes
-    the next chunk's row 0.  states views a third, into which the chunk is un-permuted
-    and which the next chunk overwrites.  Before a chunk is yielded its residuals
-    are checked in place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
+    the next chunk's row 0.  Before a chunk is yielded its residuals are checked in
+    place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
     2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
     the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
-    gates it on |rhs_n|.
+    gates it on |rhs_n|.  states views the gated right-hand sides, into which the chunk
+    is un-permuted and which the next chunk overwrites (its loads first, if time-dependent).
 
     Several blocks, with more than one OpenBLAS thread in force, step each chunk at
     once on a thread per block, up to that many, that ends with the chunk; numpy's
@@ -154,18 +156,15 @@ def crank_nicolson(
     or ``close()`` it, and enter or leave no ``one_blas_thread`` block while it is
     suspended.  The states are the in-line march's, bit for bit.
     """
-    blocks = _blocks(half_k != 0)
-    perm = np.concatenate(blocks)  # one block: perm = arange(m)
+    perm = np.concatenate([b for b, _ in blocks])  # one block: perm = arange(m)
     workers = min(len(blocks), blas.blas_threads())
     with blas.one_blas_thread(workers > 1):  # from before the factors until the generator finishes
-        halves = [half_k[np.ix_(b, b)] for b in blocks]
-        del half_k  # before any lhs exists: at most two m x m matrices at once
         a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
         n_steps = len(times) - 1
-        # the states, right-hand sides, un-permuted states and a time-dependent load's w, allocated once
-        states, rhs, unpermuted, *loads = np.empty((3 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
+        # the states, right-hand sides and a time-dependent load's w, allocated once
+        states, rhs, *loads = np.empty((2 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
         systems = []  # per block: its columns, rhs_mat and the solver of lhs in its rows of states
-        for half, stop in zip(halves, np.cumsum([len(b) for b in blocks])):
+        for (_, half), stop in zip(blocks, np.cumsum([len(b) for b, _ in blocks])):
             cols = slice(stop - len(half), stop)
             half_diag = half.diagonal().copy()
             # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
@@ -182,8 +181,9 @@ def crank_nicolson(
             w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
         inverse = np.argsort(perm)
         states[0] = y0
+        carry = np.empty(len(y0))  # rhs_mat y at the node a chunk starts from
         for cols, rhs_mat, _ in systems:
-            np.matmul(rhs_mat, y0[cols], out=rhs[0, cols])
+            np.matmul(rhs_mat, y0[cols], out=carry[cols])
 
         def march(system):  # the chunk's steps of one block
             cols, rhs_mat, solve = system
@@ -199,11 +199,12 @@ def crank_nicolson(
             count = min(STEP_CHUNK, n_steps - start)
             if loads:
                 w = loads[0][: count + 1]
-                # the load comes in the original order, into the free un-permuted buffer
-                load(times[start : start + count + 1], unpermuted[: count + 1])
-                np.take(unpermuted[: count + 1], perm, axis=1, out=w, mode="clip")
+                # the load comes in the original order, into the right-hand sides
+                load(times[start : start + count + 1], rhs[: count + 1])
+                np.take(rhs[: count + 1], perm, axis=1, out=w, mode="clip")
                 w[:-1] += w[1:]
                 w[:-1] *= 0.5 * dt
+            rhs[0] = carry
             if workers > 1:  # its threads end with the chunk; map raises the lowest block's failure
                 with ThreadPoolExecutor(workers) as pool:
                     list(pool.map(march, systems))
@@ -220,10 +221,11 @@ def crank_nicolson(
             d -= states[1 : count + 1]
             d *= two_a
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
+            carry[:] = rhs[count]
             # mode="clip": "raise" would buffer out
-            np.take(states[: count + 1], inverse, axis=1, out=unpermuted[: count + 1], mode="clip")
-            yield start, unpermuted[: count + 1]
-            states[0], rhs[0] = states[count], rhs[count]
+            np.take(states[: count + 1], inverse, axis=1, out=rhs[: count + 1], mode="clip")
+            yield start, rhs[: count + 1]
+            states[0] = states[count]
 
 
 @dataclass(frozen=True)
@@ -280,12 +282,13 @@ def compressible_chunks(
     """Set up one compressible run on its grid: (dt, times, G, chunks).
 
     The requested dt is rounded to the nearest uniform grid hitting T
-    exactly, and G is the body-force coupling of ``params.f``.  ``chunks``
-    is the run's crank_nicolson march: pulled chunk by chunk, it yields
-    ``(start, c, q)``, the velocity and pressure coefficients at nodes
-    start, start + 1, ... (views that the next chunk overwrites), and raises
-    StepFailure when the relative residual of a step solve exceeds 1e-9.
-    Exhaust or ``close()`` a march that steps its blocks on threads (:func:`crank_nicolson`).
+    exactly, and G is the body-force coupling of ``params.f``.  ``chunks`` is
+    the run's crank_nicolson march on blocks of (dt/2) K found from E (eta > 0),
+    B and G and built alone: pulled chunk by chunk, it yields ``(start, c, q)``,
+    the velocity and pressure coefficients at nodes start, start + 1, ... (views
+    that the next chunk overwrites), and raises StepFailure when the relative
+    residual of a step solve exceeds 1e-9.  Exhaust or ``close()`` a march that
+    steps its blocks on threads (:func:`crank_nicolson`).
     """
     spec = operator_set.spec
     dt, times = time_grid(params.validate(spec.n_u), params.T)
@@ -297,20 +300,21 @@ def compressible_chunks(
     m_u, m_p = spec.m_u, spec.m_p
     m = m_u + m_p
 
-    G = (
-        coupling_matrix(operator_set, params.f)
-        if params.f is not None
-        else np.zeros((m_u, m_p))
-    )
-    K = np.zeros((m, m))
-    np.multiply(-params.eta, operator_set.div_gram, out=K[:m_u, :m_u])
-    K[np.arange(m_u), np.arange(m_u)] -= params.mu
-    K[:m_u, m_u:] = operator_set.div_coupling.T + params.alpha * G
-    K[m_u:, :m_u] = -params.rho0 * operator_set.div_coupling
-    K *= 0.5 * dt
-    a_diag = np.concatenate(
-        [params.rho0 * operator_set.mass_diag, np.full(m_p, params.alpha)]
-    )
+    G = coupling_matrix(operator_set, params.f) if params.f is not None else np.zeros((m_u, m_p))
+    E, B = operator_set.div_gram, operator_set.div_coupling
+    couplings = [[(E != 0) & (params.eta > 0), (B.T != 0) | (G != 0)], [np.zeros((m_p, m), bool)]]
+    blocks = _blocks(np.block(couplings))  # K's couplings: E when eta > 0, B and G
+
+    def half_k(b):  # (dt/2) K on the unknowns b, K = [-eta E - mu I, B' + alpha G; -rho0 B, 0]
+        u, p = b[b < m_u], b[b >= m_u] - m_u
+        K = np.zeros((len(b), len(b)))
+        np.multiply(-params.eta, E[np.ix_(u, u)], out=K[: len(u), : len(u)])
+        K[np.arange(len(u)), np.arange(len(u))] -= params.mu
+        K[: len(u), len(u) :] = B.T[np.ix_(u, p)] + params.alpha * G[np.ix_(u, p)]
+        K[len(u) :, : len(u)] = -params.rho0 * B[np.ix_(p, u)]
+        return np.multiply(K, 0.5 * dt, out=K)
+
+    a_diag = np.concatenate([params.rho0 * operator_set.mass_diag, np.full(m_p, params.alpha)])
 
     s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
 
@@ -318,12 +322,10 @@ def compressible_chunks(
         np.multiply.outer(_time_values(s_fac, t), s_vec, out=g[:, :m_u])
         np.multiply.outer(_time_values(sigma_fac, t), sigma_vec, out=g[:, m_u:])
 
-    y0 = np.concatenate(
-        [coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)]
-    )
+    y0 = np.concatenate([coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)])
     # a constant load goes to the march as one vector
     g = np.concatenate([s_vec, sigma_vec]) if s_fac is None and sigma_fac is None else load
-    states = crank_nicolson(a_diag, K, y0, times, g)
+    states = crank_nicolson(a_diag, [(b, half_k(b)) for b in blocks], y0, times, g)
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
@@ -364,12 +366,15 @@ class Trajectory:
 
     def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
         """Store (if asked) and reduce the coefficients (c, q) at nodes start, start + 1, ...
-        and the intervals between."""
-        ops, p = self.operator_set, self.params
-        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
-        nodes = slice(start, start + len(c))
+        and the intervals between, in slabs of REDUCTION_SLAB intervals that share end nodes."""
         if self.c is not None:
-            self.c[nodes], self.q[nodes] = c, q
+            self.c[start : start + len(c)], self.q[start : start + len(c)] = c, q
+        for i in range(0, max(len(c) - 1, 1), REDUCTION_SLAB):
+            self._reduce(start + i, c[i : i + REDUCTION_SLAB + 1], q[i : i + REDUCTION_SLAB + 1])
+
+    def _reduce(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
+        ops, p, nodes = self.operator_set, self.params, slice(start, start + len(c))
+        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
         cE = apply_E(ops, c)
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
         self.acoustic[nodes] = np.einsum("nk,nk->n", q, q)
@@ -406,11 +411,10 @@ class Trajectory:
 
 
 def stored_states(traj) -> tuple[np.ndarray, np.ndarray]:
-    """The states (c, q) of a run; ValueError for a compressible run that stored none."""
-    c, q = traj.c, traj.q  # a Stokes trajectory forms c on each access
-    if c is None:
+    """The states (c, q) of a compressible or Stokes run; ValueError for a run that stored none."""
+    if traj.q is None:
         raise ValueError("the run stored no states; simulate it with store_states=True to read them")
-    return c, q
+    return traj.c, traj.q  # a Stokes trajectory forms c on each access
 
 
 def simulate_compressible(

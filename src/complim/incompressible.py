@@ -20,11 +20,11 @@ That is linear in y and the load's time factor: one map, built once per run
 chunk, mean zero and shiftable afterwards to any target mean.  The march is a
 chunk source, :func:`stokes_chunks`, which yields each chunk of steps with its
 velocity and recovered pressure, its first row the node the previous chunk
-ended on: :func:`simulate_incompressible` stores each chunk's y and q (its
-trajectory derives c = Z y when read) and reduces the chunk alone to the
-per-node columns and per-interval energy-identity defect of its trajectory.csv,
-an alpha sweep reduces each chunk against its rows and drops it, and
-:func:`initial_pressure` is node 0 of a one-step march.
+ended on: :func:`simulate_incompressible` stores each chunk's y and q if asked
+(its trajectory derives c = Z y when read; without them no pressure is formed) and reduces
+the chunk alone to the per-node columns and per-interval energy-identity defect
+of its trajectory.csv, an alpha sweep reduces each chunk against its rows and
+drops it, and :func:`initial_pressure` is node 0 of a one-step march.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
@@ -32,7 +32,7 @@ Every function takes the OperatorSet and reads Z through
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,15 +72,15 @@ def nullspace_basis(operator_set: OperatorSet) -> np.ndarray:
 
 @dataclass
 class IncompressibleTrajectory:
-    """Reduced coefficients y and recovered pressure per node; the velocity c = Z y is derived."""
+    """Series per node, and reduced coefficients y and recovered pressure q if stored; c = Z y is derived."""
 
     spec: BasisSpec
     params: CompressibleParams
     dt: float
     times: np.ndarray  # (N+1,)
-    y: np.ndarray  # (N+1, m_V)
+    y: Optional[np.ndarray]  # (N+1, m_V), None unless stored
     kernel: np.ndarray  # Z, (m_u, m_V): operator_set.kernel itself, not a copy
-    q: np.ndarray  # (N+1, m_p), mean zero before shifting
+    q: Optional[np.ndarray]  # (N+1, m_p), mean zero before shifting; None unless stored
     energy: np.ndarray  # (N+1,), rho0 |u|^2 / 2
     h01: np.ndarray
     div: np.ndarray
@@ -91,9 +91,9 @@ class IncompressibleTrajectory:
         return len(self.times) - 1
 
     @property
-    def c(self) -> np.ndarray:
-        """c = Z y, (N+1, m_u), formed on each access: the chunks' c of stokes_chunks, bit for bit."""
-        return self.y @ self.kernel.T
+    def c(self) -> Optional[np.ndarray]:
+        """c = Z y, (N+1, m_u), formed on each access (None without y): the chunks' c, bit for bit."""
+        return None if self.y is None else self.y @ self.kernel.T
 
 
 def stokes_chunks(
@@ -120,6 +120,11 @@ def stokes_chunks(
     ``params.f`` not at all.  A mass source ``params.sigma`` has no place in
     the solenoidal limit and raises InvalidParams.
     """
+    return _stokes_march(operator_set, params, pressure=True)
+
+
+def _stokes_march(operator_set: OperatorSet, params: CompressibleParams, pressure: bool):
+    """:func:`stokes_chunks`; without ``pressure`` it forms no pressure map, and its chunks' q are None."""
     spec = operator_set.spec
     Z = nullspace_basis(operator_set)
     dt, times = time_grid(params.validate(spec.n_u), params.T)
@@ -131,13 +136,14 @@ def stokes_chunks(
     half = 0.5 * dt * params.mu * lam
     den, num = params.rho0 + half, params.rho0 - half
     w = dt * (Z.T @ s_vec)  # w_n of a load without a time factor
-    Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec)
+    Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec) if pressure else (None, None)
     n_steps = len(times) - 1
     y, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(lam)))
-    q = np.empty((len(y), spec.m_p))
+    q = np.empty((len(y), spec.m_p)) if pressure else None
     c0 = leray_project(operator_set, VelocityCoeffs(spec, coefficients_of(spec, params.u0)))
     y[0] = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
-    q[0] = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s
+    if pressure:
+        q[0] = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s
 
     def chunks():
         for start in range(0, n_steps, STEP_CHUNK):
@@ -149,10 +155,13 @@ def stokes_chunks(
                 np.divide(rhs[k], den, out=y[k + 1])
             d, r = den * y[1 : count + 1] - rhs[:count], rhs[:count]
             _check_steps(start, times, np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(r, r)))
-            np.matmul(y[1 : count + 1], Q, out=q[1 : count + 1])  # column 0: BLAS sums y_j * +0.0 from +0.0
-            q[1 : count + 1] += fac[1:, None] * q_s
-            yield start, y[: count + 1], y[: count + 1] @ Z.T, q[: count + 1]
-            y[0], q[0] = y[count], q[count]
+            if pressure:  # column 0 of the product: BLAS sums y_j * +0.0 from +0.0
+                np.matmul(y[1 : count + 1], Q, out=q[1 : count + 1])
+                q[1 : count + 1] += fac[1:, None] * q_s
+            yield start, y[: count + 1], y[: count + 1] @ Z.T, q[: count + 1] if pressure else None
+            y[0] = y[count]
+            if pressure:
+                q[0] = q[count]
 
     return dt, times, chunks()
 
@@ -162,10 +171,13 @@ def simulate_incompressible(
     operator_set: OperatorSet,
     kernel: np.ndarray,
     params: CompressibleParams,
+    *,
+    store_states: bool = False,
 ) -> IncompressibleTrajectory:
-    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, its y and q stored.
+    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, its y and q
+    stored only with ``store_states`` (else both are None, and no pressure is formed).
 
-    Each chunk is reduced from its c as it is stored: I = rho0 |u|^2 / 2,
+    Each chunk is reduced from its c, with the same bits either way: I = rho0 |u|^2 / 2,
     |u|_{H10}, |div u| and the defect of the energy identity
     I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
     the compressible ledger's identity without its pressure and eta terms.  A
@@ -174,17 +186,17 @@ def simulate_incompressible(
     ``spec`` and ``kernel`` are not read; both go away once the benchmark's
     workload process stops passing them.
     """
-    spec = operator_set.spec
-    dt, times, chunks = stokes_chunks(operator_set, params)
+    spec, Z = operator_set.spec, operator_set.kernel
+    dt, times, chunks = _stokes_march(operator_set, params, pressure=store_states)
     n = len(times)
-    y, q = np.empty((n, operator_set.kernel.shape[1])), np.empty((n, spec.m_p))
+    y, q = (np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))) if store_states else (None, None)
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
-    Z = operator_set.kernel
     zez = Z.T @ operator_set.div_gram @ Z  # c'Ec = y'(Z'EZ)y, formed once
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
-        y[rows], q[rows] = y_k, q_k
+        if store_states:
+            y[rows], q[rows] = y_k, q_k
         energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
         h01[rows] = np.linalg.norm(c_k, axis=1)
         div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", y_k @ zez, y_k), 0.0))

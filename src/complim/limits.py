@@ -138,10 +138,10 @@ def x_alpha(
     traj_c: Trajectory,
     traj_i: IncompressibleTrajectory,
 ) -> float:
-    """Terminal-energy distance functional of one compressible run, its states stored, to the reference."""
+    """Terminal-energy distance functional of a compressible run to the reference; both store states."""
     _require_shared_grid(traj_c.times, traj_i.times)
     series = _RowSeries(operator_set, traj_i.times, (), params.eta)
-    series(0, *stored_states(traj_c), traj_i.c, traj_i.q)
+    series(0, *stored_states(traj_c), *stored_states(traj_i))
     return series.x_alpha(params)
 
 
@@ -193,7 +193,7 @@ def weak_probe(
     -dt^2/12 [signal * 2t]_0^T.  Without it the sweep-wide shared dt leaves
     an alpha-independent boundary-error floor that masks the decay of the
     fastest-vanishing pairings.  Probes must lie in the discrete solenoidal
-    space of operator_set, and traj_c must hold its states; ValueError otherwise.
+    space of operator_set, and both trajectories must hold their states; ValueError otherwise.
     """
     _require_shared_grid(traj_c.times, traj_i.times)
     b = operator_set.div_coupling[1:]
@@ -202,7 +202,7 @@ def weak_probe(
         if defect > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise ValueError(f"probe {j} is not solenoidal (|Bv| = {defect:.3e})")
     series = _RowSeries(operator_set, traj_i.times, probes, 0.0)
-    series(0, *stored_states(traj_c), traj_i.c, traj_i.q)
+    series(0, *stored_states(traj_c), *stored_states(traj_i))
     return _probe_deltas(traj_c.times, series.signals)
 
 

@@ -137,7 +137,7 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         flips = np.sign(kernel[np.abs(kernel).argmax(axis=0), np.arange(kernel.shape[1])])
         kernel *= np.where(flips == 0.0, 1.0, flips)
     else:
-        kernel = null
+        kernel = null.copy()
     return OperatorSet(
         spec=spec,
         mass_diag=mass_diag,
@@ -145,9 +145,9 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         div_coupling=B,
         sin_cos=s_tab,
         div_leads=leads,
-        b_u=np.ascontiguousarray(u[:, :rank]),
-        b_s=s[:rank],
-        b_vt=np.ascontiguousarray(vt[:rank]),
+        b_u=u[:, :rank].copy(),
+        b_s=s[:rank].copy(),
+        b_vt=vt[:rank].copy(),  # copies: a view of its first rows would keep all of vt alive
         b_rank=rank,
         kernel=kernel,
         full_row_rank=rank == spec.m_p - 1,

@@ -146,7 +146,7 @@ def test_criterion_02_matrix_exponential_oracles():
             rho0=1.0, mu=1.0, alpha=0.05, T=1.0, dt=dt,
             u0=cl.VelocityCoeffs(spec, kernel[:, 0].copy()),
         )
-        traj = cl.simulate_incompressible(spec, ops, kernel, params)
+        traj = cl.simulate_incompressible(spec, ops, kernel, params, store_states=True)
         stiff = kernel.T @ kernel
         ref = np.array(
             [scipy.linalg.expm(-params.mu * stiff * t) @ traj.y[0] for t in traj.times]

@@ -20,7 +20,8 @@ from complim import (
 from complim.basis import coefficients_of
 from complim.cli import _build_params, run_cli
 from complim.config import ConfigError, parse_config, realize_scalar_field, realize_vector_field
-from complim.csvio import read_csv_columns, write_series_csv, write_tables, write_trajectory_csv
+from complim.csvio import fmt17, read_csv_columns, write_csv, write_series_csv, write_tables
+from complim.csvio import write_trajectory_csv
 from complim.presets import VELOCITY_PRESETS, velocity_preset
 
 SIM_CFG = """
@@ -448,23 +449,23 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     with pytest.raises(cli.InvalidParams, match="physical memory"):
         cli._check_memory(dataclasses.replace(cfg, dump_coefficients=True))
 
-    # n = 40, 6 rows: 2.4 GiB for the rows, and each worker process holds its
+    # n = 40, 6 rows: 2.35 GiB for the rows, and each worker process holds its
     # own Stokes reference, about 0.077 GiB
     big = text.replace("n_u = 8", "n_u = 40").replace("n_p = 8", "n_p = 40")
     cfg = parse_config(big.replace("T = 100\ndt = 1e-4", "T = 0.4"))
     pages["SC_PHYS_PAGES"] = int(2.85 * 2**30) // 4096
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    cli._check_memory(cfg, sweep=True)  # one worker: 2.75 GiB
+    cli._check_memory(cfg, sweep=True)  # one worker: 2.64 GiB
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)))
-    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.14 GiB"):  # six workers
+    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.02 GiB"):  # six workers
         cli._check_memory(cfg, sweep=True)
 
 
 @pytest.mark.memory
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
-    # n = 40, 101 nodes: simulate needs about 0.606 GiB, 0.35 GiB of it for the compressible
+    # n = 40, 101 nodes: simulate needs about 0.587 GiB, 0.35 GiB of it for the compressible
     # system's two m x m matrices, and stores no states; the Stokes run builds neither and
-    # needs about 0.447 GiB, its stored y and q counted as (N+1)(m_u + m_p) values
+    # needs about 0.443 GiB, storing no y and q without dump_coefficients
     from complim import cli
 
     class Built(Exception):
@@ -481,7 +482,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "build_basis", build_basis)
     assert run_cli(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "needs about 0.606 GiB" in err[0]
+    assert len(err) == 1 and "needs about 0.587 GiB" in err[0]
     with pytest.raises(Built):
         run_cli(["simulate-incompressible", "--config", cfg])
 
@@ -730,3 +731,22 @@ def test_unknown_p0_name_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "'p0'" in err[0]
     assert not out.exists()
+
+
+def test_csv_rows_carry_the_bytes_of_fmt17_per_cell(tmp_path):
+    """A row of numbers goes through one "%.17g" format, a table's rows as Python floats, and a
+    row holding a string cell cell by cell: the bytes are fmt17's, and a string is written as is."""
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -2.5e-7, 3.0]
+    values = np.array(edge * 23)  # 138 rows, more than two slabs of a table
+    block = np.stack([values[::-1], np.arange(len(values))], axis=1)  # two columns in one block
+    write_tables(str(tmp_path), {"table.csv": (["a", "b", "c"], [values, block])})
+    expected = "".join(",".join(map(fmt17, row)) + "\n" for row in zip(values, *block.T))
+    assert (tmp_path / "table.csv").read_text() == "a,b,c\n" + expected
+    mixed = [[1 / 3, "label", -0.0], [5e-324, "3", np.float64(1.7976931348623157e308)], [np.int64(7), 0.1]]
+    write_csv(str(tmp_path / "mixed.csv"), ["x", "y", "z"], mixed)
+    assert (tmp_path / "mixed.csv").read_text().splitlines() == [
+        "x,y,z",
+        "0.33333333333333331,label,-0",
+        "4.9406564584124654e-324,3,1.7976931348623157e+308",
+        "7,0.10000000000000001",
+    ]

@@ -590,6 +590,53 @@ def test_a_chunk_reduction_peaks_below_five_chunk_arrays(n):
 
 
 @pytest.mark.memory
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_setting_up_a_march_builds_no_m_by_m_matrix(ops16, time_dependent):
+    """At n = 16 (m = 801) the step system's blocks of 400 and 401 unknowns are found from the
+    coupling pattern and each one's (dt/2) K is built alone: an m x m float64 K beside G would
+    take the traced peak of the set-up to 8 m^2 + |G| bytes at least."""
+    params, _ = stepper_params(ops16.spec, time_dependent)
+    compressible.compressible_chunks(ops16, params)[3].close()  # first calls outside the trace
+    tracemalloc.start()
+    try:
+        _, _, G, chunks = compressible.compressible_chunks(ops16, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunks.close()
+    m = ops16.spec.m_u + ops16.spec.m_p
+    assert G.any() and peak < 8 * m * m + G.nbytes, peak / (8 * m * m)
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("n", [8, 16])
+def test_slab_reductions_are_the_bits_of_one_call(n, request, monkeypatch):
+    """A Trajectory reduces each chunk in slabs of REDUCTION_SLAB intervals that share their
+    end nodes.  Under f, eta > 0 and time-dependent s and sigma its series are those of one
+    call over all 550 nodes, bit for bit, and a 257-node chunk's reduction peaks below two
+    (257, m_u) arrays (the whole chunk at once took over four)."""
+    ops = request.getfixturevalue(f"ops{n}")
+    params, _ = stepper_params(ops.spec, time_dependent=True)
+    slabbed = simulate_compressible(ops.spec, ops, params, store_states=True)
+    chunk = slice(0, compressible.STEP_CHUNK + 1)
+    traj = compressible.Trajectory(ops, params, slabbed.dt, slabbed.times, slabbed.coupling)
+    traj(0, slabbed.c[chunk], slabbed.q[chunk])  # a warm-up outside the trace
+    tracemalloc.start()
+    try:
+        traj(0, slabbed.c[chunk], slabbed.q[chunk])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * slabbed.c[chunk].nbytes, peak / slabbed.c[chunk].nbytes
+    monkeypatch.setattr(compressible, "REDUCTION_SLAB", len(slabbed.times))
+    whole = compressible.Trajectory(ops, params, slabbed.dt, slabbed.times, slabbed.coupling)
+    whole(0, slabbed.c, slabbed.q)
+    assert len(slabbed.times) == 550
+    for name in ("kinetic", "acoustic", "energy", "h01", "div", "mass", "momentum", "dissipation", "work"):
+        assert np.array_equal(getattr(slabbed, name), getattr(whole, name)), name
+
+
+@pytest.mark.memory
 def test_simulate_compressible_holds_no_state_history(ops8):
     """10,001 nodes at n = 8: unless it stores its states the run's peak stays below one
     (N+1) x m array, the states it no longer stores (16.7 MB)."""
@@ -695,8 +742,9 @@ def test_a_time_factor_of_one_gives_the_bits_of_no_time_factor(ops4, ops8):
             traj = simulate_compressible(ops.spec, ops, factored, store_states=True)
             for name in ("c", "q", "energy", "work"):
                 assert np.array_equal(getattr(traj, name), getattr(plain, name)), (ops.spec.n_u, name)
-        plain = simulate_incompressible(ops.spec, ops, ops.kernel, dataclasses.replace(params, sigma=None))
+        limit = dataclasses.replace(params, sigma=None)
+        plain = simulate_incompressible(ops.spec, ops, ops.kernel, limit, store_states=True)
         factored = dataclasses.replace(with_factors(params, one, None), sigma=None)  # the limit has no sigma
-        traj = simulate_incompressible(ops.spec, ops, ops.kernel, factored)
+        traj = simulate_incompressible(ops.spec, ops, ops.kernel, factored, store_states=True)
         for name in ("y", "q", "energy_residual"):
             assert np.array_equal(getattr(traj, name), getattr(plain, name)), (ops.spec.n_u, name)

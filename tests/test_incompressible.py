@@ -62,7 +62,7 @@ def test_empty_kernel_at_smallest_truncation():
 
 def test_zero_run(spec4, ops4, kernel4):
     params = CompressibleParams(T=0.3, dt=0.01)
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     assert np.all(traj.c == 0.0)
     assert np.all(traj.q == 0.0)
 
@@ -77,7 +77,7 @@ def test_matrix_exponential_oracle_unforced():
             rho0=1.2, mu=0.8, alpha=0.05, T=1.0, dt=dt,
             u0=VelocityCoeffs(spec, basis[:, 0].copy()),
         )
-        traj = simulate_incompressible(spec, ops, basis, params)
+        traj = simulate_incompressible(spec, ops, basis, params, store_states=True)
         stiff = basis.T @ basis
         ref = np.array(
             [scipy.linalg.expm(-params.mu / params.rho0 * stiff * t) @ traj.y[0] for t in traj.times]
@@ -101,7 +101,7 @@ def test_matrix_exponential_oracle_forced():
     errs = []
     for dt in (0.02, 0.01):
         params = CompressibleParams(rho0=1.2, mu=0.8, alpha=0.05, T=1.0, dt=dt, s=f.scaled(1.2), u0=u0)
-        traj = simulate_incompressible(spec, ops, basis, params)
+        traj = simulate_incompressible(spec, ops, basis, params, store_states=True)
         stiff = basis.T @ basis
         m_v = basis.shape[1]
         load = basis.T @ velocity_load_vector(spec, f)  # rho0 cancels in y' = ... / rho0
@@ -135,8 +135,8 @@ def test_stokes_source_is_s_not_f(spec4, ops4, kernel4):
     params = forced_params(0.01)
     with_f = dataclasses.replace(params, f=params.s.scaled(1.0 / params.rho0))
     assert np.array_equal(
-        simulate_incompressible(spec4, ops4, kernel4, with_f).q,
-        simulate_incompressible(spec4, ops4, kernel4, params).q,
+        simulate_incompressible(spec4, ops4, kernel4, with_f, store_states=True).q,
+        simulate_incompressible(spec4, ops4, kernel4, params, store_states=True).q,
     )
 
 
@@ -151,7 +151,7 @@ def test_energy_residual_is_the_compressible_ledger_identity(spec4, ops4, kernel
     # traj.c over 500 steps (two chunks of the march); the time-dependent source keeps
     # the defect O(dt^3) above roundoff, so a multiple of it would not pass
     params = forced_params(0.002, time_factor=lambda t: 1.0 + t * t)
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     energy = 0.5 * params.rho0 * np.einsum("ni,i,ni->n", traj.c, ops4.mass_diag, traj.c)
     c_mid = 0.5 * (traj.c[1:] + traj.c[:-1])
     t_mid = 0.5 * (traj.times[1:] + traj.times[:-1])
@@ -179,7 +179,7 @@ def test_solenoidality_preserved_and_monotone_decay(spec4, ops4, kernel4):
     rng = np.random.default_rng(9)
     u0 = VelocityCoeffs(spec4, rng.standard_normal(spec4.m_u))
     params = CompressibleParams(T=0.8, dt=0.01, u0=u0)
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     assert np.abs(ops4.div_coupling[1:] @ traj.c.T).max() <= 1e-10
     l2 = np.linalg.norm(traj.y, axis=1)
     assert np.all(np.diff(l2) <= 1e-14)
@@ -189,7 +189,7 @@ def test_solenoidality_preserved_and_monotone_decay(spec4, ops4, kernel4):
 
 
 def test_pressure_recovery_galerkin_orthogonal(spec4, ops4, kernel4):
-    traj = simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01))
+    traj = simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01), store_states=True)
     params = forced_params(0.01)
     z = kernel4
     stiff = z.T @ z
@@ -234,7 +234,7 @@ def test_initial_pressure_is_the_node0_pressure_bit_for_bit(n, timed):
     s = SampledField(spatial=force.spatial, vector=True, time_factor=(lambda t: 1.5 + t) if timed else None)
     u0 = velocity_preset("solenoidal_u0", ops)
     params = CompressibleParams(rho0=2.0, mu=0.5, T=0.3, dt=0.001, s=s, u0=u0)
-    traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
+    traj = simulate_incompressible(ops.spec, ops, ops.kernel, params, store_states=True)
     assert traj.n_steps > incompressible.STEP_CHUNK
     assert np.array_equal(initial_pressure(ops, params).values, traj.q[0])
     assert not np.signbit(traj.q[:, 0]).any() and np.all(traj.q[:, 0] == 0.0)  # the mean prints as 0
@@ -279,7 +279,7 @@ def test_initial_pressure_matches_short_time_limit(spec4, ops4, kernel4):
     gaps = []
     for dt in (0.02, 0.01, 0.005):
         params = CompressibleParams(T=1.0, dt=dt, u0=u0)
-        traj = simulate_incompressible(spec4, ops4, kernel4, params)
+        traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
         assert np.abs(traj.q[0] - q0.values).max() <= 1e-12
         gaps.append(np.linalg.norm(traj.q[1] - q0.values))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -294,7 +294,7 @@ def test_initial_pressure_rejects_nonsolenoidal(spec4, ops4):
 
 
 def test_shift_pressure_mean(spec4, ops4, kernel4):
-    traj = simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01))
+    traj = simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01), store_states=True)
     same = shift_pressure_mean(traj, 0.0)
     assert np.array_equal(same.q, traj.q)
     shifted = shift_pressure_mean(traj, 2.5)
@@ -337,7 +337,7 @@ def test_stepper_matches_lu_solve_loop_for_constant_force(spec4, ops4, kernel4):
     # the march steps each mode with the diagonal of Z'Z, to which the dense Z'Z
     # of the LU loop is equal up to roundoff, hence 1e-12 relative, not bitwise
     params = long_forced_params(spec4)
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     assert traj.n_steps == 549
     expected = reduced_march(kernel4, ops4, params, 1.0 / 549)
     assert np.abs(traj.y - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -345,7 +345,7 @@ def test_stepper_matches_lu_solve_loop_for_constant_force(spec4, ops4, kernel4):
 
 def test_stepper_matches_lu_solve_loop_for_time_dependent_force(spec4, ops4, kernel4):
     params = long_forced_params(spec4, time_factor=lambda t: np.cos(3.0 * t))
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     expected = reduced_march(kernel4, ops4, params, 1.0 / 549)
     assert np.abs(traj.y - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -380,7 +380,8 @@ def test_simulate_incompressible_factors_and_solves_nothing(spec4, ops4, kernel4
         (compressible, "crank_nicolson"),
     ]:
         monkeypatch.setattr(module, name, record(name))
-    traj = simulate_incompressible(spec4, ops4, kernel4, long_forced_params(spec4, np.cos))
+    params = long_forced_params(spec4, np.cos)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     assert calls == [] and np.all(np.isfinite(traj.q))
 
 
@@ -393,7 +394,7 @@ def test_nonfinite_state_raises_step_failure(spec4, ops4, kernel4):
 
 def test_batched_pressure_recovery_matches_nodewise_grad_inverse(spec4, ops4, kernel4):
     params = long_forced_params(spec4, time_factor=lambda t: 1.0 + t)
-    traj = simulate_incompressible(spec4, ops4, kernel4, params)
+    traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     z = kernel4
     stiff = z.T @ z
     load = velocity_load_vector(spec4, params.s)
@@ -414,7 +415,7 @@ def test_trajectory_c_is_the_chunks_c_bit_for_bit(n, pinned, request):
     ops = request.getfixturevalue(f"ops{n}")
     params = long_forced_params(ops.spec, time_factor=np.cos)
     with blas.one_blas_thread() if pinned else contextlib.nullcontext():
-        traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
+        traj = simulate_incompressible(ops.spec, ops, ops.kernel, params, store_states=True)
         _, _, chunks = incompressible.stokes_chunks(ops, params)
         stacked = np.vstack([c[min(start, 1) :] for start, _, c, _ in chunks])  # row 0 repeats a node
     assert traj.kernel is ops.kernel and traj.c.shape == (550, ops.spec.m_u)
@@ -435,9 +436,38 @@ def test_simulate_incompressible_holds_no_velocity_history(spec8, ops8):
     params = forced_params(1e-4, time_factor=lambda t: 1.0 + t)
     tracemalloc.start()
     try:
-        traj = simulate_incompressible(spec8, ops8, ops8.kernel, params)
+        traj = simulate_incompressible(spec8, ops8, ops8.kernel, params, store_states=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     history = len(traj.times) * spec8.m_u * 8
     assert len(traj.times) == 10001 and peak < traj.y.nbytes + traj.q.nbytes + history
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("time_factor", [None, lambda t: 1.0 + t], ids=["s_constant", "s_timed"])
+def test_a_stokes_run_without_states_keeps_the_series_bits(spec8, ops8, monkeypatch, time_factor):
+    """Without store_states the run stores no y or q and forms no pressure map: over 10,001
+    nodes at n = 8 its series are the stateful run's, bit for bit, its traced peak stays below a
+    quarter of the y and q it no longer stores (10.4 MB), and stored_states refuses it in one line."""
+    params = forced_params(1e-4, time_factor=time_factor)
+    stored = simulate_incompressible(spec8, ops8, ops8.kernel, params, store_states=True)
+
+    def no_pressure_map(*args):
+        raise AssertionError("a run without states formed the pressure map")
+
+    monkeypatch.setattr(incompressible, "_pressure_map", no_pressure_map)
+    tracemalloc.start()
+    try:
+        bare = simulate_incompressible(spec8, ops8, ops8.kernel, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bare.y is None and bare.q is None and bare.c is None
+    for name in ("times", "energy", "h01", "div", "energy_residual"):
+        assert np.array_equal(getattr(bare, name), getattr(stored, name)), name
+    states = stored.y.nbytes + stored.q.nbytes
+    assert len(bare.times) == 10001 and peak < states / 4, peak / states
+    with pytest.raises(ValueError, match="store_states=True") as raised:
+        compressible.stored_states(bare)
+    assert "\n" not in str(raised.value)

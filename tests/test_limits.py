@@ -115,7 +115,7 @@ def test_negative_seed_is_invalid(ops4):
 
 def test_weak_probe_zero_linearity_and_rejection(spec4, ops4, kernel4):
     params = CompressibleParams(T=0.3, dt=0.01, u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
-    ref = simulate_incompressible(spec4, ops4, kernel4, params)
+    ref = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     no_force = np.zeros((spec4.m_u, spec4.m_p))
     embedded = Trajectory(ops4, params, ref.dt, ref.times, no_force, store_states=True)
     embedded(0, ref.c, np.zeros((len(ref.times), spec4.m_p)))
@@ -237,7 +237,7 @@ def test_row_turning_nan_mid_march_fails_alone(monkeypatch, marched_here):
 def test_x_alpha_identical_trajectories_vanish(spec4, ops4, kernel4):
     params = CompressibleParams(alpha=0.05, T=0.3, dt=0.01,
                                 u0=VelocityCoeffs(spec4, kernel4[:, 0].copy()))
-    ref = simulate_incompressible(spec4, ops4, kernel4, params)
+    ref = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
     no_force = np.zeros((spec4.m_u, spec4.m_p))
     embedded = Trajectory(ops4, params, ref.dt, ref.times, no_force, store_states=True)
     embedded(0, ref.c, np.zeros((len(ref.times), spec4.m_p)))
@@ -309,7 +309,7 @@ def test_streamed_rows_match_full_trajectory_reductions(monkeypatch, marched_her
     # the whole reference the sweep streamed, its pressure mean aligned with p0 as the sweep does
     ref_ops, ref_params = reference_args[0]
     ref = shift_pressure_mean(
-        simulate_incompressible(ref_ops.spec, ref_ops, ref_ops.kernel, ref_params),
+        simulate_incompressible(ref_ops.spec, ref_ops, ref_ops.kernel, ref_params, store_states=True),
         float(runs[0][1].p0.values[0]),
     )
     assert len(runs) == 3 and runs[-1][2].n_steps > 2 * STEP_CHUNK

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import tracemalloc
 
@@ -143,6 +144,23 @@ def test_coupling_matrix_builds_no_per_mode_table(ops16):
     finally:
         tracemalloc.stop()
     assert G.shape == (spec.m_u, spec.m_p) and peak < spec.m_p * spec.quad_order**2 * 8
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("n_u,n_p", [(1, 1), (8, 4), (8, 8)])
+def test_no_operator_array_keeps_a_larger_base_alive(n_u, n_p):
+    """Every array of an OperatorSet owns its data or views a base no larger than itself: a view
+    of vt's first rows as b_vt would keep the whole m_u x m_u vt of B's SVD alive.  (1, 1) has
+    an empty kernel, (8, 4) a B[1:] of full row rank, (8, 8) one deficient by one."""
+    ops = assemble(build_basis(n_u, n_p))
+    arrays = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)}
+    arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+    assert {"b_u", "b_s", "b_vt", "kernel", "div_gram"} <= set(arrays)
+    for name, array in arrays.items():
+        base = array
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        assert base.nbytes <= array.nbytes, (name, base.nbytes, array.nbytes)
 
 
 def test_leray_fixed_point_on_kernel(ops4):

@@ -88,7 +88,7 @@ def test_compatible_p0_from_s_is_the_node0_stokes_pressure(spec4, ops4):
     u0 = velocity_preset("solenoidal_u0", ops4)
     params = CompressibleParams(rho0=2.0, mu=0.5, T=0.1, dt=0.01, s=s, u0=u0)
     q0 = initial_pressure(ops4, params).values
-    traj = simulate_incompressible(spec4, ops4, nullspace_basis(ops4), params)
+    traj = simulate_incompressible(spec4, ops4, nullspace_basis(ops4), params, store_states=True)
     assert np.abs(q0).max() > 0.1
     assert np.abs(traj.q[0] - q0).max() <= 1e-12 * np.abs(q0).max()
 
