@@ -35,7 +35,6 @@ from .incompressible import (
     IncompressibleTrajectory,
     initial_pressure,
     nullspace_basis,
-    shift_pressure_mean,
     simulate_incompressible,
 )
 from .inequalities import (

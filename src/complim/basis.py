@@ -115,6 +115,18 @@ class BasisSpec:
             raise IndexError(f"pressure flat index {flat} out of range")
         return divmod(flat, self.n_p + 1)
 
+    def parity_classes(self) -> np.ndarray:
+        """Each unknown's parity class (0-4), velocity modes first: class 2a + b holds
+        component 1's modes (i, j) with (i mod 2, 1 - j mod 2) = (a, b), component 2's with
+        (1 - i mod 2, j mod 2) = (a, b) and the pressure modes (k, l) with (k mod 2, l mod 2)
+        = (a, b); class 4 is the constant pressure mode.  E, B and the mass matrix couple no
+        two modes of different classes."""
+        i, j = np.divmod(np.arange(self.n_u**2), self.n_u)  # mode (i + 1, j + 1)
+        k, l = np.divmod(np.arange(self.m_p), self.n_p + 1)
+        pressure = 2 * (k % 2) + l % 2
+        pressure[0] = 4
+        return np.concatenate([2 * (1 - i % 2) + j % 2, 2 * (i % 2) + 1 - j % 2, pressure])
+
     # -- quadrature -----------------------------------------------------
     def quad_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes and weights on [0, 1] (quad_order points)."""

@@ -13,9 +13,9 @@ homogeneous problem is recovered by sigma = 0, s = rho0 f.
 Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
 order, and exactly dissipative on the unforced system.  The stepper,
-:func:`crank_nicolson`, marches each block of the step system (modes of
-matching parity) with one matrix-vector product and one ``getrs`` solve in
-numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
+:func:`crank_nicolson`, marches each block of the step system (the parity classes
+of the basis that G joins) with one matrix-vector product and one ``getrs`` solve
+in numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
 has several, checks each chunk's step residuals from the products the steps form
 (:func:`_check_steps` gates the Stokes march too) and hands the chunk of
 states to its caller, its first row the node the previous chunk ended on.
@@ -70,8 +70,8 @@ STEP_RESIDUAL_RTOL = 1e-9
 STEP_CHUNK = 256
 # intervals per slab of a Trajectory's reductions: at n = 24 as fast as whole chunks (README, "Library")
 REDUCTION_SLAB = 64
-# smaller blocks of the step system are merged into one: at n = 8 two blocks of 104-105 step
-# faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
+# smaller blocks of the step system join its uncoupled unknowns in one: at n = 8 two blocks of
+# 104-105 step faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
 STEP_BLOCK_MIN = 64
 
 
@@ -108,19 +108,25 @@ def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.
         )
 
 
-def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """The components of the square boolean ``pattern | pattern.T`` as ascending index arrays,
-    those under STEP_BLOCK_MIN merged into one last array: a single one is arange(m)."""
-    pattern = pattern | pattern.T
-    blocks, small, unseen = [], [], np.ones(len(pattern), dtype=bool)
-    while unseen.any():
-        reach = front = np.arange(len(pattern)) == unseen.argmax()
-        while front.any():
-            front = pattern[front].any(axis=0) & ~reach
-            reach |= front
-        unseen &= ~reach
-        (blocks if reach.sum() >= STEP_BLOCK_MIN else small).append(reach)
-    return [np.flatnonzero(b) for b in blocks + [np.logical_or.reduce(small)] * bool(small)]
+def _step_blocks(spec: BasisSpec, eta: float, B: np.ndarray, G: np.ndarray) -> list[np.ndarray]:
+    """K's diagonal blocks, off which it vanishes, as ascending index arrays in the order of
+    their first unknowns: the unions of the parity classes that G joins (E and B join none)
+    without the unknowns that K leaves uncoupled, which go with the unions under
+    STEP_BLOCK_MIN into one last array.  A single one is arange(m)."""
+    classes = spec.parity_classes()
+    u_class, p_class = classes[: spec.m_u], classes[spec.m_u :]
+    group = np.arange(5)  # per class, the union that G puts it in
+    for c in range(4):
+        for d in set(p_class[G[u_class == c].any(axis=0)]):  # np.unique would import numpy.ma
+            group[group == group[d]] = group[c]
+    # uncoupled: a velocity mode with a zero column of B and row of G unless eta > 0 (E couples
+    # every velocity mode once n_u >= 2), a pressure mode with a zero row of B and column of G
+    u_coupled = B.any(axis=0) | G.any(axis=1) | (eta > 0 and spec.n_u > 1)
+    coupled = np.concatenate([u_coupled, B.any(axis=1) | G.any(axis=0)])
+    label = np.where(coupled, group[classes], 5)  # 5: the last array
+    label[np.bincount(label, minlength=6)[label] < STEP_BLOCK_MIN] = 5
+    blocks = sorted(filter(len, (np.flatnonzero(label == g) for g in range(5))), key=lambda b: b[0])
+    return blocks + [np.flatnonzero(label == 5)] * (5 in label)
 
 
 def crank_nicolson(
@@ -129,7 +135,7 @@ def crank_nicolson(
     """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
     ``blocks`` holds K's diagonal blocks, off which K vanishes, as ``(indices, half)``
-    pairs: the ascending unknowns of one block of :func:`_blocks` and (dt/2) K on them.
+    pairs: the ascending unknowns of one block of :func:`_step_blocks` and (dt/2) K on them.
     The march takes each half over: it becomes rhs_mat = diag(a) + (dt/2) K_b, and
     lhs = diag(a) - (dt/2) K_b is built once and LU-factored in place.  Each step solves,
     block by block, lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).
@@ -283,12 +289,13 @@ def compressible_chunks(
 
     The requested dt is rounded to the nearest uniform grid hitting T
     exactly, and G is the body-force coupling of ``params.f``.  ``chunks`` is
-    the run's crank_nicolson march on blocks of (dt/2) K found from E (eta > 0),
-    B and G and built alone: pulled chunk by chunk, it yields ``(start, c, q)``,
-    the velocity and pressure coefficients at nodes start, start + 1, ... (views
-    that the next chunk overwrites), and raises StepFailure when the relative
-    residual of a step solve exceeds 1e-9.  Exhaust or ``close()`` a march that
-    steps its blocks on threads (:func:`crank_nicolson`).
+    the run's crank_nicolson march on the blocks of (dt/2) K that
+    :func:`_step_blocks` finds, each built alone: pulled chunk by chunk, it
+    yields ``(start, c, q)``, the velocity and pressure coefficients at nodes
+    start, start + 1, ... (views that the next chunk overwrites), and raises
+    StepFailure when the relative residual of a step solve exceeds 1e-9.
+    Exhaust or ``close()`` a march that steps its blocks on threads
+    (:func:`crank_nicolson`).
     """
     spec = operator_set.spec
     dt, times = time_grid(params.validate(spec.n_u), params.T)
@@ -298,12 +305,8 @@ def compressible_chunks(
             "step; fold the time dependence into s instead"
         )
     m_u, m_p = spec.m_u, spec.m_p
-    m = m_u + m_p
-
     G = coupling_matrix(operator_set, params.f) if params.f is not None else np.zeros((m_u, m_p))
     E, B = operator_set.div_gram, operator_set.div_coupling
-    couplings = [[(E != 0) & (params.eta > 0), (B.T != 0) | (G != 0)], [np.zeros((m_p, m), bool)]]
-    blocks = _blocks(np.block(couplings))  # K's couplings: E when eta > 0, B and G
 
     def half_k(b):  # (dt/2) K on the unknowns b, K = [-eta E - mu I, B' + alpha G; -rho0 B, 0]
         u, p = b[b < m_u], b[b >= m_u] - m_u
@@ -325,7 +328,8 @@ def compressible_chunks(
     y0 = np.concatenate([coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)])
     # a constant load goes to the march as one vector
     g = np.concatenate([s_vec, sigma_vec]) if s_fac is None and sigma_fac is None else load
-    states = crank_nicolson(a_diag, [(b, half_k(b)) for b in blocks], y0, times, g)
+    blocks = [(b, half_k(b)) for b in _step_blocks(spec, params.eta, B, G)]
+    states = crank_nicolson(a_diag, blocks, y0, times, g)
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
@@ -567,8 +571,9 @@ def apriori_check(
     # with M dc/dt read off the momentum equation at the nodes.
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(traj.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
-    E, blocks = operator_set.div_gram, _blocks(operator_set.div_gram != 0)  # symmetric PSD
-    e_norm = max(np.linalg.eigvalsh(E[np.ix_(b, b)] if len(blocks) > 1 else E)[-1] for b in blocks)
+    E, u_class = operator_set.div_gram, operator_set.spec.parity_classes()[: operator_set.spec.m_u]
+    classes = filter(len, (np.flatnonzero(u_class == c) for c in range(4)))  # E keeps to each one
+    e_norm = max(np.linalg.eigvalsh(E[np.ix_(b, b)])[-1] for b in classes)  # E is symmetric PSD
     G = traj.coupling  # |G|_2 from the largest eigenvalue of G'G, without G's full SVD
     g_norm = float(np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1])) if G.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E

@@ -25,7 +25,6 @@ __all__ = [
     "write_tables",
     "read_csv_columns",
     "read_numeric_columns",
-    "write_series_csv",
     "read_series_csv",
     "write_trajectory_csv",
     "write_incompressible_csv",
@@ -137,10 +136,6 @@ def read_csv_columns(path: str) -> dict:
         except ValueError:
             columns[name] = np.array(cells)
     return columns
-
-
-def write_series_csv(path: str, times, values) -> None:
-    write_csv(path, ["t", "value"], zip(times, values))
 
 
 def read_numeric_columns(path: str, names) -> list:

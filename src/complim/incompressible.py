@@ -49,7 +49,6 @@ __all__ = [
     "stokes_chunks",
     "simulate_incompressible",
     "initial_pressure",
-    "shift_pressure_mean",
 ]
 
 
@@ -80,7 +79,7 @@ class IncompressibleTrajectory:
     times: np.ndarray  # (N+1,)
     y: Optional[np.ndarray]  # (N+1, m_V), None unless stored
     kernel: np.ndarray  # Z, (m_u, m_V): operator_set.kernel itself, not a copy
-    q: Optional[np.ndarray]  # (N+1, m_p), mean zero before shifting; None unless stored
+    q: Optional[np.ndarray]  # (N+1, m_p), mean zero; None unless stored
     energy: np.ndarray  # (N+1,), rho0 |u|^2 / 2
     h01: np.ndarray
     div: np.ndarray
@@ -251,13 +250,3 @@ def initial_pressure(operator_set: OperatorSet, params: CompressibleParams) -> P
     _, _, chunks = stokes_chunks(operator_set, replace(params, sigma=None, dt=params.T))
     return PressureCoeffs(operator_set.spec, next(chunks)[3][0].copy())
 
-
-def shift_pressure_mean(traj: IncompressibleTrajectory, A: float) -> IncompressibleTrajectory:
-    """Shift the recovered pressure so its mean equals A at every node.
-
-    Only the constant-mode entry changes; the represented gradient B'q is
-    untouched because the constant row of B vanishes.
-    """
-    q = traj.q.copy()
-    q[:, 0] = A
-    return replace(traj, q=q)

@@ -3,6 +3,10 @@ import pytest
 
 from complim import assemble, build_basis, nullspace_basis
 
+# truncations (n_u, n_p) over which the parity classes are checked: n_u != n_p, n_p = 0
+# (the constant pressure mode alone) and odd sizes, whose classes differ in size
+PARITY_N_U = (1, 2, 3, 4, 5, 8, 9, 12, 16)
+PARITY_N_P = (0, 1, 2, 3, 4, 5, 8, 9, 12, 16)
 
 @pytest.fixture(scope="session")
 def spec2():

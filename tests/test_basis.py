@@ -5,6 +5,7 @@ from complim import (
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
+    assemble,
     build_basis,
     eval_field,
     norms,
@@ -13,7 +14,7 @@ from complim import (
 )
 from complim.basis import velocity_mass_diagonal
 
-from conftest import quad2d
+from conftest import PARITY_N_P, PARITY_N_U, quad2d
 
 
 def vel_mode(i, j):
@@ -262,3 +263,26 @@ def test_index_maps_are_bijections(spec4):
 def test_project_pressure_rejects_vector(spec4):
     with pytest.raises(ValueError):
         project_pressure(spec4, SampledField.zero(vector=True))
+
+
+@pytest.mark.parametrize("n_u", PARITY_N_U)
+def test_no_entry_of_E_or_B_crosses_a_parity_class(n_u):
+    """Each unknown's class is the one its mode's indices give, and neither E (velocity by
+    velocity) nor B (pressure by velocity) has a nonzero entry between two classes."""
+    for n_p in PARITY_N_P:
+        ops = assemble(build_basis(n_u, n_p))
+        spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
+        classes = spec.parity_classes()
+        u, p = classes[: spec.m_u], classes[spec.m_u :]
+        for flat in range(spec.m_u):
+            comp, i, j = spec.velocity_mode(flat)
+            a, b = (i % 2, 1 - j % 2) if comp == 0 else (1 - i % 2, j % 2)
+            assert u[flat] == 2 * a + b, (comp, i, j)
+        for flat in range(1, spec.m_p):
+            k, l = spec.pressure_mode(flat)
+            assert p[flat] == 2 * (k % 2) + l % 2, (k, l)
+        assert p[0] == 4 and len(classes) == spec.m_u + spec.m_p
+        assert not E[u[:, None] != u].any(), (n_u, n_p)
+        assert not B[p[:, None] != u].any(), (n_u, n_p)
+        # not vacuous: E couples the two components within a class from n_u = 2 on
+        assert (np.count_nonzero(E) > spec.m_u) == (n_u > 1)

@@ -20,7 +20,7 @@ from complim import (
 from complim.basis import coefficients_of
 from complim.cli import _build_params, run_cli
 from complim.config import ConfigError, parse_config, realize_scalar_field, realize_vector_field
-from complim.csvio import fmt17, read_csv_columns, write_csv, write_series_csv, write_tables
+from complim.csvio import fmt17, read_csv_columns, write_csv, write_tables
 from complim.csvio import write_trajectory_csv
 from complim.presets import VELOCITY_PRESETS, velocity_preset
 
@@ -151,17 +151,17 @@ def test_probe_is_not_a_command(tmp_path, capsys):
 
 def test_verify_mixed_series(tmp_path):
     t = np.linspace(0.0, 1.0, 51)
-    write_series_csv(tmp_path / "i.csv", t, np.full_like(t, 2.0))
-    write_series_csv(tmp_path / "j.csv", t, np.zeros_like(t))
+    write_csv(tmp_path / "i.csv", ["t", "value"], zip(t, np.full_like(t, 2.0)))
+    write_csv(tmp_path / "j.csv", ["t", "value"], zip(t, np.zeros_like(t)))
     for name in ("a", "b", "c"):
-        write_series_csv(tmp_path / f"{name}.csv", t, np.zeros_like(t))
+        write_csv(tmp_path / f"{name}.csv", ["t", "value"], zip(t, np.zeros_like(t)))
     args = ["verify"]
     for name in ("i", "j", "a", "b", "c"):
         args += [f"--{name}", str(tmp_path / f"{name}.csv")]
     assert run_cli(args) == 0
 
     # violating instance: I grows with zero right side
-    write_series_csv(tmp_path / "i.csv", t, 1.0 + t)
+    write_csv(tmp_path / "i.csv", ["t", "value"], zip(t, 1.0 + t))
     assert run_cli(args) == 3
 
 
@@ -303,7 +303,7 @@ def test_verify_energy_malformed_input_exits_1(tmp_path, capsys, text, message):
 def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     t = np.linspace(0.0, 1.0, 3)
     for name in ("i", "j", "a", "b", "c"):
-        write_series_csv(tmp_path / f"{name}.csv", t, np.zeros_like(t))
+        write_csv(tmp_path / f"{name}.csv", ["t", "value"], zip(t, np.zeros_like(t)))
     (tmp_path / "j.csv").write_text(text)
     args = ["verify"]
     for name in ("i", "j", "a", "b", "c"):

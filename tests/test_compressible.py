@@ -30,9 +30,11 @@ from complim import (
 )
 from complim.basis import pressure_load_vector, velocity_load_vector
 from complim.cli import _build_params
-from complim.config import parse_config
+from complim.config import parse_config, realize_vector_field
 from complim.operators import coupling_matrix
 from complim.presets import velocity_preset
+
+from conftest import PARITY_N_P, PARITY_N_U
 
 
 def random_state(spec, seed=0, scale=1.0):
@@ -404,6 +406,64 @@ def test_split_stepper_matches_lu_solve_loop(ops8, monkeypatch, time_dependent):
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def graph_blocks(pattern):
+    """The components of the square boolean ``pattern | pattern.T`` by breadth-first search, as
+    ascending index arrays in the order of their first indices, those under STEP_BLOCK_MIN
+    merged into one last array (test oracle of the step system's blocks)."""
+    pattern = pattern | pattern.T
+    blocks, small, unseen = [], [], np.ones(len(pattern), dtype=bool)
+    while unseen.any():
+        reach = front = np.arange(len(pattern)) == unseen.argmax()
+        while front.any():
+            front = pattern[front].any(axis=0) & ~reach
+            reach |= front
+        unseen &= ~reach
+        (blocks if reach.sum() >= compressible.STEP_BLOCK_MIN else small).append(reach)
+    return [np.flatnonzero(b) for b in blocks + [np.logical_or.reduce(small)] * bool(small)]
+
+
+def _step_block_forces():
+    """No force, configs/simulate.cfg's f and an f with no parity symmetry."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg").read_text()
+    skew = SampledField.of_vector(lambda x, y: np.exp(x + 0.3 * y * y), lambda x, y: x * y + 0.2 * x)
+    return {"none": None, "simulate_cfg": realize_vector_field(parse_config(text).f), "skew": skew}
+
+
+@pytest.mark.parametrize("n_u", PARITY_N_U)
+def test_step_blocks_are_the_components_of_the_coupling_pattern(n_u):
+    """The blocks the parity classes give are the graph search's on K's coupling pattern (E when
+    eta > 0, B and G), array for array and in order, over n_p, eta and three forces."""
+    forces = _step_block_forces()
+    for n_p in PARITY_N_P:
+        ops = assemble(build_basis(n_u, n_p))
+        spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
+        for name, f in forces.items():
+            G = coupling_matrix(ops, f) if f is not None else np.zeros((spec.m_u, spec.m_p))
+            for eta in (0.0, 0.5):
+                pressure_rows = np.zeros((spec.m_p, spec.m_u + spec.m_p), bool)
+                pattern = np.block([[(E != 0) & (eta > 0), (B.T != 0) | (G != 0)], [pressure_rows]])
+                blocks = compressible._step_blocks(spec, eta, B, G)
+                assert [b.tolist() for b in blocks] == [b.tolist() for b in graph_blocks(pattern)], (n_p, name, eta)
+                if (n_u, n_p, eta) == (16, 16, 0.0):  # the three forces give three block structures
+                    sizes = {"none": [200, 192, 208, 200, 1], "simulate_cfg": [400, 401], "skew": [801]}
+                    assert [len(b) for b in blocks] == sizes[name], name
+
+
+def test_march_with_uncoupled_modes_matches_lu_solve_loop(monkeypatch):
+    """At (n_u, n_p) = (16, 12) with eta = 0 and no force, B leaves the velocity modes it does
+    not reach and the constant pressure mode uncoupled: they are stepped as one diagonal
+    remainder after the four parity blocks."""
+    ops = assemble(build_basis(16, 12))
+    params, dt = stepper_params(ops.spec, time_dependent=False)
+    params = dataclasses.replace(params, eta=0.0, f=None)
+    expected = lu_solve_march(ops.spec, ops, params, dt)
+    getrf, factored = blas.getrf, []
+    monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
+    traj = simulate_compressible(ops.spec, ops, params, store_states=True)
+    assert factored == [138, 132, 144, 138, 129]
+    assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_step_residual_gate_reports_first_step(spec2, ops2, monkeypatch):
     params, _ = stepper_params(spec2, time_dependent=False)
     monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", 0.0)
@@ -592,9 +652,9 @@ def test_a_chunk_reduction_peaks_below_five_chunk_arrays(n):
 @pytest.mark.memory
 @pytest.mark.parametrize("time_dependent", [False, True])
 def test_setting_up_a_march_builds_no_m_by_m_matrix(ops16, time_dependent):
-    """At n = 16 (m = 801) the step system's blocks of 400 and 401 unknowns are found from the
-    coupling pattern and each one's (dt/2) K is built alone: an m x m float64 K beside G would
-    take the traced peak of the set-up to 8 m^2 + |G| bytes at least."""
+    """At n = 16 (m = 801) the step system's blocks of 400 and 401 unknowns are the parity
+    classes that G joins, and each one's (dt/2) K is built alone: an m x m float64 K beside G
+    would take the traced peak of the set-up to 8 m^2 + |G| bytes at least."""
     params, _ = stepper_params(ops16.spec, time_dependent)
     compressible.compressible_chunks(ops16, params)[3].close()  # first calls outside the trace
     tracemalloc.start()
@@ -606,6 +666,24 @@ def test_setting_up_a_march_builds_no_m_by_m_matrix(ops16, time_dependent):
     chunks.close()
     m = ops16.spec.m_u + ops16.spec.m_p
     assert G.any() and peak < 8 * m * m + G.nbytes, peak / (8 * m * m)
+
+
+@pytest.mark.memory
+def test_finding_the_step_blocks_allocates_less_than_an_m_by_m_boolean(ops16):
+    """The blocks come from the parity classes and a check of G per velocity class, whose
+    largest temporary (one class's rows of G, 2 m_u m_p bytes) is under the m^2 bytes of the
+    m x m boolean coupling pattern that a graph search over K reads."""
+    params, _ = stepper_params(ops16.spec, time_dependent=False)
+    G, B = coupling_matrix(ops16, params.f), ops16.div_coupling
+    compressible._step_blocks(ops16.spec, params.eta, B, G)  # first calls outside the trace
+    tracemalloc.start()
+    try:
+        blocks = compressible._step_blocks(ops16.spec, params.eta, B, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = ops16.spec.m_u + ops16.spec.m_p
+    assert [len(b) for b in blocks] == [400, 401] and peak < m * m, peak / (m * m)
 
 
 @pytest.mark.memory

@@ -21,7 +21,6 @@ from complim import (
     initial_pressure,
     leray_project,
     nullspace_basis,
-    shift_pressure_mean,
     simulate_incompressible,
     sweep_alpha,
 )
@@ -291,20 +290,6 @@ def test_initial_pressure_rejects_nonsolenoidal(spec4, ops4):
         initial_pressure(
             ops4, CompressibleParams(u0=VelocityCoeffs(spec4, rng.standard_normal(spec4.m_u)))
         )
-
-
-def test_shift_pressure_mean(spec4, ops4, kernel4):
-    traj = simulate_incompressible(spec4, ops4, kernel4, forced_params(0.01), store_states=True)
-    same = shift_pressure_mean(traj, 0.0)
-    assert np.array_equal(same.q, traj.q)
-    shifted = shift_pressure_mean(traj, 2.5)
-    assert np.all(shifted.q[:, 0] == 2.5)
-    twice = shift_pressure_mean(shifted, 2.5)
-    assert np.array_equal(twice.q, shifted.q)
-    # the represented gradient is untouched
-    assert np.abs(
-        ops4.div_coupling.T @ shifted.q.T - ops4.div_coupling.T @ traj.q.T
-    ).max() == 0.0
 
 
 def reduced_march(z, ops, params, dt):

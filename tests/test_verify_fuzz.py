@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from complim.cli import run_cli
-from complim.csvio import write_series_csv
+from complim.csvio import write_csv
 
 NAMES = ("i", "j", "a", "b", "c")
 
@@ -28,7 +28,7 @@ def test_verify_series_exits_0_or_3(series):
         args = ["verify"]
         for name, values in zip(NAMES, series):
             path = Path(tmp) / f"{name}.csv"
-            write_series_csv(path, t, values)
+            write_csv(path, ["t", "value"], zip(t, values))
             args += [f"--{name}", str(path)]
         assert run_cli(args) in (0, 3)
 
