@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,14 @@ from complim import assemble, build_basis, nullspace_basis
 # (the constant pressure mode alone) and odd sizes, whose classes differ in size
 PARITY_N_U = (1, 2, 3, 4, 5, 8, 9, 12, 16)
 PARITY_N_P = (0, 1, 2, 3, 4, 5, 8, 9, 12, 16)
+
+
+@functools.cache
+def parity_grid_ops(n_u, n_p):
+    """The operators at (n_u, n_p), assembled once per session for the tests over the
+    PARITY_N_U x PARITY_N_P grid (90 truncations, 74 MB in all)."""
+    return assemble(build_basis(n_u, n_p))
+
 
 @pytest.fixture(scope="session")
 def spec2():

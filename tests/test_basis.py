@@ -14,7 +14,7 @@ from complim import (
 )
 from complim.basis import velocity_mass_diagonal
 
-from conftest import PARITY_N_P, PARITY_N_U, quad2d
+from conftest import PARITY_N_P, PARITY_N_U, parity_grid_ops, quad2d
 
 
 def vel_mode(i, j):
@@ -270,7 +270,7 @@ def test_no_entry_of_E_or_B_crosses_a_parity_class(n_u):
     """Each unknown's class is the one its mode's indices give, and neither E (velocity by
     velocity) nor B (pressure by velocity) has a nonzero entry between two classes."""
     for n_p in PARITY_N_P:
-        ops = assemble(build_basis(n_u, n_p))
+        ops = parity_grid_ops(n_u, n_p)
         spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
         classes = spec.parity_classes()
         u, p = classes[: spec.m_u], classes[spec.m_u :]

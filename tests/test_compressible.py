@@ -34,7 +34,7 @@ from complim.config import parse_config, realize_vector_field
 from complim.operators import coupling_matrix
 from complim.presets import velocity_preset
 
-from conftest import PARITY_N_P, PARITY_N_U
+from conftest import PARITY_N_P, PARITY_N_U, parity_grid_ops
 
 
 def random_state(spec, seed=0, scale=1.0):
@@ -227,15 +227,25 @@ def _assert_same_report(report, svd):
 
 
 def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
+    """|E|_2 as the largest eigenvalue over the four velocity classes is E's 2-norm through a
+    full SVD, as it was taken before, and the report is the one each class's SVD norm gives."""
     ops, params, traj, report = _simulate_cfg_audit()
-    # |E| as the 2-norm through a full SVD, as it was taken before
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(
-        np.linalg,
-        "eigvalsh",
-        lambda a: np.array([np.linalg.norm(a, 2)]) if a is ops.div_gram else eigvalsh(a),
-    )
+    E, u_class, m_p = ops.div_gram, ops.spec.parity_classes()[: ops.spec.m_u], ops.spec.m_p
+    classes = [np.flatnonzero(u_class == c) for c in range(4)]
+    svd_norm = np.linalg.norm(E, 2)
+    assert max(np.linalg.norm(E[np.ix_(b, b)], 2) for b in classes) == pytest.approx(svd_norm, rel=1e-12, abs=0.0)
+    assert m_p not in [len(b) for b in classes]  # G'G is the one (m_p, m_p) matrix
+    eigvalsh, by_svd = np.linalg.eigvalsh, []
+
+    def class_norm_by_svd(a):
+        if a.shape == (m_p, m_p):
+            return eigvalsh(a)
+        by_svd.append(len(a))
+        return np.array([np.linalg.norm(a, 2)])
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", class_norm_by_svd)
     _assert_same_report(report, apriori_check(ops, params, traj))
+    assert by_svd == [len(b) for b in classes] == [32] * 4
 
 
 def test_apriori_g_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
@@ -435,7 +445,7 @@ def test_step_blocks_are_the_components_of_the_coupling_pattern(n_u):
     eta > 0, B and G), array for array and in order, over n_p, eta and three forces."""
     forces = _step_block_forces()
     for n_p in PARITY_N_P:
-        ops = assemble(build_basis(n_u, n_p))
+        ops = parity_grid_ops(n_u, n_p)
         spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
         for name, f in forces.items():
             G = coupling_matrix(ops, f) if f is not None else np.zeros((spec.m_u, spec.m_p))
