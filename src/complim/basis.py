@@ -369,6 +369,8 @@ def norms(operator_set, coeffs) -> dict:
     sqrt(c' E c); for pressure coefficients the L^2 norm is Euclidean.
     ``operator_set`` is the assembled OperatorSet of the coefficients' basis.
     """
+    from .operators import apply_E  # operators imports this module
+
     spec = operator_set.spec
     if isinstance(coeffs, VelocityCoeffs):
         c = coeffs.values
@@ -377,7 +379,7 @@ def norms(operator_set, coeffs) -> dict:
         return {
             "l2": float(np.sqrt(c @ (operator_set.mass_diag * c))),
             "h01": float(np.linalg.norm(c)),
-            "div_l2": float(np.sqrt(max(c @ operator_set.div_gram @ c, 0.0))),
+            "div_l2": float(np.sqrt(max(apply_E(operator_set, c[None])[0] @ c, 0.0))),
         }
     if isinstance(coeffs, PressureCoeffs):
         q = coeffs.values

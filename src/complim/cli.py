@@ -81,9 +81,10 @@ def _load_config(path: str) -> RunConfig:
 def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stokes: bool = False):
     """Refuse, before anything is built, a run whose dense arrays exceed physical memory.
 
-    Counts E, B, B's SVD factors and Z (b_vt r m_u values, Z m_V m_u, r + m_V = m_u),
-    which is all that march=False (decompose) builds, and, per Crank-Nicolson system
-    (m = m_u + m_p), at most 2 dense m x m matrices (the right-hand matrices and LU
+    Counts B, B's kept SVD factors and Z (b_vt r m_u values, Z m_V m_u, r + m_V = m_u)
+    and the m_u x m_u vt of assemble's full SVD of B[1:], a transient it frees: all that
+    march=False (decompose) builds, for it reads E through its tables.  Per Crank-Nicolson
+    system (m = m_u + m_p), at most 2 dense m x m matrices (the right-hand matrices and LU
     factors of its blocks) and its chunk buffers, 2 for a constant load and 3 for a
     time-dependent one.  A single run holds the 9 series of its Trajectory, (N+1) values
     each, and stores its (N+1) m states only to write coefficients.csv (dump_coefficients).
@@ -92,8 +93,10 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     systems with their chunk buffers and each row's (N+1)(probes + 4) series, on the grid
     of its smallest alpha, and per worker one reference: its pressure map (m_u m_p at
     most, built in chunks) and 6 chunk-sized arrays of width m_u (4.1-5.2 measured in all
-    at n = 8, 16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'E and
-    Z'EZ (at most 2 m_u^2), its 4 series and, with dump_coefficients, its stored y and q
+    at n = 8, 16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'EZ and
+    one slab of STEP_CHUNK rows of Z'E it is formed from (2 m_u^2; the slab's apply_E
+    temporaries, 3 chunk-sized arrays, fit the reference's 6, of which the march holds 2
+    while Z'EZ is formed), its 4 series and, with dump_coefficients, its stored y and q
     and the c = Z y that coefficients.csv is written from.  It also counts the text of the
     largest CSV file the command writes, at CSV_BYTES_PER_VALUE: coefficients.csv
     ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for

@@ -47,7 +47,7 @@ from .basis import (
     velocity_load_vector,
 )
 from .inequalities import MixedConstants, ScalarTrajectory, mixed_bounds, verify_mixed
-from .operators import OperatorSet, apply_B, apply_E, coupling_matrix
+from .operators import OperatorSet, apply_B, apply_E, coupling_matrix, div_gram
 
 __all__ = [
     "CompressibleParams",
@@ -306,12 +306,12 @@ def compressible_chunks(
         )
     m_u, m_p = spec.m_u, spec.m_p
     G = coupling_matrix(operator_set, params.f) if params.f is not None else np.zeros((m_u, m_p))
-    E, B = operator_set.div_gram, operator_set.div_coupling
+    B = operator_set.div_coupling
 
     def half_k(b):  # (dt/2) K on the unknowns b, K = [-eta E - mu I, B' + alpha G; -rho0 B, 0]
         u, p = b[b < m_u], b[b >= m_u] - m_u
         K = np.zeros((len(b), len(b)))
-        np.multiply(-params.eta, E[np.ix_(u, u)], out=K[: len(u), : len(u)])
+        np.multiply(-params.eta, div_gram(operator_set, u), out=K[: len(u), : len(u)])
         K[np.arange(len(u)), np.arange(len(u))] -= params.mu
         K[: len(u), len(u) :] = B.T[np.ix_(u, p)] + params.alpha * G[np.ix_(u, p)]
         K[len(u) :, : len(u)] = -params.rho0 * B[np.ix_(p, u)]
@@ -571,9 +571,9 @@ def apriori_check(
     # with M dc/dt read off the momentum equation at the nodes.
     est2_lhs = u_l2h1 + np.sqrt(np.trapezoid(traj.momentum**2, times))
     b_norm = float(operator_set.b_s[0]) if operator_set.b_s.size else 0.0
-    E, u_class = operator_set.div_gram, operator_set.spec.parity_classes()[: operator_set.spec.m_u]
+    u_class = operator_set.spec.parity_classes()[: operator_set.spec.m_u]
     classes = filter(len, (np.flatnonzero(u_class == c) for c in range(4)))  # E keeps to each one
-    e_norm = max(np.linalg.eigvalsh(E[np.ix_(b, b)])[-1] for b in classes)  # E is symmetric PSD
+    e_norm = max(np.linalg.eigvalsh(div_gram(operator_set, b))[-1] for b in classes)  # E is symmetric PSD
     G = traj.coupling  # |G|_2 from the largest eigenvalue of G'G, without G's full SVD
     g_norm = float(np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1])) if G.any() else 0.0
     bj = constants.c_a * k1  # bound on |J|_{L2} / E

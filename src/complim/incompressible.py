@@ -39,7 +39,7 @@ import numpy as np
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, _check_steps, time_grid
 from .compressible import _forcing_terms, _time_values
-from .operators import OperatorSet, grad_inverse_rows, leray_project
+from .operators import OperatorSet, apply_E, grad_inverse_rows, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
 __all__ = [
@@ -191,7 +191,9 @@ def simulate_incompressible(
     y, q = (np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))) if store_states else (None, None)
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
-    zez = Z.T @ operator_set.div_gram @ Z  # c'Ec = y'(Z'EZ)y, formed once
+    zez = np.empty((Z.shape[1], Z.shape[1]))  # c'Ec = y'(Z'EZ)y, formed once, STEP_CHUNK rows at a time
+    for slab in (slice(j, j + STEP_CHUNK) for j in range(0, Z.shape[1], STEP_CHUNK)):
+        np.matmul(apply_E(operator_set, Z.T[slab]), Z, out=zez[slab])
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
         if store_states:

@@ -3,11 +3,13 @@
 Assembles, from closed-form 1-D integrals only:
 
     M  (m_u x m_u)  diagonal velocity mass matrix,
-    E  (m_u x m_u)  div-div Gram matrix, E_ij = (div e_i, div e_j),
+    E  (m_u x m_u)  div-div Gram matrix, E_ij = (div e_i, div e_j), not kept dense,
     B  (m_p x m_u)  divergence coupling, B_kj = (div e_j, pressure mode k).
 
 Per-state products take :func:`apply_E` and :func:`apply_B`, O(n^3) a row against O(n^4),
-from the kept 1-D table S(a, b) = int_0^1 sin(a pi t) cos(b pi t) dt (dense E, B: steps, norms, SVD).
+from the kept 1-D table S(a, b) = int_0^1 sin(a pi t) cos(b pi t) dt.  Where a matrix of E is
+needed (a step block, |E|_2) :func:`div_gram` builds it on the given unknowns from the same
+table; dense B serves the steps and the SVD.
 
 The row of B belonging to the constant pressure mode vanishes identically
 (fields with zero trace have mean-zero divergence).  On top of these the
@@ -42,6 +44,7 @@ __all__ = [
     "AnnihilationError",
     "MeanNotZero",
     "assemble",
+    "div_gram",
     "apply_E",
     "apply_B",
     "coupling_matrix",
@@ -68,16 +71,16 @@ class MeanNotZero(ValueError):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Assembled matrices plus the cached factorization of the mean-zero block of B.
+    """M's diagonal, B, the 1-D tables E is read from, and the cached factorization of B[1:].
 
     The stiffness matrix is the identity by basis normalization and is kept
-    implicit.  ``b_u, b_s, b_vt`` hold the thin SVD of B[1:] truncated at
-    ``b_rank``; ``kernel`` spans null(B[1:]) and is M-orthonormal.
+    implicit, and E is read through :func:`apply_E` and :func:`div_gram`, so no
+    array here has m_u x m_u entries.  ``b_u, b_s, b_vt`` hold the thin SVD of
+    B[1:] truncated at ``b_rank``; ``kernel`` spans null(B[1:]) and is M-orthonormal.
     """
 
     spec: BasisSpec
     mass_diag: np.ndarray  # (m_u,)
-    div_gram: np.ndarray  # E, (m_u, m_u)
     div_coupling: np.ndarray  # B, (m_p, m_u)
     sin_cos: np.ndarray  # S(a, b) at [a - 1, b], a = 1..n_u, b = 0..max(n_u, n_p)
     div_leads: np.ndarray  # (2, n_u, n_u): n_ij i pi and n_ij j pi, of div e_(1,i,j) and div e_(2,i,j)
@@ -90,16 +93,12 @@ class OperatorSet:
 
 
 def assemble(spec: BasisSpec) -> OperatorSet:
-    """Assemble M, E, B for the given basis and factor the mean-zero block of B."""
+    """Assemble M, B and E's tables for the given basis and factor the mean-zero block of B."""
     n = spec.n_u
     mass_diag = velocity_mass_diagonal(spec)
-
-    # E: diagonal within each component block, sine/cosine cross terms between them.
     idx = np.arange(1, n + 1)
     norms = spec.vel_norms  # n_ij at [i-1, j-1]
     leads = np.stack((norms * idx[:, None] * np.pi, norms * idx[None, :] * np.pi))
-    E = np.zeros((spec.m_u, spec.m_u))
-    E[np.arange(spec.m_u), np.arange(spec.m_u)] = (leads**2 / 4.0).ravel()  # d/dx of component 1, d/dy of 2
     half = n * n
     # Broadcast products of the 1-D closed forms S(a, b) (a = 1..n), C(a, k) and
     # c_kl, in the factor order of the per-entry formulas; "+ 0.0" stores the
@@ -107,13 +106,6 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     ks = range(spec.n_p + 1)
     s_tab = np.array([[sin_cos_integral(a, b) for b in range(max(n, spec.n_p) + 1)] for a in idx])
     c_tab = np.array([[cos_cos_integral(a, k) for k in ks] for a in idx])
-    # cross block: (div e_(1,i,j), div e_(2,i',j')) = n_ij n_i'j' pi^2 i j' S(i',i) S(j,j'),
-    # on axes (i, j, i', j')
-    s_sq = s_tab[:, 1 : n + 1]
-    cross = norms[:, :, None, None] * norms * np.pi**2 * idx[:, None, None, None] * idx
-    cross = cross * s_sq.T[:, None, :, None] * s_sq[:, None, :] + 0.0
-    E[:half, half:] = cross.reshape(half, half)
-    E[half:, :half] = E[:half, half:].T
 
     # B on axes (k, l, i, j): component 1 pairs C(i, k) S(j, l), component 2 S(i, k) C(j, l)
     c_p, s_p = c_tab.T, s_tab[:, : spec.n_p + 1].T  # at [k, i-1]
@@ -141,7 +133,6 @@ def assemble(spec: BasisSpec) -> OperatorSet:
     return OperatorSet(
         spec=spec,
         mass_diag=mass_diag,
-        div_gram=E,
         div_coupling=B,
         sin_cos=s_tab,
         div_leads=leads,
@@ -152,6 +143,21 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         kernel=kernel,
         full_row_rank=rank == spec.m_p - 1,
     )
+
+
+def div_gram(operator_set: OperatorSet, modes: np.ndarray) -> np.ndarray:
+    """E[np.ix_(modes, modes)] for ascending velocity unknowns, entry by entry from the tables:
+    lead^2 / 4 on the diagonal, zero elsewhere within a component, and between the components
+    (div e_(1,i,j), div e_(2,i',j')) = n_ij n_i'j' pi^2 i j' S(i',i) S(j,j'), + 0.0 as in B."""
+    n, s = operator_set.spec.n_u, operator_set.sin_cos
+    comp, i, j = np.unravel_index(modes, (2, n, n))  # i - 1, j - 1
+    h, norms, k = np.searchsorted(comp, 1), operator_set.spec.vel_norms[i, j], len(modes)
+    (i1, j1, n1), (i2, j2, n2) = (i[:h, None], j[:h, None], norms[:h, None]), (i[h:], j[h:], norms[h:])
+    cross = n1 * n2 * np.pi**2 * (i1 + 1) * (j2 + 1) * s[i2, i1 + 1] * s[j1, j2 + 1] + 0.0
+    E = np.zeros((k, k))
+    E[:h, h:], E[h:, :h] = cross, cross.T
+    E[np.arange(k), np.arange(k)] = operator_set.div_leads[comp, i, j] ** 2 / 4.0
+    return E
 
 
 def apply_E(operator_set: OperatorSet, rows: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from complim import (
     project_velocity,
 )
 from complim.basis import velocity_mass_diagonal
+from complim.operators import div_gram
 
 from conftest import PARITY_N_P, PARITY_N_U, parity_grid_ops, quad2d
 
@@ -271,7 +272,7 @@ def test_no_entry_of_E_or_B_crosses_a_parity_class(n_u):
     velocity) nor B (pressure by velocity) has a nonzero entry between two classes."""
     for n_p in PARITY_N_P:
         ops = parity_grid_ops(n_u, n_p)
-        spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
+        spec, E, B = ops.spec, div_gram(ops, np.arange(ops.spec.m_u)), ops.div_coupling
         classes = spec.parity_classes()
         u, p = classes[: spec.m_u], classes[spec.m_u :]
         for flat in range(spec.m_u):

@@ -31,7 +31,7 @@ from complim import (
 from complim.basis import pressure_load_vector, velocity_load_vector
 from complim.cli import _build_params
 from complim.config import parse_config, realize_vector_field
-from complim.operators import coupling_matrix
+from complim.operators import coupling_matrix, div_gram
 from complim.presets import velocity_preset
 
 from conftest import PARITY_N_P, PARITY_N_U, parity_grid_ops
@@ -49,7 +49,7 @@ def exp_reference(spec, ops, params, times):
     """Dense matrix-exponential oracle for the homogeneous coefficient system."""
     m_u, m_p = spec.m_u, spec.m_p
     K = np.zeros((m_u + m_p, m_u + m_p))
-    K[:m_u, :m_u] = -(params.mu * np.eye(m_u) + params.eta * ops.div_gram)
+    K[:m_u, :m_u] = -(params.mu * np.eye(m_u) + params.eta * div_gram(ops, np.arange(m_u)))
     K[:m_u, m_u:] = ops.div_coupling.T
     K[m_u:, :m_u] = -params.rho0 * ops.div_coupling
     a_inv = np.concatenate(
@@ -230,7 +230,8 @@ def test_apriori_e_norm_by_eigvalsh_matches_the_svd_norm(monkeypatch):
     """|E|_2 as the largest eigenvalue over the four velocity classes is E's 2-norm through a
     full SVD, as it was taken before, and the report is the one each class's SVD norm gives."""
     ops, params, traj, report = _simulate_cfg_audit()
-    E, u_class, m_p = ops.div_gram, ops.spec.parity_classes()[: ops.spec.m_u], ops.spec.m_p
+    u_class, m_p = ops.spec.parity_classes()[: ops.spec.m_u], ops.spec.m_p
+    E = div_gram(ops, np.arange(ops.spec.m_u))
     classes = [np.flatnonzero(u_class == c) for c in range(4)]
     svd_norm = np.linalg.norm(E, 2)
     assert max(np.linalg.norm(E[np.ix_(b, b)], 2) for b in classes) == pytest.approx(svd_norm, rel=1e-12, abs=0.0)
@@ -341,7 +342,7 @@ def lu_solve_march(spec, ops, params, dt):
     n_steps = round(params.T / dt)
     G = coupling_matrix(ops, params.f) if params.f is not None else np.zeros((m_u, m_p))
     K = np.zeros((m, m))
-    K[:m_u, :m_u] = -params.eta * ops.div_gram
+    K[:m_u, :m_u] = -params.eta * div_gram(ops, np.arange(m_u))
     K[:m_u, :m_u] -= params.mu * np.eye(m_u)
     K[:m_u, m_u:] = ops.div_coupling.T + params.alpha * G
     K[m_u:, :m_u] = -params.rho0 * ops.div_coupling
@@ -446,7 +447,7 @@ def test_step_blocks_are_the_components_of_the_coupling_pattern(n_u):
     forces = _step_block_forces()
     for n_p in PARITY_N_P:
         ops = parity_grid_ops(n_u, n_p)
-        spec, E, B = ops.spec, ops.div_gram, ops.div_coupling
+        spec, E, B = ops.spec, div_gram(ops, np.arange(ops.spec.m_u)), ops.div_coupling
         for name, f in forces.items():
             G = coupling_matrix(ops, f) if f is not None else np.zeros((spec.m_u, spec.m_p))
             for eta in (0.0, 0.5):
@@ -581,7 +582,7 @@ def _whole_array_ledger(ops, params, traj):
     q_mid = 0.5 * (traj.q[1:] + traj.q[:-1])
     t_mid = 0.5 * (traj.times[1:] + traj.times[:-1])
     h01_sq = np.einsum("ni,ni->n", c_mid, c_mid)
-    div_sq = np.einsum("ni,ij,nj->n", c_mid, ops.div_gram, c_mid, optimize=True)
+    div_sq = np.einsum("ni,ij,nj->n", c_mid, div_gram(ops, np.arange(ops.spec.m_u)), c_mid, optimize=True)
     dissipation = dt * (params.mu * h01_sq + params.eta * div_sq)
     G = coupling_matrix(ops, params.f)
     work = params.alpha * np.einsum("nk,nk->n", c_mid @ G, q_mid)
@@ -599,7 +600,7 @@ def _whole_array_est2_lhs(ops, params, traj):
     momentum = (
         traj.q @ ops.div_coupling
         - params.mu * traj.c
-        - params.eta * (traj.c @ ops.div_gram)
+        - params.eta * (traj.c @ div_gram(ops, np.arange(ops.spec.m_u)))
         + params.alpha * (traj.q @ G.T)
         + np.outer(s_factors, velocity_load_vector(ops.spec, params.s))
     ) / params.rho0

@@ -28,6 +28,7 @@ from complim import (
 from complim.cli import run_cli
 from complim.compressible import STEP_CHUNK, StepFailure
 from complim.config import realize_scalar_field
+from complim.operators import div_gram
 from complim.presets import velocity_preset
 
 from test_cli import SWEEP_CFG, write_cfg
@@ -257,7 +258,7 @@ def _x_alpha_full(ops, params, traj, ref):
         + 2.0 * params.mu * np.trapezoid(np.einsum("ni,ni->n", d, d), traj.times)
     )
     if params.eta > 0.0:
-        div_sq = np.einsum("ni,ij,nj->n", d, ops.div_gram, d, optimize=True)
+        div_sq = np.einsum("ni,ij,nj->n", d, div_gram(ops, np.arange(ops.spec.m_u)), d, optimize=True)
         value += 2.0 * params.eta * np.trapezoid(div_sq, traj.times)
     return float(value)
 

@@ -21,7 +21,7 @@ from complim import (
     operator_norm_estimates,
 )
 from complim.config import parse_config, realize_vector_field
-from complim.operators import apply_B, apply_E, grad_inverse_rows
+from complim.operators import apply_B, apply_E, div_gram, grad_inverse_rows
 
 from conftest import quad2d
 
@@ -48,15 +48,16 @@ def test_div_gram_diagonal_entry():
     spec = build_basis(1, 1)
     ops = assemble(spec)
     flat = spec.velocity_index(0, 1, 1)
-    assert ops.div_gram[flat, flat] == pytest.approx(0.5, abs=1e-14)
+    assert div_gram(ops, np.arange(spec.m_u))[flat, flat] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_div_gram_matches_quadrature(spec2, ops2):
+    E = div_gram(ops2, np.arange(spec2.m_u))
     for a in range(spec2.m_u):
         for b in range(a, spec2.m_u):
             da, db = div_mode(spec2, a), div_mode(spec2, b)
             oracle = quad2d(lambda x, y: da(x, y) * db(x, y))
-            assert ops2.div_gram[a, b] == pytest.approx(oracle, abs=1e-12)
+            assert E[a, b] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_div_coupling_matches_quadrature(spec2, ops2):
@@ -72,7 +73,7 @@ def test_div_coupling_matches_quadrature(spec2, ops2):
 
 
 def test_div_gram_spd_and_dominates_coupling(ops4):
-    E = ops4.div_gram
+    E = div_gram(ops4, np.arange(ops4.spec.m_u))
     assert np.abs(E - E.T).max() == 0.0
     eigs = np.linalg.eigvalsh(E)
     assert eigs.min() > -1e-12
@@ -155,7 +156,7 @@ def test_no_operator_array_keeps_a_larger_base_alive(n_u, n_p):
     ops = assemble(build_basis(n_u, n_p))
     arrays = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)}
     arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
-    assert {"b_u", "b_s", "b_vt", "kernel", "div_gram"} <= set(arrays)
+    assert {"b_u", "b_s", "b_vt", "kernel"} <= set(arrays)
     for name, array in arrays.items():
         base = array
         while isinstance(base.base, np.ndarray):
@@ -296,6 +297,27 @@ def test_operator_norms_recorded_over_sizes():
     print("bogovskii norm over n=2,4,6:", values)
 
 
+def entrywise_div_gram(spec):
+    """E entry by entry from the closed forms (test oracle): (n_ij i pi)^2 / 4 and (n_ij j pi)^2 / 4
+    on the diagonal, n_ij n_i'j' pi^2 i j' S(i',i) S(j,j') between (1,i,j) and (2,i',j')."""
+    from complim.basis import sin_cos_integral
+
+    n, norms, half = spec.n_u, spec.vel_norms, spec.n_u**2
+    E = np.zeros((spec.m_u, spec.m_u))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            a = (i - 1) * n + j - 1
+            E[a, a] = (norms[i - 1, j - 1] * i * np.pi) ** 2 / 4.0
+            E[half + a, half + a] = (norms[i - 1, j - 1] * j * np.pi) ** 2 / 4.0
+            for ip in range(1, n + 1):
+                for jp in range(1, n + 1):
+                    E[a, half + (ip - 1) * n + jp - 1] = E[half + (ip - 1) * n + jp - 1, a] = (
+                        norms[i - 1, j - 1] * norms[ip - 1, jp - 1] * np.pi**2 * i * jp
+                        * sin_cos_integral(ip, i) * sin_cos_integral(j, jp)
+                    )
+    return E
+
+
 @pytest.mark.parametrize("n_u,n_p", [(3, 3), (2, 3)])
 def test_assembled_blocks_match_entrywise_closed_forms(n_u, n_p):
     from complim.basis import cos_cos_integral, pressure_normalization, sin_cos_integral
@@ -304,15 +326,8 @@ def test_assembled_blocks_match_entrywise_closed_forms(n_u, n_p):
     ops = assemble(spec)
     norms = spec.vel_norms
     half = n_u * n_u
-    cross = np.zeros((half, half))
-    for i in range(1, n_u + 1):
-        for j in range(1, n_u + 1):
-            for ip in range(1, n_u + 1):
-                for jp in range(1, n_u + 1):
-                    cross[(i - 1) * n_u + j - 1, (ip - 1) * n_u + jp - 1] = (
-                        norms[i - 1, j - 1] * norms[ip - 1, jp - 1] * np.pi**2 * i * jp
-                        * sin_cos_integral(ip, i) * sin_cos_integral(j, jp)
-                    )
+    cross = entrywise_div_gram(spec)[:half, half:]
+    E = div_gram(ops, np.arange(spec.m_u))
     B = np.zeros((spec.m_p, spec.m_u))
     for k in range(n_p + 1):
         for l in range(n_p + 1):
@@ -326,12 +341,35 @@ def test_assembled_blocks_match_entrywise_closed_forms(n_u, n_p):
                     B[spec.pressure_index(k, l), spec.velocity_index(1, i, j)] = (
                         n_ij * c_kl * j * np.pi * sin_cos_integral(i, k) * cos_cos_integral(j, l)
                     )
-    assert np.array_equal(ops.div_gram[:half, half:], cross)
-    assert np.array_equal(ops.div_gram[half:, :half], cross.T)
+    assert np.array_equal(E[:half, half:], cross)
+    assert np.array_equal(E[half:, :half], cross.T)
     assert np.array_equal(ops.div_coupling, B)
     # vanishing integrals are stored as +0.0
-    assert not np.signbit(ops.div_gram[ops.div_gram == 0.0]).any()
+    assert not np.signbit(E[E == 0.0]).any()
     assert not np.signbit(ops.div_coupling[ops.div_coupling == 0.0]).any()
+
+
+@pytest.mark.parametrize("n_u,n_p", [(1, 1), (2, 3), (3, 3), (5, 3), (8, 8)])
+def test_div_gram_blocks_match_entrywise_closed_forms(n_u, n_p):
+    """div_gram on each velocity parity class and on a seeded ascending subset is the entrywise
+    oracle's block exactly, its vanishing entries +0.0."""
+    spec = build_basis(n_u, n_p)
+    ops, oracle = assemble(spec), entrywise_div_gram(spec)
+    u_class = spec.parity_classes()[: spec.m_u]
+    subset = np.sort(np.random.default_rng(n_u * 10 + n_p).permutation(spec.m_u)[: spec.m_u // 2 + 1])
+    for b in [np.flatnonzero(u_class == c) for c in range(4)] + [subset]:
+        E = div_gram(ops, b)
+        assert np.array_equal(E, oracle[np.ix_(b, b)]), b
+        assert not np.signbit(E[E == 0.0]).any()
+
+
+@pytest.mark.parametrize("n_u,n_p", [(8, 8), (16, 16)])
+def test_no_operator_array_has_m_u_squared_entries(n_u, n_p):
+    """E is read through its tables and div_gram, so the OperatorSet keeps nothing of its size."""
+    ops = assemble(build_basis(n_u, n_p))
+    for f in dataclasses.fields(ops):
+        array = getattr(ops, f.name)
+        assert not isinstance(array, np.ndarray) or array.size < ops.spec.m_u**2, f.name
 
 
 @pytest.mark.parametrize("n_u,n_p", [(3, 3), (8, 8), (16, 16), (3, 5), (5, 3)])
@@ -341,7 +379,8 @@ def test_factored_products_match_the_dense_ones(n_u, n_p):
     ops = assemble(build_basis(n_u, n_p))
     rng = np.random.default_rng(n_u * 10 + n_p)
     rows, q = rng.standard_normal((7, ops.spec.m_u)), rng.standard_normal((7, ops.spec.m_p))
-    for factored, dense in ((apply_E(ops, rows), rows @ ops.div_gram), (apply_B(ops, q), q @ ops.div_coupling)):
+    E = div_gram(ops, np.arange(ops.spec.m_u))
+    for factored, dense in ((apply_E(ops, rows), rows @ E), (apply_B(ops, q), q @ ops.div_coupling)):
         assert factored.shape == dense.shape
         assert np.abs(factored - dense).max(initial=0.0) <= 1e-14 * np.abs(dense).max(initial=0.0)
     assert apply_E(ops, rows[:0]).shape == (0, ops.spec.m_u)
