@@ -92,15 +92,15 @@ def _check_memory(cfg: RunConfig, sweep: bool = False, march: bool = True, stoke
     processes, each in lockstep with its own Stokes reference.  It counts n_alpha row
     systems with their chunk buffers and each row's (N+1)(probes + 4) series, on the grid
     of its smallest alpha, and per worker one reference: its pressure map (m_u m_p at
-    most, built in chunks) and 6 chunk-sized arrays of width m_u (4.1-5.2 measured in all
-    at n = 8, 16 and 24).  A Stokes run (stokes=True) counts one such reference, Z'EZ and
-    one slab of STEP_CHUNK rows of Z'E it is formed from (2 m_u^2; the slab's apply_E
-    temporaries, 3 chunk-sized arrays, fit the reference's 6, of which the march holds 2
-    while Z'EZ is formed), its 4 series and, with dump_coefficients, its stored y and q
-    and the c = Z y that coefficients.csv is written from.  It also counts the text of the
-    largest CSV file the command writes, at CSV_BYTES_PER_VALUE: coefficients.csv
-    ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for
-    a sweep, decompose.csv (7 m_u) for decompose.
+    most, built in chunks) and 6 chunk-sized arrays of width m_u (3.8-5.1 measured in all
+    at n = 8, 16 and 24, a time-dependent load's third buffer included).  A Stokes run
+    (stokes=True) counts one such reference, Z'EZ and one slab of STEP_CHUNK rows of Z'E
+    it is formed from (2 m_u^2; the slab's apply_E temporaries, 3 chunk-sized arrays, fit
+    the reference's 6: the march allocates its buffers at its first chunk, after Z'EZ), its
+    4 series and, with dump_coefficients, its stored y, q and the c = Z y that coefficients.csv
+    is written from.  It also counts the text of the largest CSV file the command writes, at
+    CSV_BYTES_PER_VALUE: coefficients.csv ((N+1)(m+1) values) or trajectory.csv (6 (N+1))
+    for a single run, probe_deltas.csv for a sweep, decompose.csv (7 m_u) for decompose.
     """
     try:
         m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2

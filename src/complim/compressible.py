@@ -12,13 +12,13 @@ homogeneous problem is recovered by sigma = 0, s = rho0 f.
 
 Stepping is trapezoidal (Crank-Nicolson): A-stable, so the acoustic block
 with frequencies ~ 1/sqrt(alpha) imposes no stability restriction, second
-order, and exactly dissipative on the unforced system.  The stepper,
-:func:`crank_nicolson`, marches each block of the step system (the parity classes
-of the basis that G joins) with one matrix-vector product and one ``getrs`` solve
-in numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
-has several, checks each chunk's step residuals from the products the steps form
-(:func:`_check_steps` gates the Stokes march too) and hands the chunk of
-states to its caller, its first row the node the previous chunk ended on.
+order, and exactly dissipative on the unforced system.  The stepper of both
+systems, :func:`crank_nicolson`, marches each block of the step system (the parity
+classes of the basis that G joins) with one matrix-vector product and one ``getrs``
+solve in numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
+has several, and a diagonal block (the Stokes modes) elementwise, checks each chunk's
+step residuals from the products the steps form and hands the chunk of states to
+its caller, its first row the node the previous chunk ended on.
 :func:`simulate_compressible` hands the chunks to the run's :class:`Trajectory`,
 which stores them only if asked and reduces each one alone, E and B applied
 through their 1-D tables, to the series that trajectory.csv, the energy ledger
@@ -95,19 +95,6 @@ def time_grid(dt_req: float, T: float) -> tuple[float, np.ndarray]:
     return dt, dt * np.arange(n_steps + 1)
 
 
-def _check_steps(start: int, times: np.ndarray, residual: np.ndarray, scale: np.ndarray) -> None:
-    """Raise StepFailure at the first step of the chunk from node ``start`` whose residual norm
-    exceeds STEP_RESIDUAL_RTOL times its scale |rhs|, or is not finite: both marches' gate."""
-    scale = np.maximum(scale, 1e-300)
-    bad = np.flatnonzero(~(residual <= STEP_RESIDUAL_RTOL * scale))
-    if bad.size:
-        k = bad[0]
-        raise StepFailure(
-            f"step {start + k + 1} at t = {times[start + k + 1]:.6g}: relative residual "
-            f"{residual[k] / scale[k]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
-        )
-
-
 def _step_blocks(spec: BasisSpec, eta: float, B: np.ndarray, G: np.ndarray) -> list[np.ndarray]:
     """K's diagonal blocks, off which it vanishes, as ascending index arrays in the order of
     their first unknowns: the unions of the parity classes that G joins (E and B join none)
@@ -135,24 +122,24 @@ def crank_nicolson(
     """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
     ``blocks`` holds K's diagonal blocks, off which K vanishes, as ``(indices, half)``
-    pairs: the ascending unknowns of one block of :func:`_step_blocks` and (dt/2) K on them.
+    pairs: the ascending unknowns of one block and (dt/2) K on them, a matrix (a block of
+    :func:`_step_blocks`) or, where K is diagonal on the block, the vector of its diagonal.
     The march takes each half over: it becomes rhs_mat = diag(a) + (dt/2) K_b, and
-    lhs = diag(a) - (dt/2) K_b is built once and LU-factored in place.  Each step solves,
-    block by block, lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).
-    ``load`` is the constant vector g, whose w is one vector, or
-    ``load(t, out)`` fills the (k, m) chunk buffer out with the loads at k
-    times, and the march turns it into w.
+    lhs = diag(a) - (dt/2) K_b is built once and LU-factored in place, or for a vector is
+    a vector that steps divide by.  Each step solves, block by block,
+    lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``load`` is the
+    constant vector g, whose w is one vector, or ``load(t, out)`` fills the (k, m) chunk
+    buffer out with the loads at k times, and the march turns it into w.
 
     A generator: it marches STEP_CHUNK steps at a time and yields ``(start, states)``
     per chunk, start = 0, STEP_CHUNK, ..., states[k] being y at node start + k: a
     chunk's row 0 is the node the previous one ended on, bit for bit.  The blocks
-    march in one chunk buffer, each one's unknowns contiguous, and each step turns
-    the products rhs_mat y_n of another into its rhs_n; the last row of both becomes
-    the next chunk's row 0.  Before a chunk is yielded its residuals are checked in
-    place: as lhs = 2 diag(a) - rhs_mat, a step's residual is
-    2 a y_{n+1} - rhs_mat y_{n+1} - rhs_n,
-    the product read back as rhs_{n+1} - w_{n+1}, and :func:`_check_steps`
-    gates it on |rhs_n|.  states views the gated right-hand sides, into which the chunk
+    march in one chunk buffer, each one's unknowns contiguous, and keep the products
+    rhs_mat y_n in another; the last row of both becomes the next chunk's row 0.  Before
+    a chunk is yielded, the first step whose residual 2a y_{n+1} - rhs_mat y_{n+1} - rhs_n
+    (lhs = 2 diag(a) - rhs_mat) exceeds STEP_RESIDUAL_RTOL |rhs_n|, or is not finite, raises
+    StepFailure; rhs_n is formed again, in a time-dependent load's buffer, so a load not
+    finite at node k fails step k.  states views the products' buffer, into which the chunk
     is un-permuted and which the next chunk overwrites (its loads first, if time-dependent).
 
     Several blocks, with more than one OpenBLAS thread in force, step each chunk at
@@ -167,11 +154,16 @@ def crank_nicolson(
     with blas.one_blas_thread(workers > 1):  # from before the factors until the generator finishes
         a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
         n_steps = len(times) - 1
-        # the states, right-hand sides and a time-dependent load's w, allocated once
+        # the states, the products rhs_mat y and a time-dependent load's w, allocated once
         states, rhs, *loads = np.empty((2 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
-        systems = []  # per block: its columns, rhs_mat and the solver of lhs in its rows of states
+        systems = []  # per block: its columns, rhs_mat, its product with y and lhs's solver in states
         for (_, half), stop in zip(blocks, np.cumsum([len(b) for b, _ in blocks])):
             cols = slice(stop - len(half), stop)
+            if half.ndim == 1:  # K diagonal on the block: rhs_mat and lhs are vectors
+                def solve(k, y=states[:, cols], lhs=a[cols] - half):  # getrs's info 0: None
+                    np.divide(y[k], lhs, out=y[k])
+                systems.append((cols, a[cols] + half, np.multiply, solve))
+                continue
             half_diag = half.diagonal().copy()
             # 0 - x and x + 0 are exact and give +0.0 for a zero of either sign, as
             # diag(a) -/+ (dt/2) K do off the diagonal
@@ -180,7 +172,7 @@ def crank_nicolson(
             piv, _ = blas.getrf(lhs)  # an exactly singular factor (info > 0) fails step 1's gate
             rhs_mat = np.add(half, 0.0, out=half)
             np.fill_diagonal(rhs_mat, a[cols] + half_diag)
-            systems.append((cols, rhs_mat, blas.getrs(lhs, piv, states[:, cols])))
+            systems.append((cols, rhs_mat, np.matmul, blas.getrs(lhs, piv, states[:, cols])))
         two_a = 2.0 * a
         dt = float(times[1] - times[0])
         if not callable(load):  # the bits of a time-dependent load's trapezoid below
@@ -188,24 +180,23 @@ def crank_nicolson(
         inverse = np.argsort(perm)
         states[0] = y0
         carry = np.empty(len(y0))  # rhs_mat y at the node a chunk starts from
-        for cols, rhs_mat, _ in systems:
-            np.matmul(rhs_mat, y0[cols], out=carry[cols])
+        for cols, rhs_mat, product, _ in systems:
+            product(rhs_mat, y0[cols], out=carry[cols])
 
         def march(system):  # the chunk's steps of one block
-            cols, rhs_mat, solve = system
+            cols, rhs_mat, product, solve = system
             y, r, w_b = states[:, cols], rhs[:, cols], w[:, cols]
             for k in range(count):
-                r[k] += w_b[k]
-                y[k + 1] = r[k]  # solved in place
+                np.add(r[k], w_b[k], out=y[k + 1])  # rhs_k, solved in place
                 if info := solve(k + 1):
                     raise StepFailure(f"step {start + k + 1}: getrs returned info = {info}")
-                np.matmul(rhs_mat, y[k + 1], out=r[k + 1])
+                product(rhs_mat, y[k + 1], out=r[k + 1])
 
         for start in range(0, n_steps, STEP_CHUNK):
             count = min(STEP_CHUNK, n_steps - start)
             if loads:
                 w = loads[0][: count + 1]
-                # the load comes in the original order, into the right-hand sides
+                # the load comes in the original order, into the products' buffer
                 load(times[start : start + count + 1], rhs[: count + 1])
                 np.take(rhs[: count + 1], perm, axis=1, out=w, mode="clip")
                 w[:-1] += w[1:]
@@ -217,16 +208,25 @@ def crank_nicolson(
             else:
                 for system in systems:
                     march(system)
-            # the residuals overwrite the right-hand sides, with no chunk-sized temporary:
-            # 2a y_{k+1} - rhs_mat y_{k+1} - rhs_k = 2a (y_{k+1} - (rhs_k + rhs_{k+1} - w_{k+1}) / 2a)
-            scale = np.sqrt(np.vecdot(rhs[:count], rhs[:count]))
-            d = rhs[:count]
+            # the residuals, with no chunk-sized temporary: d takes rhs_n = rhs_mat y_n + w_n, as the
+            # steps solved it, then 2a y_{n+1} - rhs_mat y_{n+1} - rhs_n =
+            # 2a (y_{n+1} - (rhs_n + rhs_mat y_{n+1}) / 2a)
+            d = loads[0][:count] if loads else rhs[:count]
+            np.add(rhs[:count], w[:count], out=d)
+            scale = np.maximum(np.sqrt(np.vecdot(d, d)), 1e-300)
             d += rhs[1 : count + 1]  # numpy reads the overlapping rows as they were before
-            d[:-1] -= w[1:count]  # the last product is rhs[count] itself
+            if not loads:  # d read rhs_{n+1} for rhs_mat y_{n+1}; one w is finite at every node or none
+                d[:-1] -= w[1:count]
             d /= two_a
             d -= states[1 : count + 1]
             d *= two_a
-            _check_steps(start, times, np.sqrt(np.vecdot(d, d)), scale)
+            ratio = np.sqrt(np.vecdot(d, d)) / scale
+            if (bad := np.flatnonzero(~(ratio <= STEP_RESIDUAL_RTOL))).size:
+                k = start + bad[0] + 1
+                raise StepFailure(
+                    f"step {k} at t = {times[k]:.6g}: relative residual "
+                    f"{ratio[bad[0]]:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}"
+                )
             carry[:] = rhs[count]
             # mode="clip": "raise" would buffer out
             np.take(states[: count + 1], inverse, axis=1, out=rhs[: count + 1], mode="clip")

@@ -10,8 +10,9 @@ with s the momentum source of the compressible runs (rho0 f for the
 homogeneous problem): the Stokes limit keeps s and drops the alpha p f
 coupling.  Solenoidality therefore holds exactly at every step.  As
 ``assemble`` orders Z by eigh(Z'Z), Z'Z is diagonal up to roundoff, so each
-mode evolves on its own and the march steps them elementwise, with no
-matrix factor and no matrix-vector product.  The pressure is recovered from
+mode evolves on its own: the march is :func:`.compressible.crank_nicolson` on one
+diagonal block, stepped elementwise with no matrix factor and no matrix-vector
+product.  The pressure is recovered from
 the momentum residual through the inverse of the pressure gradient: with
 dc/dt read off the reduced equation (not from finite differences, which
 would lose an order), q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c).
@@ -37,7 +38,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
-from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, _check_steps, time_grid
+from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, crank_nicolson, time_grid
 from .compressible import _forcing_terms, _time_values
 from .operators import OperatorSet, apply_E, grad_inverse_rows, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
@@ -108,9 +109,10 @@ def stokes_chunks(
     per chunk over its new nodes.  y and q view chunk buffers that the next chunk
     overwrites; node 0's pressure is :func:`initial_pressure`.
 
-    With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), a step is
-    den y_{n+1} = rhs_n = num y_n + dt/2 (fac(t_n) + fac(t_{n+1})) Z's with
-    den, num = rho0 +- dt mu lam / 2, gated on |den y_{n+1} - rhs_n| / |rhs_n|.
+    With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), it is crank_nicolson's
+    march of rho0 dy/dt = -mu diag(lam) y + fac(t) Z's, a step
+    (rho0 + dt mu lam / 2) y_{n+1} = (rho0 - dt mu lam / 2) y_n + w_n elementwise, under its
+    residual gate.
 
     The initial velocity is projected onto the span and then Leray-projected,
     so an initial condition with a gradient part starts from its solenoidal
@@ -132,35 +134,29 @@ def _stokes_march(operator_set: OperatorSet, params: CompressibleParams, pressur
 
     s_vec, s_fac, _, _ = _forcing_terms(spec, params)
     lam = np.einsum("ij,ij->j", Z, Z)
-    half = 0.5 * dt * params.mu * lam
-    den, num = params.rho0 + half, params.rho0 - half
-    w = dt * (Z.T @ s_vec)  # w_n of a load without a time factor
+    zs = Z.T @ s_vec
     Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec) if pressure else (None, None)
-    n_steps = len(times) - 1
-    y, rhs = np.empty((2, min(STEP_CHUNK, n_steps) + 1, len(lam)))
-    q = np.empty((len(y), spec.m_p)) if pressure else None
     c0 = leray_project(operator_set, VelocityCoeffs(spec, coefficients_of(spec, params.u0)))
-    y[0] = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
+    y0 = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
+
+    def load(t: np.ndarray, g: np.ndarray) -> None:
+        np.multiply.outer(_time_values(s_fac, t), zs, out=g)
+
+    # K = -mu diag(lam) is diagonal, so (dt/2) K goes to the march as a vector
+    block = (np.arange(len(lam)), -(0.5 * dt * params.mu * lam))
+    states = crank_nicolson(np.full(len(lam), params.rho0), [block], y0, times, zs if s_fac is None else load)
+    q = np.empty((min(STEP_CHUNK, len(times) - 1) + 1, spec.m_p)) if pressure else None
     if pressure:
-        q[0] = y[0] @ Q + _time_values(s_fac, times[:1]) * q_s
+        q[0] = y0 @ Q + _time_values(s_fac, times[:1]) * q_s
 
     def chunks():
-        for start in range(0, n_steps, STEP_CHUNK):
-            count = min(STEP_CHUNK, n_steps - start)
-            fac = _time_values(s_fac, times[start : start + count + 1])
-            for k in range(count):
-                np.multiply(num, y[k], out=rhs[k])
-                rhs[k] += w if s_fac is None else 0.5 * (fac[k] + fac[k + 1]) * w
-                np.divide(rhs[k], den, out=y[k + 1])
-            d, r = den * y[1 : count + 1] - rhs[:count], rhs[:count]
-            _check_steps(start, times, np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(r, r)))
+        for start, y in states:
             if pressure:  # column 0 of the product: BLAS sums y_j * +0.0 from +0.0
-                np.matmul(y[1 : count + 1], Q, out=q[1 : count + 1])
-                q[1 : count + 1] += fac[1:, None] * q_s
-            yield start, y[: count + 1], y[: count + 1] @ Z.T, q[: count + 1] if pressure else None
-            y[0] = y[count]
+                np.matmul(y[1:], Q, out=q[1 : len(y)])
+                q[1 : len(y)] += _time_values(s_fac, times[start + 1 : start + len(y)])[:, None] * q_s
+            yield start, y, y @ Z.T, q[: len(y)] if pressure else None
             if pressure:
-                q[0] = q[count]
+                q[0] = q[len(y) - 1]
 
     return dt, times, chunks()
 

@@ -772,6 +772,19 @@ def test_chunks_share_their_boundary_node(ops4, ops8, time_dependent):
         assert_chunks_share_their_boundary_node(compressible.compressible_chunks(ops, params)[3])
 
 
+@pytest.mark.parametrize("step", [1, 256, 257, 300, 549])
+@pytest.mark.parametrize("source", ["s", "sigma"])
+def test_nan_load_factor_fails_the_march_at_its_step(ops4, source, step):
+    """A load factor that is NaN at node k reaches w_{k-1} and w_k, and step k is the first to
+    read it: the gate names step k, also where step k - 1 is in the same chunk."""
+    params, _ = stepper_params(ops4.spec, time_dependent=True)
+    field = getattr(params, source)
+    nan_at_step = lambda t: np.nan if round(549 * t) == step else field.time_factor(t)  # noqa: E731
+    params = dataclasses.replace(params, **{source: dataclasses.replace(field, time_factor=nan_at_step)})
+    with pytest.raises(StepFailure, match=f"^step {step} at t = {step / 549:.6g}: relative residual nan"):
+        simulate_compressible(ops4.spec, ops4, params)
+
+
 def test_storing_the_states_changes_no_series_ledger_or_verdict(ops8):
     params, _ = stepper_params(ops8.spec, time_dependent=True)
     stored = simulate_compressible(ops8.spec, ops8, params, store_states=True)

@@ -335,6 +335,60 @@ def test_stepper_matches_lu_solve_loop_for_time_dependent_force(spec4, ops4, ker
     assert np.abs(traj.y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def elementwise_stokes_march(ops, params):
+    """The Stokes march as its own loop stepped it, mode by mode: den y_{n+1} = num y_n + w_n,
+    den, num = rho0 +- dt mu lam / 2 with lam = |Z_j|^2, w_n = dt/2 (fac(t_n) + fac(t_{n+1})) Z's,
+    and w_n = dt Z's for a load without a time factor.  (y, fac(t)) at every node."""
+    z, spec = ops.kernel, ops.spec
+    dt, times = compressible.time_grid(params.validate(spec.n_u), params.T)
+    s_vec = np.zeros(spec.m_u) if params.s is None else velocity_load_vector(spec, params.s)
+    s_fac = getattr(params.s, "time_factor", None)
+    fac = np.array([1.0 if s_fac is None else s_fac(t) for t in times])
+    lam = np.einsum("ij,ij->j", z, z)
+    half = 0.5 * dt * params.mu * lam
+    den, num = params.rho0 + half, params.rho0 - half
+    w = dt * (z.T @ s_vec)
+    c0 = leray_project(ops, VelocityCoeffs(spec, params.u0.values)).solenoidal.values
+    y = np.empty((len(times), len(lam)))
+    y[0] = z.T @ (ops.mass_diag * c0)
+    for k in range(len(times) - 1):
+        rhs = num * y[k]
+        rhs += w if s_fac is None else 0.5 * (fac[k] + fac[k + 1]) * w
+        np.divide(rhs, den, out=y[k + 1])
+    return y, fac
+
+
+@pytest.mark.parametrize("load", ["no_s", "s", "s_timed"])
+@pytest.mark.parametrize("n_u, n_p", [(3, 3), (4, 4), (5, 3), (8, 8)])
+def test_stokes_chunks_follow_the_elementwise_march(n_u, n_p, load):
+    """stokes_chunks' y, c = Z y and q = y Q + fac(t) q_s against the elementwise recurrence over
+    549 steps (three chunks), c and q formed from it chunk by chunk as the march forms them: bit
+    for bit without a time factor.  With s(t) = (1 + t) s(x) the march forms w as
+    dt/2 (fac(t_n) Z's + fac(t_{n+1}) Z's), which rounds otherwise: 549 steps of it left y within
+    5 ulps of each mode's largest value, c within 5 and q within 1 ulp of its largest entry (c's
+    columns mix modes, some cancelling to roundoff), so the bound is 8 ulps."""
+    ops = assemble(build_basis(n_u, n_p))
+    params = long_forced_params(ops.spec, (lambda t: 1.0 + t) if load == "s_timed" else None)
+    params = dataclasses.replace(params, s=None) if load == "no_s" else params
+    y, fac = elementwise_stokes_march(ops, params)
+    s_vec = np.zeros(ops.spec.m_u) if params.s is None else velocity_load_vector(ops.spec, params.s)
+    lam = np.einsum("ij,ij->j", ops.kernel, ops.kernel)
+    Q, q_s = incompressible._pressure_map(ops, lam, params.mu, s_vec)
+    q0 = y[0] @ Q + fac[0] * q_s
+    _, _, chunks = incompressible.stokes_chunks(ops, params)
+    c, q = y @ ops.kernel.T, y @ Q + fac[:, None] * q_s  # the timed load's scales only
+    scales = {"y": np.abs(y).max(axis=0), "c": np.abs(c).max(), "q": np.abs(q).max()}
+    for start, *arrays in chunks:
+        rows = slice(start, start + len(arrays[0]))
+        q = np.vstack([q0, y[rows][1:] @ Q + fac[rows][1:, None] * q_s])
+        q0 = q[-1]
+        for name, have, want in zip("ycq", arrays, (y[rows], y[rows] @ ops.kernel.T, q)):
+            if load != "s_timed":
+                assert np.array_equal(have, want), (name, start)
+            else:
+                assert np.all(np.abs(have - want) <= 8 * np.spacing(scales[name])), (name, start)
+
+
 def test_step_residual_gate_reports_first_step(spec4, ops4, kernel4, monkeypatch):
     # a per-mode step can leave a residual of exactly 0, so 0 is not a failing tolerance
     monkeypatch.setattr(compressible, "STEP_RESIDUAL_RTOL", -1.0)
@@ -354,20 +408,19 @@ def test_nan_load_factor_fails_the_reference_at_its_step(spec4, ops4, kernel4, s
 
 
 def test_simulate_incompressible_factors_and_solves_nothing(spec4, ops4, kernel4, monkeypatch):
+    """The Stokes march is one crank_nicolson block whose (dt/2) K is a vector, with no factor."""
     calls = []
+    for name in ("getrf", "getrs"):
+        monkeypatch.setattr(blas, name, lambda *args, name=name: calls.append(name))
 
-    def record(name):
-        return lambda *args, **kwargs: calls.append(name)
+    def march(a, blocks, *args):
+        calls.append([half.ndim for _, half in blocks])
+        return compressible.crank_nicolson(a, blocks, *args)
 
-    for module, name in [
-        (blas, "getrf"),
-        (blas, "getrs"),
-        (compressible, "crank_nicolson"),
-    ]:
-        monkeypatch.setattr(module, name, record(name))
+    monkeypatch.setattr(incompressible, "crank_nicolson", march)
     params = long_forced_params(spec4, np.cos)
     traj = simulate_incompressible(spec4, ops4, kernel4, params, store_states=True)
-    assert calls == [] and np.all(np.isfinite(traj.q))
+    assert calls == [[1]] and np.all(np.isfinite(traj.q))
 
 
 def test_nonfinite_state_raises_step_failure(spec4, ops4, kernel4):
