@@ -317,17 +317,26 @@ def project_pressure(spec: BasisSpec, fld: SampledField) -> PressureCoeffs:
 def coefficients_of(spec: BasisSpec, data, pressure: bool = False) -> np.ndarray:
     """Coefficient vector of velocity (or pressure) data.
 
-    None gives zeros, coefficient objects are copied, sampled fields are projected.
+    None gives zeros, coefficient objects of the basis's length are copied, sampled fields
+    of the matching kind are projected; any other data raises one ValueError.
     """
     if pressure:
-        coeffs_type, project, size = PressureCoeffs, project_pressure, spec.m_p
+        coeffs_type, project, size, kind = PressureCoeffs, project_pressure, spec.m_p, "scalar"
     else:
-        coeffs_type, project, size = VelocityCoeffs, project_velocity, spec.m_u
+        coeffs_type, project, size, kind = VelocityCoeffs, project_velocity, spec.m_u, "vector"
     if data is None:
         return np.zeros(size)
-    if isinstance(data, coeffs_type):
+    if isinstance(data, coeffs_type) and data.values.shape == (size,):
         return data.values.copy()
-    return project(spec, data).values
+    if isinstance(data, SampledField) and data.vector != pressure:
+        return project(spec, data).values
+    got = type(data).__name__
+    if isinstance(data, coeffs_type):
+        got = f"{len(data.values)} coefficients"
+    elif isinstance(data, SampledField):
+        got = f"a {'vector' if pressure else 'scalar'} SampledField"
+    name = "pressure" if pressure else "velocity"
+    raise ValueError(f"{name} data must be None, {size} coefficients or a {kind} SampledField, not {got}")
 
 
 def eval_field(spec: BasisSpec, coeffs, points) -> np.ndarray:

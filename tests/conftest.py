@@ -11,6 +11,15 @@ PARITY_N_U = (1, 2, 3, 4, 5, 8, 9, 12, 16)
 PARITY_N_P = (0, 1, 2, 3, 4, 5, 8, 9, 12, 16)
 
 
+def pytest_collection_modifyitems(config, items):
+    """A test marked slow is skipped unless the -m expression names it (pytest -m slow)."""
+    if "slow" in config.getoption("markexpr"):
+        return
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(pytest.mark.skip(reason="slow: select it with -m slow"))
+
+
 @functools.cache
 def parity_grid_ops(n_u, n_p):
     """The operators at (n_u, n_p), assembled once per session for the tests over the

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from complim import (
+    CompressibleParams,
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
     assemble,
     build_basis,
     eval_field,
+    initial_pressure,
+    limits,
     norms,
+    nullspace_basis,
     project_pressure,
     project_velocity,
+    simulate_compressible,
+    simulate_incompressible,
+    sweep_alpha,
 )
 from complim.basis import velocity_mass_diagonal
 from complim.operators import div_gram
@@ -264,6 +271,55 @@ def test_index_maps_are_bijections(spec4):
 def test_project_pressure_rejects_vector(spec4):
     with pytest.raises(ValueError):
         project_pressure(spec4, SampledField.zero(vector=True))
+
+
+def _run_with(target, ops, field, data, monkeypatch):
+    params = CompressibleParams(T=0.01, dt=0.005, **{field: data})
+    if target == "simulate_compressible":
+        simulate_compressible(ops.spec, ops, params)
+    elif target == "simulate_incompressible":
+        simulate_incompressible(ops.spec, ops, nullspace_basis(ops), params)
+    elif target == "sweep_alpha":
+        def fork():
+            raise AssertionError("the sweep forked before it resolved its initial data")
+
+        monkeypatch.setattr(limits.os, "fork", fork)
+        sweep_alpha(ops, params, (1e-1, 1e-2, 1e-3), probes=2)
+    else:
+        initial_pressure(ops, params)
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["other_basis", "other_kind", "other_field", "array"],
+)
+@pytest.mark.parametrize(
+    "target, field",
+    [
+        ("simulate_compressible", "u0"),
+        ("simulate_compressible", "p0"),
+        ("simulate_incompressible", "u0"),
+        ("sweep_alpha", "u0"),
+        ("sweep_alpha", "p0"),
+        ("initial_pressure", "u0"),
+    ],
+)
+def test_initial_data_of_the_wrong_kind_or_basis_fails_in_one_line(ops4, monkeypatch, target, field, data):
+    """coefficients_of, the one resolver of u0 and p0, raises one ValueError for coefficients
+    of another basis or the other kind, a field of the other kind and anything else."""
+    pressure = field == "p0"
+    spec3 = build_basis(3, 3)
+    value = {
+        "other_basis": (PressureCoeffs(spec3, np.ones(spec3.m_p)) if pressure
+                        else VelocityCoeffs(spec3, np.ones(spec3.m_u))),
+        "other_kind": (VelocityCoeffs(ops4.spec, np.ones(ops4.spec.m_u)) if pressure
+                       else PressureCoeffs(ops4.spec, np.ones(ops4.spec.m_p))),
+        "other_field": SampledField.zero(vector=pressure),
+        "array": np.zeros(ops4.spec.m_p if pressure else ops4.spec.m_u),
+    }[data]
+    kind = "pressure" if pressure else "velocity"
+    with pytest.raises(ValueError, match=f"^{kind} data must be None, "):
+        _run_with(target, ops4, field, value, monkeypatch)
 
 
 @pytest.mark.parametrize("n_u", PARITY_N_U)

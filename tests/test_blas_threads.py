@@ -34,7 +34,7 @@ from complim import (
 )
 from complim.cli import run_cli
 
-from test_cli import SIM_CFG, SWEEP_CFG, write_cfg
+from test_cli import SIM_CFG, SWEEP_CFG, _one_cpu, write_cfg
 from test_compressible import assert_chunks_share_their_boundary_node, corrupt_solve, stepper_params
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -96,6 +96,30 @@ def test_small_command_runs_on_one_thread_and_restores(tmp_path, two_threads, se
     assert openblas_threads() == 2
 
 
+@pytest.mark.parametrize("failure", ["missing_config", "config_error", "refused"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
+def test_front_door_failures_exit_1_in_one_line(
+    tmp_path, capsys, monkeypatch, two_threads, seen_inside, command, failure
+):
+    """run_cli's set-up fails before anything is built, for every config command: one stderr
+    line, no traceback, no output directory, and the thread count left where it was."""
+    cfg, out = write_cfg(tmp_path, SWEEP_CFG if command == "sweep" else SIM_CFG)
+    if failure == "missing_config":
+        cfg = str(tmp_path / "missing.cfg")
+    elif failure == "config_error":
+        cfg, out = write_cfg(tmp_path, SIM_CFG.replace("[physics]\n", "[physics]\nmu = -3\n"))
+    else:  # one page of physical memory
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    assert run_cli([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    named = {"missing_config": "missing.cfg", "config_error": "'mu'", "refused": "physical memory"}
+    assert named[failure] in err
+    assert not out.exists()
+    assert seen_inside == [] and openblas_threads() == 2
+
+
 def test_counts_restored_after_a_config_error(tmp_path, capsys, two_threads, seen_inside):
     # compatible_p0 of a non-solenoidal u0 is refused after the operators are built
     cfg, out = write_cfg(tmp_path, SIM_CFG.replace("p0 = 0.3*cos(pi*x)", "p0 = compatible_p0"))
@@ -155,10 +179,6 @@ def test_sweep_workers_run_on_one_thread_and_leave_the_caller_alone(monkeypatch,
     res = sweep_alpha(ops, CompressibleParams(T=0.1), (1e-1, 1e-2, 1e-3), probes=2)
     assert [r.error for r in res.rows] == ["RuntimeError: 1"] * 3
     assert openblas_threads() == 2
-
-
-def _one_cpu():
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def run_command(args, threads, cwd, one_cpu=False):

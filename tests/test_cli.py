@@ -444,10 +444,10 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     cfg = parse_config(text)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**30 // 4096}  # 1 GiB
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    cli._check_memory(cfg, sweep=True)
-    cli._check_memory(cfg)
+    cli._check_memory(cfg, "sweep")
+    cli._check_memory(cfg, "simulate")
     with pytest.raises(cli.InvalidParams, match="physical memory"):
-        cli._check_memory(dataclasses.replace(cfg, dump_coefficients=True))
+        cli._check_memory(dataclasses.replace(cfg, dump_coefficients=True), "simulate")
 
     # n = 40, 6 rows: 2.35 GiB for the rows, and each worker process holds its
     # own Stokes reference, about 0.077 GiB
@@ -455,17 +455,17 @@ def test_memory_preflight_counts_no_stored_states_for_a_sweep(monkeypatch):
     cfg = parse_config(big.replace("T = 100\ndt = 1e-4", "T = 0.4"))
     pages["SC_PHYS_PAGES"] = int(2.85 * 2**30) // 4096
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    cli._check_memory(cfg, sweep=True)  # one worker: 2.64 GiB
+    cli._check_memory(cfg, "sweep")  # one worker: 2.64 GiB
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)))
-    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.02 GiB"):  # six workers
-        cli._check_memory(cfg, sweep=True)
+    with pytest.raises(cli.InvalidParams, match=r"needs about 3\.03 GiB"):  # six workers
+        cli._check_memory(cfg, "sweep")
 
 
 @pytest.mark.memory
 def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, monkeypatch):
-    # n = 40, 101 nodes: simulate needs about 0.587 GiB, 0.35 GiB of it for the compressible
+    # n = 40, 101 nodes: simulate needs about 0.591 GiB, 0.35 GiB of it for the compressible
     # system's two m x m matrices, and stores no states; the Stokes run builds neither and
-    # needs about 0.443 GiB, storing no y and q without dump_coefficients
+    # needs about 0.460 GiB, storing no y and q without dump_coefficients
     from complim import cli
 
     class Built(Exception):
@@ -482,7 +482,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "build_basis", build_basis)
     assert run_cli(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "needs about 0.587 GiB" in err[0]
+    assert len(err) == 1 and "needs about 0.591 GiB" in err[0]
     with pytest.raises(Built):
         run_cli(["simulate-incompressible", "--config", cfg])
 
@@ -510,6 +510,53 @@ def test_memory_preflight_counts_the_stokes_reference_at_its_peak(n):
     m_u, m_p = ops.spec.m_u, ops.spec.m_p
     assert peak > 8 * 4 * (STEP_CHUNK + 1) * m_u  # the march's own chunks are traced
     assert peak <= 8 * cli._reference_values(m_u, m_p)
+
+
+# The peak RSS of the process's own address space (VmHWM; its ru_maxrss also holds the peak
+# of the process it was spawned from, pytest's) or of a finished sweep worker, which counts
+# the pages it shares with its parent
+PEAK_RSS = """
+import resource, sys
+from complim import cli
+from complim.config import parse_config
+
+def maxrss():
+    with open("/proc/self/status") as status:
+        own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return 1024 * max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+
+path, command = sys.argv[1:]
+with open(path) as handle:
+    estimate = cli._check_memory(parse_config(handle.read()), command)
+base = maxrss()
+print(cli.run_cli([command, "--config", path]), maxrss() - base, estimate)
+"""
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("n", [16, 24, pytest.param(32, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("command", ["simulate", "simulate-incompressible", "decompose", "sweep"])
+def test_memory_preflight_covers_the_measured_peak_within_2x(tmp_path, command, n):
+    """The pre-flight's estimate against the growth of the peak RSS over the import, in a fresh
+    process: simulate.cfg's physics (two step blocks) with a short T.  A sweep runs on one
+    CPU, so one worker process marches its rows and its peak is the command's."""
+    text = SIM_CFG.replace("n_u = 3\nn_p = 3", f"n_u = {n}\nn_p = {n}").replace("T = 0.4", "T = 0.05")
+    text = text.replace("dt = 0.004\n", "").replace("dump_coefficients = true", "dump_coefficients = false")
+    text = text.replace("[output]", "[sweep]\nalphas = 1e-1 1e-2 1e-3\nprobes = 4\n\n[output]")
+    cfg, _ = write_cfg(tmp_path, text)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, cfg, command], capture_output=True, text=True, env=env,
+        timeout=600, preexec_fn=_one_cpu if command == "sweep" else None,
+    )
+    code, growth, estimate = done.stdout.split()[-3:]
+    assert code == "0", done.stderr
+    assert int(growth) <= float(estimate) <= 2 * int(growth), (int(growth) / 1e6, float(estimate) / 1e6)
 
 
 @pytest.mark.parametrize(
