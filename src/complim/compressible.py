@@ -16,9 +16,10 @@ order, and exactly dissipative on the unforced system.  The stepper of both
 systems, :func:`crank_nicolson`, marches each block of the step system (the parity
 classes of the basis that G joins) with one matrix-vector product and one ``getrs``
 solve in numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
-has several, and a diagonal block (the Stokes modes) elementwise, checks each chunk's
-step residuals from the products the steps form and hands the chunk of states to
-its caller, its first row the node the previous chunk ended on.
+has several, and a diagonal block (the Stokes modes, the unknowns K leaves uncoupled)
+elementwise, checks each chunk's step residuals from the products the steps form,
+and hands the chunk of states to its caller, its first row the node the previous
+chunk ended on.
 :func:`simulate_compressible` hands the chunks to the run's :class:`Trajectory`,
 which stores them only if asked and reduces each one alone, E and B applied
 through their 1-D tables, to the series that trajectory.csv, the energy ledger
@@ -117,7 +118,8 @@ def _step_blocks(spec: BasisSpec, eta: float, B: np.ndarray, G: np.ndarray) -> l
 
 
 def crank_nicolson(
-    a: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]], y0: np.ndarray, times: np.ndarray, load
+    a: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]], y0: np.ndarray, times: np.ndarray,
+    sources: list[tuple[np.ndarray, Optional[Callable[[float], float]]]],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """March diag(a) dy/dt = K y + g(t), a > 0, with Crank-Nicolson steps over a uniform grid.
 
@@ -127,9 +129,11 @@ def crank_nicolson(
     The march takes each half over: it becomes rhs_mat = diag(a) + (dt/2) K_b, and
     lhs = diag(a) - (dt/2) K_b is built once and LU-factored in place, or for a vector is
     a vector that steps divide by.  Each step solves, block by block,
-    lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``load`` is the
-    constant vector g, whose w is one vector, or ``load(t, out)`` fills the (k, m) chunk
-    buffer out with the loads at k times, and the march turns it into w.
+    lhs y_{n+1} = rhs_n = rhs_mat y_n + w_n, w_n = dt/2 (g_n + g_{n+1}).  ``sources`` is g
+    as ``(vector, time_factor)`` pieces that follow one another over the unknowns in their
+    original order: g(t) stacks each vector times its factor at t, a factor of None being 1.
+    Without a factor g is constant and w one vector; otherwise each chunk's loads at its
+    times fill its (k, m) buffer piece by piece, and the march turns them into w.
 
     A generator: it marches STEP_CHUNK steps at a time and yields ``(start, states)``
     per chunk, start = 0, STEP_CHUNK, ..., states[k] being y at node start + k: a
@@ -151,11 +155,12 @@ def crank_nicolson(
     """
     perm = np.concatenate([b for b, _ in blocks])  # one block: perm = arange(m)
     workers = min(len(blocks), blas.blas_threads())
+    timed = any(fac is not None for _, fac in sources)
     with blas.one_blas_thread(workers > 1):  # from before the factors until the generator finishes
-        a, y0, load = a[perm], y0[perm], load if callable(load) else load[perm]
+        a, y0 = a[perm], y0[perm]
         n_steps = len(times) - 1
         # the states, the products rhs_mat y and a time-dependent load's w, allocated once
-        states, rhs, *loads = np.empty((2 + callable(load), min(STEP_CHUNK, n_steps) + 1, len(y0)))
+        states, rhs, *loads = np.empty((2 + timed, min(STEP_CHUNK, n_steps) + 1, len(y0)))
         systems = []  # per block: its columns, rhs_mat, its product with y and lhs's solver in states
         for (_, half), stop in zip(blocks, np.cumsum([len(b) for b, _ in blocks])):
             cols = slice(stop - len(half), stop)
@@ -175,8 +180,10 @@ def crank_nicolson(
             systems.append((cols, rhs_mat, np.matmul, blas.getrs(lhs, piv, states[:, cols])))
         two_a = 2.0 * a
         dt = float(times[1] - times[0])
-        if not callable(load):  # the bits of a time-dependent load's trapezoid below
-            w = np.broadcast_to(0.5 * dt * (load + load), (STEP_CHUNK, len(y0)))
+        if not timed:  # the bits of a time-dependent load's trapezoid below
+            g = np.concatenate([vec for vec, _ in sources])[perm]
+            w = np.broadcast_to(0.5 * dt * (g + g), (STEP_CHUNK, len(y0)))
+        ends = np.cumsum([len(vec) for vec, _ in sources])  # each piece's last unknown + 1
         inverse = np.argsort(perm)
         states[0] = y0
         carry = np.empty(len(y0))  # rhs_mat y at the node a chunk starts from
@@ -195,9 +202,10 @@ def crank_nicolson(
         for start in range(0, n_steps, STEP_CHUNK):
             count = min(STEP_CHUNK, n_steps - start)
             if loads:
-                w = loads[0][: count + 1]
-                # the load comes in the original order, into the products' buffer
-                load(times[start : start + count + 1], rhs[: count + 1])
+                w, t = loads[0][: count + 1], times[start : start + count + 1]
+                # the loads come piece by piece in the original order, into the products' buffer
+                for (vec, fac), end in zip(sources, ends):
+                    np.multiply.outer(_time_values(fac, t), vec, out=rhs[: count + 1, end - len(vec) : end])
                 np.take(rhs[: count + 1], perm, axis=1, out=w, mode="clip")
                 w[:-1] += w[1:]
                 w[:-1] *= 0.5 * dt
@@ -269,11 +277,12 @@ class CompressibleParams:
 
 
 def _forcing_terms(spec: BasisSpec, params: CompressibleParams):
-    """Static load vectors and time factors of s and sigma: (s_vec, s_fac, sigma_vec, sigma_fac)."""
+    """The sources as crank_nicolson's pieces: [(s_vec, s_fac), (sigma_vec, sigma_fac)], the
+    static load vectors of s and sigma and their time factors."""
     s, sigma = params.s, params.sigma
     s_vec = np.zeros(spec.m_u) if s is None else velocity_load_vector(spec, s)
     sigma_vec = np.zeros(spec.m_p) if sigma is None else pressure_load_vector(spec, sigma)
-    return s_vec, getattr(s, "time_factor", None), sigma_vec, getattr(sigma, "time_factor", None)
+    return [(s_vec, getattr(s, "time_factor", None)), (sigma_vec, getattr(sigma, "time_factor", None))]
 
 
 def _time_values(fac: Optional[Callable[[float], float]], t) -> np.ndarray:
@@ -308,28 +317,22 @@ def compressible_chunks(
     G = coupling_matrix(operator_set, params.f) if params.f is not None else np.zeros((m_u, m_p))
     B = operator_set.div_coupling
 
-    def half_k(b):  # (dt/2) K on the unknowns b, K = [-eta E - mu I, B' + alpha G; -rho0 B, 0]
+    def half_k(b):  # (dt/2) K on the unknowns b, K = [-eta E - mu I, B' + alpha G; -rho0 B, 0],
+        # or its diagonal where K couples none of them, which the march steps elementwise
         u, p = b[b < m_u], b[b >= m_u] - m_u
         K = np.zeros((len(b), len(b)))
         np.multiply(-params.eta, div_gram(operator_set, u), out=K[: len(u), : len(u)])
         K[np.arange(len(u)), np.arange(len(u))] -= params.mu
         K[: len(u), len(u) :] = B.T[np.ix_(u, p)] + params.alpha * G[np.ix_(u, p)]
         K[len(u) :, : len(u)] = -params.rho0 * B[np.ix_(p, u)]
-        return np.multiply(K, 0.5 * dt, out=K)
+        diagonal = np.multiply(K, 0.5 * dt, out=K).diagonal()
+        return K if np.count_nonzero(K) > np.count_nonzero(diagonal) else diagonal.copy()
 
     a_diag = np.concatenate([params.rho0 * operator_set.mass_diag, np.full(m_p, params.alpha)])
 
-    s_vec, s_fac, sigma_vec, sigma_fac = _forcing_terms(spec, params)
-
-    def load(t: np.ndarray, g: np.ndarray) -> None:
-        np.multiply.outer(_time_values(s_fac, t), s_vec, out=g[:, :m_u])
-        np.multiply.outer(_time_values(sigma_fac, t), sigma_vec, out=g[:, m_u:])
-
     y0 = np.concatenate([coefficients_of(spec, params.u0), coefficients_of(spec, params.p0, pressure=True)])
-    # a constant load goes to the march as one vector
-    g = np.concatenate([s_vec, sigma_vec]) if s_fac is None and sigma_fac is None else load
     blocks = [(b, half_k(b)) for b in _step_blocks(spec, params.eta, B, G)]
-    states = crank_nicolson(a_diag, blocks, y0, times, g)
+    states = crank_nicolson(a_diag, blocks, y0, times, _forcing_terms(spec, params))
     return dt, times, G, ((start, y[:, :m_u], y[:, m_u:]) for start, y in states)
 
 
@@ -378,7 +381,7 @@ class Trajectory:
 
     def _reduce(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
         ops, p, nodes = self.operator_set, self.params, slice(start, start + len(c))
-        s_vec, s_fac, sigma_vec, sigma_fac = self.forcing
+        (s_vec, s_fac), (sigma_vec, sigma_fac) = self.forcing
         cE = apply_E(ops, c)
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
         self.acoustic[nodes] = np.einsum("nk,nk->n", q, q)
@@ -533,7 +536,7 @@ def apriori_check(
     rho0, mu, eta, alpha, T = params.rho0, params.mu, params.eta, params.alpha, params.T
     times = traj.times
 
-    s_vec, s_fac, sigma_vec, sigma_fac = traj.forcing
+    (s_vec, s_fac), (sigma_vec, sigma_fac) = traj.forcing
     s_dual = np.linalg.norm(s_vec) * np.abs(_time_values(s_fac, times))  # |<s(t), .>| in the dual norm
     sigma_l2 = np.linalg.norm(sigma_vec) * np.abs(_time_values(sigma_fac, times))
 

@@ -97,8 +97,8 @@ class IncompressibleTrajectory:
 
 
 def stokes_chunks(
-    operator_set: OperatorSet, params: CompressibleParams
-) -> tuple[float, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    operator_set: OperatorSet, params: CompressibleParams, *, pressure: bool = True
+) -> tuple[float, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]]]:
     """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
 
     Returns (dt, times, chunks).  ``chunks`` is the march of the reduced
@@ -107,7 +107,8 @@ def stokes_chunks(
     chunk's last row, bit for bit: the reduced coordinates, the velocity c = Z y and
     the pressure y Q + fac(t) q_s of :func:`_pressure_map`, mean zero, one product
     per chunk over its new nodes.  y and q view chunk buffers that the next chunk
-    overwrites; node 0's pressure is :func:`initial_pressure`.
+    overwrites; node 0's pressure is :func:`initial_pressure`.  Without ``pressure`` no
+    pressure map is formed, and the chunks' q are None.
 
     With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), it is crank_nicolson's
     march of rho0 dy/dt = -mu diag(lam) y + fac(t) Z's, a step
@@ -121,30 +122,21 @@ def stokes_chunks(
     ``params.f`` not at all.  A mass source ``params.sigma`` has no place in
     the solenoidal limit and raises InvalidParams.
     """
-    return _stokes_march(operator_set, params, pressure=True)
-
-
-def _stokes_march(operator_set: OperatorSet, params: CompressibleParams, pressure: bool):
-    """:func:`stokes_chunks`; without ``pressure`` it forms no pressure map, and its chunks' q are None."""
     spec = operator_set.spec
     Z = nullspace_basis(operator_set)
     dt, times = time_grid(params.validate(spec.n_u), params.T)
     if params.sigma is not None:
         raise InvalidParams("the incompressible limit has no mass source; leave sigma unset")
 
-    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    (s_vec, s_fac), _ = _forcing_terms(spec, params)
     lam = np.einsum("ij,ij->j", Z, Z)
-    zs = Z.T @ s_vec
     Q, q_s = _pressure_map(operator_set, lam, params.mu, s_vec) if pressure else (None, None)
     c0 = leray_project(operator_set, VelocityCoeffs(spec, coefficients_of(spec, params.u0)))
     y0 = Z.T @ (operator_set.mass_diag * c0.solenoidal.values)
 
-    def load(t: np.ndarray, g: np.ndarray) -> None:
-        np.multiply.outer(_time_values(s_fac, t), zs, out=g)
-
     # K = -mu diag(lam) is diagonal, so (dt/2) K goes to the march as a vector
     block = (np.arange(len(lam)), -(0.5 * dt * params.mu * lam))
-    states = crank_nicolson(np.full(len(lam), params.rho0), [block], y0, times, zs if s_fac is None else load)
+    states = crank_nicolson(np.full(len(lam), params.rho0), [block], y0, times, [(Z.T @ s_vec, s_fac)])
     q = np.empty((min(STEP_CHUNK, len(times) - 1) + 1, spec.m_p)) if pressure else None
     if pressure:
         q[0] = y0 @ Q + _time_values(s_fac, times[:1]) * q_s
@@ -182,11 +174,11 @@ def simulate_incompressible(
     workload process stops passing them.
     """
     spec, Z = operator_set.spec, operator_set.kernel
-    dt, times, chunks = _stokes_march(operator_set, params, pressure=store_states)
+    dt, times, chunks = stokes_chunks(operator_set, params, pressure=store_states)
     n = len(times)
     y, q = (np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))) if store_states else (None, None)
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
-    s_vec, s_fac, _, _ = _forcing_terms(spec, params)
+    (s_vec, s_fac), _ = _forcing_terms(spec, params)
     zez = np.empty((Z.shape[1], Z.shape[1]))  # c'Ec = y'(Z'EZ)y, formed once, STEP_CHUNK rows at a time
     for slab in (slice(j, j + STEP_CHUNK) for j in range(0, Z.shape[1], STEP_CHUNK)):
         np.matmul(apply_E(operator_set, Z.T[slab]), Z, out=zez[slab])

@@ -25,8 +25,9 @@ own copy of the reference and its rows in lockstep, one chunk of
 Crank-Nicolson steps at a time on the shared grid: each reference chunk is
 reduced into every live row's per-node scalar series of its deviation from
 the reference and then dropped.  No trajectory is stored.  A worker holds
-each row's two m x m step matrices and probes + 3 numbers per node (one
-more when eta > 0), and a chunk of states per system; the reference steps
+each row's blocks' right-hand matrices and LU factors, at most 2 m^2 numbers
+in all, probes + 3 numbers per node (one more when eta > 0) and a chunk of
+states per system; the reference steps
 its modes elementwise and holds only its pressure map.  It reads
 the caller's operators through copy-on-write pages and sends back only its
 finished rows; the caller holds the operators and waits.  A row's bits

@@ -10,6 +10,7 @@ import scipy.linalg
 
 import complim.compressible as compressible
 import complim.csvio as csvio
+import complim.incompressible as incompressible
 import complim.limits as limits
 from complim import (
     CompressibleParams,
@@ -397,8 +398,13 @@ def test_stepper_bitwise_equal_to_lu_solve_loop_for_constant_loads(ops2, ops8):
         assert np.array_equal(np.hstack([traj.c, traj.q]), expected)
 
 
-def test_stepper_matches_lu_solve_loop_for_time_dependent_loads(spec2, ops2):
+@pytest.mark.parametrize("constant", [None, "s", "sigma"], ids=["both_timed", "sigma_timed", "s_timed"])
+def test_stepper_matches_lu_solve_loop_for_time_dependent_loads(spec2, ops2, constant):
+    """Both sources timed, or one timed and the other constant: crank_nicolson's pieces."""
     params, dt = stepper_params(spec2, time_dependent=True)
+    if constant is not None:
+        field = getattr(params, constant)
+        params = dataclasses.replace(params, **{constant: dataclasses.replace(field, time_factor=None)})
     traj = simulate_compressible(spec2, ops2, params, store_states=True)
     expected = lu_solve_march(spec2, ops2, params, dt)
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -463,7 +469,8 @@ def test_step_blocks_are_the_components_of_the_coupling_pattern(n_u):
 def test_march_with_uncoupled_modes_matches_lu_solve_loop(monkeypatch):
     """At (n_u, n_p) = (16, 12) with eta = 0 and no force, B leaves the velocity modes it does
     not reach and the constant pressure mode uncoupled: they are stepped as one diagonal
-    remainder after the four parity blocks."""
+    remainder after the four parity blocks, elementwise with no factor, to the bits of the
+    same blocks stepped as dense matrices."""
     ops = assemble(build_basis(16, 12))
     params, dt = stepper_params(ops.spec, time_dependent=False)
     params = dataclasses.replace(params, eta=0.0, f=None)
@@ -471,8 +478,17 @@ def test_march_with_uncoupled_modes_matches_lu_solve_loop(monkeypatch):
     getrf, factored = blas.getrf, []
     monkeypatch.setattr(blas, "getrf", lambda a: factored.append(len(a)) or getrf(a))
     traj = simulate_compressible(ops.spec, ops, params, store_states=True)
-    assert factored == [138, 132, 144, 138, 129]
+    assert factored == [138, 132, 144, 138]
     assert np.abs(np.hstack([traj.c, traj.q]) - expected).max() <= 1e-12 * np.abs(expected).max()
+    march = compressible.crank_nicolson
+
+    def dense(a, blocks, *args):
+        return march(a, [(b, np.diag(half) if half.ndim == 1 else half) for b, half in blocks], *args)
+
+    monkeypatch.setattr(compressible, "crank_nicolson", dense)
+    dense_traj = simulate_compressible(ops.spec, ops, params, store_states=True)
+    assert factored[4:] == [138, 132, 144, 138, 129]
+    assert np.array_equal(dense_traj.c, traj.c) and np.array_equal(dense_traj.q, traj.q)
 
 
 def test_step_residual_gate_reports_first_step(spec2, ops2, monkeypatch):
@@ -824,9 +840,11 @@ def test_a_run_that_stored_no_states_refuses_its_state_readers_in_one_line(spec4
         assert "\n" not in str(raised.value), name
 
 
-def test_a_time_factor_of_one_gives_the_bits_of_no_time_factor(ops4, ops8):
-    """A load whose time factor is 1 takes crank_nicolson's callable load path and the Stokes
-    march's trapezoid of factors; one without takes the constant vector and the plain w."""
+def test_a_time_factor_of_one_gives_the_bits_of_no_time_factor(ops4, ops8, monkeypatch):
+    """A load whose time factor is 1 takes crank_nicolson's path for timed sources and the Stokes
+    march's trapezoid of factors; one without takes the constant vector and the plain w.  So does
+    the whole load g as one piece, [(g, one)] against [(g, None)], on the two blocks of the n = 8
+    system and the Stokes diagonal block."""
     one = lambda t: 1.0  # noqa: E731
 
     def with_factors(params, s_fac, sigma_fac):
@@ -850,3 +868,20 @@ def test_a_time_factor_of_one_gives_the_bits_of_no_time_factor(ops4, ops8):
         traj = simulate_incompressible(ops.spec, ops, ops.kernel, factored, store_states=True)
         for name in ("y", "q", "energy_residual"):
             assert np.array_equal(getattr(traj, name), getattr(plain, name)), (ops.spec.n_u, name)
+
+    params = stepper_params(ops8.spec, time_dependent=False)[0]
+    march, runs = compressible.crank_nicolson, []
+    for fac in (None, one):
+
+        def joined(a, blocks, y0, times, sources, fac=fac):
+            return march(a, blocks, y0, times, [(np.concatenate([vec for vec, _ in sources]), fac)])
+
+        with monkeypatch.context() as patch:
+            for module in (compressible, incompressible):
+                patch.setattr(module, "crank_nicolson", joined)
+            traj = simulate_compressible(ops8.spec, ops8, params, store_states=True)
+            limit = dataclasses.replace(params, sigma=None)
+            stokes = simulate_incompressible(ops8.spec, ops8, ops8.kernel, limit, store_states=True)
+            runs.append((traj.c, traj.q, stokes.y))
+    for name, plain, factored in zip(("c", "q", "y"), *runs):
+        assert np.array_equal(factored, plain), name
