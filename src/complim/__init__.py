@@ -13,7 +13,6 @@ from .basis import (
     SampledField,
     VelocityCoeffs,
     build_basis,
-    eval_field,
     norms,
     project_pressure,
     project_velocity,
@@ -42,8 +41,6 @@ from .inequalities import (
     MixedBounds,
     MixedConstants,
     ScalarTrajectory,
-    convex_root_bound,
-    gronwall_bound,
     mixed_bounds,
     mixed_constants,
     verify_mixed,
@@ -69,8 +66,7 @@ from .operators import (
     coupling_matrix,
     grad_inverse,
     leray_project,
-    operator_norm_estimates,
 )
-from .config import RunConfig, ConfigError, parse_config, parse_expression, render_config
+from .config import RunConfig, ConfigError, parse_config, parse_expression
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ __all__ = [
     "project_velocity",
     "project_pressure",
     "coefficients_of",
-    "eval_field",
     "norms",
     "velocity_mass_diagonal",
     "velocity_load_vector",
@@ -62,15 +61,6 @@ def cos_cos_integral(m: int, n: int) -> float:
     if m != n:
         return 0.0
     return 1.0 if m == 0 else 0.5
-
-
-def pressure_normalization(k: int, l: int) -> float:
-    """L^2 normalization constant c_kl of the cosine mode (k, l)."""
-    if k == 0 and l == 0:
-        return 1.0
-    if k == 0 or l == 0:
-        return np.sqrt(2.0)
-    return 2.0
 
 
 @dataclass(frozen=True)
@@ -109,11 +99,6 @@ class BasisSpec:
         if not (0 <= k <= self.n_p and 0 <= l <= self.n_p):
             raise IndexError(f"pressure mode ({k}, {l}) out of range")
         return k * (self.n_p + 1) + l
-
-    def pressure_mode(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.m_p:
-            raise IndexError(f"pressure flat index {flat} out of range")
-        return divmod(flat, self.n_p + 1)
 
     def parity_classes(self) -> np.ndarray:
         """Each unknown's parity class (0-4), velocity modes first: class 2a + b holds
@@ -176,10 +161,6 @@ class PressureCoeffs:
                 f"pressure coefficient vector has length {self.values.shape}, expected ({self.spec.m_p},)"
             )
 
-    @property
-    def mean(self) -> float:
-        return float(self.values[0])
-
 
 @dataclass(frozen=True)
 class SampledField:
@@ -232,13 +213,6 @@ class SampledField:
                              np.broadcast_to(fy(x, y), shape)])
 
         return SampledField(spatial=spatial, vector=True, time_factor=time_factor, label=label)
-
-    @staticmethod
-    def zero(vector: bool = False) -> "SampledField":
-        if vector:
-            return SampledField.of_vector(lambda x, y: np.zeros_like(x),
-                                          lambda x, y: np.zeros_like(x), label="0")
-        return SampledField.scalar(lambda x, y: np.zeros_like(x), label="0")
 
 
 def build_basis(n_u: int, n_p: int) -> BasisSpec:
@@ -337,38 +311,6 @@ def coefficients_of(spec: BasisSpec, data, pressure: bool = False) -> np.ndarray
         got = f"a {'vector' if pressure else 'scalar'} SampledField"
     name = "pressure" if pressure else "velocity"
     raise ValueError(f"{name} data must be None, {size} coefficients or a {kind} SampledField, not {got}")
-
-
-def eval_field(spec: BasisSpec, coeffs, points) -> np.ndarray:
-    """Synthesize the expansion at points in [0,1]^2.
-
-    ``points`` has shape (..., 2); velocity coefficients give an output of
-    shape (..., 2), pressure coefficients give shape (...).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 2:
-        raise ValueError("points must have shape (..., 2)")
-    if pts.size and (pts.min() < -1e-12 or pts.max() > 1 + 1e-12):
-        raise ValueError("points must lie in [0, 1]^2")
-    x = pts[..., 0].ravel()
-    y = pts[..., 1].ravel()
-    if isinstance(coeffs, VelocityCoeffs):
-        if coeffs.spec.m_u != spec.m_u:
-            raise ValueError("coefficient length does not match the basis")
-        sx = spec.velocity_sine_table(x)  # (N_u, P)
-        sy = spec.velocity_sine_table(y)
-        c = (coeffs.values * np.tile(spec.vel_norms.ravel(), 2)).reshape(2, spec.n_u, spec.n_u)
-        vals = np.einsum("kij,ip,jp->kp", c, sx, sy, optimize=True)
-        return np.moveaxis(vals, 0, -1).reshape(pts.shape)
-    if isinstance(coeffs, PressureCoeffs):
-        if coeffs.spec.m_p != spec.m_p:
-            raise ValueError("coefficient length does not match the basis")
-        cx = spec.pressure_cosine_table(x)
-        cy = spec.pressure_cosine_table(y)
-        q = (coeffs.values.reshape(spec.n_p + 1, spec.n_p + 1)) * spec.pres_norms
-        vals = np.einsum("kl,kp,lp->p", q, cx, cy, optimize=True)
-        return vals.reshape(pts.shape[:-1])
-    raise TypeError(f"unsupported coefficient type {type(coeffs).__name__}")
 
 
 def norms(operator_set, coeffs) -> dict:

@@ -41,7 +41,7 @@ from .config import (
     realize_vector_field,
 )
 from .incompressible import EmptyKernel, initial_pressure, nullspace_basis, simulate_incompressible
-from .inequalities import GridMismatch, ScalarTrajectory, verify_mixed
+from .inequalities import ScalarTrajectory, verify_mixed
 from .limits import sweep_alpha, sweep_workers
 from .operators import assemble, leray_project
 
@@ -300,6 +300,9 @@ def _cmd_verify(args) -> int:
     if args.energy is None and any(getattr(args, name) is None for name in names):
         _err("verify needs either --energy or all of --i --j --a --b --c")
         return EXIT_CONFIG
+    if args.energy is not None and not 0 <= args.tol < np.inf:  # NaN fails too; inf passes any ledger
+        _err(f"--tol must be finite and >= 0, got {args.tol}")
+        return EXIT_CONFIG
     try:
         if args.energy is not None:
             (residual,) = csvio.read_numeric_columns(args.energy, ("energy_residual",))
@@ -378,7 +381,7 @@ def run_cli(argv) -> int:
         for issue in exc.issues if isinstance(exc, ConfigError) else [str(exc)]:
             _err(issue)
         return EXIT_CONFIG
-    except (StepFailure, GridMismatch, ValueError) as exc:
+    except (StepFailure, ValueError) as exc:
         _err(str(exc))
         return EXIT_SOLVER
 

@@ -43,7 +43,6 @@ from .basis import (
     SampledField,
     VelocityCoeffs,
     coefficients_of,
-    eval_field,
     pressure_load_vector,
     velocity_load_vector,
 )
@@ -349,8 +348,7 @@ class Trajectory:
     ends' c E and q G', with no midpoint copies.  c E and q B come from the
     1-D tables (:func:`.operators.apply_E`, ``apply_B``).  A chunk's row 0 is the node the
     previous chunk ended on, so each chunk is reduced alone: it rewrites that node's series
-    with the same bits and holds every interval it covers.  The density field
-    rho = rho0 + alpha p (:meth:`density`) reads the stored states.
+    with the same bits and holds every interval it covers.
     """
 
     def __init__(
@@ -408,13 +406,6 @@ class Trajectory:
         work = (cs @ s_vec) * _time_values(s_fac, t_mid)
         work += (q_sigma[1:] + q_sigma[:-1]) * _time_values(sigma_fac, t_mid) / p.rho0
         self.work[steps] = self.dt * (0.5 * work + p.alpha * mid(qG))
-
-    def pressure_at(self, node: int) -> PressureCoeffs:
-        return PressureCoeffs(self.spec, stored_states(self)[1][node].copy())
-
-    def density(self, node: int, points) -> np.ndarray:
-        p = eval_field(self.spec, self.pressure_at(node), points)
-        return self.params.rho0 + self.params.alpha * p
 
 
 def stored_states(traj) -> tuple[np.ndarray, np.ndarray]:

@@ -72,7 +72,6 @@ __all__ = [
     "ExpressionField",
     "RunConfig",
     "parse_config",
-    "render_config",
     "parse_expression",
     "realize_scalar_field",
     "realize_vector_field",
@@ -399,24 +398,3 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(issues)
     return RunConfig(**kwargs)
 
-
-def render_config(config: RunConfig) -> str:
-    """Write a config back out; parse_config(render_config(c)) == c."""
-    out = []
-    for section, keys in _SCHEMA.items():
-        out.append(f"[{section}]")
-        for key in keys:
-            val = getattr(config, key)
-            if key == "dt":
-                text = "auto" if val is None else format(val, ".17g")
-            elif key == "alphas":
-                text = " ".join(format(a, ".17g") for a in val)
-            elif isinstance(val, bool):
-                text = "true" if val else "false"
-            elif isinstance(val, float):
-                text = format(val, ".17g")
-            else:
-                text = str(val)
-            out.append(f"{key} = {text}")
-        out.append("")
-    return "\n".join(out)

@@ -1,16 +1,16 @@
-"""Executable forms of the auxiliary integral inequalities.
+"""Executable form of the mixed integral inequality behind the a-priori estimates.
 
-Three ingredients back the a-priori estimates:
+Two classical steps, the convex root bound (J^2 <= a + bJ implies
+J <= b + sqrt(a)) and Gronwall (I' <= phi I + psi implies
+I(t) <= e^{int phi} (I(0) + int psi)), combine into the mix
+I' + J^2 <= aI + bJ + c implies
 
-  * the convex root bound: J^2 <= a + bJ implies J <= b + sqrt(a),
-  * Gronwall: I' <= phi I + psi implies I(t) <= e^{int phi} (I(0) + int psi),
-  * their mix: I' + J^2 <= aI + bJ + c implies
+    |J|_{L2}   <= C_a (sqrt(I(0)) + sqrt(|c|_{L1}) + |b|_{L2}),
+    |I|_{Linf} <= C~_a (I(0) + |c|_{L1} + |b|^2_{L2}),
 
-        |J|_{L2}   <= C_a (sqrt(I(0)) + sqrt(|c|_{L1}) + |b|_{L2}),
-        |I|_{Linf} <= C~_a (I(0) + |c|_{L1} + |b|^2_{L2}),
+with C_a = 1 + A e^A, C~_a = e^A (1 + (3/2) C_a^2), A = |a|_{L1}.
 
-    with C_a = 1 + A e^A, C~_a = e^A (1 + (3/2) C_a^2), A = |a|_{L1}.
-
+mixed_constants and mixed_bounds evaluate the right-hand sides;
 verify_mixed turns the mix into a trajectory certificate: it checks the
 hypothesis interval by interval with a finite-difference derivative and, if
 it holds, evaluates both conclusions with trapezoidal time norms, reporting
@@ -29,8 +29,6 @@ __all__ = [
     "MixedBounds",
     "CertificateReport",
     "GridMismatch",
-    "convex_root_bound",
-    "gronwall_bound",
     "mixed_constants",
     "mixed_bounds",
     "verify_mixed",
@@ -45,11 +43,6 @@ class GridMismatch(ValueError):
 
 def _trapz(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
-
-
-def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    steps = 0.5 * np.diff(times) * (values[1:] + values[:-1])
-    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 @dataclass
@@ -68,7 +61,7 @@ class ScalarTrajectory:
         if len(self.times) < 2:
             raise ValueError("a scalar trajectory needs at least two samples")
         steps = np.diff(self.times)
-        if steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps[0]:
+        if not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps[0]):  # NaN steps fail too
             raise ValueError("time grid must be uniform and increasing")
         if self.values.min() < -1e-12 * max(1.0, np.abs(self.values).max()):
             raise ValueError(f"trajectory {self.label!r} has negative samples")
@@ -93,29 +86,12 @@ def _require_common_grid(*trajs: ScalarTrajectory) -> None:
             )
 
 
-def convex_root_bound(a: float, b: float) -> float:
-    """Certified upper bound b + sqrt(a) for any real J with J^2 <= a + bJ."""
-    if a < 0 or b < 0:
-        raise ValueError("convex_root_bound needs a >= 0 and b >= 0")
-    return b + np.sqrt(a)
-
-
-def gronwall_bound(I0: float, phi: ScalarTrajectory, psi: ScalarTrajectory) -> ScalarTrajectory:
-    """Pointwise Gronwall majorant e^{int_0^t phi} (I0 + int_0^t psi), trapezoidal in time."""
-    if I0 < 0:
-        raise ValueError("I0 must be nonnegative")
-    _require_common_grid(phi, psi)
-    bound = np.exp(_cumtrapz(phi.values, phi.times)) * (I0 + _cumtrapz(psi.values, psi.times))
-    return ScalarTrajectory(phi.times.copy(), bound, label="gronwall_bound")
-
-
 @dataclass(frozen=True)
 class MixedConstants:
     """Constants of the mixed inequality for a given A = |a|_{L1(0,T)}."""
 
     c_a: float
     c_a_tilde: float
-    a_l1: float
 
 
 def mixed_constants(A: float) -> MixedConstants:
@@ -123,7 +99,7 @@ def mixed_constants(A: float) -> MixedConstants:
     if A < 0:
         raise ValueError("A must be nonnegative")
     c_a = 1.0 + A * np.exp(A)
-    return MixedConstants(c_a=c_a, c_a_tilde=np.exp(A) * (1.0 + 1.5 * c_a**2), a_l1=A)
+    return MixedConstants(c_a=c_a, c_a_tilde=np.exp(A) * (1.0 + 1.5 * c_a**2))
 
 
 @dataclass(frozen=True)

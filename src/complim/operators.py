@@ -52,7 +52,6 @@ __all__ = [
     "grad_inverse",
     "grad_inverse_rows",
     "bogovskii",
-    "operator_norm_estimates",
 ]
 
 RANK_RTOL = 1e-11
@@ -89,7 +88,6 @@ class OperatorSet:
     b_vt: np.ndarray  # (r, m_u)
     b_rank: int
     kernel: np.ndarray  # Z, (m_u, m_V) with Z' M Z = I
-    full_row_rank: bool
 
 
 def assemble(spec: BasisSpec) -> OperatorSet:
@@ -141,7 +139,6 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         b_vt=vt[:rank].copy(),  # copies: a view of its first rows would keep all of vt alive
         b_rank=rank,
         kernel=kernel,
-        full_row_rank=rank == spec.m_p - 1,
     )
 
 
@@ -282,19 +279,3 @@ def bogovskii(operator_set: OperatorSet, fq: PressureCoeffs) -> tuple[VelocityCo
     residual = float(np.linalg.norm(operator_set.div_coupling[1:] @ c - rhs))
     return VelocityCoeffs(spec, c), residual
 
-
-def operator_norm_estimates(operator_set: OperatorSet) -> dict:
-    """Discrete operator norms realized by the factorization of B.
-
-    Both the divergence right inverse (L^2 -> H^1_0) and the gradient
-    inverse (dual norm -> L^2) attain 1/sigma_min over the effective range,
-    where sigma_min is the smallest singular value above the rank cut.
-    """
-    s_min = float(operator_set.b_s[-1])
-    return {
-        "bogovskii_norm": 1.0 / s_min,
-        "grad_inverse_norm": 1.0 / s_min,
-        "b_min_singular_value": s_min,
-        "b_rank": operator_set.b_rank,
-        "full_row_rank": operator_set.full_row_rank,
-    }

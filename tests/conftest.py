@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from complim import assemble, build_basis, nullspace_basis
+from complim import VelocityCoeffs, assemble, build_basis, nullspace_basis
 
 # truncations (n_u, n_p) over which the parity classes are checked: n_u != n_p, n_p = 0
 # (the constant pressure mode alone) and odd sizes, whose classes differ in size
@@ -88,3 +88,17 @@ def quad2d(fn, order=40):
     x, w = gauss_grid(order)
     vals = fn(x[:, None], x[None, :])
     return float(np.einsum("a,ab,b->", w, vals, w))
+
+
+def eval_field(spec, coeffs, x, y):
+    """The expansion at the points (x, y) of [0,1]^2, broadcast (oracle path): shape (2,) + shape
+    for velocity coefficients, as a vector SampledField's spatial part, and shape for pressure."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    x, y = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (x, y))
+    if isinstance(coeffs, VelocityCoeffs):
+        sx, sy = spec.velocity_sine_table(x), spec.velocity_sine_table(y)  # (N_u, P)
+        c = (coeffs.values * np.tile(spec.vel_norms.ravel(), 2)).reshape(2, spec.n_u, spec.n_u)
+        return np.einsum("kij,ip,jp->kp", c, sx, sy, optimize=True).reshape((2,) + shape)
+    cx, cy = spec.pressure_cosine_table(x), spec.pressure_cosine_table(y)
+    q = coeffs.values.reshape(spec.n_p + 1, spec.n_p + 1) * spec.pres_norms
+    return np.einsum("kl,kp,lp->p", q, cx, cy, optimize=True).reshape(shape)

@@ -6,9 +6,7 @@ from complim import (
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
-    assemble,
     build_basis,
-    eval_field,
     initial_pressure,
     limits,
     norms,
@@ -22,7 +20,7 @@ from complim import (
 from complim.basis import velocity_mass_diagonal
 from complim.operators import div_gram
 
-from conftest import PARITY_N_P, PARITY_N_U, parity_grid_ops, quad2d
+from conftest import PARITY_N_P, PARITY_N_U, eval_field, parity_grid_ops, quad2d
 
 
 def vel_mode(i, j):
@@ -51,9 +49,8 @@ def test_build_basis_constant_pressure_mode():
     spec = build_basis(1, 0)
     assert spec.m_p == 1
     assert spec.pres_norms[0, 0] == 1.0
-    pts = np.array([[0.3, 0.8]])
-    val = eval_field(spec, PressureCoeffs(spec, np.array([1.0])), pts)
-    assert val[0] == pytest.approx(1.0, abs=1e-15)
+    val = eval_field(spec, PressureCoeffs(spec, np.array([1.0])), 0.3, 0.8)
+    assert val == pytest.approx(1.0, abs=1e-15)
 
 
 def test_build_basis_default_counts():
@@ -102,9 +99,9 @@ def test_pressure_basis_orthonormal(spec4):
     flat = spec4.m_p
     gram = np.zeros((flat, flat))
     for a in range(flat):
-        ka, la = spec4.pressure_mode(a)
+        ka, la = divmod(a, n + 1)
         for b in range(a, flat):
-            kb, lb = spec4.pressure_mode(b)
+            kb, lb = divmod(b, n + 1)
             ca = spec4.pres_norms[ka, la]
             cb = spec4.pres_norms[kb, lb]
             gram[a, b] = gram[b, a] = ca * cb * quad2d(
@@ -129,7 +126,7 @@ def test_project_velocity_reproduces_basis_function(spec4):
 
 
 def test_project_velocity_zero_field(spec4):
-    coeffs = project_velocity(spec4, SampledField.zero(vector=True))
+    coeffs = project_velocity(spec4, SampledField(lambda x, y: 0 * x, vector=True))
     assert np.all(coeffs.values == 0.0)
 
 
@@ -142,7 +139,7 @@ def test_project_velocity_mode_outside_span():
 
 def test_project_velocity_rejects_scalar(spec4):
     with pytest.raises(ValueError):
-        project_velocity(spec4, SampledField.zero(vector=False))
+        project_velocity(spec4, SampledField.scalar(lambda x, y: 0 * x))
 
 
 def test_project_pressure_constant(spec4):
@@ -165,7 +162,7 @@ def test_project_pressure_against_quadrature_oracle():
     fld = SampledField.scalar(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     coeffs = project_pressure(spec, fld)
     for flat in range(spec.m_p):
-        k, l = spec.pressure_mode(flat)
+        k, l = divmod(flat, spec.n_p + 1)
         c_kl = spec.pres_norms[k, l]
         oracle = c_kl * quad2d(
             lambda x, y: np.sin(np.pi * x)
@@ -179,19 +176,14 @@ def test_project_pressure_against_quadrature_oracle():
 def test_eval_field_velocity_point_value(spec4):
     values = np.zeros(spec4.m_u)
     values[spec4.velocity_index(0, 1, 1)] = 1.0
-    out = eval_field(spec4, VelocityCoeffs(spec4, values), np.array([[0.5, 0.5]]))
-    assert out[0, 0] == pytest.approx(np.sqrt(2.0) / np.pi, abs=1e-14)
-    assert out[0, 1] == 0.0
+    out = eval_field(spec4, VelocityCoeffs(spec4, values), 0.5, 0.5)
+    assert out[0] == pytest.approx(np.sqrt(2.0) / np.pi, abs=1e-14)
+    assert out[1] == 0.0
 
 
-def test_eval_field_zero_and_errors(spec4, spec2):
-    pts = np.random.default_rng(0).uniform(size=(5, 2))
-    out = eval_field(spec4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)), pts)
-    assert np.all(out == 0.0)
-    with pytest.raises(ValueError):
-        eval_field(spec4, VelocityCoeffs(spec2, np.zeros(spec2.m_u)), pts)
-    with pytest.raises(ValueError):
-        eval_field(spec4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)), np.array([[1.5, 0.2]]))
+def test_eval_field_zero(spec4):
+    x, y = np.random.default_rng(0).uniform(size=(2, 5))
+    assert np.all(eval_field(spec4, VelocityCoeffs(spec4, np.zeros(spec4.m_u)), x, y) == 0.0)
 
 
 def test_norms_unit_velocity_mode(spec4, ops4):
@@ -215,15 +207,7 @@ def test_parseval_on_span(spec2, ops2):
     values = rng.standard_normal(spec2.m_u)
     coeffs = VelocityCoeffs(spec2, values)
 
-    def component(k):
-        def fn(x, y):
-            pts = np.stack([np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)),
-                            np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape))], axis=-1)
-            return eval_field(spec2, coeffs, pts)[..., k]
-
-        return fn
-
-    l2_sq = quad2d(lambda x, y: component(0)(x, y) ** 2 + component(1)(x, y) ** 2)
+    l2_sq = quad2d(lambda x, y: (eval_field(spec2, coeffs, x, y) ** 2).sum(axis=0))
     reported = norms(ops2, coeffs)
     assert np.sqrt(l2_sq) == pytest.approx(reported["l2"], abs=1e-10)
 
@@ -232,18 +216,9 @@ def test_projection_idempotent_on_span(spec2):
     rng = np.random.default_rng(7)
     coeffs = VelocityCoeffs(spec2, rng.standard_normal(spec2.m_u))
 
-    fld = SampledField.of_vector(
-        lambda x, y: _synth(spec2, coeffs, x, y, 0),
-        lambda x, y: _synth(spec2, coeffs, x, y, 1),
-    )
+    fld = SampledField(lambda x, y: eval_field(spec2, coeffs, x, y), vector=True)
     again = project_velocity(spec2, fld)
     assert np.abs(again.values - coeffs.values).max() <= 1e-12
-
-
-def _synth(spec, coeffs, x, y, comp):
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    pts = np.stack([np.broadcast_to(x, shape), np.broadcast_to(y, shape)], axis=-1)
-    return eval_field(spec, coeffs, pts)[..., comp]
 
 
 def test_index_maps_are_bijections(spec4):
@@ -259,18 +234,18 @@ def test_index_maps_are_bijections(spec4):
     for k in range(spec4.n_p + 1):
         for l in range(spec4.n_p + 1):
             flat = spec4.pressure_index(k, l)
-            assert spec4.pressure_mode(flat) == (k, l)
+            assert divmod(flat, spec4.n_p + 1) == (k, l)
             seen.add(flat)
     assert seen == set(range(spec4.m_p))
     with pytest.raises(IndexError):
         spec4.velocity_index(2, 1, 1)
     with pytest.raises(IndexError):
-        spec4.pressure_mode(spec4.m_p)
+        spec4.pressure_index(spec4.n_p + 1, 0)
 
 
 def test_project_pressure_rejects_vector(spec4):
     with pytest.raises(ValueError):
-        project_pressure(spec4, SampledField.zero(vector=True))
+        project_pressure(spec4, SampledField(lambda x, y: 0 * x, vector=True))
 
 
 def _run_with(target, ops, field, data, monkeypatch):
@@ -314,7 +289,7 @@ def test_initial_data_of_the_wrong_kind_or_basis_fails_in_one_line(ops4, monkeyp
                         else VelocityCoeffs(spec3, np.ones(spec3.m_u))),
         "other_kind": (VelocityCoeffs(ops4.spec, np.ones(ops4.spec.m_u)) if pressure
                        else PressureCoeffs(ops4.spec, np.ones(ops4.spec.m_p))),
-        "other_field": SampledField.zero(vector=pressure),
+        "other_field": SampledField(lambda x, y: 0 * x, vector=pressure),
         "array": np.zeros(ops4.spec.m_p if pressure else ops4.spec.m_u),
     }[data]
     kind = "pressure" if pressure else "velocity"
@@ -336,7 +311,7 @@ def test_no_entry_of_E_or_B_crosses_a_parity_class(n_u):
             a, b = (i % 2, 1 - j % 2) if comp == 0 else (1 - i % 2, j % 2)
             assert u[flat] == 2 * a + b, (comp, i, j)
         for flat in range(1, spec.m_p):
-            k, l = spec.pressure_mode(flat)
+            k, l = divmod(flat, spec.n_p + 1)
             assert p[flat] == 2 * (k % 2) + l % 2, (k, l)
         assert p[0] == 4 and len(classes) == spec.m_u + spec.m_p
         assert not E[u[:, None] != u].any(), (n_u, n_p)

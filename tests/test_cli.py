@@ -193,6 +193,16 @@ def test_verify_energy_gates_the_worst_step(tmp_path):
     assert run_cli(["verify", "--energy", str(path), "--tol", "1e-3"]) == 0
 
 
+@pytest.mark.parametrize("tol, code", [("nan", 1), ("-1", 1), ("inf", 1), ("0", 0), ("1e308", 0)])
+def test_verify_energy_takes_only_a_finite_nonnegative_tolerance(tmp_path, capsys, tol, code):
+    # on a ledger of zeros nan and -1 used to fail the certificate and inf to pass any residual
+    path = tmp_path / "traj.csv"
+    path.write_text("t,I,energy_residual\n0,1,0\n0.5,1,0\n1,1,0\n")
+    assert run_cli(["verify", "--energy", str(path), "--tol", tol]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == code and ("--tol must be finite and >= 0" in err) == bool(code)
+
+
 def test_usage_errors(tmp_path):
     assert run_cli(["verify"]) == 1  # neither --energy nor the series set
     assert run_cli(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
@@ -297,8 +307,9 @@ def test_verify_energy_malformed_input_exits_1(tmp_path, capsys, text, message):
         ("t,value\n0,1\n0.5\n", "row 2 has 1 cells"),
         ("time,v\n0,1\n0.5,1\n", "no t column"),
         ("t,value\n0,1\n0.5,x\n", "not a number"),
+        ("t,value\nnan,0\nnan,0\nnan,0\n", "uniform and increasing"),  # was "different grids"
     ],
-    ids=["ragged", "missing_columns", "non_numeric"],
+    ids=["ragged", "missing_columns", "non_numeric", "nan_times"],
 )
 def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     t = np.linspace(0.0, 1.0, 3)

@@ -314,15 +314,6 @@ def test_default_dt_policy():
     assert default_dt(0.9, 1, 1.0) == pytest.approx(1.0 / 200.0)
 
 
-def test_density_diagnostic(spec2, ops2):
-    p0 = PressureCoeffs(spec2, np.zeros(spec2.m_p))
-    p0.values[0] = 2.0
-    params = CompressibleParams(rho0=1.5, alpha=0.1, T=0.1, dt=0.01, p0=p0)
-    traj = simulate_compressible(spec2, ops2, params, store_states=True)
-    rho = traj.density(0, np.array([[0.25, 0.5]]))
-    assert rho[0] == pytest.approx(1.5 + 0.1 * 2.0, abs=1e-12)
-
-
 def test_initial_node_is_projection_of_data(spec2, ops2):
     u0 = SampledField.of_vector(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), lambda x, y: 0.0 * x
@@ -828,8 +819,6 @@ def test_a_run_that_stored_no_states_refuses_its_state_readers_in_one_line(spec4
     ref = simulate_incompressible(spec4, ops4, kernel, params)
     probes = limits.probe_dictionary(ops4, 2, seed=1)
     readers = {
-        "pressure_at": lambda: traj.pressure_at(0),
-        "density": lambda: traj.density(0, np.array([[0.25, 0.5]])),
         "x_alpha": lambda: limits.x_alpha(ops4, params, traj, ref),
         "weak_probe": lambda: limits.weak_probe(traj, ref, probes, ops4),
         "coefficients_table": lambda: csvio.coefficients_table(traj),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from complim import ConfigError, RunConfig, parse_config, parse_expression, render_config
+from complim import ConfigError, RunConfig, parse_config, parse_expression
 from complim.config import (
     ExpressionError,
     realize_scalar_field,
@@ -40,7 +40,7 @@ def test_unknown_keys_and_sections_rejected_with_all_errors():
     assert "wibble" in issues and "nonsense" in issues and "mu" in issues
 
 
-def test_round_trip_parse_render():
+def test_every_section_parses():
     text = """
 [basis]
 n_u = 5
@@ -71,7 +71,6 @@ directory = results
 dump_coefficients = true
 """
     cfg = parse_config(text)
-    assert parse_config(render_config(cfg)) == cfg
     assert cfg.alphas == (0.1, 0.01, 0.001)
     assert cfg.dt is None and cfg.dump_coefficients is True
 

@@ -24,9 +24,10 @@ from complim import (
     simulate_incompressible,
     sweep_alpha,
 )
-from complim.basis import eval_field, velocity_load_vector
+from complim.basis import velocity_load_vector
 from complim.presets import velocity_preset
 
+from conftest import eval_field
 from test_compressible import assert_chunks_share_their_boundary_node
 
 
@@ -211,15 +212,7 @@ def test_initial_pressure_trivial_and_constructed(spec4, ops4):
     load_target = -(ops4.div_coupling.T @ qstar)
     coeffs = VelocityCoeffs(spec4, load_target / ops4.mass_diag)
 
-    def component(k):
-        def fn(x, y):
-            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-            pts = np.stack([np.broadcast_to(x, shape), np.broadcast_to(y, shape)], axis=-1)
-            return eval_field(spec4, coeffs, pts)[..., k]
-
-        return fn
-
-    f = SampledField.of_vector(component(0), component(1))
+    f = SampledField(lambda x, y: eval_field(spec4, coeffs, x, y), vector=True)
     u0 = VelocityCoeffs(spec4, np.zeros(spec4.m_u))
     q0 = initial_pressure(ops4, CompressibleParams(rho0=1.0, mu=1.0, s=f, u0=u0))
     assert np.abs(q0.values - qstar).max() <= 1e-8 * max(1.0, np.abs(qstar).max())
@@ -254,15 +247,7 @@ def test_load_in_the_span_of_m_z_has_no_pressure(spec4, ops4, kernel4):
     rng = np.random.default_rng(5)
     coeffs = VelocityCoeffs(spec4, kernel4 @ rng.standard_normal(kernel4.shape[1]))
 
-    def component(k):
-        def fn(x, y):
-            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-            pts = np.stack([np.broadcast_to(x, shape), np.broadcast_to(y, shape)], axis=-1)
-            return eval_field(spec4, coeffs, pts)[..., k]
-
-        return fn
-
-    s = SampledField.of_vector(component(0), component(1))
+    s = SampledField(lambda x, y: eval_field(spec4, coeffs, x, y), vector=True)
     s_vec = velocity_load_vector(spec4, s)
     assert np.abs(kernel4.T @ s_vec).max() > 0.1
     lam = np.einsum("ij,ij->j", kernel4, kernel4)

@@ -3,8 +3,6 @@ import pytest
 
 from complim import (
     ScalarTrajectory,
-    convex_root_bound,
-    gronwall_bound,
     mixed_bounds,
     mixed_constants,
     verify_mixed,
@@ -19,63 +17,6 @@ def grid(n=101, T=1.0):
 def make(values, T=1.0, label=""):
     values = np.asarray(values, dtype=float)
     return ScalarTrajectory(np.linspace(0.0, T, len(values)), values, label=label)
-
-
-# -- convex root bound -------------------------------------------------------
-
-
-def test_convex_root_bound_examples():
-    assert convex_root_bound(0.0, 0.0) == 0.0
-    assert convex_root_bound(4.0, 0.0) == 2.0
-    # quadratic-root oracle: largest root of J^2 = a + bJ never exceeds the bound
-    a, b = 1.0, 3.0
-    root = (b + np.sqrt(b * b + 4 * a)) / 2.0
-    assert root == pytest.approx((3 + np.sqrt(13)) / 2)
-    assert root <= convex_root_bound(a, b) == 4.0
-
-
-def test_convex_root_bound_certifies_random_instances():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        a, b = rng.uniform(0, 10, 2)
-        root = (b + np.sqrt(b * b + 4 * a)) / 2.0
-        assert root <= convex_root_bound(a, b) + 1e-12
-
-
-def test_convex_root_bound_rejects_negative():
-    with pytest.raises(ValueError):
-        convex_root_bound(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        convex_root_bound(0.0, -1.0)
-
-
-# -- Gronwall ----------------------------------------------------------------
-
-
-def test_gronwall_zero_inputs_constant():
-    t = grid()
-    out = gronwall_bound(2.0, make(np.zeros_like(t)), make(np.zeros_like(t)))
-    assert np.all(out.values == 2.0)
-
-
-def test_gronwall_exponential_form():
-    t = grid(2001)
-    lam = 1.0
-    out = gronwall_bound(2.0, make(np.full_like(t, lam)), make(np.zeros_like(t)))
-    assert out.values[-1] == pytest.approx(2.0 * np.e, rel=1e-8)
-    assert np.abs(out.values - 2.0 * np.exp(lam * t)).max() <= 1e-7
-
-
-def test_gronwall_monotone_in_inputs():
-    t = grid()
-    lo = gronwall_bound(1.0, make(0.2 * np.ones_like(t)), make(np.zeros_like(t)))
-    hi = gronwall_bound(1.5, make(0.4 * np.ones_like(t)), make(np.ones_like(t)))
-    assert np.all(hi.values >= lo.values)
-
-
-def test_gronwall_grid_mismatch():
-    with pytest.raises(GridMismatch):
-        gronwall_bound(1.0, make(np.zeros(11)), make(np.zeros(21)))
 
 
 # -- mixed constants and bounds ----------------------------------------------
@@ -193,6 +134,8 @@ def test_verify_mixed_flags_violation_and_skips_conclusions():
 def test_scalar_trajectory_validation():
     with pytest.raises(ValueError):
         ScalarTrajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3))  # non-uniform
+    with pytest.raises(ValueError, match="uniform and increasing"):
+        ScalarTrajectory(np.full(5, np.nan), np.zeros(5))  # NaN grid
     with pytest.raises(ValueError):
         ScalarTrajectory(grid(11), np.full(11, -1.0))  # negative samples
     with pytest.raises(GridMismatch):
