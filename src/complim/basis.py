@@ -174,7 +174,6 @@ class SampledField:
     spatial: Callable[[np.ndarray, np.ndarray], np.ndarray]
     vector: bool
     time_factor: Optional[Callable[[float], float]] = None
-    label: str = ""
 
     @property
     def time_dependent(self) -> bool:
@@ -198,21 +197,20 @@ class SampledField:
             spatial=lambda x, y: factor * np.asarray(self.spatial(x, y)),
             vector=self.vector,
             time_factor=self.time_factor,
-            label=f"{factor:g}*({self.label})" if self.label else "",
         )
 
     @staticmethod
-    def scalar(fn, time_factor=None, label: str = "") -> "SampledField":
-        return SampledField(spatial=fn, vector=False, time_factor=time_factor, label=label)
+    def scalar(fn, time_factor=None) -> "SampledField":
+        return SampledField(spatial=fn, vector=False, time_factor=time_factor)
 
     @staticmethod
-    def of_vector(fx, fy, time_factor=None, label: str = "") -> "SampledField":
+    def of_vector(fx, fy, time_factor=None) -> "SampledField":
         def spatial(x, y):
             shape = np.broadcast_shapes(np.shape(x), np.shape(y))
             return np.stack([np.broadcast_to(fx(x, y), shape),
                              np.broadcast_to(fy(x, y), shape)])
 
-        return SampledField(spatial=spatial, vector=True, time_factor=time_factor, label=label)
+        return SampledField(spatial=spatial, vector=True, time_factor=time_factor)
 
 
 def build_basis(n_u: int, n_p: int) -> BasisSpec:

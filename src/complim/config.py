@@ -216,7 +216,7 @@ def realize_scalar_field(text: str, time_text: str = "") -> Optional[SampledFiel
         raise ExpressionError(
             f"{text!r}: spatial expressions may not use t; put time dependence in the *_time key"
         )
-    return SampledField.scalar(expr, time_factor=_time_factor(time_text), label=text)
+    return SampledField.scalar(expr, time_factor=_time_factor(time_text))
 
 
 def realize_vector_field(text: str, time_text: str = "") -> Optional[SampledField]:
@@ -235,7 +235,7 @@ def realize_vector_field(text: str, time_text: str = "") -> Optional[SampledFiel
             raise ExpressionError(
                 f"{e.source!r}: spatial expressions may not use t; use the *_time key"
             )
-    return SampledField.of_vector(ex, ey, time_factor=_time_factor(time_text), label=text)
+    return SampledField.of_vector(ex, ey, time_factor=_time_factor(time_text))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "write_tables",
     "read_csv_columns",
     "read_numeric_columns",
-    "read_series_csv",
     "write_trajectory_csv",
     "write_incompressible_csv",
     "write_coefficients_csv",
@@ -122,9 +121,12 @@ def write_tables(directory: str, tables: dict) -> None:
 
 def read_csv_columns(path: str) -> dict:
     """Columns by header name: float arrays, or string arrays where a cell is not a number."""
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        data = [line.strip().split(",") for line in handle if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            data = [line.strip().split(",") for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:  # a ValueError whose message names no file
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for k, row in enumerate(data, start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {k} has {len(row)} cells, the header {len(header)}")
@@ -147,10 +149,6 @@ def read_numeric_columns(path: str, names) -> list:
         if cols[name].dtype.kind != "f" or cols[name].size == 0:
             raise ValueError(f"{path}: column {name} has no rows or a cell that is not a number")
     return [cols[name] for name in names]
-
-
-def read_series_csv(path: str):
-    return tuple(read_numeric_columns(path, ("t", "value")))
 
 
 def _node_residuals(per_step: np.ndarray, n_nodes: int) -> np.ndarray:

@@ -24,7 +24,8 @@ velocity and recovered pressure, its first row the node the previous chunk
 ended on: :func:`simulate_incompressible` stores each chunk's y and q if asked
 (its trajectory derives c = Z y when read; without them no pressure is formed) and reduces
 the chunk alone to the per-node columns and per-interval energy-identity defect
-of its trajectory.csv, an alpha sweep reduces each chunk against its rows and
+of its trajectory.csv (|div u| = sqrt(c'Ec), c E through :func:`.operators.apply_E`
+as in a compressible run), an alpha sweep reduces each chunk against its rows and
 drops it, and :func:`initial_pressure` is node 0 of a one-step march.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .basis import BasisSpec, PressureCoeffs, VelocityCoeffs, coefficients_of
 from .compressible import STEP_CHUNK, CompressibleParams, InvalidParams, crank_nicolson, time_grid
-from .compressible import _forcing_terms, _time_values
+from .compressible import REDUCTION_SLAB, _forcing_terms, _time_values
 from .operators import OperatorSet, apply_E, grad_inverse_rows, leray_project
 from .operators import grad_inverse  # noqa: F401  unused; perfbench traces it under this module
 
@@ -165,8 +166,8 @@ def simulate_incompressible(
     stored only with ``store_states`` (else both are None, and no pressure is formed).
 
     Each chunk is reduced from its c, with the same bits either way: I = rho0 |u|^2 / 2,
-    |u|_{H10}, |div u| and the defect of the energy identity
-    I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
+    |u|_{H10}, |div u| (c E through apply_E, REDUCTION_SLAB rows at a time) and the defect
+    of the energy identity I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
     the compressible ledger's identity without its pressure and eta terms.  A
     chunk's row 0 is the node the previous chunk ended on, so each chunk is
     reduced alone: it rewrites that node with the same bits.
@@ -179,16 +180,16 @@ def simulate_incompressible(
     y, q = (np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))) if store_states else (None, None)
     energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
     (s_vec, s_fac), _ = _forcing_terms(spec, params)
-    zez = np.empty((Z.shape[1], Z.shape[1]))  # c'Ec = y'(Z'EZ)y, formed once, STEP_CHUNK rows at a time
-    for slab in (slice(j, j + STEP_CHUNK) for j in range(0, Z.shape[1], STEP_CHUNK)):
-        np.matmul(apply_E(operator_set, Z.T[slab]), Z, out=zez[slab])
     for start, y_k, c_k, q_k in chunks:
         rows = slice(start, start + len(y_k))
         if store_states:
             y[rows], q[rows] = y_k, q_k
         energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
         h01[rows] = np.linalg.norm(c_k, axis=1)
-        div[rows] = np.sqrt(np.maximum(np.einsum("ni,ni->n", y_k @ zez, y_k), 0.0))
+        for i in range(0, len(c_k), REDUCTION_SLAB):  # c'Ec as a Trajectory forms it, a slab at a time
+            slab = slice(i, i + REDUCTION_SLAB)  # no view of c_k outlives the chunk
+            cEc = np.einsum("ni,ni->n", apply_E(operator_set, c_k[slab]), c_k[slab])
+            div[start + i : start + i + len(cEc)] = np.sqrt(np.maximum(cEc, 0.0))
         c_mid, t_mid = (0.5 * (row[1:] + row[:-1]) for row in (c_k, times[rows]))
         work = dt * (c_mid @ s_vec) * _time_values(s_fac, t_mid)
         dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)

@@ -28,17 +28,12 @@ __all__ = [
     "MixedConstants",
     "MixedBounds",
     "CertificateReport",
-    "GridMismatch",
     "mixed_constants",
     "mixed_bounds",
     "verify_mixed",
 ]
 
 HYPOTHESIS_RTOL = 1e-6
-
-
-class GridMismatch(ValueError):
-    """Scalar trajectories do not share a time grid."""
 
 
 def _trapz(values: np.ndarray, times: np.ndarray) -> float:
@@ -71,19 +66,14 @@ class ScalarTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def grid_matches(self, other: "ScalarTrajectory") -> bool:
-        return self.times.shape == other.times.shape and bool(
-            np.allclose(self.times, other.times, rtol=0.0, atol=1e-12 * max(1.0, self.times[-1]))
-        )
-
 
 def _require_common_grid(*trajs: ScalarTrajectory) -> None:
+    """ValueError unless every trajectory shares the first one's time grid."""
     first = trajs[0]
+    atol = 1e-12 * max(1.0, first.times[-1])
     for t in trajs[1:]:
-        if not first.grid_matches(t):
-            raise GridMismatch(
-                f"trajectories {first.label!r} and {t.label!r} are on different grids"
-            )
+        if t.times.shape != first.times.shape or not np.allclose(first.times, t.times, rtol=0.0, atol=atol):
+            raise ValueError(f"trajectories {first.label!r} and {t.label!r} are on different grids")
 
 
 @dataclass(frozen=True)
@@ -128,12 +118,12 @@ def mixed_bounds(
 
 @dataclass
 class CertificateReport:
-    """Structured outcome of a mixed-inequality certificate with margins."""
+    """Structured outcome of a mixed-inequality certificate with margins; the conclusions'
+    fields stay NaN unless the hypothesis holds."""
 
     hypothesis_ok: bool
     hypothesis_margin: float  # most negative slack over all intervals
     hypothesis_tol: float
-    conclusions_checked: bool
     j_l2: float = np.nan
     j_l2_bound: float = np.nan
     j_l2_margin: float = np.nan
@@ -143,9 +133,7 @@ class CertificateReport:
 
     @property
     def ok(self) -> bool:
-        return self.hypothesis_ok and self.conclusions_checked and (
-            self.j_l2_margin >= 0.0 and self.i_inf_margin >= 0.0
-        )
+        return self.hypothesis_ok and self.j_l2_margin >= 0.0 and self.i_inf_margin >= 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values fail the comparisons below
@@ -182,7 +170,6 @@ def verify_mixed(
             hypothesis_ok=False,
             hypothesis_margin=hypothesis_margin,
             hypothesis_tol=tol,
-            conclusions_checked=False,
         )
 
     bounds = mixed_bounds(float(I.values[0]), a, b, c)
@@ -192,7 +179,6 @@ def verify_mixed(
         hypothesis_ok=True,
         hypothesis_margin=hypothesis_margin,
         hypothesis_tol=tol,
-        conclusions_checked=True,
         j_l2=float(j_l2),
         j_l2_bound=bounds.j_l2_bound,
         j_l2_margin=float(bounds.j_l2_bound - j_l2),

@@ -73,9 +73,10 @@ class OperatorSet:
     """M's diagonal, B, the 1-D tables E is read from, and the cached factorization of B[1:].
 
     The stiffness matrix is the identity by basis normalization and is kept
-    implicit, and E is read through :func:`apply_E` and :func:`div_gram`, so no
-    array here has m_u x m_u entries.  ``b_u, b_s, b_vt`` hold the thin SVD of
-    B[1:] truncated at ``b_rank``; ``kernel`` spans null(B[1:]) and is M-orthonormal.
+    implicit, and E is read through :func:`apply_E` (states) and :func:`div_gram`
+    (matrices), so no array here has m_u x m_u entries.  ``b_u, b_s, b_vt`` hold the thin
+    SVD of B[1:] truncated at its rank, ``len(b_s)``; ``kernel`` spans null(B[1:]) and is
+    M-orthonormal.
     """
 
     spec: BasisSpec
@@ -86,7 +87,6 @@ class OperatorSet:
     b_u: np.ndarray  # (m_p-1, r)
     b_s: np.ndarray  # (r,)
     b_vt: np.ndarray  # (r, m_u)
-    b_rank: int
     kernel: np.ndarray  # Z, (m_u, m_V) with Z' M Z = I
 
 
@@ -137,7 +137,6 @@ def assemble(spec: BasisSpec) -> OperatorSet:
         b_u=u[:, :rank].copy(),
         b_s=s[:rank].copy(),
         b_vt=vt[:rank].copy(),  # copies: a view of its first rows would keep all of vt alive
-        b_rank=rank,
         kernel=kernel,
     )
 

@@ -290,12 +290,13 @@ def test_constant_division_by_zero_exits_1_without_output(tmp_path, capsys, comm
         ("t,I,energy_residual\n0,1,0\n0.5,1\n", "row 2 has 2 cells"),
         ("t,I,energy_residual\n0,1,0\n0.5,1,abc\n", "not a number"),
         ("t,I\n0,1\n0.5,1\n", "no energy_residual column"),
+        (b"\xfft,I,energy_residual\n0,1,0\n", "traj.csv: not UTF-8 text"),
     ],
-    ids=["ragged", "non_numeric", "missing_column"],
+    ids=["ragged", "non_numeric", "missing_column", "not_utf8"],
 )
 def test_verify_energy_malformed_input_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "traj.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(["verify", "--energy", str(path)]) == 1
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
@@ -308,14 +309,16 @@ def test_verify_energy_malformed_input_exits_1(tmp_path, capsys, text, message):
         ("time,v\n0,1\n0.5,1\n", "no t column"),
         ("t,value\n0,1\n0.5,x\n", "not a number"),
         ("t,value\nnan,0\nnan,0\nnan,0\n", "uniform and increasing"),  # was "different grids"
+        (b"t,value\n0,1\n0.5,\xff\n", "j.csv: not UTF-8 text"),
     ],
-    ids=["ragged", "missing_columns", "non_numeric", "nan_times"],
+    ids=["ragged", "missing_columns", "non_numeric", "nan_times", "not_utf8"],
 )
 def test_verify_series_malformed_input_exits_1(tmp_path, capsys, text, message):
     t = np.linspace(0.0, 1.0, 3)
     for name in ("i", "j", "a", "b", "c"):
         write_csv(tmp_path / f"{name}.csv", ["t", "value"], zip(t, np.zeros_like(t)))
-    (tmp_path / "j.csv").write_text(text)
+    path = tmp_path / "j.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     args = ["verify"]
     for name in ("i", "j", "a", "b", "c"):
         args += [f"--{name}", str(tmp_path / f"{name}.csv")]

@@ -25,6 +25,7 @@ from complim import (
     sweep_alpha,
 )
 from complim.basis import velocity_load_vector
+from complim.operators import div_gram
 from complim.presets import velocity_preset
 
 from conftest import eval_field
@@ -41,7 +42,7 @@ def test_nullspace_invariants(ops4, kernel4):
 def test_nullspace_dimension_matches_rank_nullity(ops4):
     null = scipy.linalg.null_space(ops4.div_coupling[1:])
     assert nullspace_basis(ops4).shape[1] == null.shape[1]
-    assert nullspace_basis(ops4).shape[1] == ops4.spec.m_u - ops4.b_rank
+    assert nullspace_basis(ops4).shape[1] == ops4.spec.m_u - len(ops4.b_s)
 
 
 def test_empty_kernel_at_smallest_truncation():
@@ -173,6 +174,18 @@ def test_energy_equality_second_order(spec4, ops4, kernel4):
         )
         cums.append(np.abs(np.cumsum(traj.energy_residual)).max())
     assert 3.5 <= cums[0] / cums[1] <= 4.5
+
+
+@pytest.mark.parametrize("n_u, n_p", [(8, 8), (8, 5)])
+def test_div_series_is_sqrt_cEc_with_the_dense_div_gram(n_u, n_p):
+    """|div u| against sqrt(c'Ec) from the stored c over 549 steps (three chunks, each reduced
+    in several apply_E slabs), with E formed densely by div_gram."""
+    ops = assemble(build_basis(n_u, n_p))
+    params = long_forced_params(ops.spec, np.cos)
+    traj = simulate_incompressible(ops.spec, ops, ops.kernel, params, store_states=True)
+    E = div_gram(ops, np.arange(ops.spec.m_u))
+    oracle = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", traj.c, E, traj.c), 0.0))
+    assert np.abs(traj.div - oracle).max() <= 1e-13 * oracle.max()
 
 
 def test_solenoidality_preserved_and_monotone_decay(spec4, ops4, kernel4):
