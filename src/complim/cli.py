@@ -63,7 +63,8 @@ EXIT_CERTIFICATE = 3
 # against 2.13 s at n = 20 (5 runs a side).  The outputs were byte-identical either way.
 # `sweep` runs on one thread at every size: its rows march in worker processes that pin
 # themselves, and the few products left in the calling process (the operators, Z,
-# compatible_p0) cost the same on one thread (assemble at n = 24: 0.46 s on one, 0.45 s on two).
+# compatible_p0) cost the same on one thread up to n = 24 (assemble: 0.42-0.46 s either way), not
+# at n = 32 (1.91-2.31 s on one thread against 1.45-1.92 s on two, two sessions of 3 runs each).
 ONE_BLAS_THREAD_BELOW = 801
 
 # Peak memory of writing a CSV file, per value in it: csvio holds the row strings, the
@@ -101,9 +102,8 @@ def _check_memory(cfg: RunConfig, command: str) -> float:
     reference: its pressure map (m_u m_p at most, built in chunks) and 6 chunk-sized
     arrays of width m_u (3.8-5.1 measured in all at n = 8, 16 and 24, a time-dependent
     load's third buffer included).  simulate-incompressible counts one such reference (its
-    |div u| goes through apply_E REDUCTION_SLAB rows at a time, about one chunk-sized array of
-    temporaries within the reference's 6), its 4 series and, with dump_coefficients, its stored
-    y, q and the c = Z y that coefficients.csv is written from.  Both phases count the text
+    reductions go a slab at a time), its 4 series and, with dump_coefficients, its stored y, q
+    and the c = Z y that coefficients.csv is written from.  Both phases count the text
     of the largest CSV file the command writes, at CSV_BYTES_PER_VALUE: coefficients.csv
     ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for
     a sweep, decompose.csv (7 m_u) for decompose.
@@ -372,8 +372,11 @@ def run_cli(argv) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "verify":  # reads no config
                 return _cmd_verify(args)
-            with open(args.config) as handle:
-                cfg = parse_config(handle.read())
+            try:
+                with open(args.config, encoding="utf-8") as handle:
+                    cfg = parse_config(handle.read())
+            except UnicodeDecodeError as exc:  # a ValueError whose message names no file
+                raise ConfigError([f"{args.config}: not UTF-8 text ({exc.reason})"]) from None
             _check_memory(cfg, args.command)
             small = 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
             with one_blas_thread(args.command == "sweep" or small):

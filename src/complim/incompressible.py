@@ -21,19 +21,17 @@ That is linear in y and the load's time factor: one map, built once per run
 chunk, mean zero and shiftable afterwards to any target mean.  The march is a
 chunk source, :func:`stokes_chunks`, which yields each chunk of steps with its
 velocity and recovered pressure, its first row the node the previous chunk
-ended on: :func:`simulate_incompressible` stores each chunk's y and q if asked
-(its trajectory derives c = Z y when read; without them no pressure is formed) and reduces
-the chunk alone to the per-node columns and per-interval energy-identity defect
-of its trajectory.csv (|div u| = sqrt(c'Ec), c E through :func:`.operators.apply_E`
-as in a compressible run), an alpha sweep reduces each chunk against its rows and
-drops it, and :func:`initial_pressure` is node 0 of a one-step march.
+ended on: :func:`simulate_incompressible` hands each chunk to the run's
+:class:`IncompressibleTrajectory`, which stores and reduces it as a compressible
+:class:`.compressible.Trajectory` does; an alpha sweep reduces each chunk against its
+rows and drops it, and :func:`initial_pressure` is node 0 of a one-step march.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -71,21 +69,25 @@ def nullspace_basis(operator_set: OperatorSet) -> np.ndarray:
     return operator_set.kernel
 
 
-@dataclass
 class IncompressibleTrajectory:
-    """Series per node, and reduced coefficients y and recovered pressure q if stored; c = Z y is derived."""
+    """One Stokes run: the series reduced from its march's chunks, and y and q if stored.
 
-    spec: BasisSpec
-    params: CompressibleParams
-    dt: float
-    times: np.ndarray  # (N+1,)
-    y: Optional[np.ndarray]  # (N+1, m_V), None unless stored
-    kernel: np.ndarray  # Z, (m_u, m_V): operator_set.kernel itself, not a copy
-    q: Optional[np.ndarray]  # (N+1, m_p), mean zero; None unless stored
-    energy: np.ndarray  # (N+1,), rho0 |u|^2 / 2
-    h01: np.ndarray
-    div: np.ndarray
-    energy_residual: np.ndarray  # (N,), per-interval defect of the energy identity
+    Called with each ``(start, y, c, q)`` chunk of :func:`stokes_chunks` (nodes start,
+    start + 1, ...), it stores y (N+1, m_V) and the mean-zero q (N+1, m_p) with
+    ``store_states`` (otherwise both are None, as is c) and reduces the chunk alone, in slabs of
+    REDUCTION_SLAB intervals that share end nodes, as a compressible Trajectory does.  Per node:
+    energy I = rho0 |u|^2 / 2 = rho0 y'y / 2 (Z'MZ = I), h01 = |c| and div = sqrt(c'Ec), c E
+    through :func:`.operators.apply_E`.  Per interval: the energy_residual
+    I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid), the compressible ledger's
+    identity without its pressure and eta terms.
+    """
+
+    def __init__(self, operator_set: OperatorSet, params: CompressibleParams, dt, times, store_states=False):
+        n, spec, m_V = len(times), operator_set.spec, operator_set.kernel.shape[1]
+        self.operator_set, self.spec, self.params, self.dt, self.times = operator_set, spec, params, dt, times
+        self.energy, self.h01, self.div, self.energy_residual = (np.empty(k) for k in (n, n, n, n - 1))
+        (self.s_vec, self.s_fac), _ = _forcing_terms(spec, params)
+        self.y, self.q = (np.empty((n, m_V)), np.empty((n, spec.m_p))) if store_states else (None, None)
 
     @property
     def n_steps(self) -> int:
@@ -94,7 +96,23 @@ class IncompressibleTrajectory:
     @property
     def c(self) -> Optional[np.ndarray]:
         """c = Z y, (N+1, m_u), formed on each access (None without y): the chunks' c, bit for bit."""
-        return None if self.y is None else self.y @ self.kernel.T
+        return None if self.y is None else self.y @ self.operator_set.kernel.T
+
+    def __call__(self, start: int, y: np.ndarray, c: np.ndarray, q: Optional[np.ndarray]) -> None:
+        if self.y is not None:
+            self.y[start : start + len(y)], self.q[start : start + len(y)] = y, q
+        for i in range(0, max(len(c) - 1, 1), REDUCTION_SLAB):
+            self._reduce(start + i, y[i : i + REDUCTION_SLAB + 1], c[i : i + REDUCTION_SLAB + 1])
+
+    def _reduce(self, start: int, y: np.ndarray, c: np.ndarray) -> None:
+        p, nodes = self.params, slice(start, start + len(c))
+        self.energy[nodes] = 0.5 * p.rho0 * np.einsum("ni,ni->n", y, y)
+        self.h01[nodes] = np.linalg.norm(c, axis=1)
+        self.div[nodes] = np.sqrt(np.maximum(np.einsum("ni,ni->n", apply_E(self.operator_set, c), c), 0.0))
+        c_mid, t_mid = (0.5 * (row[1:] + row[:-1]) for row in (c, self.times[nodes]))
+        work = self.dt * (c_mid @ self.s_vec) * _time_values(self.s_fac, t_mid)
+        dissipation = self.dt * p.mu * np.einsum("ni,ni->n", c_mid, c_mid)
+        self.energy_residual[start : nodes.stop - 1] = np.diff(self.energy[nodes]) + dissipation - work
 
 
 def stokes_chunks(
@@ -107,7 +125,7 @@ def stokes_chunks(
     start + 1, ..., with :func:`crank_nicolson`'s starts and its row 0 the previous
     chunk's last row, bit for bit: the reduced coordinates, the velocity c = Z y and
     the pressure y Q + fac(t) q_s of :func:`_pressure_map`, mean zero, one product
-    per chunk over its new nodes.  y and q view chunk buffers that the next chunk
+    per chunk over its new nodes.  y, c and q view chunk buffers that the next chunk
     overwrites; node 0's pressure is :func:`initial_pressure`.  Without ``pressure`` no
     pressure map is formed, and the chunks' q are None.
 
@@ -138,7 +156,8 @@ def stokes_chunks(
     # K = -mu diag(lam) is diagonal, so (dt/2) K goes to the march as a vector
     block = (np.arange(len(lam)), -(0.5 * dt * params.mu * lam))
     states = crank_nicolson(np.full(len(lam), params.rho0), [block], y0, times, [(Z.T @ s_vec, s_fac)])
-    q = np.empty((min(STEP_CHUNK, len(times) - 1) + 1, spec.m_p)) if pressure else None
+    rows = min(STEP_CHUNK, len(times) - 1) + 1
+    c, q = np.empty((rows, spec.m_u)), np.empty((rows, spec.m_p)) if pressure else None
     if pressure:
         q[0] = y0 @ Q + _time_values(s_fac, times[:1]) * q_s
 
@@ -147,7 +166,7 @@ def stokes_chunks(
             if pressure:  # column 0 of the product: BLAS sums y_j * +0.0 from +0.0
                 np.matmul(y[1:], Q, out=q[1 : len(y)])
                 q[1 : len(y)] += _time_values(s_fac, times[start + 1 : start + len(y)])[:, None] * q_s
-            yield start, y, y @ Z.T, q[: len(y)] if pressure else None
+            yield start, y, np.matmul(y, Z.T, out=c[: len(y)]), q[: len(y)] if pressure else None
             if pressure:
                 q[0] = q[len(y) - 1]
 
@@ -162,40 +181,16 @@ def simulate_incompressible(
     *,
     store_states: bool = False,
 ) -> IncompressibleTrajectory:
-    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, its y and q
-    stored only with ``store_states`` (else both are None, and no pressure is formed).
-
-    Each chunk is reduced from its c, with the same bits either way: I = rho0 |u|^2 / 2,
-    |u|_{H10}, |div u| (c E through apply_E, REDUCTION_SLAB rows at a time) and the defect
-    of the energy identity I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid) per interval,
-    the compressible ledger's identity without its pressure and eta terms.  A
-    chunk's row 0 is the node the previous chunk ended on, so each chunk is
-    reduced alone: it rewrites that node with the same bits.
-    ``spec`` and ``kernel`` are not read; both go away once the benchmark's
-    workload process stops passing them.
+    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, each chunk
+    handed to the run's :class:`IncompressibleTrajectory`, which stores its y and q only with
+    ``store_states`` (else no pressure is formed) and reduces it.  ``spec`` and ``kernel`` are
+    not read; both go away once the benchmark's workload process stops passing them.
     """
-    spec, Z = operator_set.spec, operator_set.kernel
     dt, times, chunks = stokes_chunks(operator_set, params, pressure=store_states)
-    n = len(times)
-    y, q = (np.empty((n, Z.shape[1])), np.empty((n, spec.m_p))) if store_states else (None, None)
-    energy, h01, div, residuals = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
-    (s_vec, s_fac), _ = _forcing_terms(spec, params)
-    for start, y_k, c_k, q_k in chunks:
-        rows = slice(start, start + len(y_k))
-        if store_states:
-            y[rows], q[rows] = y_k, q_k
-        energy[rows] = 0.5 * params.rho0 * np.einsum("ni,ni->n", y_k, y_k)  # Z'MZ = I
-        h01[rows] = np.linalg.norm(c_k, axis=1)
-        for i in range(0, len(c_k), REDUCTION_SLAB):  # c'Ec as a Trajectory forms it, a slab at a time
-            slab = slice(i, i + REDUCTION_SLAB)  # no view of c_k outlives the chunk
-            cEc = np.einsum("ni,ni->n", apply_E(operator_set, c_k[slab]), c_k[slab])
-            div[start + i : start + i + len(cEc)] = np.sqrt(np.maximum(cEc, 0.0))
-        c_mid, t_mid = (0.5 * (row[1:] + row[:-1]) for row in (c_k, times[rows]))
-        work = dt * (c_mid @ s_vec) * _time_values(s_fac, t_mid)
-        dissipation = dt * params.mu * np.einsum("ni,ni->n", c_mid, c_mid)
-        residuals[start : rows.stop - 1] = np.diff(energy[rows]) + dissipation - work
-
-    return IncompressibleTrajectory(spec, params, dt, times, y, Z, q, energy, h01, div, residuals)
+    traj = IncompressibleTrajectory(operator_set, params, dt, times, store_states)
+    for chunk in chunks:
+        traj(*chunk)
+    return traj
 
 
 def _pressure_map(operator_set: OperatorSet, lam: np.ndarray, mu: float, s_vec: np.ndarray):

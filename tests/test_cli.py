@@ -209,6 +209,16 @@ def test_usage_errors(tmp_path):
     assert run_cli(["no-such-command"]) == 1
 
 
+def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    # every config command reads its config in run_cli's one set-up
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff" + SIM_CFG.format(out=tmp_path / "out").encode())
+    assert run_cli(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{path}: not UTF-8 text (invalid start byte)" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonfinite_initial_data_exits_2(tmp_path, capsys):
     overflow = SIM_CFG.replace("u0 = sin(pi*x)*sin(pi*y) ; 0", "u0 = 1e308*1e308*sin(pi*x) ; 0")
     for command in ("simulate", "simulate-incompressible"):
@@ -524,6 +534,29 @@ def test_memory_preflight_counts_the_stokes_reference_at_its_peak(n):
     m_u, m_p = ops.spec.m_u, ops.spec.m_p
     assert peak > 8 * 4 * (STEP_CHUNK + 1) * m_u  # the march's own chunks are traced
     assert peak <= 8 * cli._reference_values(m_u, m_p)
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("n_u, n_p", [(8, 1), (16, 16)])
+def test_memory_preflight_counts_a_whole_stokes_run_at_its_peak(n_u, n_p):
+    # simulate_incompressible under a time-dependent source, its reductions included: no
+    # chunk-sized array outlives its chunk, so the run stays within the pre-flight's
+    # simulate-incompressible term (at (8, 1) a run that kept the last chunk's velocities and
+    # midpoints while the march formed the next chunk peaked at 1.01 of it)
+    from complim import cli, simulate_incompressible
+
+    ops = assemble(build_basis(n_u, n_p))
+    s = realize_vector_field("cos(pi*y) ; 0.5*cos(pi*x)", "1 + t")
+    params = CompressibleParams(T=0.3, dt=0.3 / 600, s=s, u0=velocity_preset("solenoidal_u0", ops))
+    ops.spec.quad_rule()  # numpy.polynomial's first import is not the run's memory
+    tracemalloc.start()
+    try:
+        traj = simulate_incompressible(ops.spec, ops, ops.kernel, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 600
+    assert peak <= 8 * (cli._reference_values(ops.spec.m_u, ops.spec.m_p) + 4 * len(traj.times))
 
 
 # The peak RSS of the process's own address space (VmHWM; its ru_maxrss also holds the peak

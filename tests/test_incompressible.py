@@ -453,8 +453,9 @@ def test_trajectory_c_is_the_chunks_c_bit_for_bit(n, pinned, request):
     with blas.one_blas_thread() if pinned else contextlib.nullcontext():
         traj = simulate_incompressible(ops.spec, ops, ops.kernel, params, store_states=True)
         _, _, chunks = incompressible.stokes_chunks(ops, params)
-        stacked = np.vstack([c[min(start, 1) :] for start, _, c, _ in chunks])  # row 0 repeats a node
-    assert traj.kernel is ops.kernel and traj.c.shape == (550, ops.spec.m_u)
+        # row 0 repeats a node; c views a buffer that the next chunk overwrites
+        stacked = np.vstack([c[min(start, 1) :].copy() for start, _, c, _ in chunks])
+    assert traj.operator_set is ops and traj.c.shape == (550, ops.spec.m_u)
     assert np.array_equal(traj.c, stacked)
 
 
