@@ -100,10 +100,11 @@ def _check_memory(cfg: RunConfig, command: str) -> float:
     reference.  It counts n_alpha row systems with their chunk buffers and each row's
     (N+1)(probes + 4) series, on the grid of its smallest alpha, and per worker one
     reference: its pressure map (m_u m_p at most, built in chunks) and 6 chunk-sized
-    arrays of width m_u (3.8-5.1 measured in all at n = 8, 16 and 24, a time-dependent
-    load's third buffer included).  simulate-incompressible counts one such reference (its
-    reductions go a slab at a time), its 4 series and, with dump_coefficients, its stored y, q
-    and the c = Z y that coefficients.csv is written from.  Both phases count the text
+    arrays of width m_u (1.9-5.1 measured in all at n = 8, 16 and 24, a time-dependent
+    load's third buffer included; from n = 16 on the map's build is the peak).
+    simulate-incompressible counts one such reference (its reductions go a slab at a time),
+    its 4 series and, with dump_coefficients, its stored y, q and the c = Z y that
+    coefficients.csv is written from.  Both phases count the text
     of the largest CSV file the command writes, at CSV_BYTES_PER_VALUE: coefficients.csv
     ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for
     a sweep, decompose.csv (7 m_u) for decompose.

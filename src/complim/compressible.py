@@ -18,13 +18,13 @@ classes of the basis that G joins) with one matrix-vector product and one ``getr
 solve in numpy's OpenBLAS (:mod:`.blas`) per step, on threads of their own when it
 has several, and a diagonal block (the Stokes modes, the unknowns K leaves uncoupled)
 elementwise, checks each chunk's step residuals from the products the steps form,
-and hands the chunk of states to its caller, its first row the node the previous
-chunk ended on.
-:func:`simulate_compressible` hands the chunks to the run's :class:`Trajectory`,
-which stores them only if asked and reduces each one alone, E and B applied
-through their 1-D tables, to the series that trajectory.csv, the energy ledger
-and the a-priori check read; a sweep row (:func:`compressible_chunks`) reduces
-them in lockstep with the Stokes reference.  The discretization is the
+and hands the chunk of states to its caller in slabs of REDUCTION_SLAB intervals,
+each slab's first row the node the previous one ended on.
+:func:`simulate_compressible` hands the slabs to the run's :class:`Trajectory`,
+which stores them only if asked and reduces each one whole and alone, E and B
+applied through their 1-D tables, to the series that trajectory.csv, the energy
+ledger and the a-priori check read; a sweep row (:func:`compressible_chunks`)
+reduces them in lockstep with the Stokes reference.  The discretization is the
 ``OperatorSet`` alone.
 """
 
@@ -68,7 +68,8 @@ __all__ = [
 STEP_RESIDUAL_RTOL = 1e-9
 # steps per block of the residual gate and of the time-dependent loads
 STEP_CHUNK = 256
-# intervals per slab of a Trajectory's reductions: at n = 24 as fast as whole chunks (README, "Library")
+# intervals per slab that the march yields, which each consumer reduces whole: at n = 24 as fast
+# as whole chunks, with a quarter of the temporaries (README, "Library")
 REDUCTION_SLAB = 64
 # smaller blocks of the step system join its uncoupled unknowns in one: at n = 8 two blocks of
 # 104-105 step faster apart than as one system, four parity blocks of 48-56 slower (README, "Library")
@@ -134,11 +135,13 @@ def crank_nicolson(
     Without a factor g is constant and w one vector; otherwise each chunk's loads at its
     times fill its (k, m) buffer piece by piece, and the march turns them into w.
 
-    A generator: it marches STEP_CHUNK steps at a time and yields ``(start, states)``
-    per chunk, start = 0, STEP_CHUNK, ..., states[k] being y at node start + k: a
-    chunk's row 0 is the node the previous one ended on, bit for bit.  The blocks
-    march in one chunk buffer, each one's unknowns contiguous, and keep the products
-    rhs_mat y_n in another; the last row of both becomes the next chunk's row 0.  Before
+    A generator: it marches, gates and threads STEP_CHUNK steps at a time and yields
+    each chunk as slabs of REDUCTION_SLAB intervals, ``(start, states)`` with start = 0,
+    REDUCTION_SLAB, ..., states[k] being y at node start + k: a slab's row 0 is the node
+    the previous one ended on, bit for bit, so the stepper alone decides the grain that
+    its consumers reduce.  The blocks march in one chunk buffer, each one's unknowns
+    contiguous, and keep the products rhs_mat y_n in another; the last row of both
+    becomes the next chunk's row 0.  Before
     a chunk is yielded, the first step whose residual 2a y_{n+1} - rhs_mat y_{n+1} - rhs_n
     (lhs = 2 diag(a) - rhs_mat) exceeds STEP_RESIDUAL_RTOL |rhs_n|, or is not finite, raises
     StepFailure; rhs_n is formed again, in a time-dependent load's buffer, so a load not
@@ -237,7 +240,8 @@ def crank_nicolson(
             carry[:] = rhs[count]
             # mode="clip": "raise" would buffer out
             np.take(states[: count + 1], inverse, axis=1, out=rhs[: count + 1], mode="clip")
-            yield start, rhs[: count + 1]
+            for i in range(0, count, REDUCTION_SLAB):
+                yield start + i, rhs[i : min(i + REDUCTION_SLAB, count) + 1]
             states[0] = states[count]
 
 
@@ -298,7 +302,7 @@ def compressible_chunks(
     The requested dt is rounded to the nearest uniform grid hitting T
     exactly, and G is the body-force coupling of ``params.f``.  ``chunks`` is
     the run's crank_nicolson march on the blocks of (dt/2) K that
-    :func:`_step_blocks` finds, each built alone: pulled chunk by chunk, it
+    :func:`_step_blocks` finds, each built alone: pulled slab by slab, it
     yields ``(start, c, q)``, the velocity and pressure coefficients at nodes
     start, start + 1, ... (views that the next chunk overwrites), and raises
     StepFailure when the relative residual of a step solve exceeds 1e-9.
@@ -336,18 +340,18 @@ def compressible_chunks(
 
 
 class Trajectory:
-    """One compressible run: the series reduced from its march's chunks, and its states if stored.
+    """One compressible run: the series reduced from its march's slabs, and its states if stored.
 
-    Called with each ``(start, c, q)`` chunk, it stores the chunk as ``c`` and ``q`` (with
-    ``store_states``; otherwise both are None and the run holds no (N+1) x m array) and
-    reduces it.  Per node: c'Mc and q'q (the kinetic and acoustic parts of I),
+    Called with each ``(start, c, q)`` slab of the march, it stores the slab as ``c`` and ``q``
+    (with ``store_states``; otherwise both are None and the run holds no (N+1) x m array) and
+    reduces it whole.  Per node: c'Mc and q'q (the kinetic and acoustic parts of I),
     I(t) = (rho0 c'Mc + (alpha/rho0) q'q)/2, |c|, sqrt(c'Ec), the mass M(t) = rho0 + alpha q_0
     (the domain has unit area) and the dual norm |M dc/dt| of the momentum equation that est2
     reads.  Per interval: the energy identity's dissipation and work by midpoint quadrature
     (averaged coefficients, sources at mid-interval times), from c_n + c_{n+1} against both
     ends' c E and q G', with no midpoint copies.  c E and q B come from the
-    1-D tables (:func:`.operators.apply_E`, ``apply_B``).  A chunk's row 0 is the node the
-    previous chunk ended on, so each chunk is reduced alone: it rewrites that node's series
+    1-D tables (:func:`.operators.apply_E`, ``apply_B``).  A slab's row 0 is the node the
+    previous slab ended on, so each slab is reduced alone: it rewrites that node's series
     with the same bits and holds every interval it covers.
     """
 
@@ -371,14 +375,10 @@ class Trajectory:
 
     def __call__(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
         """Store (if asked) and reduce the coefficients (c, q) at nodes start, start + 1, ...
-        and the intervals between, in slabs of REDUCTION_SLAB intervals that share end nodes."""
-        if self.c is not None:
-            self.c[start : start + len(c)], self.q[start : start + len(c)] = c, q
-        for i in range(0, max(len(c) - 1, 1), REDUCTION_SLAB):
-            self._reduce(start + i, c[i : i + REDUCTION_SLAB + 1], q[i : i + REDUCTION_SLAB + 1])
-
-    def _reduce(self, start: int, c: np.ndarray, q: np.ndarray) -> None:
+        and the intervals between."""
         ops, p, nodes = self.operator_set, self.params, slice(start, start + len(c))
+        if self.c is not None:
+            self.c[nodes], self.q[nodes] = c, q
         (s_vec, s_fac), (sigma_vec, sigma_fac) = self.forcing
         cE = apply_E(ops, c)
         self.kinetic[nodes] = np.einsum("ni,i,ni->n", c, ops.mass_diag, c)
@@ -420,7 +420,7 @@ def simulate_compressible(
 ) -> Trajectory:
     """Integrate the compressible system over [0, T] with Crank-Nicolson steps.
 
-    The whole march of :func:`compressible_chunks`, each chunk handed to the
+    The whole march of :func:`compressible_chunks`, each slab handed to the
     run's :class:`Trajectory`, which stores it only with ``store_states`` and
     reduces it.  ``spec`` is not read; it goes away once the benchmark's
     workload process stops passing it.

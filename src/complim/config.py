@@ -22,7 +22,7 @@ Example document::
     s = 0
 
     [sweep]
-    alphas = 1e-1 1e-1.5 ...   # any whitespace/comma separated decreasing list
+    alphas = 1e-1 3.16e-2 1e-2 ...   # any whitespace/comma separated decreasing list
     probes = 8
     seed = 0
 

@@ -18,13 +18,14 @@ dc/dt read off the reduced equation (not from finite differences, which
 would lose an order), q(t_n) = grad_inverse(F(t_n) - rho0 M dc/dt - mu c).
 That is linear in y and the load's time factor: one map, built once per run
 (:func:`_pressure_map`), gives q(t_n) = y_n Q + fac(t_n) q_s, one product per
-chunk, mean zero and shiftable afterwards to any target mean.  The march is a
-chunk source, :func:`stokes_chunks`, which yields each chunk of steps with its
-velocity and recovered pressure, its first row the node the previous chunk
-ended on: :func:`simulate_incompressible` hands each chunk to the run's
-:class:`IncompressibleTrajectory`, which stores and reduces it as a compressible
-:class:`.compressible.Trajectory` does; an alpha sweep reduces each chunk against its
-rows and drops it, and :func:`initial_pressure` is node 0 of a one-step march.
+slab, mean zero and shiftable afterwards to any target mean.  The march is a
+slab source, :func:`stokes_chunks`, which yields each slab of steps that
+crank_nicolson hands out with its velocity and recovered pressure, its first row
+the node the previous slab ended on: :func:`simulate_incompressible` hands each
+slab to the run's :class:`IncompressibleTrajectory`, which stores and reduces it as
+a compressible :class:`.compressible.Trajectory` does; an alpha sweep reduces each
+slab against its rows and drops it, and :func:`initial_pressure` is node 0 of a
+one-step march.
 Every function takes the OperatorSet and reads Z through
 :func:`nullspace_basis`, the one check for an empty solenoidal space.
 """
@@ -70,12 +71,12 @@ def nullspace_basis(operator_set: OperatorSet) -> np.ndarray:
 
 
 class IncompressibleTrajectory:
-    """One Stokes run: the series reduced from its march's chunks, and y and q if stored.
+    """One Stokes run: the series reduced from its march's slabs, and y and q if stored.
 
-    Called with each ``(start, y, c, q)`` chunk of :func:`stokes_chunks` (nodes start,
+    Called with each ``(start, y, c, q)`` slab of :func:`stokes_chunks` (nodes start,
     start + 1, ...), it stores y (N+1, m_V) and the mean-zero q (N+1, m_p) with
-    ``store_states`` (otherwise both are None, as is c) and reduces the chunk alone, in slabs of
-    REDUCTION_SLAB intervals that share end nodes, as a compressible Trajectory does.  Per node:
+    ``store_states`` (otherwise both are None, as is c) and reduces the slab whole and alone,
+    as a compressible Trajectory does.  Per node:
     energy I = rho0 |u|^2 / 2 = rho0 y'y / 2 (Z'MZ = I), h01 = |c| and div = sqrt(c'Ec), c E
     through :func:`.operators.apply_E`.  Per interval: the energy_residual
     I(t_{n+1}) - I(t_n) + dt mu |c_mid|^2 - dt (s(t_mid), c_mid), the compressible ledger's
@@ -95,17 +96,13 @@ class IncompressibleTrajectory:
 
     @property
     def c(self) -> Optional[np.ndarray]:
-        """c = Z y, (N+1, m_u), formed on each access (None without y): the chunks' c, bit for bit."""
+        """c = Z y, (N+1, m_u), formed on each access (None without y): the slabs' c, bit for bit."""
         return None if self.y is None else self.y @ self.operator_set.kernel.T
 
     def __call__(self, start: int, y: np.ndarray, c: np.ndarray, q: Optional[np.ndarray]) -> None:
-        if self.y is not None:
-            self.y[start : start + len(y)], self.q[start : start + len(y)] = y, q
-        for i in range(0, max(len(c) - 1, 1), REDUCTION_SLAB):
-            self._reduce(start + i, y[i : i + REDUCTION_SLAB + 1], c[i : i + REDUCTION_SLAB + 1])
-
-    def _reduce(self, start: int, y: np.ndarray, c: np.ndarray) -> None:
         p, nodes = self.params, slice(start, start + len(c))
+        if self.y is not None:
+            self.y[nodes], self.q[nodes] = y, q
         self.energy[nodes] = 0.5 * p.rho0 * np.einsum("ni,ni->n", y, y)
         self.h01[nodes] = np.linalg.norm(c, axis=1)
         self.div[nodes] = np.sqrt(np.maximum(np.einsum("ni,ni->n", apply_E(self.operator_set, c), c), 0.0))
@@ -121,13 +118,14 @@ def stokes_chunks(
     """Set up the Stokes march driven by ``params.s`` on the compressible grid policy.
 
     Returns (dt, times, chunks).  ``chunks`` is the march of the reduced
-    system: pulled chunk by chunk, it yields ``(start, y, c, q)`` at nodes start,
+    system: pulled slab by slab, it yields ``(start, y, c, q)`` at nodes start,
     start + 1, ..., with :func:`crank_nicolson`'s starts and its row 0 the previous
-    chunk's last row, bit for bit: the reduced coordinates, the velocity c = Z y and
+    slab's last row, bit for bit: the reduced coordinates, the velocity c = Z y and
     the pressure y Q + fac(t) q_s of :func:`_pressure_map`, mean zero, one product
-    per chunk over its new nodes.  y, c and q view chunk buffers that the next chunk
-    overwrites; node 0's pressure is :func:`initial_pressure`.  Without ``pressure`` no
-    pressure map is formed, and the chunks' q are None.
+    per slab over its new nodes.  y views the march's chunk buffer, c and q slab
+    buffers, which the next chunk and slab overwrite; node 0's pressure is
+    :func:`initial_pressure`.  Without ``pressure`` no pressure map is formed, and
+    the slabs' q are None.
 
     With lam = |Z_j|^2, the diagonal of Z'Z, and s = fac(t) s(x), it is crank_nicolson's
     march of rho0 dy/dt = -mu diag(lam) y + fac(t) Z's, a step
@@ -156,7 +154,7 @@ def stokes_chunks(
     # K = -mu diag(lam) is diagonal, so (dt/2) K goes to the march as a vector
     block = (np.arange(len(lam)), -(0.5 * dt * params.mu * lam))
     states = crank_nicolson(np.full(len(lam), params.rho0), [block], y0, times, [(Z.T @ s_vec, s_fac)])
-    rows = min(STEP_CHUNK, len(times) - 1) + 1
+    rows = min(REDUCTION_SLAB, len(times) - 1) + 1
     c, q = np.empty((rows, spec.m_u)), np.empty((rows, spec.m_p)) if pressure else None
     if pressure:
         q[0] = y0 @ Q + _time_values(s_fac, times[:1]) * q_s
@@ -181,7 +179,7 @@ def simulate_incompressible(
     *,
     store_states: bool = False,
 ) -> IncompressibleTrajectory:
-    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, each chunk
+    """Integrate the Stokes system: the whole march of :func:`stokes_chunks`, each slab
     handed to the run's :class:`IncompressibleTrajectory`, which stores its y and q only with
     ``store_states`` (else no pressure is formed) and reduces it.  ``spec`` and ``kernel`` are
     not read; both go away once the benchmark's workload process stops passing them.

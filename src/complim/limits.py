@@ -21,8 +21,8 @@ solenoidal, and whether p0 is then its compatible Stokes pressure.
 The rows are independent marches that share only the reference, so they
 are split into runs of consecutive alphas, one per usable CPU, and each run
 marches in a forked worker process on one BLAS thread.  A worker marches its
-own copy of the reference and its rows in lockstep, one chunk of
-Crank-Nicolson steps at a time on the shared grid: each reference chunk is
+own copy of the reference and its rows in lockstep, one slab of
+Crank-Nicolson steps at a time on the shared grid: each reference slab is
 reduced into every live row's per-node scalar series of its deviation from
 the reference and then dropped.  No trajectory is stored.  A worker holds
 each row's blocks' right-hand matrices and LU factors, at most 2 m^2 numbers
@@ -85,13 +85,13 @@ def _require_shared_grid(times_c: np.ndarray, times_i: np.ndarray) -> None:
 
 
 class _RowSeries:
-    """Per-node scalar series of a run's deviation from the reference, filled chunk by chunk.
+    """Per-node scalar series of a run's deviation from the reference, filled slab by slab.
 
     With d = c - c' and dq = q - q' it holds |d|^2 (the H10 norm: the
     stiffness matrix is the identity), d'Md, |dq|, the pairing d.v with every
     probe row v and, when eta > 0, d'Ed, plus the terminal d and q.  That
     is all the error norms, x_alpha and the probes read, so a sweep row
-    reduces each chunk of its march and of the reference into this object and
+    reduces each slab of its march and of the reference into this object and
     stores no state.
     """
 
@@ -263,10 +263,6 @@ class SweepResult:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.column("alpha")
-
 
 @contextlib.contextmanager
 def _recording_failure(row: SweepRow):
@@ -302,7 +298,7 @@ def _march_rows(
 
     ``params`` carries the sweep's explicit dt, so every row and the
     reference share one time grid, whichever alphas they hold.  Each
-    reference chunk has its pressure mean aligned with p0 and is reduced
+    reference slab has its pressure mean aligned with p0 and is reduced
     into every live row's series, then dropped.  A row that fails leaves the
     lockstep and is recorded with its message; a failure of the reference
     raises.

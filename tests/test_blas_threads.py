@@ -317,6 +317,6 @@ def test_concurrent_march_leaves_no_thread_between_chunks_and_restores_the_count
     assert openblas_threads() == 1
     chunks.close()
     assert openblas_threads() == 2
-    assert sum(1 for _ in compressible.compressible_chunks(ops16, params)[3]) == 3
+    assert sum(1 for _ in compressible.compressible_chunks(ops16, params)[3]) == 9  # slabs: 4 + 4 + 1
     assert pools == [2, 2, 2, 2] and threading.active_count() == threads
     assert openblas_threads() == 2

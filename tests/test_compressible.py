@@ -554,7 +554,7 @@ def test_later_chunks_allocate_no_chunk_sized_array(spec4, ops4, ops8):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pulled == 3
+        assert pulled == 4 * compressible.STEP_CHUNK // compressible.REDUCTION_SLAB - 1
         chunk = 8 * compressible.STEP_CHUNK * (ops.spec.m_u + ops.spec.m_p)
         assert peak < chunk, (time_dependent, peak / chunk)
 
@@ -706,25 +706,24 @@ def test_finding_the_step_blocks_allocates_less_than_an_m_by_m_boolean(ops16):
 
 @pytest.mark.memory
 @pytest.mark.parametrize("n", [8, 16])
-def test_slab_reductions_are_the_bits_of_one_call(n, request, monkeypatch):
-    """A Trajectory reduces each chunk in slabs of REDUCTION_SLAB intervals that share their
+def test_slab_reductions_are_the_bits_of_one_call(n, request):
+    """The march hands a run's Trajectory slabs of REDUCTION_SLAB intervals that share their
     end nodes.  Under f, eta > 0 and time-dependent s and sigma its series are those of one
-    call over all 550 nodes, bit for bit, and a 257-node chunk's reduction peaks below two
-    (257, m_u) arrays (the whole chunk at once took over four)."""
+    call over all 550 nodes, bit for bit, and a slab's reduction peaks below two (257, m_u)
+    arrays (a whole 257-node chunk at once took over four)."""
     ops = request.getfixturevalue(f"ops{n}")
     params, _ = stepper_params(ops.spec, time_dependent=True)
     slabbed = simulate_compressible(ops.spec, ops, params, store_states=True)
-    chunk = slice(0, compressible.STEP_CHUNK + 1)
+    chunk, slab = (slice(0, k + 1) for k in (compressible.STEP_CHUNK, compressible.REDUCTION_SLAB))
     traj = compressible.Trajectory(ops, params, slabbed.dt, slabbed.times, slabbed.coupling)
-    traj(0, slabbed.c[chunk], slabbed.q[chunk])  # a warm-up outside the trace
+    traj(0, slabbed.c[slab], slabbed.q[slab])  # a warm-up outside the trace
     tracemalloc.start()
     try:
-        traj(0, slabbed.c[chunk], slabbed.q[chunk])
+        traj(0, slabbed.c[slab], slabbed.q[slab])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * slabbed.c[chunk].nbytes, peak / slabbed.c[chunk].nbytes
-    monkeypatch.setattr(compressible, "REDUCTION_SLAB", len(slabbed.times))
     whole = compressible.Trajectory(ops, params, slabbed.dt, slabbed.times, slabbed.coupling)
     whole(0, slabbed.c, slabbed.q)
     assert len(slabbed.times) == 550
@@ -754,21 +753,22 @@ def test_stored_states_are_the_chunks_of_the_march(ops8):
     _, times, _, chunks = compressible.compressible_chunks(ops8, params)
     # each later chunk's row 0 is the previous chunk's last node
     starts, states = zip(*((start, np.hstack([c, q])[min(start, 1) :]) for start, c, q in chunks))
-    assert starts == (0, 256, 512)
+    assert starts == tuple(range(0, 549, compressible.REDUCTION_SLAB))
     assert np.array_equal(traj.times, times)
     assert np.array_equal(np.hstack([traj.c, traj.q]), np.vstack(states))
 
 
 def assert_chunks_share_their_boundary_node(chunks):
-    """A 549-step march's chunks start at nodes 0, 256 and 512, and each later chunk's row 0
-    is the previous chunk's last row, bit for bit, in every array that the chunk yields."""
+    """A 549-step march's slabs start at nodes 0, 64, ..., 512, and each later slab's row 0
+    is the previous slab's last row, bit for bit, in every array that the slab yields: also
+    across the march's chunks of 256 steps."""
     starts, last = [], None
     for start, *arrays in chunks:
         if last is not None:
             assert [array[0].tobytes() for array in arrays] == last, start
         starts.append(start)
         last = [array[-1].tobytes() for array in arrays]
-    assert starts == [0, compressible.STEP_CHUNK, 2 * compressible.STEP_CHUNK]
+    assert starts == list(range(0, 549, compressible.REDUCTION_SLAB))
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])

@@ -1,9 +1,10 @@
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from complim import ConfigError, RunConfig, parse_config, parse_expression
+from complim import ConfigError, RunConfig, config, parse_config, parse_expression
 from complim.config import (
     ExpressionError,
     realize_scalar_field,
@@ -73,6 +74,16 @@ dump_coefficients = true
     cfg = parse_config(text)
     assert cfg.alphas == (0.1, 0.01, 0.001)
     assert cfg.dt is None and cfg.dump_coefficients is True
+
+
+def test_the_module_docstring_example_parses():
+    """The example document of the config module's docstring, its '...' removed, is a config."""
+    example = config.__doc__.split("Example document::\n", 1)[1]
+    lines = example.splitlines()
+    block = lines[: next(k for k, line in enumerate(lines) if line and not line.startswith(" "))]
+    cfg = parse_config(textwrap.dedent("\n".join(block)).replace("...", ""))
+    assert cfg.alphas == (1e-1, 3.16e-2, 1e-2)
+    assert cfg.n_u == cfg.n_p == 8 and cfg.dt is None and cfg.directory == "out"
 
 
 def test_preset_names_only_where_they_belong():

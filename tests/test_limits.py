@@ -195,7 +195,7 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch, marched_here):
     original = limits.compressible_chunks
     pulled = []
 
-    def fail_on_third_chunk(ops, params):
+    def fail_on_third_slab(ops, params):
         dt, times, G, chunks = original(ops, params)
 
         def failing():
@@ -207,13 +207,13 @@ def test_row_failing_mid_march_leaves_the_lockstep(monkeypatch, marched_here):
 
         return dt, times, G, failing()
 
-    monkeypatch.setattr(limits, "compressible_chunks", fail_on_third_chunk)
+    monkeypatch.setattr(limits, "compressible_chunks", fail_on_third_slab)
     res = sweep_alpha(ops, params, **SMALL)
     assert [r.failed for r in res.rows] == [False, True, False]
     assert "synthetic failure" in res.rows[1].error
     assert np.isnan(res.rows[1].x_alpha) and res.rows[1].probe_deltas.size == 0
     # the failed row is pulled no further; the others finish as in a sweep without it
-    assert pulled.count(1e-2) == 2 and pulled.count(1e-1) == pulled.count(1e-3) == 4
+    assert pulled.count(1e-2) == 2 and pulled.count(1e-1) == pulled.count(1e-3) == 16
     for k in (0, 2):
         assert res.rows[k].x_alpha == clean.rows[k].x_alpha
         assert np.array_equal(res.rows[k].probe_deltas, clean.rows[k].probe_deltas)

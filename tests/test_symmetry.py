@@ -8,6 +8,10 @@ permutation.  The reflection x -> 1 - x keeps every mode and multiplies it by th
 P = diag(-1, 1), so component 1 takes one more sign.  y -> 1 - y likewise.  Together these
 generate the square's group D4.  A run on the mapped data (u0, p0 and the force f, and the
 source s = rho0 f) must give the mapped states, and every series of the run must be the same.
+So must a run whose source s carries the time factor 1 + t and, in the compressible march, whose
+mass source sigma, a scalar field mapped as (sigma g)(x) = g(sigma x), carries 1 + t^2; there
+the energy ledger's dissipation, work and cumulative defect, and the a-priori check's data
+norm, both left-hand sides and flags must be the same as well.
 The maps are built from the basis's index maps and from parities read off samples of sin and
 cos, not from ``parity_classes``, which is checked against them.
 
@@ -15,10 +19,15 @@ RTOL is a fixed multiple of the largest miss measured over SIZES, both etas and 
 BLAS thread or two): the compressible states miss by at most 1.1e-14 of their largest entry and
 its series by 3.8e-15, the Stokes c and q by 4.0e-14 under a quarter turn and 1.7e-14 under the
 swap (c = Z y goes through a kernel that eigh rotates freely inside each equal-lambda pair) and
-its series by 1.3e-14.  The wrong swap, components swapped with (i, j) left in place, misses by
+its series by 1.3e-14.  Under the time-dependent sources the compressible states miss by
+2.5e-14 and its series by 6.8e-15, the Stokes run as before, the ledger by 1.0e-15 of max I
+and the estimates by 4.4e-16; the certificate's flag is false for some of the problems, in both
+runs alike.  The wrong swap, components swapped with (i, j) left in place, misses by
 0.18 to 1.6; a reflection that leaves out the sign of the velocity component along its axis
 misses by 0.59 to 1.28 in the states and 0.07 to 0.70 in the series at (8, 5).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,8 +37,10 @@ from complim import (
     PressureCoeffs,
     SampledField,
     VelocityCoeffs,
+    apriori_check,
     assemble,
     build_basis,
+    energy_ledger,
     simulate_compressible,
     simulate_incompressible,
 )
@@ -40,6 +51,8 @@ COMPRESSIBLE_SERIES = (
     "kinetic", "acoustic", "energy", "h01", "div", "mass", "momentum", "dissipation", "work"
 )
 STOKES_SERIES = ("energy", "h01", "div")
+LEDGER_SERIES = ("dissipation", "work", "cumulative")
+ESTIMATES = ("e_data", "est1_lhs", "est2_lhs")
 
 
 def swap_permutation(spec, transpose=True):
@@ -89,6 +102,12 @@ FIELD_MAPS = {
     "flip_x": lambda fx, fy: (lambda x, y: -fx(1 - x, y), lambda x, y: fy(1 - x, y)),
     "flip_y": lambda fx, fy: (lambda x, y: fx(x, 1 - y), lambda x, y: -fy(x, 1 - y)),
 }
+# each generator on a scalar field g: (sigma g)(x) = g(sigma x)
+SCALAR_MAPS = {
+    "swap": lambda g: lambda x, y: g(y, x),
+    "flip_x": lambda g: lambda x, y: g(1 - x, y),
+    "flip_y": lambda g: lambda x, y: g(x, 1 - y),
+}
 # the reflections and their compositions with the swap (the quarter turns)
 REFLECTIONS = {
     "flip_x": ("flip_x",),
@@ -96,6 +115,7 @@ REFLECTIONS = {
     "swap_flip_x": ("swap", "flip_x"),
     "swap_flip_y": ("swap", "flip_y"),
 }
+MAPS = {"swap": ("swap",), **REFLECTIONS}
 
 
 def signed_map(spec, names, transpose=True, mirror=True):
@@ -127,17 +147,31 @@ def force(names):
     return SampledField.of_vector(fx, fy)
 
 
-def problem_pair(spec, eta, names, smap):
+def mass_source(names):
+    """A mass source with no symmetry of its own and the time factor 1 + t^2, mapped by the
+    generators ``names`` in order."""
+    def g(x, y):
+        return np.cos(np.pi * x) + x * x * y
+
+    for name in names:
+        g = SCALAR_MAPS[name](g)
+    return SampledField.scalar(g, time_factor=lambda t: 1.0 + t * t)
+
+
+def problem_pair(spec, eta, names, smap, timed=False, sigma=False):
     """Params of a random problem and of its image under the generators ``names``, whose action
-    on coefficients is ``smap`` (right or wrong)."""
+    on coefficients is ``smap`` (right or wrong); ``timed`` gives s the time factor 1 + t, and
+    ``sigma`` adds a time-dependent mass source."""
     rng = np.random.default_rng(spec.n_u * 100 + spec.n_p)
     u0, p0 = rng.standard_normal(spec.m_u), rng.standard_normal(spec.m_p)
     vel, vel_sign, pres, pres_sign = smap
     pair = []
     for mapped, u, p in (((), u0, p0), (names, vel_sign * u0[vel], pres_sign * p0[pres])):
         f = force(mapped)
+        s = dataclasses.replace(f.scaled(1.3), time_factor=(lambda t: 1.0 + t) if timed else None)
         pair.append(CompressibleParams(
-            rho0=1.3, mu=0.7, eta=eta, alpha=0.05, T=0.05, dt=0.005, f=f, s=f.scaled(1.3),
+            rho0=1.3, mu=0.7, eta=eta, alpha=0.05, T=0.05, dt=0.005, f=f, s=s,
+            sigma=mass_source(mapped) if sigma else None,
             u0=VelocityCoeffs(spec, u), p0=PressureCoeffs(spec, p),
         ))
     return pair
@@ -148,23 +182,42 @@ def miss(a, b):
     return float(np.abs(a - b).max() / np.abs(a).max())
 
 
-def compressible_misses(ops, eta, names, **wrong):
-    """The largest relative miss of the mapped run's states and of its series."""
+def compressible_runs(ops, eta, names, timed=False, **wrong):
+    """The map on coefficients, the problem pair and both runs, which store their states;
+    ``timed`` gives both time-dependent s and sigma."""
     smap = signed_map(ops.spec, names, **wrong)
-    params, image = problem_pair(ops.spec, eta, names, smap)
-    vel, vel_sign, pres, pres_sign = smap
-    run = simulate_compressible(ops.spec, ops, params, store_states=True)
-    mapped = simulate_compressible(ops.spec, ops, image, store_states=True)
+    pair = problem_pair(ops.spec, eta, names, smap, timed=timed, sigma=timed)
+    return smap, pair, [simulate_compressible(ops.spec, ops, p, store_states=True) for p in pair]
+
+
+def compressible_misses(ops, eta, names, timed=False, **wrong):
+    """The largest relative miss of the mapped run's states and of its series."""
+    (vel, vel_sign, pres, pres_sign), _, (run, mapped) = compressible_runs(ops, eta, names, timed, **wrong)
     states = max(miss(vel_sign * run.c[:, vel], mapped.c), miss(pres_sign * run.q[:, pres], mapped.q))
     series = max(miss(getattr(run, name), getattr(mapped, name)) for name in COMPRESSIBLE_SERIES)
     return states, series
 
 
-def stokes_misses(ops, eta, names, **wrong):
+def audit_misses(ops, eta, names):
+    """Under time-dependent s and sigma: the largest miss of the mapped run's energy ledger
+    series on the scale of max I, the largest relative miss of its a-priori estimates, and both
+    runs' a-priori flags."""
+    _, pair, runs = compressible_runs(ops, eta, names, timed=True)
+    ledgers = [energy_ledger(ops, p, r) for p, r in zip(pair, runs)]
+    reports = [apriori_check(ops, p, r) for p, r in zip(pair, runs)]
+    ledger = max(
+        np.abs(getattr(ledgers[0], name) - getattr(ledgers[1], name)).max() for name in LEDGER_SERIES
+    ) / runs[0].energy.max()
+    estimates = max(miss(getattr(reports[0], name), getattr(reports[1], name)) for name in ESTIMATES)
+    return ledger, estimates, [(r.est1_ok, r.est2_ok, r.certificate.ok) for r in reports]
+
+
+def stokes_misses(ops, eta, names, timed=False, **wrong):
     """As compressible_misses for the Stokes run: c and q, not y, whose kernel coordinates
-    depend on how eigh rotates each equal-lambda pair; energy_residual on the scale of max I."""
+    depend on how eigh rotates each equal-lambda pair; energy_residual on the scale of max I.
+    ``timed`` gives s a time factor; the Stokes run refuses sigma."""
     smap = signed_map(ops.spec, names, **wrong)
-    params, image = problem_pair(ops.spec, eta, names, smap)
+    params, image = problem_pair(ops.spec, eta, names, smap, timed=timed)
     vel, vel_sign, pres, pres_sign = smap
     run = simulate_incompressible(ops.spec, ops, ops.kernel, params, store_states=True)
     mapped = simulate_incompressible(ops.spec, ops, ops.kernel, image, store_states=True)
@@ -203,6 +256,27 @@ def test_a_compressible_run_commutes_with_the_reflections(ops, eta, names):
 def test_a_stokes_run_commutes_with_the_reflections(ops, eta, names):
     states, series = stokes_misses(ops, eta, names)
     assert states <= RTOL and series <= RTOL, (states, series)
+
+
+@pytest.mark.parametrize("names", MAPS.values(), ids=MAPS.keys())
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_a_compressible_run_under_timed_s_and_sigma_commutes_with_the_maps(ops, eta, names):
+    states, series = compressible_misses(ops, eta, names, timed=True)
+    assert states <= RTOL and series <= RTOL, (states, series)
+
+
+@pytest.mark.parametrize("names", MAPS.values(), ids=MAPS.keys())
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_a_stokes_run_under_a_timed_s_commutes_with_the_maps(ops, eta, names):
+    states, series = stokes_misses(ops, eta, names, timed=True)
+    assert states <= RTOL and series <= RTOL, (states, series)
+
+
+@pytest.mark.parametrize("names", MAPS.values(), ids=MAPS.keys())
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_the_energy_ledger_and_the_apriori_check_are_invariant(ops, eta, names):
+    ledger, estimates, flags = audit_misses(ops, eta, names)
+    assert ledger <= RTOL and estimates <= RTOL and flags[0] == flags[1], (ledger, estimates, flags)
 
 
 @pytest.mark.parametrize("run", [compressible_misses, stokes_misses], ids=["compressible", "stokes"])
