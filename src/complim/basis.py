@@ -22,11 +22,13 @@ which keeps every constant-coefficient Galerkin matrix exact.  Integrals
 against arbitrary sampled fields use a tensor Gauss-Legendre rule with
 2*max(N_u, N_p) + 12 points per axis, enough to keep projections of
 in-span fields exact to ~1e-14 after the inverse-mass amplification.
+BasisSpec(N_u, N_p), whose public name is build_basis, derives all of this from its two sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "project_pressure",
     "coefficients_of",
     "norms",
-    "velocity_mass_diagonal",
     "velocity_load_vector",
     "pressure_load_vector",
     "sin_cos_integral",
@@ -65,20 +66,49 @@ def cos_cos_integral(m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Discrete function spaces for one (N_u, N_p) truncation.
+    """Discrete function spaces for one (N_u, N_p) truncation, a value of its two sizes.
 
     m_u = 2*N_u^2 velocity degrees of freedom (component-major flat order),
     m_p = (N_p+1)^2 pressure degrees of freedom with flat index 0 reserved
-    for the constant mode.
+    for the constant mode.  The rest derives from n_u and n_p, the arrays on first read, so a
+    basis costs nothing until one is read; bases of equal sizes are equal and hash alike.
     """
 
-    n_u: int
-    n_p: int
-    m_u: int
-    m_p: int
-    vel_norms: np.ndarray  # (N_u, N_u); entry [i-1, j-1] = n_ij
-    pres_norms: np.ndarray  # (N_p+1, N_p+1); entry [k, l] = c_kl
-    quad_order: int  # Gauss-Legendre points per axis for sampled-field integrals
+    n_u: int  # largest 1-D sine index per velocity component, >= 1
+    n_p: int  # largest 1-D cosine index for the pressure, >= 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("n_u", 1), ("n_p", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
+    m_u = property(lambda self: 2 * self.n_u**2)
+    m_p = property(lambda self: (self.n_p + 1) ** 2)
+    quad_order = property(lambda self: 2 * max(self.n_u, self.n_p) + 12)  # Gauss-Legendre points per axis
+
+    @cached_property
+    def vel_norms(self) -> np.ndarray:
+        """(N_u, N_u); entry [i-1, j-1] = n_ij."""
+        i = np.arange(1, self.n_u + 1)
+        return 2.0 / (np.pi * np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
+
+    @cached_property
+    def pres_norms(self) -> np.ndarray:
+        """(N_p+1, N_p+1); entry [k, l] = c_kl."""
+        pres_norms = np.full((self.n_p + 1, self.n_p + 1), 2.0)
+        pres_norms[0, :] = np.sqrt(2.0)
+        pres_norms[:, 0] = np.sqrt(2.0)
+        pres_norms[0, 0] = 1.0
+        return pres_norms
+
+    @cached_property
+    def mass_diag(self) -> np.ndarray:
+        """Diagonal of the velocity L^2 mass matrix M: entry 1/(pi^2 (i^2+j^2)) per mode."""
+        i = np.arange(1, self.n_u + 1)
+        per_mode = 1.0 / (np.pi**2 * (i[:, None] ** 2 + i[None, :] ** 2))
+        return np.tile(per_mode.ravel(), 2)
 
     # -- index maps ----------------------------------------------------
     def velocity_index(self, comp: int, i: int, j: int) -> int:
@@ -213,43 +243,7 @@ class SampledField:
         return SampledField(spatial=spatial, vector=True, time_factor=time_factor)
 
 
-def build_basis(n_u: int, n_p: int) -> BasisSpec:
-    """Construct the discrete spaces for the given 1-D mode limits.
-
-    Parameters
-    ----------
-    n_u : int
-        Largest 1-D sine index per velocity component, >= 1.
-    n_p : int
-        Largest 1-D cosine index for the pressure, >= 0.
-    """
-    if not isinstance(n_u, (int, np.integer)) or n_u < 1:
-        raise ValueError(f"n_u must be an integer >= 1, got {n_u!r}")
-    if not isinstance(n_p, (int, np.integer)) or n_p < 0:
-        raise ValueError(f"n_p must be an integer >= 0, got {n_p!r}")
-    i = np.arange(1, n_u + 1)
-    vel_norms = 2.0 / (np.pi * np.sqrt(i[:, None] ** 2 + i[None, :] ** 2))
-    k = np.arange(0, n_p + 1)
-    pres_norms = np.full((n_p + 1, n_p + 1), 2.0)
-    pres_norms[0, :] = np.sqrt(2.0)
-    pres_norms[:, 0] = np.sqrt(2.0)
-    pres_norms[0, 0] = 1.0
-    return BasisSpec(
-        n_u=int(n_u),
-        n_p=int(n_p),
-        m_u=2 * int(n_u) ** 2,
-        m_p=(int(n_p) + 1) ** 2,
-        vel_norms=vel_norms,
-        pres_norms=pres_norms,
-        quad_order=2 * max(int(n_u), int(n_p)) + 12,
-    )
-
-
-def velocity_mass_diagonal(spec: BasisSpec) -> np.ndarray:
-    """Diagonal of the velocity L^2 mass matrix: entry 1/(pi^2 (i^2+j^2)) per mode."""
-    i = np.arange(1, spec.n_u + 1)
-    per_mode = 1.0 / (np.pi**2 * (i[:, None] ** 2 + i[None, :] ** 2))
-    return np.tile(per_mode.ravel(), 2)
+build_basis = BasisSpec  # the discrete spaces for the given 1-D mode limits, by their public name
 
 
 def velocity_load_vector(spec: BasisSpec, fld: SampledField) -> np.ndarray:
@@ -278,7 +272,7 @@ def pressure_load_vector(spec: BasisSpec, fld: SampledField) -> np.ndarray:
 def project_velocity(spec: BasisSpec, fld: SampledField) -> VelocityCoeffs:
     """L^2-orthogonal projection of a 2-vector field onto the velocity span."""
     rhs = velocity_load_vector(spec, fld) * fld.at_time(0.0)
-    return VelocityCoeffs(spec, rhs / velocity_mass_diagonal(spec))
+    return VelocityCoeffs(spec, rhs / spec.mass_diag)
 
 
 def project_pressure(spec: BasisSpec, fld: SampledField) -> PressureCoeffs:

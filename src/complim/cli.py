@@ -7,8 +7,8 @@ failure.  Diagnostics go to stderr; result files go to the
 configured output directory.
 
 run_cli sets up every command but verify (which reads no config) in one place: it loads the
-config, runs the memory pre-flight, pins BLAS for a sweep or a system below ONE_BLAS_THREAD_BELOW
-unknowns and builds the operators, which a _cmd_* function takes to write its outputs.
+config, takes its basis, runs the memory pre-flight, pins BLAS for a sweep or a system below
+ONE_BLAS_THREAD_BELOW unknowns and assembles the basis's operators, which a _cmd_* function takes.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def _check_memory(cfg: RunConfig, command: str) -> float:
     ((N+1)(m+1) values) or trajectory.csv (6 (N+1)) for a single run, probe_deltas.csv for
     a sweep, decompose.csv (7 m_u) for decompose.
     """
+    spec = build_basis(cfg.n_u, cfg.n_p)
     try:
-        m_u, m_p = 2.0 * cfg.n_u**2, (cfg.n_p + 1.0) ** 2
+        m_u, m_p = float(spec.m_u), float(spec.m_p)
         m = m_u + m_p
         alpha = min(cfg.alphas) if command == "sweep" else cfg.alpha
         dt = cfg.dt if cfg.dt is not None else default_dt(alpha, cfg.n_u, cfg.T)
@@ -378,10 +379,10 @@ def run_cli(argv) -> int:
                     cfg = parse_config(handle.read())
             except UnicodeDecodeError as exc:  # a ValueError whose message names no file
                 raise ConfigError([f"{args.config}: not UTF-8 text ({exc.reason})"]) from None
+            spec = build_basis(cfg.n_u, cfg.n_p)  # two integers: its arrays are built on first read
             _check_memory(cfg, args.command)
-            small = 2 * cfg.n_u**2 + (cfg.n_p + 1) ** 2 < ONE_BLAS_THREAD_BELOW
-            with one_blas_thread(args.command == "sweep" or small):
-                return args.fn(cfg, assemble(build_basis(cfg.n_u, cfg.n_p)), args)
+            with one_blas_thread(args.command == "sweep" or spec.m_u + spec.m_p < ONE_BLAS_THREAD_BELOW):
+                return args.fn(cfg, assemble(spec), args)
     except (ConfigError, ExpressionError, OSError, EmptyKernel, InvalidParams) as exc:
         for issue in exc.issues if isinstance(exc, ConfigError) else [str(exc)]:
             _err(issue)

@@ -434,7 +434,7 @@ def simulate_compressible(
 
 def _series(operator_set: OperatorSet, params: CompressibleParams, traj: Trajectory) -> Trajectory:
     """traj itself; ValueError unless it is a run of operator_set's basis with params."""
-    if (traj.spec.m_u, traj.spec.m_p) != (operator_set.spec.m_u, operator_set.spec.m_p):
+    if traj.spec != operator_set.spec:
         raise ValueError("trajectory does not match the operator set")
     if params is not traj.params:
         raise ValueError("params are not the ones the trajectory was run with")

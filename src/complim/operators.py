@@ -35,7 +35,6 @@ from .basis import (
     VelocityCoeffs,
     cos_cos_integral,
     sin_cos_integral,
-    velocity_mass_diagonal,
 )
 
 __all__ = [
@@ -93,7 +92,7 @@ class OperatorSet:
 def assemble(spec: BasisSpec) -> OperatorSet:
     """Assemble M, B and E's tables for the given basis and factor the mean-zero block of B."""
     n = spec.n_u
-    mass_diag = velocity_mass_diagonal(spec)
+    mass_diag = spec.mass_diag
     idx = np.arange(1, n + 1)
     norms = spec.vel_norms  # n_ij at [i-1, j-1]
     leads = np.stack((norms * idx[:, None] * np.pi, norms * idx[None, :] * np.pi))

@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from complim import (
+    BasisSpec,
     CompressibleParams,
     PressureCoeffs,
     SampledField,
@@ -17,7 +21,6 @@ from complim import (
     simulate_incompressible,
     sweep_alpha,
 )
-from complim.basis import velocity_mass_diagonal
 from complim.operators import div_gram
 
 from conftest import PARITY_N_P, PARITY_N_U, eval_field, parity_grid_ops, quad2d
@@ -66,6 +69,25 @@ def test_build_basis_rejects_bad_sizes():
         build_basis(2, -1)
 
 
+def test_a_basis_is_the_value_of_its_two_sizes():
+    assert [f.name for f in dataclasses.fields(BasisSpec)] == ["n_u", "n_p"]
+    assert build_basis(3, 3) == build_basis(3, 3) and hash(build_basis(3, 3)) == hash(build_basis(3, 3))
+    assert build_basis(3, 3) != build_basis(3, 2)
+    assert build_basis(np.int64(3), 2) == build_basis(3, 2) and type(build_basis(np.int64(3), 2).n_u) is int
+
+
+@pytest.mark.memory
+def test_a_basis_builds_no_array_until_one_is_read():
+    # its sizes are read without the n^2 arrays behind them: 40 billion norms here
+    tracemalloc.start()
+    try:
+        spec = build_basis(200000, 200000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 and spec.m_u == 80_000_000_000
+
+
 def test_velocity_basis_h1_normalized(spec4):
     # every retained mode has H10 norm exactly 1 (quadrature oracle)
     for i in range(1, spec4.n_u + 1):
@@ -88,10 +110,10 @@ def test_velocity_basis_l2_orthogonal(spec2):
             gram[a, b] = na * nb * quad2d(
                 lambda x, y: vel_mode(ia, ja)(x, y) * vel_mode(ib, jb)(x, y)
             )
-    expected = np.diag(velocity_mass_diagonal(spec2)[: len(modes)])
+    expected = np.diag(spec2.mass_diag[: len(modes)])
     # reorder: modes list above follows the flat index layout already
     assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-14
-    assert np.allclose(np.diag(gram), velocity_mass_diagonal(spec2)[[0, 1, 2, 3, 0, 1, 2, 3]], atol=1e-14)
+    assert np.allclose(np.diag(gram), spec2.mass_diag[[0, 1, 2, 3, 0, 1, 2, 3]], atol=1e-14)
 
 
 def test_pressure_basis_orthonormal(spec4):

@@ -495,7 +495,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     class Built(Exception):
         pass
 
-    def build_basis(n_u, n_p):
+    def assemble(spec):
         raise Built
 
     text = SIM_CFG.replace("n_u = 3", "n_u = 40").replace("n_p = 3", "n_p = 40")
@@ -503,7 +503,7 @@ def test_memory_preflight_counts_what_the_stokes_run_holds(tmp_path, capsys, mon
     cfg, _ = write_cfg(tmp_path, text)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**29 // 4096}  # 0.5 GiB
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    monkeypatch.setattr(cli, "build_basis", build_basis)
+    monkeypatch.setattr(cli, "assemble", assemble)
     assert run_cli(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "needs about 0.591 GiB" in err[0]

@@ -25,6 +25,14 @@ and the estimates by 4.4e-16; the certificate's flag is false for some of the pr
 runs alike.  The wrong swap, components swapped with (i, j) left in place, misses by
 0.18 to 1.6; a reflection that leaves out the sign of the velocity component along its axis
 misses by 0.59 to 1.28 in the states and 0.07 to 0.70 in the series at (8, 5).
+
+That asymmetric force joins every parity class, so those problems march one step block.  At
+MULTI_BLOCK_SIZES a problem with no force marches five blocks (66, 65, 64, 66 and 1 unknowns at
+(9, 9); 114, 108, 120, 114 and 1 at (12, 12)) and one under simulate.cfg's force two (132 and
+130; 228 and 229), each checked through _step_blocks, under the same asymmetric s and the
+timed s and sigma: their compressible states miss by at most 8.5e-15 and their series by
+2.7e-15, on one BLAS thread or two.  A march that fills a timed load's w without permuting it
+into the blocks passes every single-block case and fails all of these.
 """
 
 import dataclasses
@@ -40,12 +48,16 @@ from complim import (
     apriori_check,
     assemble,
     build_basis,
+    coupling_matrix,
     energy_ledger,
     simulate_compressible,
     simulate_incompressible,
 )
+from complim.compressible import _step_blocks
 
 SIZES = [(6, 6), (8, 5), (9, 9), (12, 12)]
+# sizes at which a force-free run, and one under simulate.cfg's force, march several step blocks
+MULTI_BLOCK_SIZES = [(9, 9), (12, 12)]
 RTOL = 2e-13
 COMPRESSIBLE_SERIES = (
     "kinetic", "acoustic", "energy", "h01", "div", "mass", "momentum", "dissipation", "work"
@@ -134,14 +146,18 @@ def signed_map(spec, names, transpose=True, mirror=True):
     return vel, vel_sign, pres, pres_sign
 
 
-def force(names):
-    """A force with no symmetry of its own, mapped by the generators ``names`` in order."""
-    def fx(x, y):
-        return np.cos(np.pi * y) + x * y * y
+# a force with no symmetry of its own, which joins every parity class: one step block
+ASYMMETRIC = (
+    lambda x, y: np.cos(np.pi * y) + x * y * y,
+    lambda x, y: 0.5 * np.cos(np.pi * x) + np.sin(2 * np.pi * x) * y,
+)
+# simulate.cfg's force (cos pi y, 0.5 cos pi x), which keeps a parity: two step blocks
+SIMULATE_CFG = (lambda x, y: np.cos(np.pi * y), lambda x, y: 0.5 * np.cos(np.pi * x))
 
-    def fy(x, y):
-        return 0.5 * np.cos(np.pi * x) + np.sin(2 * np.pi * x) * y
 
+def force(names, field=ASYMMETRIC):
+    """The vector field ``field`` as a force, mapped by the generators ``names`` in order."""
+    fx, fy = field
     for name in names:
         fx, fy = FIELD_MAPS[name](fx, fy)
     return SampledField.of_vector(fx, fy)
@@ -158,19 +174,20 @@ def mass_source(names):
     return SampledField.scalar(g, time_factor=lambda t: 1.0 + t * t)
 
 
-def problem_pair(spec, eta, names, smap, timed=False, sigma=False):
+def problem_pair(spec, eta, names, smap, timed=False, sigma=False, field=ASYMMETRIC):
     """Params of a random problem and of its image under the generators ``names``, whose action
     on coefficients is ``smap`` (right or wrong); ``timed`` gives s the time factor 1 + t, and
-    ``sigma`` adds a time-dependent mass source."""
+    ``sigma`` adds a time-dependent mass source.  The force f is ``field`` (None: no force);
+    the source s is the asymmetric one times rho0 whatever f is."""
     rng = np.random.default_rng(spec.n_u * 100 + spec.n_p)
     u0, p0 = rng.standard_normal(spec.m_u), rng.standard_normal(spec.m_p)
     vel, vel_sign, pres, pres_sign = smap
     pair = []
     for mapped, u, p in (((), u0, p0), (names, vel_sign * u0[vel], pres_sign * p0[pres])):
-        f = force(mapped)
-        s = dataclasses.replace(f.scaled(1.3), time_factor=(lambda t: 1.0 + t) if timed else None)
+        s = dataclasses.replace(force(mapped).scaled(1.3), time_factor=(lambda t: 1.0 + t) if timed else None)
         pair.append(CompressibleParams(
-            rho0=1.3, mu=0.7, eta=eta, alpha=0.05, T=0.05, dt=0.005, f=f, s=s,
+            rho0=1.3, mu=0.7, eta=eta, alpha=0.05, T=0.05, dt=0.005, s=s,
+            f=force(mapped, field) if field else None,
             sigma=mass_source(mapped) if sigma else None,
             u0=VelocityCoeffs(spec, u), p0=PressureCoeffs(spec, p),
         ))
@@ -182,20 +199,26 @@ def miss(a, b):
     return float(np.abs(a - b).max() / np.abs(a).max())
 
 
-def compressible_runs(ops, eta, names, timed=False, **wrong):
+def compressible_runs(ops, eta, names, timed=False, field=ASYMMETRIC, **wrong):
     """The map on coefficients, the problem pair and both runs, which store their states;
     ``timed`` gives both time-dependent s and sigma."""
     smap = signed_map(ops.spec, names, **wrong)
-    pair = problem_pair(ops.spec, eta, names, smap, timed=timed, sigma=timed)
+    pair = problem_pair(ops.spec, eta, names, smap, timed=timed, sigma=timed, field=field)
     return smap, pair, [simulate_compressible(ops.spec, ops, p, store_states=True) for p in pair]
 
 
-def compressible_misses(ops, eta, names, timed=False, **wrong):
+def compressible_misses(ops, eta, names, timed=False, field=ASYMMETRIC, **wrong):
     """The largest relative miss of the mapped run's states and of its series."""
-    (vel, vel_sign, pres, pres_sign), _, (run, mapped) = compressible_runs(ops, eta, names, timed, **wrong)
+    (vel, vel_sign, pres, pres_sign), _, (run, mapped) = compressible_runs(ops, eta, names, timed, field, **wrong)
     states = max(miss(vel_sign * run.c[:, vel], mapped.c), miss(pres_sign * run.q[:, pres], mapped.q))
     series = max(miss(getattr(run, name), getattr(mapped, name)) for name in COMPRESSIBLE_SERIES)
     return states, series
+
+
+def step_blocks(ops, params):
+    """The sizes of the step blocks that a compressible run of params marches."""
+    G = coupling_matrix(ops, params.f) if params.f else np.zeros((ops.spec.m_u, ops.spec.m_p))
+    return [len(b) for b in _step_blocks(ops.spec, params.eta, ops.div_coupling, G)]
 
 
 def audit_misses(ops, eta, names):
@@ -262,6 +285,19 @@ def test_a_stokes_run_commutes_with_the_reflections(ops, eta, names):
 @pytest.mark.parametrize("eta", [0.0, 0.5])
 def test_a_compressible_run_under_timed_s_and_sigma_commutes_with_the_maps(ops, eta, names):
     states, series = compressible_misses(ops, eta, names, timed=True)
+    assert states <= RTOL and series <= RTOL, (states, series)
+
+
+@pytest.mark.parametrize("field", [None, SIMULATE_CFG], ids=["unforced", "simulate_cfg_force"])
+@pytest.mark.parametrize("names", MAPS.values(), ids=MAPS.keys())
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("ops", MULTI_BLOCK_SIZES, indirect=True, ids=lambda nn: f"n{nn[0]}_{nn[1]}")
+def test_a_multi_block_run_under_timed_s_and_sigma_commutes_with_the_maps(ops, eta, names, field):
+    # the march permutes its unknowns into blocks, steps them on threads of their own where BLAS
+    # has two, and fills a time-dependent load's w through that permutation
+    pair = problem_pair(ops.spec, eta, names, signed_map(ops.spec, names), field=field)
+    assert all(len(step_blocks(ops, params)) >= 2 for params in pair), [step_blocks(ops, p) for p in pair]
+    states, series = compressible_misses(ops, eta, names, timed=True, field=field)
     assert states <= RTOL and series <= RTOL, (states, series)
 
 
